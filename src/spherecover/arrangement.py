@@ -24,6 +24,7 @@ from .geometry import (
     angle_between,
     points_coincide,
     segment_intersection,
+    tangent_frame,
     turning_angle,
     unit,
 )
@@ -115,10 +116,6 @@ class Face:
     area: float
 
 
-def _dart(e: int, rev: bool) -> int:
-    return 2 * e + (1 if rev else 0)
-
-
 class BaseComplex:
     """Planar spherical map: vertices, dart-encoded edges, rotation system, faces."""
 
@@ -132,12 +129,8 @@ class BaseComplex:
         self.traversal = []  # input curve as a dart word (may be empty)
         self.meta = {}
         self._dart_face = None
-        self._dart_pos = None
 
     # -- dart helpers ------------------------------------------------------
-
-    def edge_of(self, d: int) -> int:
-        return d >> 1
 
     def tail(self, d: int) -> int:
         e = self.edges[d >> 1]
@@ -168,39 +161,26 @@ class BaseComplex:
 
     def _invalidate(self):
         self._dart_face = None
-        self._dart_pos = None
 
     def _index_darts(self):
-        df, dp = {}, {}
+        df = {}
         for f in self.live_faces():
-            for pos, d in enumerate(self.faces[f].cycle):
+            for d in self.faces[f].cycle:
                 if d in df:
                     raise ArrangementError("dart %d appears in two face cycles" % d)
                 df[d] = f
-                dp[d] = pos
         self._dart_face = df
-        self._dart_pos = dp
 
     def face_of_dart(self, d: int) -> int:
         if self._dart_face is None:
             self._index_darts()
         return self._dart_face[d]
 
-    def pos_of_dart(self, d: int) -> int:
-        if self._dart_pos is None:
-            self._index_darts()
-        return self._dart_pos[d]
-
     def left_face(self, d: int) -> int:
         return self.face_of_dart(d)
 
     def right_face(self, d: int) -> int:
         return self.face_of_dart(d ^ 1)
-
-    def sigma_next(self, d: int) -> int:
-        """Next dart ccw around tail(d)."""
-        fan = self.fans[self.tail(d)]
-        return fan[(fan.index(d) + 1) % len(fan)]
 
     def sigma_prev(self, d: int) -> int:
         fan = self.fans[self.tail(d)]
@@ -278,9 +258,7 @@ class BaseComplex:
         return unit(np.cross(np.cross(v, w), v))
 
     def azimuth_order(self, v: int, darts):
-        p = self.vertices[v]
-        e1 = unit(np.cross(p, [0.412, -0.777, 0.318]) if abs(p[2]) > 0.9 else np.cross(p, [0, 0, 1]))
-        e2 = unit(np.cross(p, e1))
+        e1, e2 = tangent_frame(self.vertices[v])
         def az(d):
             t = self.dart_tangent(d)
             return math.atan2(float(np.dot(t, e2)), float(np.dot(t, e1)))
@@ -487,29 +465,6 @@ class BaseComplex:
         self.faces[fb] = None
         for dd in (d, dr):
             self.fans[self.tail(dd)].remove(dd)
-        self.edges[e] = None
-        self._invalidate()
-        return f
-
-    def delete_slit_edge(self, e: int) -> int:
-        """Delete a dangling edge (same face both sides, tip of degree 1)."""
-        d, dr = 2 * e, 2 * e + 1
-        f = self.face_of_dart(d)
-        if self.face_of_dart(dr) != f:
-            raise ArrangementError("edge %d is not a slit" % e)
-        tip = self.edges[e].b if len(self.fans[self.edges[e].b]) == 1 else self.edges[e].a
-        if len(self.fans[tip]) != 1:
-            raise ArrangementError("edge %d has no free tip" % e)
-        cyc = [x for x in self.faces[f].cycle if x not in (d, dr)]
-        self.faces[f].cycle = cyc
-        other = self.edges[e].a if tip == self.edges[e].b else self.edges[e].b
-        for dd in (d, dr):
-            if self.tail(dd) == other:
-                self.fans[other].remove(dd)
-        self.fans[tip] = []
-        self.vertices[tip] = None
-        self.specials.pop(tip, None)
-        self.markers.discard(tip)
         self.edges[e] = None
         self._invalidate()
         return f
@@ -730,8 +685,7 @@ def _corner_pos_toward(bc: BaseComplex, f: int, v: int, p) -> int:
     pv = bc.vertices[v]
     t = unit(np.cross(np.cross(pv, p), pv))
     cyc = bc.faces[f].cycle
-    e1 = unit(np.cross(pv, [0.412, -0.777, 0.318]) if abs(pv[2]) > 0.9 else np.cross(pv, [0, 0, 1]))
-    e2 = unit(np.cross(pv, e1))
+    e1, e2 = tangent_frame(pv)
 
     def az(vec):
         return math.atan2(float(np.dot(vec, e2)), float(np.dot(vec, e1))) % (2 * math.pi)

@@ -94,7 +94,11 @@ def cmd_surgery(args):
     except io.SurfaceFileError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return EXIT_FAIL
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except json.JSONDecodeError as err:
+        print("parse error: --params: %s" % err, file=sys.stderr)
+        return EXIT_FAIL
     try:
         if args.op in ("cut_to_boundary", "cut_interior"):
             path = SurfacePath([tuple(x) for x in params["sides"]])
@@ -173,9 +177,12 @@ def cmd_verify(args):
             return EXIT_FAIL
         rot = Rotation.identity()
         if args.trace:
-            with open(args.trace) as fh:
-                doc = json.load(fh)
-            rot = io.rotation_from_dict(doc["rotation"])
+            try:
+                with open(args.trace) as fh:
+                    rot = io.rotation_from_dict(json.load(fh)["rotation"])
+            except (ValueError, KeyError, TypeError) as err:
+                print("parse error: trace %s: %r" % (args.trace, err), file=sys.stderr)
+                return EXIT_FAIL
         ok, report = is_better_than(s, original, rot, h_tol=args.tol)
         print("better-than certificate: %s" % ("ok" if ok else "FAILED"))
         for clause, val in report.items():

@@ -30,32 +30,13 @@ def _sph(lon, lat):
                         math.sin(lat))
 
 
-def equator_triangle_points():
-    return tuple(_sph(2 * math.pi * k / 3, 0.0) for k in range(3))
-
-
 def make_base(curve_points, special_points, markers=()) -> BaseComplex:
     bc = build_arrangement(CurveInput(tuple(curve_points)),
                            SpecialSet(tuple(special_points)), markers=markers)
     return attach_scaffold(bc)
 
 
-def base_equator_triangle(q=3, specials_north=True, markers=()):
-    """Equator triangle curve with q special points bunched in one hemisphere."""
-    lat = 0.9 if specials_north else -0.9
-    specials = [_sph(0.4 + 2.1 * k, lat) for k in range(q)]
-    return make_base(equator_triangle_points(), specials, markers=markers)
-
-
-def identity_disk(bc: BaseComplex, face: int) -> SurfaceComplex:
-    """One-sheet covering of a single face (scaffold slits self-sewn)."""
-    s = SurfaceComplex(bc, [face], {})
-    _close_scaffold_sides(s, random.Random(0), identity_only=True)
-    require_valid(s, "identity disk")
-    return s
-
-
-def _close_scaffold_sides(s: SurfaceComplex, rng, identity_only=False):
+def _close_scaffold_sides(s: SurfaceComplex):
     """Pair every free scaffold side with its boundary-walk successor.
 
     Scaffold edges hang as trees inside faces, so around their tips the walk
@@ -81,8 +62,6 @@ def _close_scaffold_sides(s: SurfaceComplex, rng, identity_only=False):
                 raise GenerationStuck("free scaffold sides without sewable successor")
             return
         side, nxt = cand
-        if identity_only and nxt[0] != side[0]:
-            raise GenerationStuck("identity closure impossible here")
         s.pair(side, nxt)
         s.invalidate()
 
@@ -181,7 +160,7 @@ def branched_fan(bc: BaseComplex, face: int, marker: int, m: int) -> SurfaceComp
     slit_in = next(p for p, d in enumerate(cyc) if bc.tail(d) == marker)
     for i in range(m):
         s.pair((i, slit_out), ((i + 1) % m, slit_in))
-    _close_scaffold_sides(s, random.Random(0))
+    _close_scaffold_sides(s)
     require_valid(s, "branched fan")
     return s
 
@@ -269,7 +248,7 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
             s.pair(side, (c_new, pos))
             s.invalidate()
             break
-    _close_scaffold_sides(s, rng)
+    _close_scaffold_sides(s)
     require_valid(s, "generated disk covering")
     if s.topology_kind() != "disk":
         raise GenerationStuck("generator produced a non-disk")
@@ -382,7 +361,6 @@ def generate_closed_cyclic_cover(d, q=3, branch_special=True) -> SurfaceComplex:
     b = _sph(2.0, -0.2)
     c = _sph(4.1, 0.1)
     if branch_special:
-        extra = [_sph(1.0, 1.1)] * 0
         specials = [a, b] + [_sph(1.0 + k, 1.1) for k in range(q - 2)]
     else:
         specials = [_sph(1.0 + 0.8 * k, 1.1) for k in range(q)]

@@ -50,13 +50,17 @@ def sphere_point(x, y, z) -> np.ndarray:
     return unit((x, y, z))
 
 
-def is_unit(v, tol=EPS_UNIT) -> bool:
-    return abs(np.dot(v, v) - 1.0) <= 3 * tol
-
-
 def angle_between(a, b) -> float:
     """Angular distance in [0, pi], stable near 0 and pi."""
     return math.atan2(np.linalg.norm(np.cross(a, b)), float(np.dot(a, b)))
+
+
+def tangent_frame(p):
+    """Orthonormal frame (e1, e2) of the tangent plane at p, with e1 x e2 = p.
+
+    e1 is perpendicular to the z axis, or to a fixed skew vector near the poles."""
+    e1 = unit(np.cross(p, [0.412, -0.777, 0.318]) if abs(p[2]) > 0.9 else np.cross(p, [0, 0, 1]))
+    return e1, unit(np.cross(p, e1))
 
 
 def points_coincide(a, b, tol=EPS_SEP) -> bool:

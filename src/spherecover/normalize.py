@@ -29,6 +29,7 @@ from .geometry import (
     Rotation,
     angle_between,
     first_contact_rotation,
+    tangent_frame,
     unit,
 )
 from .surface import (
@@ -37,7 +38,7 @@ from .surface import (
     FunctionalReport,
     SurfaceComplex,
     SurfaceError,
-    closed_subword_check,
+    closed_subarc_match,
     functionals,
     is_better_than,
     require_valid,
@@ -120,22 +121,30 @@ def _walk_word(s: SurfaceComplex):
     return tuple(s.boundary_walk().darts)
 
 
-def _cyclic_equal(w1, w2):
-    if len(w1) != len(w2):
-        return False
-    if not w1:
-        return True
-    dbl = w2 + w2
-    return any(dbl[i:i + len(w1)] == tuple(w1) for i in range(len(w2)))
-
-
 def _word_subarc(s_new, s_old) -> bool:
     """Closed-subarc check of the new walk in the old one (same base)."""
-    w_new, w_old = _walk_word(s_new), _walk_word(s_old)
-    if _cyclic_equal(w_new, w_old):
-        return True
+    w_old = _walk_word(s_old)
     junctions = [s_old.base.tail(d) for d in w_old]
-    return closed_subword_check(list(w_old), junctions, list(w_new))
+    return closed_subarc_match(w_old, junctions, _walk_word(s_new)) is not None
+
+
+def _walk_word_unchanged(s_new, s_old) -> bool:
+    """Cyclic equality of the walk words: a closed subarc of equal length."""
+    return len(_walk_word(s_new)) == len(_walk_word(s_old)) and _word_subarc(s_new, s_old)
+
+
+def _record_step(trace, op, case, pre, post, walks=None, note=""):
+    """Append one certified step to the trace, if there is one.
+
+    ``walks`` is the (new, old) surface pair whose walk words are checked for
+    the closed-subarc relation; None when the step keeps the boundary by
+    construction."""
+    if trace is None:
+        return
+    walk_ok = True if walks is None else _word_subarc(*walks)
+    trace.steps.append(TraceStep(
+        op=op, case=case, pre=_summary(pre), post=_summary(post), note=note,
+        certificate=_step_certificate(pre, post, walk_ok)))
 
 
 # -- fold removal (Prop no-folded) ---------------------------------------------
@@ -181,26 +190,22 @@ def remove_one_fold(s: SurfaceComplex) -> SurfaceComplex:
 
 def remove_nonspecial_folds(s: SurfaceComplex, trace: PipelineTrace = None) -> SurfaceComplex:
     """Iterate fold sews until no non-special folded point remains."""
-    rep = functionals(s)
-    if rep.ratio is None or rep.ratio < 0:
-        raise NegativeH("fold removal requires H >= 0, got %r" % rep.ratio)
+    pre = functionals(s)
+    if pre.ratio is None or pre.ratio < 0:
+        raise NegativeH("fold removal requires H >= 0, got %r" % pre.ratio)
     cur = s
     while True:
         folds = _nonspecial_folds(cur)
         if not folds:
             return cur
-        pre = functionals(cur)
         nxt = remove_one_fold(cur)
         post = functionals(nxt)
         if len(_nonspecial_folds(nxt)) >= len(folds):
             raise PipelineError("fold count did not decrease")
         if post.boundary_length >= pre.boundary_length - 1e-12:
             raise PipelineError("fold sew did not shorten the boundary")
-        if trace is not None:
-            trace.steps.append(TraceStep(
-                op="remove_fold", case="glue-A", pre=_summary(pre), post=_summary(post),
-                certificate=_step_certificate(pre, post, _word_subarc(nxt, cur))))
-        cur = nxt
+        _record_step(trace, "remove_fold", "glue-A", pre, post, (nxt, cur))
+        cur, pre = nxt, post
 
 
 # -- interior branch transport (Prop in-to-bd) -----------------------------------
@@ -371,7 +376,7 @@ def push_interior_branch(s: SurfaceComplex, sheet_index: int):
     out = star_rewire(work, result.lifts, idx)
     case = "3" if len(on_boundary) == 1 else "4"
     out = finish(out)
-    if not _cyclic_equal(_walk_word(out), _walk_word(s)):
+    if not _walk_word_unchanged(out, s):
         raise PipelineError("interior push changed the boundary word")
     return out, case, None
 
@@ -380,25 +385,21 @@ def clear_interior_branches(s: SurfaceComplex, trace: PipelineTrace = None):
     """Push interior non-special branch points until none remain or a split.
 
     Returns (surface, 'CLEARED' | 'SPLIT')."""
-    cur = s
+    cur, pre = s, None
     while True:
         branches = _interior_nonspecial_branches(cur)
         if not branches:
             return cur, "CLEARED"
-        pre = functionals(cur)
+        pre = pre or functionals(cur)
         out, case, other = push_interior_branch(cur, branches[0].index)
         post = functionals(out)
-        if trace is not None:
-            trace.steps.append(TraceStep(
-                op="push_interior_branch", case=case,
-                pre=_summary(pre), post=_summary(post),
-                note="" if other is None else "split off %s" % other.topology_kind(),
-                certificate=_step_certificate(pre, post, _word_subarc(out, cur))))
+        _record_step(trace, "push_interior_branch", case, pre, post, (out, cur),
+                     note="" if other is None else "split off %s" % other.topology_kind())
         if other is not None:
             return out, "SPLIT"
         if len(_interior_nonspecial_branches(out)) >= len(branches):
             raise PipelineError("interior branch count did not decrease")
-        cur = out
+        cur, pre = out, post
 
 
 # -- boundary branch transport (Prop bd-bd) ----------------------------------------
@@ -450,7 +451,7 @@ def slide_boundary_branch(s: SurfaceComplex, sheet_index: int):
             raise PipelineError("lift landing elsewhere on the boundary must split two disks")
         return cleanup_unused_curve_edges(keep), "3", other
     out = star_rewire(s, interior, sheet_index, boundary_run=run)
-    if not _cyclic_equal(_walk_word(out), _walk_word(s)):
+    if not _walk_word_unchanged(out, s):
         raise PipelineError("boundary slide changed the boundary word")
     return out, "4", None
 
@@ -462,23 +463,19 @@ def sweep_boundary_branches(s: SurfaceComplex, trace: PipelineTrace = None):
     Every slide advances one branch by one arc, so the total forward distance
     from the branches to the next special junction strictly decreases.
     """
-    cur = s
+    cur, pre = s, None
     while True:
         branches = _boundary_nonspecial_branches(cur)
         if not branches:
             return cur, "DONE"
-        pre = functionals(cur)
+        pre = pre or functionals(cur)
         out, case, other = slide_boundary_branch(cur, branches[0].index)
         post = functionals(out)
-        if trace is not None:
-            trace.steps.append(TraceStep(
-                op="slide_boundary_branch", case=case,
-                pre=_summary(pre), post=_summary(post),
-                note="" if other is None else "split off %s" % other.topology_kind(),
-                certificate=_step_certificate(pre, post, _word_subarc(out, cur))))
+        _record_step(trace, "slide_boundary_branch", case, pre, post, (out, cur),
+                     note="" if other is None else "split off %s" % other.topology_kind())
         if other is not None:
             return out, "SPLIT"
-        cur = out
+        cur, pre = out, post
 
 
 # -- sinking into a left-component special (Prop bd-in) -------------------------------
@@ -538,12 +535,9 @@ def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, pre, trace):
         keep = delete_edge_surface(keep, chord_e)
         keep = cleanup_unused_curve_edges(keep)
         post = functionals(keep)
-        if trace is not None:
-            trace.steps.append(TraceStep(
-                op="sink_branch_to_special", case="1",
-                pre=_summary(pre), post=_summary(post), note="split off closed",
-                certificate=_step_certificate(pre, post, _word_subarc(keep, s))))
-        return keep, "SPLIT"
+        _record_step(trace, "sink_branch_to_special", "1", pre, post, (keep, s),
+                     note="split off closed")
+        return keep, "SPLIT", post
     out = star_rewire(work, result.lifts, sigma2.index)
     out = delete_edge_surface(out, chord_e)
     post = functionals(out)
@@ -551,14 +545,10 @@ def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, pre, trace):
     if post.n_bar[lab] != expected:
         raise PipelineError("sink changed n_bar(%s) to %d, expected %d"
                             % (lab, post.n_bar[lab], expected))
-    if not _cyclic_equal(_walk_word(out), _walk_word(s)):
+    if not _walk_word_unchanged(out, s):
         raise PipelineError("sink changed the boundary word")
-    if trace is not None:
-        trace.steps.append(TraceStep(
-            op="sink_branch_to_special", case="2",
-            pre=_summary(pre), post=_summary(post),
-            certificate=_step_certificate(pre, post, True)))
-    return out, "DONE"
+    _record_step(trace, "sink_branch_to_special", "2", pre, post)
+    return out, "DONE", post
 
 
 def sink_branch_to_special(s: SurfaceComplex, trace: PipelineTrace = None):
@@ -568,7 +558,7 @@ def sink_branch_to_special(s: SurfaceComplex, trace: PipelineTrace = None):
     Returns (surface, 'DONE' | 'SPLIT')."""
     if _sinkable_arc(s) is None:
         raise PreconditionViolated("no boundary arc has a special point on its left")
-    cur = s
+    cur, pre = s, None
     while True:
         branches = _boundary_nonspecial_branches(cur)
         if not branches:
@@ -579,25 +569,20 @@ def sink_branch_to_special(s: SurfaceComplex, trace: PipelineTrace = None):
             raise PipelineError("boundary branch is folded after fold removal")
         in_dart = cur.dart_of(B.in_side)
         f_left = cur.base.left_face(in_dart)
+        pre = pre or functionals(cur)
         if f_left in tips:
-            pre = functionals(cur)
-            out, status = _sink_one(cur, B.index, tips[f_left][0], pre, trace)
+            out, status, post = _sink_one(cur, B.index, tips[f_left][0], pre, trace)
             if status == "SPLIT":
                 return out, "SPLIT"
-            cur = out
+            cur, pre = out, post
             continue
-        pre = functionals(cur)
         out, case, other = slide_boundary_branch(cur, B.index)
         post = functionals(out)
-        if trace is not None:
-            trace.steps.append(TraceStep(
-                op="slide_boundary_branch", case=case,
-                pre=_summary(pre), post=_summary(post),
-                note="parking" if other is None else "split off %s" % other.topology_kind(),
-                certificate=_step_certificate(pre, post, _word_subarc(out, cur))))
+        _record_step(trace, "slide_boundary_branch", case, pre, post, (out, cur),
+                     note="parking" if other is None else "split off %s" % other.topology_kind())
         if other is not None:
             return out, "SPLIT"
-        cur = out
+        cur, pre = out, post
 
 
 # -- rotation onto the special set (Prop rotation) --------------------------------
@@ -685,7 +670,7 @@ def rotate_to_touch_special(s: SurfaceComplex, rng_jitter=None):
 def _rotation_angle_about(rot: Rotation, axis) -> float:
     """Rotation angle of rot about the given axis, in [0, 2*pi)."""
     k = unit(axis)
-    ref = unit(np.cross(k, [1.0, 0.3, -0.2]) if abs(k[2]) > 0.9 else np.cross(k, [0, 0, 1]))
+    ref, _ = tangent_frame(k)
     w = rot.apply(ref)
     w = unit(w - float(np.dot(w, k)) * k)
     ang = math.atan2(float(np.dot(np.cross(ref, w), k)), float(np.dot(ref, w)))
@@ -810,12 +795,8 @@ def normalize(s: SurfaceComplex):
                 continue
             pre = functionals(cur)
             cur, rho = rotate_to_touch_special(cur)
-            post = functionals(cur)
             trace.rotations.append(rho)
-            trace.steps.append(TraceStep(
-                op="rotate_to_touch_special", case="rotation",
-                pre=_summary(pre), post=_summary(post),
-                certificate=_step_certificate(pre, post, True)))
+            _record_step(trace, "rotate_to_touch_special", "rotation", pre, functionals(cur))
             continue
         if _is_clean(cur):
             break

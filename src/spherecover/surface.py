@@ -127,9 +127,6 @@ class SurfaceComplex:
             for p in range(len(self.cycle_of(c))):
                 yield (c, p)
 
-    def is_free(self, side) -> bool:
-        return side not in self.pairing
-
     def free_sides(self):
         return [s for s in self.sides() if s not in self.pairing]
 
@@ -244,9 +241,6 @@ class SurfaceComplex:
             special=v in self.base.specials, in_side=in_side, out_side=out_side,
         )
 
-    def sheet_of_corner(self, corner) -> int:
-        return self.sheets()[1][corner]
-
     def sheet_list(self):
         return self.sheets()[0]
 
@@ -349,28 +343,33 @@ class SurfaceComplex:
             comps.setdefault(find(f), []).append(f)
         return {root: tuple(sorted(fs)) for root, fs in comps.items()}
 
-    def component_of_face(self, f: int) -> int:
-        for root, fs in self.components().items():
-            if f in fs:
-                return root
-        raise SurfaceError("face %d not found" % f)
-
     # -- connectivity -----------------------------------------------------------------
 
+    def copy_components(self):
+        """Live copies grouped by the copy graph (an edge per paired side).
+
+        Each group is sorted; groups come in order of their smallest copy."""
+        seen = set()
+        groups = []
+        for root in self.live_copy_ids():
+            if root in seen:
+                continue
+            seen.add(root)
+            group = [root]
+            stack = [root]
+            while stack:
+                c = stack.pop()
+                for p in range(len(self.cycle_of(c))):
+                    t = self.pairing.get((c, p))
+                    if t is not None and t[0] not in seen:
+                        seen.add(t[0])
+                        group.append(t[0])
+                        stack.append(t[0])
+            groups.append(sorted(group))
+        return groups
+
     def connected(self) -> bool:
-        live = self.live_copy_ids()
-        if not live:
-            return False
-        seen = {live[0]}
-        stack = [live[0]]
-        while stack:
-            c = stack.pop()
-            for p in range(len(self.cycle_of(c))):
-                t = self.pairing.get((c, p))
-                if t is not None and t[0] not in seen:
-                    seen.add(t[0])
-                    stack.append(t[0])
-        return len(seen) == len(live)
+        return len(self.copy_components()) == 1
 
 
 def validate(s: SurfaceComplex, strict_scaffold=True):
@@ -512,15 +511,23 @@ def functionals(s: SurfaceComplex, special=None) -> FunctionalReport:
 # -- closed subarc relation ---------------------------------------------------
 
 
-def _closed_subword(word1, junctions1, word2):
+def closed_subarc_match(word1, junctions1, word2):
     """Matching of Def closed-subarc on cyclic symbol words.
 
     word2 must be obtainable from a cyclic rotation of word1 by deleting
     disjoint contiguous subwords each of which starts and ends at the same
     junction key.  Returns the witness (rotation, kept index runs) or None.
+    Words of equal length leave nothing to delete, so there the match is
+    cyclic equality and needs no search.
     """
+    word1, junctions1, word2 = list(word1), list(junctions1), list(word2)
     n, m = len(word1), len(word2)
     if m == 0 or n == 0:
+        return None
+    if n == m:
+        for rot in range(n):
+            if word1[rot:] + word1[:rot] == word2:
+                return {"rotation": rot, "kept_runs": [(0, n)]}
         return None
 
     def attempt(rot):
@@ -578,31 +585,10 @@ def _closed_subword(word1, junctions1, word2):
     return None
 
 
-def closed_subword_check(word1, junctions1, word2) -> bool:
-    """Closed-subarc test with fast paths: cyclic equality, then a single
-    contiguous closed discard, then the full matching."""
-    n, m = len(word1), len(word2)
-    if m == 0 or n == 0:
-        return False
-    if n == m:
-        dbl = list(word1) + list(word1)
-        for i in range(n):
-            if dbl[i:i + n] == list(word2):
-                return True
-    if n > m:
-        dbl = list(word1) + list(word1)
-        jv = list(junctions1) + list(junctions1)
-        k = n - m
-        for i in range(n):
-            if dbl[i:i + m] == list(word2) and jv[(i + m) % n] == jv[i % n]:
-                return True
-    return _closed_subword(list(word1), list(junctions1), list(word2)) is not None
-
-
 def is_closed_subarc(w2: BoundaryWalk, w1: BoundaryWalk, base: BaseComplex):
     """True when w2 is a closed subarc of w1 (walks over one base complex)."""
     junction1 = [base.tail(d) for d in w1.darts]
-    witness = _closed_subword(list(w1.darts), junction1, list(w2.darts))
+    witness = closed_subarc_match(w1.darts, junction1, w2.darts)
     return (witness is not None), witness
 
 
@@ -669,7 +655,7 @@ def is_closed_subarc_geometric(steps2, steps1, tol=1e-7):
 
     w1, j1 = word(f1)
     w2, _ = word(f2)
-    witness = _closed_subword(w1, j1, w2)
+    witness = closed_subarc_match(w1, j1, w2)
     return (witness is not None), witness
 
 

@@ -68,18 +68,6 @@ class Lift:
     def end_sheet(self):
         return self.sheet_ids[-1]
 
-    def p_side(self, t):
-        kind, *rest = self.steps[t]
-        if kind == "interior":
-            return rest[0]
-        return rest[0]
-
-    def q_side(self, t):
-        kind, *rest = self.steps[t]
-        if kind != "interior":
-            raise SurfaceError("boundary lift step has no interior sides")
-        return rest[1]
-
     @property
     def is_boundary_run(self):
         return self.steps and self.steps[0][0] == "boundary"
@@ -417,26 +405,8 @@ def star_rewire(s: SurfaceComplex, lifts, start_sheet: int,
 
 def _split_components(s: SurfaceComplex):
     """Split a (possibly disconnected) surface into connected pieces."""
-    live = s.live_copy_ids()
-    comp = {}
-    for c in live:
-        if c in comp:
-            continue
-        group = [c]
-        comp[c] = c
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            for p in range(len(s.cycle_of(x))):
-                t = s.pairing.get((x, p))
-                if t is not None and t[0] not in comp:
-                    comp[t[0]] = c
-                    group.append(t[0])
-                    stack.append(t[0])
-    roots = sorted(set(comp.values()))
     pieces = []
-    for r in roots:
-        members = sorted(c for c in live if comp[c] == r)
+    for members in s.copy_components():
         remap = {c: i for i, c in enumerate(members)}
         copies = [s.copies[c] for c in members]
         pairing = {}
@@ -466,10 +436,10 @@ def split_on_lifts(s: SurfaceComplex, lift_a: Lift, lift_b: Lift):
             out.unpair(side)
             freed.append((t, side, lf.steps[t][2]))
     # components of the cut-open surface
-    raw_pieces = _split_components_raw(out)
-    if len(raw_pieces) != 2:
-        raise InvalidSurface("cut along the two lifts made %d pieces" % len(raw_pieces))
-    for piece_copies in raw_pieces:
+    groups = out.copy_components()
+    if len(groups) != 2:
+        raise InvalidSurface("cut along the two lifts made %d pieces" % len(groups))
+    for piece_copies in map(set, groups):
         for t in range(T):
             here = [side for (tt, sidep, sideq) in freed for side in (sidep, sideq)
                     if tt == t and side[0] in piece_copies and side not in out.pairing]
@@ -486,28 +456,6 @@ def split_on_lifts(s: SurfaceComplex, lift_a: Lift, lift_b: Lift):
     for piece in pieces:
         require_valid(piece, "split_on_lifts piece")
     return pieces
-
-
-def _split_components_raw(s):
-    live = s.live_copy_ids()
-    seen = {}
-    groups = []
-    for c in live:
-        if c in seen:
-            continue
-        grp = {c}
-        seen[c] = True
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            for p in range(len(s.cycle_of(x))):
-                t = s.pairing.get((x, p))
-                if t is not None and t[0] not in seen:
-                    seen[t[0]] = True
-                    grp.add(t[0])
-                    stack.append(t[0])
-        groups.append(grp)
-    return groups
 
 
 def reroute_boundary_split(s: SurfaceComplex, boundary_run, lift: Lift):
@@ -697,6 +645,40 @@ def _slit_permutation(s, face, pos_out, pos_in):
     return rho
 
 
+def _recompose_swept_side(out, face, cyc, new_cyc, pos_out, context):
+    """Carry the pairing of the copies over ``face`` to its new cycle.
+
+    ``cyc`` is the old cycle with the slit at ``pos_out`` and ``pos_out + 1``;
+    the side after it is swept past the slit.  Its pairing is recomposed with
+    the slit monodromy rho: (c, swept) takes the old partner of
+    (rho(c), swept), which re-cuts the branch cut past that edge germ.  Darts
+    missing from ``new_cyc`` (a dropped slit) lose their sides.  Every swept
+    side must be paired.
+    """
+    n = len(cyc)
+    pos_swept = (pos_out + 2) % n
+    rho = _slit_permutation(out, face, pos_out, (pos_out + 1) % n)
+    affected = [c for c in out.live_copy_ids() if out.copies[c] == face]
+    old_partner = {c: out.pairing.get((c, pos_swept)) for c in affected}
+    if any(v is None for v in old_partner.values()):
+        raise PreconditionViolated("%s would cross a free side" % context)
+
+    new_pos = {d: i for i, d in enumerate(new_cyc)}
+    maps = {c: {p: [(c, new_pos[d])] if d in new_pos else [] for p, d in enumerate(cyc)}
+            for c in affected}
+    for c in affected:
+        out.pairing.pop((c, pos_swept))
+    for c in affected:
+        out.pairing.pop(old_partner[c], None)
+    _remap_pairing(out, maps)
+    for c in affected:
+        mate = old_partner[rho[c]]
+        if mate[0] in affected:
+            mate = maps[mate[0]][mate[1]][0]
+        out.pair((c, new_pos[cyc[pos_swept]]), mate)
+    out.invalidate()
+
+
 def _slide_slit_step(s: SurfaceComplex, e_slit: int) -> SurfaceComplex:
     """Move one slit (dangling scaffold edge) one dart forward in its face cycle.
 
@@ -715,14 +697,7 @@ def _slide_slit_step(s: SurfaceComplex, e_slit: int) -> SurfaceComplex:
     k = cyc.index(s_out)
     if cyc[(k + 1) % n] != s_in:
         raise InvalidSurface("slit darts are not adjacent in the face cycle")
-    pos_eps = (k + 2) % n
-    eps = cyc[pos_eps]
-    rho = _slit_permutation(out, face, k, (k + 1) % n)
-
-    affected = [c for c in out.live_copy_ids() if out.copies[c] == face]
-    old_partner = {c: out.pairing.get((c, pos_eps)) for c in affected}
-    if any(v is None for v in old_partner.values()):
-        raise PreconditionViolated("slit slide would cross a free side")
+    eps = cyc[(k + 2) % n]
 
     # base update: splice the cycle, move the attachment vertex of the slit
     y = bc.tail(s_out)
@@ -738,25 +713,7 @@ def _slide_slit_step(s: SurfaceComplex, e_slit: int) -> SurfaceComplex:
     bc.fans[w].insert(bc.fans[w].index(nxt) + 1, s_out)
     bc._invalidate()
 
-    # surface update: position remap plus monodromy recomposition over eps
-    old_to_new = {p: new_cyc.index(cyc[p]) for p in range(n)}
-    maps = {c: {p: [(c, old_to_new[p])] for p in range(n)} for c in affected}
-    dangling = {}
-    for c in affected:
-        out.pairing.pop((c, pos_eps))
-    for c in affected:
-        mate = old_partner[c]
-        if mate in out.pairing:
-            out.pairing.pop(mate)
-        dangling[c] = mate
-    _remap_pairing(out, maps)
-    new_pos_eps = old_to_new[pos_eps]
-    for c in affected:
-        mate = dangling[rho[c]]
-        if mate[0] in affected and mate[1] in maps[mate[0]]:
-            mate = maps[mate[0]][mate[1]][0]
-        out.pair((c, new_pos_eps), mate)
-    out.invalidate()
+    _recompose_swept_side(out, face, cyc, new_cyc, k, "slit slide")
     require_valid(out, "slit slide")
     return out
 
@@ -791,13 +748,6 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
     # now cycle reads [..., s_out, s_in, nxt ...] with tail(nxt) == target
     cyc = list(bc.faces[face].cycle)
     k = cyc.index(d_in_tip ^ 1)
-    n = len(cyc)
-    pos_out, pos_in, pos_nxt = k, (k + 1) % n, (k + 2) % n
-    rho = _slit_permutation(out, face, pos_out, pos_in)
-    affected = [c for c in out.live_copy_ids() if out.copies[c] == face]
-    old_partner = {c: out.pairing.get((c, pos_nxt)) for c in affected}
-    if any(v is None for v in old_partner.values()):
-        raise PreconditionViolated("tip absorption would cross a free side")
 
     # base: drop the slit edge and the tip
     new_cyc = [d for d in cyc if (d >> 1) != e_slit]
@@ -814,29 +764,7 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
         bc.specials[target] = label
     bc._invalidate()
 
-    maps = {}
-    for c in affected:
-        m = {}
-        for p, d in enumerate(cyc):
-            m[p] = [] if (d >> 1) == e_slit else [(c, new_cyc.index(d))]
-        maps[c] = m
-    for c in affected:
-        out.pairing.pop((c, pos_out))
-        out.pairing.pop((c, pos_nxt))
-    dangling = {}
-    for c in affected:
-        mate = old_partner[c]
-        if mate in out.pairing:
-            out.pairing.pop(mate)
-        dangling[c] = mate
-    _remap_pairing(out, maps)
-    new_pos_nxt = new_cyc.index(cyc[pos_nxt])
-    for c in affected:
-        mate = dangling[rho[c]]
-        if mate[0] in affected:
-            mate = (mate[0], maps[mate[0]][mate[1]][0][1])
-        out.pair((c, new_pos_nxt), mate)
-    out.invalidate()
+    _recompose_swept_side(out, face, cyc, new_cyc, k, "tip absorption")
     require_valid(out, "absorb_tip")
     return out
 

@@ -1,7 +1,6 @@
 """Shared fixture builders for the test suite."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -56,7 +55,7 @@ def identity_hemisphere():
     """One-sheet covering of the southern hemisphere; H = 1."""
     bc, _ = equator_triangle_base([sph(2.4, 1.25), sph(3.3, 1.25), sph(4.2, 1.25)])
     s = SurfaceComplex(bc, [south_face(bc)], {})
-    _close_scaffold_sides(s, random.Random(0))
+    _close_scaffold_sides(s)
     return s
 
 
@@ -72,7 +71,7 @@ def f4_double_cover(marker_lonlat=(0.7, -0.5)):
     si = next(p for p, d in enumerate(cyc) if bc.tail(d) == mk)
     s.pair((0, so), (1, si))
     s.pair((1, so), (0, si))
-    _close_scaffold_sides(s, random.Random(0))
+    _close_scaffold_sides(s)
     return s
 
 
@@ -150,7 +149,7 @@ def f4_with_north(marker_at=1, a1_south=True):
         ps = next(p for p, d in enumerate(cyc_s) if (d >> 1) == e)
         pn = next(p for p, d in enumerate(cyc_n) if (d >> 1) == e)
         s.pair((0, ps), (2, pn))
-    _close_scaffold_sides(s, random.Random(0))
+    _close_scaffold_sides(s)
     return s
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spherecover import io
-from spherecover.cli import main as cli_main
+from spherecover.cli import EXIT_FAIL, main as cli_main
 from spherecover.generators import generate_disk_covering, GenerationStuck
 from spherecover.surface import functionals, validate
 from spherecover.surgery import isomorphic
@@ -55,6 +55,25 @@ def test_malformed_file_rejected(tmp_path):
     wrong.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(io.SurfaceFileError):
         io.load_surface(wrong)
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("verify", "{not json"),
+    ("verify", '{"steps": []}'),
+    ("surgery", "{bad"),
+])
+def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
+    surf = tmp_path / "f4.json"
+    io.save_surface(f4_double_cover(), surf)
+    if command == "verify":
+        trace = tmp_path / "trace.json"
+        trace.write_text(payload)
+        argv = ["verify", str(surf), "--against", str(surf), "--trace", str(trace)]
+    else:
+        argv = ["surgery", str(surf), "--op", "sew", "--params", payload,
+                "--out", str(tmp_path / "out.json")]
+    assert cli_main(argv) == EXIT_FAIL
+    assert "parse error:" in capsys.readouterr().err
 
 
 def test_cli_gen_inspect_verify(tmp_path, capsys):

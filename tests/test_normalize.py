@@ -338,10 +338,9 @@ def test_rotation_vertex_contact_jittered():
     # the contact strictly inside an arc
     bc, pts = equator_triangle_base([sph(0.0, 1.0), sph(3.3, 1.25), sph(4.2, 1.25)])
     from spherecover.generators import _close_scaffold_sides
-    import random as _random
     from spherecover.surface import SurfaceComplex
     s = SurfaceComplex(bc, [south_face(bc)], {})
-    _close_scaffold_sides(s, _random.Random(0))
+    _close_scaffold_sides(s)
     out, rho = rotate_to_touch_special(s)
     walk_specials = [v for v in
                      {out.base.tail(d) for d in out.boundary_walk().darts}

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherecover.generators import generate_closed_cyclic_cover, generate_disk_covering
 from spherecover.surface import (
@@ -11,6 +12,7 @@ from spherecover.surface import (
     SurfaceComplex,
     boundary_multiplicities,
     classify_vertices,
+    closed_subarc_match,
     functionals,
     is_better_than,
     is_closed_subarc,
@@ -183,6 +185,58 @@ def test_closed_subarc_doubled_arc():
     ok3, _ = is_closed_subarc(_word_walk([2, 4]), _word_walk([10, 2, 11, 4]),
                               _FakeBase(tails3))
     assert not ok3
+
+
+def _brute_closed_subarc(word1, junctions1, word2):
+    """Every rotation of word1 times every kept subset whose deleted runs are closed."""
+    n = len(word1)
+    for rot in range(n):
+        w = word1[rot:] + word1[:rot]
+        jv = junctions1[rot:] + junctions1[:rot] + [junctions1[rot]]
+        for mask in range(1 << n):
+            if [w[i] for i in range(n) if mask >> i & 1] != word2:
+                continue
+            closed, i = True, 0
+            while i < n:
+                if mask >> i & 1:
+                    i += 1
+                    continue
+                start = i
+                while i < n and not mask >> i & 1:
+                    i += 1
+                closed = closed and jv[start] == jv[i]
+            if closed:
+                return True
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_closed_subarc_match_agrees_with_brute_force(data):
+    n = data.draw(st.integers(1, 7))
+    word1 = data.draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+    junctions1 = data.draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        # a kept subset of a rotation: often a closed subarc, sometimes not
+        rot = data.draw(st.integers(0, n - 1))
+        mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        w = word1[rot:] + word1[:rot]
+        word2 = [c for c, keep in zip(w, mask) if keep] or w[:1]
+    else:
+        word2 = data.draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=n + 1))
+    witness = closed_subarc_match(word1, junctions1, word2)
+    assert (witness is not None) == _brute_closed_subarc(word1, junctions1, word2)
+    if witness is None:
+        return
+    r = witness["rotation"]
+    w = word1[r:] + word1[:r]
+    jv = junctions1[r:] + junctions1[:r] + [junctions1[r]]
+    runs = witness["kept_runs"]
+    assert [w[i] for a, b in runs for i in range(a, b)] == word2
+    bounds = [0] + [x for run in runs for x in run] + [n]
+    assert bounds == sorted(bounds)
+    gaps = list(zip(bounds[0::2], bounds[1::2]))
+    assert all(jv[a] == jv[b] for a, b in gaps if a < b)
 
 
 def test_closed_subarc_absent_arc_false():

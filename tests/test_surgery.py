@@ -8,6 +8,7 @@ from spherecover.surface import (
     ANNULUS,
     CLOSED,
     DISK,
+    SurfaceComplex,
     functionals,
     geometric_walk,
     is_closed_subarc_geometric,
@@ -26,9 +27,17 @@ from spherecover.surgery import (
     lift_path,
     sew,
     sew_annulus,
+    _split_components,
 )
 
-from conftest import f4_double_cover, f4_with_north, identity_hemisphere
+from conftest import (
+    equator_triangle_base,
+    f4_double_cover,
+    f4_with_north,
+    identity_hemisphere,
+    south_face,
+    sph,
+)
 
 
 def _sheet_of(s, corner):
@@ -244,3 +253,20 @@ def test_canonical_form_distinguishes():
     s2 = f4_with_north()
     assert canonical_form(s1) == canonical_form(s1)
     assert not isomorphic(s1, s2)
+
+
+def test_split_components_in_root_order():
+    bc, _ = equator_triangle_base([sph(2.4, 1.25), sph(3.3, 1.25), sph(4.2, 1.25)])
+    f_s = south_face(bc)
+    f_n = next(f for f in bc.live_faces() if f != f_s)
+    # copy 0 glued to copy 3 over one curve edge; copies 1 and 2 stay unglued
+    s = SurfaceComplex(bc, [f_s, f_n, f_s, f_n], {})
+    e = next(e for e in bc.live_edges() if bc.edges[e].kind == "curve")
+    d = 2 * e if bc.face_of_dart(2 * e) == f_s else 2 * e + 1
+    s.pair((0, bc.faces[f_s].cycle.index(d)), (3, bc.faces[f_n].cycle.index(d ^ 1)))
+    assert s.copy_components() == [[0, 3], [1], [2]]
+    assert "surface is not connected" in validate(s, strict_scaffold=False)
+    pieces = _split_components(s)
+    assert [p.copies for p in pieces] == [[f_s, f_n], [f_n], [f_s]]
+    assert [len(p.pairing) for p in pieces] == [2, 0, 0]
+    assert all(p.connected() for p in pieces)
