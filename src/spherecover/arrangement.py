@@ -22,6 +22,8 @@ from .geometry import (
     GeodesicSegment,
     Rotation,
     angle_between,
+    cross,
+    norm,
     points_coincide,
     segment_intersection,
     tangent_frame,
@@ -255,7 +257,7 @@ class BaseComplex:
 
     def dart_tangent(self, d: int) -> np.ndarray:
         v, w = self.vertices[self.tail(d)], self.vertices[self.head(d)]
-        return unit(np.cross(np.cross(v, w), v))
+        return unit(cross(cross(v, w), v))
 
     def azimuth_order(self, v: int, darts):
         e1, e2 = tangent_frame(self.vertices[v])
@@ -288,7 +290,7 @@ class BaseComplex:
             seg = self.dart_segment(2 * e)
             n = seg.pole
             c = p - float(np.dot(p, n)) * n
-            if np.linalg.norm(c) > 1e-12 and seg.contains(unit(c), tol=1e-9):
+            if norm(c) > 1e-12 and seg.contains(unit(c), tol=1e-9):
                 d_ang = angle_between(p, unit(c))
                 cand = (d_ang, e, None)
             else:
@@ -312,12 +314,12 @@ class BaseComplex:
         vertex and their geometry may be nominal after surgeries.
         """
         pv = self.vertices[v]
-        t = unit(np.cross(np.cross(pv, p), pv))
+        t = unit(cross(cross(pv, p), pv))
         fan = [d for d in self.fans[v] if self.kind(d) == CURVE]
         if not fan:
             raise ArrangementError("vertex %d has no curve darts" % v)
         e1 = unit(self.dart_tangent(fan[0]))
-        e2 = unit(np.cross(pv, e1))
+        e2 = unit(cross(pv, e1))
         def az(vec):
             return math.atan2(float(np.dot(vec, e2)), float(np.dot(vec, e1))) % (2 * math.pi)
         target = az(t)
@@ -336,7 +338,6 @@ class BaseComplex:
                 continue
             seg = self.dart_segment(d)
             mid = seg.point_at(0.5)
-            inward = unit(np.cross(seg.pole, mid))
             for eps in (1e-3, 1e-5, 1e-7):
                 cand = unit(math.cos(eps) * mid + math.sin(eps) * seg.pole)
                 # pole side = left side of the dart
@@ -683,7 +684,7 @@ def _segment_clear(bc: BaseComplex, p, v) -> bool:
 def _corner_pos_toward(bc: BaseComplex, f: int, v: int, p) -> int:
     """Position in face f's cycle of the corner at v whose wedge contains p's direction."""
     pv = bc.vertices[v]
-    t = unit(np.cross(np.cross(pv, p), pv))
+    t = unit(cross(cross(pv, p), pv))
     cyc = bc.faces[f].cycle
     e1, e2 = tangent_frame(pv)
 

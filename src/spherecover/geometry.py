@@ -1,7 +1,12 @@
 """Spherical geometry kernel: points, geodesic arcs, areas, rotations.
 
 All points live on the unit sphere in R^3 and are plain numpy arrays of
-shape (3,).  Incidence decisions use two tolerances:
+shape (3,).  ``cross`` is computed on Python floats, with the same IEEE
+multiplies and subtracts as ``np.cross`` but without its per-call dispatch.
+Every dot product, and so every ``norm``, still goes through numpy's
+``dot``: its rounding differs in the last ulp from a plain-float sum, and
+the bytes of every surface file depend on it.  Incidence decisions use two
+tolerances:
 
 * ``EPS_UNIT`` (1e-12) for algebraic identities (unit norm, orthogonality),
 * ``EPS_SEP`` (1e-9 rad) for deciding whether two points coincide.
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +44,21 @@ class NoContact(GeometryError):
     """Rotation family never brings the target onto the curve."""
 
 
+def cross(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors, bit-identical to ``np.cross``."""
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array, bit-identical to ``np.linalg.norm``."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    n = norm(v)
     if n < 1e-15:
         raise GeometryError("cannot normalize a (near-)zero vector")
     return v / n
@@ -52,15 +70,15 @@ def sphere_point(x, y, z) -> np.ndarray:
 
 def angle_between(a, b) -> float:
     """Angular distance in [0, pi], stable near 0 and pi."""
-    return math.atan2(np.linalg.norm(np.cross(a, b)), float(np.dot(a, b)))
+    return math.atan2(norm(cross(a, b)), float(np.dot(a, b)))
 
 
 def tangent_frame(p):
     """Orthonormal frame (e1, e2) of the tangent plane at p, with e1 x e2 = p.
 
     e1 is perpendicular to the z axis, or to a fixed skew vector near the poles."""
-    e1 = unit(np.cross(p, [0.412, -0.777, 0.318]) if abs(p[2]) > 0.9 else np.cross(p, [0, 0, 1]))
-    return e1, unit(np.cross(p, e1))
+    e1 = unit(cross(p, [0.412, -0.777, 0.318]) if abs(p[2]) > 0.9 else cross(p, [0, 0, 1]))
+    return e1, unit(cross(p, e1))
 
 
 def points_coincide(a, b, tol=EPS_SEP) -> bool:
@@ -89,14 +107,17 @@ class GeodesicSegment:
         if antipodal(self.a, self.b):
             raise DegenerateSegment("segment endpoints are antipodal")
 
-    @property
+    # Cached in the instance __dict__ (which a frozen dataclass still has).
+    # Safe because __post_init__ copies both endpoints, so a segment never
+    # shares an array with a complex whose vertices are edited in place.
+    @cached_property
     def length(self) -> float:
         return angle_between(self.a, self.b)
 
-    @property
+    @cached_property
     def pole(self) -> np.ndarray:
         """Unit normal of the supporting great circle (right-hand rule a->b)."""
-        return unit(np.cross(self.a, self.b))
+        return unit(cross(self.a, self.b))
 
     def point_at(self, t: float) -> np.ndarray:
         """Arc point at parameter t in [0, 1] (slerp)."""
@@ -106,7 +127,7 @@ class GeodesicSegment:
 
     def tangent_at(self, t: float) -> np.ndarray:
         p = self.point_at(t)
-        return unit(np.cross(self.pole, p))
+        return unit(cross(self.pole, p))
 
     def param_of(self, p, tol=EPS_SEP):
         """Parameter of p on the arc, or None if p is not on it."""
@@ -139,8 +160,8 @@ def segment_intersection(s1: GeodesicSegment, s2: GeodesicSegment, tol=EPS_SEP):
     on one great circle).
     """
     n1, n2 = s1.pole, s2.pole
-    cr = np.cross(n1, n2)
-    if np.linalg.norm(cr) <= math.sin(tol):
+    cr = cross(n1, n2)
+    if norm(cr) <= math.sin(tol):
         # Same great circle (or opposite orientation): interval overlap.
         if abs(float(np.dot(n1, s2.a))) > math.sin(tol):
             return []  # parallel circles cannot happen on a sphere unless equal
@@ -157,7 +178,7 @@ def _collinear_overlap(s1, s2, tol):
     # Parametrize both arcs by angle along s1's circle, measured from s1.a.
     pole = s1.pole
     ref = s1.a
-    perp = unit(np.cross(pole, ref))
+    perp = unit(cross(pole, ref))
 
     def ang(p):
         return math.atan2(float(np.dot(p, perp)), float(np.dot(p, ref))) % (2 * math.pi)
@@ -183,7 +204,7 @@ def _collinear_overlap(s1, s2, tol):
 
 def turning_angle(t_in, t_out, at) -> float:
     """Signed exterior angle between tangents at a polygon vertex."""
-    s = float(np.dot(np.cross(t_in, t_out), at))
+    s = float(np.dot(cross(t_in, t_out), at))
     c = float(np.dot(t_in, t_out))
     return math.atan2(s, c)
 
@@ -279,7 +300,7 @@ def _circle_plane_roots(p0, axis, pole):
     k = unit(axis)
     # R(k,t) p0 = cos t * p0 + sin t * (k x p0) + (1-cos t)(k.p0) k
     c0 = float(np.dot(pole, p0))
-    c1 = float(np.dot(pole, np.cross(k, p0)))
+    c1 = float(np.dot(pole, cross(k, p0)))
     c2 = float(np.dot(pole, k)) * float(np.dot(k, p0))
     # equation: (c0 - c2) cos t + c1 sin t + c2 = 0
     A, B, C = c0 - c2, c1, c2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -35,10 +36,19 @@ def base_to_dict(bc: BaseComplex) -> dict:
     }
 
 
+def _vertex_from_list(v) -> np.ndarray:
+    try:
+        xyz = [float(x) for x in v]
+    except (TypeError, ValueError):
+        xyz = None
+    if xyz is None or len(xyz) != 3 or not all(map(math.isfinite, xyz)):
+        raise SurfaceFileError("vertex %r is not exactly 3 finite numbers" % (v,))
+    return np.array(xyz)
+
+
 def base_from_dict(d: dict) -> BaseComplex:
     bc = BaseComplex()
-    bc.vertices = [None if v is None else np.array([float(x) for x in v])
-                   for v in d["vertices"]]
+    bc.vertices = [None if v is None else _vertex_from_list(v) for v in d["vertices"]]
     bc.fans = [list(f) for f in d["fans"]]
     bc.edges = [None if e is None else
                 Edge(e["a"], e["b"], e["kind"], float(e["length"])) for e in d["edges"]]
@@ -69,13 +79,16 @@ def surface_from_dict(d: dict) -> SurfaceComplex:
         raise SurfaceFileError("not a surface file")
     if d.get("version") != SCHEMA_VERSION:
         raise SurfaceFileError("unsupported version %r" % d.get("version"))
-    base = base_from_dict(d["base"])
-    copies = [None if c is None else int(c) for c in d["copies"]]
-    pairing = {}
-    for a, b in d["pairing"]:
-        a, b = tuple(a), tuple(b)
-        pairing[a] = b
-        pairing[b] = a
+    try:
+        base = base_from_dict(d["base"])
+        copies = [None if c is None else int(c) for c in d["copies"]]
+        pairing = {}
+        for a, b in d["pairing"]:
+            a, b = tuple(a), tuple(b)
+            pairing[a] = b
+            pairing[b] = a
+    except KeyError as err:
+        raise SurfaceFileError("missing key %s" % err)
     return SurfaceComplex(base, copies, pairing)
 
 

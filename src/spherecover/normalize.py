@@ -28,7 +28,9 @@ from .geometry import (
     NoContact,
     Rotation,
     angle_between,
+    cross,
     first_contact_rotation,
+    norm,
     tangent_frame,
     unit,
 )
@@ -619,7 +621,7 @@ def rotate_to_touch_special(s: SurfaceComplex, rng_jitter=None):
             n = seg.pole
             c = p - float(np.dot(p, n)) * n
             cand = None
-            if np.linalg.norm(c) > 1e-12 and seg.contains(unit(c), tol=1e-9):
+            if norm(c) > 1e-12 and seg.contains(unit(c), tol=1e-9):
                 cand = unit(c)
             else:
                 cand = seg.a if angle_between(p, seg.a) <= angle_between(p, seg.b) else seg.b
@@ -629,7 +631,7 @@ def rotate_to_touch_special(s: SurfaceComplex, rng_jitter=None):
         if best is None or dmin < best[0]:
             best = (dmin, v, p, x0)
     _, v1, p1, x0 = best
-    base_axis = unit(np.cross(p1, x0))
+    base_axis = unit(cross(p1, x0))
 
     jitters = [0.0, 1e-6, -1e-6, 2e-6, -2e-6, 5e-6]
     last_err = None
@@ -673,7 +675,7 @@ def _rotation_angle_about(rot: Rotation, axis) -> float:
     ref, _ = tangent_frame(k)
     w = rot.apply(ref)
     w = unit(w - float(np.dot(w, k)) * k)
-    ang = math.atan2(float(np.dot(np.cross(ref, w), k)), float(np.dot(ref, w)))
+    ang = math.atan2(float(np.dot(cross(ref, w), k)), float(np.dot(ref, w)))
     return ang % (2 * math.pi)
 
 

@@ -7,14 +7,18 @@ from hypothesis import given, settings, strategies as st
 from spherecover.geometry import (
     DegenerateSegment,
     GeodesicSegment,
+    GeometryError,
     NoContact,
     Rotation,
     SelfIntersecting,
+    cross,
     first_contact_rotation,
     geodesic_length,
+    norm,
     segment_intersection,
     sphere_point,
     spherical_polygon_area,
+    unit,
 )
 
 N = sphere_point(0, 0, 1)
@@ -26,6 +30,56 @@ E2 = sphere_point(0, 1, 0)
 def rand_rotation(rng):
     axis = rng.standard_normal(3)
     return Rotation.from_axis_angle(axis, rng.uniform(0, 2 * math.pi))
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+VEC3 = st.lists(FINITE, min_size=3, max_size=3)
+
+
+# The surface-file bytes depend on these being bit-identical to numpy: a
+# plain-float sum in place of numpy's dot rounds differently in the last ulp.
+@settings(max_examples=300, deadline=None)
+@given(VEC3, st.one_of(VEC3, st.lists(st.integers(-2, 2), min_size=3, max_size=3)))
+def test_scalar_cross_and_norm_match_numpy_bit_for_bit(a, b):
+    a = np.array(a)
+    got, want = cross(a, b), np.cross(a, b)
+    assert got.shape == (3,) and got.tobytes() == want.tobytes()
+    assert norm(a) == np.linalg.norm(a)
+    assert norm(got) == np.linalg.norm(want)
+
+
+def test_unit_of_near_zero_vector_raises():
+    for v in ([0, 0, 0], [1e-17, 0, -1e-17]):
+        with pytest.raises(GeometryError):
+            unit(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_segment_pole_and_length_cache(seed):
+    def fresh_pole(s):
+        v = np.cross(s.a, s.b)
+        return v / np.linalg.norm(v)
+
+    def fresh_length(s):
+        return math.atan2(np.linalg.norm(np.cross(s.a, s.b)), float(np.dot(s.a, s.b)))
+
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(3), rng.standard_normal(3)
+    seg = GeodesicSegment(a, b)
+    pole, length = seg.pole, seg.length
+    assert seg.pole is pole
+    assert pole.tobytes() == fresh_pole(seg).tobytes() and length == fresh_length(seg)
+    # the segment owns its endpoints: editing the input arrays changes nothing
+    a *= -1
+    assert seg.pole.tobytes() == fresh_pole(seg).tobytes()
+    # new segments renormalize their endpoints, so compare with a fresh
+    # computation bit for bit and with the original to rounding
+    for other in (seg.reversed(), rand_rotation(rng).apply(seg)):
+        assert other.pole.tobytes() == fresh_pole(other).tobytes()
+        assert other.length == fresh_length(other)
+        assert other.length == pytest.approx(length, abs=1e-14)
+    assert np.allclose(seg.reversed().pole, -pole, rtol=0, atol=1e-15)
 
 
 def test_quarter_great_circle():

@@ -76,6 +76,25 @@ def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
     assert "parse error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vertex", ["1.0", "0.0"]),
+    ("vertex", ["nan", "0", "0"]),
+    ("fans", None),
+])
+def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
+    doc = io.surface_to_dict(f4_double_cover())
+    if field == "fans":
+        del doc["base"]["fans"]
+    else:
+        doc["base"]["vertices"][0] = value
+    surf = tmp_path / "bad.json"
+    surf.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert cli_main(["normalize", str(surf), "--out", str(out)]) == EXIT_FAIL
+    assert "parse error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_gen_inspect_verify(tmp_path, capsys):
     out = tmp_path / "gen.json"
     assert cli_main(["gen", "--seed", "3", "--out", str(out)]) == 0
