@@ -65,11 +65,7 @@ def cmd_gen(args):
 
 
 def cmd_inspect(args):
-    try:
-        s = io.load_surface(args.file)
-    except io.SurfaceFileError as err:
-        print("parse error: %s" % err, file=sys.stderr)
-        return EXIT_FAIL
+    s = io.load_surface(args.file)
     bad = validate(s)
     if bad:
         print("invalid surface: %s" % "; ".join(bad), file=sys.stderr)
@@ -89,11 +85,7 @@ def cmd_inspect(args):
 
 
 def cmd_surgery(args):
-    try:
-        s = io.load_surface(args.file)
-    except io.SurfaceFileError as err:
-        print("parse error: %s" % err, file=sys.stderr)
-        return EXIT_FAIL
+    s = io.load_surface(args.file)
     try:
         params = json.loads(args.params) if args.params else {}
     except json.JSONDecodeError as err:
@@ -123,11 +115,7 @@ def cmd_surgery(args):
 
 
 def cmd_normalize(args):
-    try:
-        s = io.load_surface(args.file)
-    except io.SurfaceFileError as err:
-        print("parse error: %s" % err, file=sys.stderr)
-        return EXIT_FAIL
+    s = io.load_surface(args.file)
     try:
         out, trace = run_pipeline(s)
         ok, report = pipeline_certify(out, s, trace)
@@ -136,19 +124,8 @@ def cmd_normalize(args):
         return EXIT_FAIL
     io.save_surface(out, args.out, metadata={"normalized": True})
     if args.trace_out:
-        steps = [{
-            "op": st.op, "case": st.case, "pre": st.pre, "post": st.post,
-            "note": st.note, "certificate": st.certificate,
-        } for st in trace.steps]
-        doc = {
-            "steps": steps,
-            "iterations": trace.iterations,
-            "iteration_bound": trace.iteration_bound,
-            "rotation": io.rotation_to_dict(trace.composed_rotation()),
-            "certificate_ok": ok,
-        }
         with open(args.trace_out, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+            json.dump(io.trace_to_dict(trace, ok), fh, indent=1, sort_keys=True)
             fh.write("\n")
     print("wrote %s (%d steps, certificate %s)"
           % (args.out, len(trace.steps), "ok" if ok else "FAILED"))
@@ -156,11 +133,7 @@ def cmd_normalize(args):
 
 
 def cmd_verify(args):
-    try:
-        s = io.load_surface(args.file)
-    except io.SurfaceFileError as err:
-        print("parse error: %s" % err, file=sys.stderr)
-        return EXIT_FAIL
+    s = io.load_surface(args.file)
     bad = validate(s)
     if bad:
         print("invalid surface: %s" % "; ".join(bad), file=sys.stderr)
@@ -170,11 +143,7 @@ def cmd_verify(args):
         print("oracle mismatch: %s" % m, file=sys.stderr)
     status = EXIT_FAIL if mismatches else EXIT_OK
     if args.against:
-        try:
-            original = io.load_surface(args.against)
-        except io.SurfaceFileError as err:
-            print("parse error: %s" % err, file=sys.stderr)
-            return EXIT_FAIL
+        original = io.load_surface(args.against)
         rot = Rotation.identity()
         if args.trace:
             try:
@@ -195,11 +164,7 @@ def cmd_verify(args):
 
 
 def cmd_net(args):
-    try:
-        s = io.load_surface(args.file)
-    except io.SurfaceFileError as err:
-        print("parse error: %s" % err, file=sys.stderr)
-        return EXIT_FAIL
+    s = io.load_surface(args.file)
     lines = ["graph gluing {"]
     for c in s.live_copy_ids():
         lines.append('  c%d [label="copy %d / face %d"];' % (c, c, s.copies[c]))
@@ -284,6 +249,9 @@ def main(argv=None):
         return args.func(args)
     except FileNotFoundError as err:
         print("file not found: %s" % err, file=sys.stderr)
+        return EXIT_FAIL
+    except io.SurfaceFileError as err:
+        print("parse error: %s" % err, file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -61,7 +61,6 @@ def _close_scaffold_sides(s: SurfaceComplex):
             return
         side, nxt = cand
         s.pair(side, nxt)
-        s.invalidate()
 
 
 def _count_branches(s: SurfaceComplex) -> int:
@@ -225,7 +224,6 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
                     continue
                 if s.dart_of(nxt) == (s.dart_of(side) ^ 1):
                     s.pair(side, nxt)
-                    s.invalidate()
                     done = True
                     break
             if done:
@@ -244,7 +242,6 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
             c_new = s.add_copy(f_new)
             pos = s.base.faces[f_new].cycle.index(s.dart_of(side) ^ 1)
             s.pair(side, (c_new, pos))
-            s.invalidate()
             break
     _close_scaffold_sides(s)
     require_valid(s, "generated disk covering")
@@ -405,7 +402,6 @@ def generate_closed_cyclic_cover(d, q=3, branch_special=True) -> SurfaceComplex:
             if s.base.kind(dd) == SCAFFOLD and (c, p) not in s.pairing:
                 prev = cyc.index(dd ^ 1)
                 s.pair((c, p), (c, prev))
-    s.invalidate()
     require_valid(s, "closed cyclic cover")
     if s.topology_kind() != "closed":
         raise GenerationStuck("cyclic cover is not closed")

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .arrangement import BaseComplex, Edge, Face
+from .arrangement import ArrangementError, BaseComplex, Edge, Face
 from .surface import SurfaceComplex
 
 SCHEMA_VERSION = 1
@@ -74,21 +74,35 @@ def surface_to_dict(s: SurfaceComplex, metadata=None) -> dict:
     }
 
 
+def _side_from_list(x) -> tuple:
+    if not (isinstance(x, list) and len(x) == 2 and all(type(i) is int for i in x)):
+        raise SurfaceFileError("pairing side %r is not exactly 2 ints" % (x,))
+    return tuple(x)
+
+
 def surface_from_dict(d: dict) -> SurfaceComplex:
-    if d.get("format") != "spherecover-surface":
+    """Parse and structurally check a surface document; every malformed
+    shape raises SurfaceFileError."""
+    if not isinstance(d, dict) or d.get("format") != "spherecover-surface":
         raise SurfaceFileError("not a surface file")
     if d.get("version") != SCHEMA_VERSION:
         raise SurfaceFileError("unsupported version %r" % d.get("version"))
     try:
         base = base_from_dict(d["base"])
-        copies = [None if c is None else int(c) for c in d["copies"]]
+        copies = list(d["copies"])
         pairing = {}
         for a, b in d["pairing"]:
-            a, b = tuple(a), tuple(b)
+            a, b = _side_from_list(a), _side_from_list(b)
             pairing[a] = b
             pairing[b] = a
+        base.check()
+        faces = set(base.live_faces())
+        if any(c is not None and (type(c) is not int or c not in faces) for c in copies):
+            raise SurfaceFileError("a copy is not the id of a live face of the base")
     except KeyError as err:
         raise SurfaceFileError("missing key %s" % err)
+    except (ArrangementError, AttributeError, IndexError, TypeError, ValueError) as err:
+        raise SurfaceFileError("malformed surface: %s" % err)
     return SurfaceComplex(base, copies, pairing)
 
 
@@ -105,6 +119,21 @@ def load_surface(path) -> SurfaceComplex:
         except json.JSONDecodeError as err:
             raise SurfaceFileError("malformed JSON: %s" % err)
     return surface_from_dict(d)
+
+
+def trace_to_dict(trace, ok) -> dict:
+    """The trace document ``spherecover normalize --trace-out`` writes."""
+    steps = [{
+        "op": st.op, "case": st.case, "pre": st.pre, "post": st.post,
+        "note": st.note, "certificate": st.certificate,
+    } for st in trace.steps]
+    return {
+        "steps": steps,
+        "iterations": trace.iterations,
+        "iteration_bound": trace.iteration_bound,
+        "rotation": rotation_to_dict(trace.composed_rotation()),
+        "certificate_ok": ok,
+    }
 
 
 def rotation_to_dict(rot) -> list:

@@ -108,17 +108,6 @@ def _summary(rep: FunctionalReport) -> dict:
     }
 
 
-def _step_certificate(pre: FunctionalReport, post: FunctionalReport, walk_ok: bool):
-    cert = {
-        "H": post.ratio >= pre.ratio - 1e-9,
-        "sum": post.covering_sum <= pre.covering_sum,
-        "n_bar": all(post.n_bar[k] <= pre.n_bar[k] for k in pre.n_bar),
-        "boundary": walk_ok,
-    }
-    cert["ok"] = all(cert.values())
-    return cert
-
-
 def _walk_word(s: SurfaceComplex):
     return tuple(s.boundary_walk().darts)
 
@@ -135,18 +124,24 @@ def _walk_word_unchanged(s_new, s_old) -> bool:
     return len(_walk_word(s_new)) == len(_walk_word(s_old)) and _word_subarc(s_new, s_old)
 
 
-def _record_step(trace, op, case, pre, post, walks=None, note=""):
-    """Append one certified step to the trace, if there is one.
+def _record_step(trace, op, case, old, new, check_walk=True, note=""):
+    """Append the certified step from ``old`` to ``new`` to the trace, if any.
 
-    ``walks`` is the (new, old) surface pair whose walk words are checked for
-    the closed-subarc relation; None when the step keeps the boundary by
-    construction."""
+    ``check_walk`` asks for the closed-subarc check of the new walk word in
+    the old one; a step that refines the base (the rotation) has no common
+    dart alphabet and skips it."""
     if trace is None:
         return
-    walk_ok = True if walks is None else _word_subarc(*walks)
-    trace.steps.append(TraceStep(
-        op=op, case=case, pre=_summary(pre), post=_summary(post), note=note,
-        certificate=_step_certificate(pre, post, walk_ok)))
+    pre, post = functionals(old), functionals(new)
+    cert = {
+        "H": post.ratio >= pre.ratio - 1e-9,
+        "sum": post.covering_sum <= pre.covering_sum,
+        "n_bar": all(post.n_bar[k] <= pre.n_bar[k] for k in pre.n_bar),
+        "boundary": _word_subarc(new, old) if check_walk else True,
+    }
+    cert["ok"] = all(cert.values())
+    trace.steps.append(TraceStep(op=op, case=case, pre=_summary(pre), post=_summary(post),
+                                 note=note, certificate=cert))
 
 
 # -- fold removal (Prop no-folded) ---------------------------------------------
@@ -192,22 +187,21 @@ def remove_one_fold(s: SurfaceComplex) -> SurfaceComplex:
 
 def remove_nonspecial_folds(s: SurfaceComplex, trace: PipelineTrace = None) -> SurfaceComplex:
     """Iterate fold sews until no non-special folded point remains."""
-    pre = functionals(s)
-    if pre.ratio is None or pre.ratio < 0:
-        raise NegativeH("fold removal requires H >= 0, got %r" % pre.ratio)
+    ratio = functionals(s).ratio
+    if ratio is None or ratio < 0:
+        raise NegativeH("fold removal requires H >= 0, got %r" % ratio)
     cur = s
     while True:
         folds = _nonspecial_folds(cur)
         if not folds:
             return cur
         nxt = remove_one_fold(cur)
-        post = functionals(nxt)
         if len(_nonspecial_folds(nxt)) >= len(folds):
             raise PipelineError("fold count did not decrease")
-        if post.boundary_length >= pre.boundary_length - 1e-12:
+        if functionals(nxt).boundary_length >= functionals(cur).boundary_length - 1e-12:
             raise PipelineError("fold sew did not shorten the boundary")
-        _record_step(trace, "remove_fold", "glue-A", pre, post, (nxt, cur))
-        cur, pre = nxt, post
+        _record_step(trace, "remove_fold", "glue-A", cur, nxt)
+        cur = nxt
 
 
 # -- interior branch transport (Prop in-to-bd) -----------------------------------
@@ -281,21 +275,23 @@ def _classify_lift_ends(s, result):
     return ends, coincident, on_boundary
 
 
-def _keep_best_disk(pieces):
+def _keep_best_disk(pieces, want, why):
     """Order split pieces: the kept disk first, the discarded piece second.
 
     Closed piece -> keep the disk.  Two disks -> keep the larger H, ties by
-    smaller covering sum, then smaller boundary length.
+    smaller covering sum, then smaller boundary length.  ``want`` is the
+    split the caller's lemma allows: CLOSED (a closed piece splits off) or
+    DISK (two disks); the other one raises PipelineError(why).
     """
     kinds = [p.topology_kind() for p in pieces]
-    if CLOSED in kinds:
-        keep = pieces[kinds.index(DISK)]
-        other = pieces[kinds.index(CLOSED)]
-        return keep, other, "closed"
+    if (CLOSED in kinds) != (want == CLOSED):
+        raise PipelineError(why)
+    if want == CLOSED:
+        return pieces[kinds.index(DISK)], pieces[kinds.index(CLOSED)]
     reps = [functionals(p) for p in pieces]
     key = [( -r.ratio, r.covering_sum, r.boundary_length) for r in reps]
     i = 0 if key[0] <= key[1] else 1
-    return pieces[i], pieces[1 - i], "disk"
+    return pieces[i], pieces[1 - i]
 
 
 def _chord_refine_for_push(s: SurfaceComplex, X):
@@ -363,17 +359,15 @@ def push_interior_branch(s: SurfaceComplex, sheet_index: int):
     if coincident is not None:
         i, j = coincident
         pieces = split_on_lifts(work, result.lifts[i], result.lifts[j])
-        keep, other, kind = _keep_best_disk(pieces)
+        keep, other = _keep_best_disk(
+            pieces, CLOSED, "coincident lift endpoints must split off a closed surface")
         case = "1" if not sheets_w[ends[i]].interior else "2"
-        if kind != "closed":
-            raise PipelineError("coincident lift endpoints must split off a closed surface")
         return finish(keep), case, other
     if len(on_boundary) >= 2:
         i, j = on_boundary[0], on_boundary[1]
         pieces = split_on_lifts(work, result.lifts[i], result.lifts[j])
-        keep, other, kind = _keep_best_disk(pieces)
-        if kind != "disk":
-            raise PipelineError("distinct boundary endpoints must split into two disks")
+        keep, other = _keep_best_disk(
+            pieces, DISK, "distinct boundary endpoints must split into two disks")
         return finish(keep), "5", other
     out = star_rewire(work, result.lifts, idx)
     case = "3" if len(on_boundary) == 1 else "4"
@@ -387,21 +381,19 @@ def clear_interior_branches(s: SurfaceComplex, trace: PipelineTrace = None):
     """Push interior non-special branch points until none remain or a split.
 
     Returns (surface, 'CLEARED' | 'SPLIT')."""
-    cur, pre = s, None
+    cur = s
     while True:
         branches = _interior_nonspecial_branches(cur)
         if not branches:
             return cur, "CLEARED"
-        pre = pre or functionals(cur)
         out, case, other = push_interior_branch(cur, branches[0].index)
-        post = functionals(out)
-        _record_step(trace, "push_interior_branch", case, pre, post, (out, cur),
+        _record_step(trace, "push_interior_branch", case, cur, out,
                      note="" if other is None else "split off %s" % other.topology_kind())
         if other is not None:
             return out, "SPLIT"
         if len(_interior_nonspecial_branches(out)) >= len(branches):
             raise PipelineError("interior branch count did not decrease")
-        cur, pre = out, post
+        cur = out
 
 
 # -- boundary branch transport (Prop bd-bd) ----------------------------------------
@@ -425,14 +417,12 @@ def slide_boundary_branch(s: SurfaceComplex, sheet_index: int):
     result = lift_path(s, [d0], sheet_index, ALONG_BOUNDARY)
     boundary_lift = result.lifts[0]
     interior = result.lifts[1:]
-    ends, _, _ = _classify_lift_ends(s, result)
     p1 = boundary_lift.end_sheet
     hit_p1 = [lf for lf in interior if lf.end_sheet == p1]
     if hit_p1:
         pieces = reroute_boundary_split(s, run, hit_p1[0])
-        keep, other, kind = _keep_best_disk(pieces)
-        if kind != "closed":
-            raise PipelineError("lift landing on p1 must split off a closed surface")
+        keep, other = _keep_best_disk(
+            pieces, CLOSED, "lift landing on p1 must split off a closed surface")
         return cleanup_unused_curve_edges(keep), "1", other
     coincident = None
     for i in range(len(interior)):
@@ -441,16 +431,14 @@ def slide_boundary_branch(s: SurfaceComplex, sheet_index: int):
                 coincident = (i, j)
     if coincident is not None:
         pieces = split_on_lifts(s, interior[coincident[0]], interior[coincident[1]])
-        keep, other, kind = _keep_best_disk(pieces)
-        if kind != "closed":
-            raise PipelineError("coincident interior lifts must split off a closed surface")
+        keep, other = _keep_best_disk(
+            pieces, CLOSED, "coincident interior lifts must split off a closed surface")
         return cleanup_unused_curve_edges(keep), "2", other
     on_bd = [lf for lf in interior if not sheets[lf.end_sheet].interior]
     if on_bd:
         pieces = reroute_boundary_split(s, run, on_bd[0])
-        keep, other, kind = _keep_best_disk(pieces)
-        if kind != "disk":
-            raise PipelineError("lift landing elsewhere on the boundary must split two disks")
+        keep, other = _keep_best_disk(
+            pieces, DISK, "lift landing elsewhere on the boundary must split two disks")
         return cleanup_unused_curve_edges(keep), "3", other
     out = star_rewire(s, interior, sheet_index, boundary_run=run)
     if not _walk_word_unchanged(out, s):
@@ -465,19 +453,17 @@ def sweep_boundary_branches(s: SurfaceComplex, trace: PipelineTrace = None):
     Every slide advances one branch by one arc, so the total forward distance
     from the branches to the next special junction strictly decreases.
     """
-    cur, pre = s, None
+    cur = s
     while True:
         branches = _boundary_nonspecial_branches(cur)
         if not branches:
             return cur, "DONE"
-        pre = pre or functionals(cur)
         out, case, other = slide_boundary_branch(cur, branches[0].index)
-        post = functionals(out)
-        _record_step(trace, "slide_boundary_branch", case, pre, post, (out, cur),
+        _record_step(trace, "slide_boundary_branch", case, cur, out,
                      note="" if other is None else "split off %s" % other.topology_kind())
         if other is not None:
             return out, "SPLIT"
-        cur, pre = out, post
+        cur = out
 
 
 # -- sinking into a left-component special (Prop bd-in) -------------------------------
@@ -502,7 +488,7 @@ def _sinkable_arc(s: SurfaceComplex):
     return None
 
 
-def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, pre, trace):
+def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, trace):
     """The parked branch sits at the head junction of a walk passage over an
     arc with ``tip`` on its left; pull the branching into the tip."""
     sheets, _ = s.sheets()
@@ -531,26 +517,23 @@ def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, pre, trace):
     if coincident is not None:
         i, j = coincident
         pieces = split_on_lifts(work, result.lifts[i], result.lifts[j])
-        keep, other, kind = _keep_best_disk(pieces)
-        if kind != "closed":
-            raise PipelineError("coincident sink lifts must split off a closed surface")
+        keep, _ = _keep_best_disk(
+            pieces, CLOSED, "coincident sink lifts must split off a closed surface")
         keep = delete_edge_surface(keep, chord_e)
         keep = cleanup_unused_curve_edges(keep)
-        post = functionals(keep)
-        _record_step(trace, "sink_branch_to_special", "1", pre, post, (keep, s),
-                     note="split off closed")
-        return keep, "SPLIT", post
+        _record_step(trace, "sink_branch_to_special", "1", s, keep, note="split off closed")
+        return keep, "SPLIT"
     out = star_rewire(work, result.lifts, sigma2.index)
     out = delete_edge_surface(out, chord_e)
-    post = functionals(out)
-    expected = pre.n_bar[lab] - (d_sink - 1)
-    if post.n_bar[lab] != expected:
+    got = functionals(out).n_bar[lab]
+    expected = functionals(s).n_bar[lab] - (d_sink - 1)
+    if got != expected:
         raise PipelineError("sink changed n_bar(%s) to %d, expected %d"
-                            % (lab, post.n_bar[lab], expected))
+                            % (lab, got, expected))
     if not _walk_word_unchanged(out, s):
         raise PipelineError("sink changed the boundary word")
-    _record_step(trace, "sink_branch_to_special", "2", pre, post)
-    return out, "DONE", post
+    _record_step(trace, "sink_branch_to_special", "2", s, out)
+    return out, "DONE"
 
 
 def sink_branch_to_special(s: SurfaceComplex, trace: PipelineTrace = None):
@@ -560,7 +543,7 @@ def sink_branch_to_special(s: SurfaceComplex, trace: PipelineTrace = None):
     Returns (surface, 'DONE' | 'SPLIT')."""
     if _sinkable_arc(s) is None:
         raise PreconditionViolated("no boundary arc has a special point on its left")
-    cur, pre = s, None
+    cur = s
     while True:
         branches = _boundary_nonspecial_branches(cur)
         if not branches:
@@ -571,20 +554,17 @@ def sink_branch_to_special(s: SurfaceComplex, trace: PipelineTrace = None):
             raise PipelineError("boundary branch is folded after fold removal")
         in_dart = cur.dart_of(B.in_side)
         f_left = cur.base.left_face(in_dart)
-        pre = pre or functionals(cur)
         if f_left in tips:
-            out, status, post = _sink_one(cur, B.index, tips[f_left][0], pre, trace)
+            cur, status = _sink_one(cur, B.index, tips[f_left][0], trace)
             if status == "SPLIT":
-                return out, "SPLIT"
-            cur, pre = out, post
+                return cur, "SPLIT"
             continue
         out, case, other = slide_boundary_branch(cur, B.index)
-        post = functionals(out)
-        _record_step(trace, "slide_boundary_branch", case, pre, post, (out, cur),
+        _record_step(trace, "slide_boundary_branch", case, cur, out,
                      note="parking" if other is None else "split off %s" % other.topology_kind())
         if other is not None:
             return out, "SPLIT"
-        cur, pre = out, post
+        cur = out
 
 
 # -- rotation onto the special set (Prop rotation) --------------------------------
@@ -604,7 +584,7 @@ def _walk_segments(s: SurfaceComplex):
     return segs, ids
 
 
-def rotate_to_touch_special(s: SurfaceComplex, rng_jitter=None):
+def rotate_to_touch_special(s: SurfaceComplex):
     """Rotate the special set rigidly until it first touches the boundary.
 
     Combinatorially the boundary is refined at the contact point and the
@@ -681,7 +661,6 @@ def _rotation_angle_about(rot: Rotation, axis) -> float:
 
 def _apply_rotation_contact(s: SurfaceComplex, rho: Rotation, special_v: int,
                             edge: int, prm: float) -> SurfaceComplex:
-    pre = functionals(s)
     bc = s.base
     x_point = rho.apply(bc.vertices[special_v])
     tip_face = bc.face_of_dart(bc.fans[special_v][0])
@@ -716,8 +695,7 @@ def _apply_rotation_contact(s: SurfaceComplex, rho: Rotation, special_v: int,
         ed.length = angle_between(out.base.vertices[other], p_new)
     out.base.vertices[x_vertex] = x_point
     out = absorb_tip_into_vertex(out, special_v, x_vertex)
-    post = functionals(out)
-    _assert_rotation_invariants(pre, post)
+    _assert_rotation_invariants(functionals(s), functionals(out))
     require_valid(out, "rotation contact")
     return out
 
@@ -746,7 +724,8 @@ def _is_clean(s: SurfaceComplex) -> bool:
     return True
 
 
-def declared_iteration_bound(rep: FunctionalReport, s: SurfaceComplex) -> int:
+def declared_iteration_bound(s: SurfaceComplex) -> int:
+    rep = functionals(s)
     n_branch = sum(1 for sh in rep.sheets if sh.is_branch)
     n_arcs = sum(1 for e in s.base.live_edges() if s.base.edges[e].kind == CURVE)
     walk_len = sum(len(w) for w in s.walks())
@@ -767,7 +746,7 @@ def normalize(s: SurfaceComplex):
         raise NegativeH("normalize requires H >= 0, got %r" % rep0.ratio)
 
     trace = PipelineTrace()
-    trace.iteration_bound = declared_iteration_bound(rep0, s)
+    trace.iteration_bound = declared_iteration_bound(s)
     cur = cleanup_unused_curve_edges(s)
 
     while True:
@@ -795,10 +774,11 @@ def normalize(s: SurfaceComplex):
                 cur, status = sink_branch_to_special(cur, trace)
                 cur = cleanup_unused_curve_edges(cur)
                 continue
-            pre = functionals(cur)
-            cur, rho = rotate_to_touch_special(cur)
+            out, rho = rotate_to_touch_special(cur)
             trace.rotations.append(rho)
-            _record_step(trace, "rotate_to_touch_special", "rotation", pre, functionals(cur))
+            _record_step(trace, "rotate_to_touch_special", "rotation", cur, out,
+                         check_walk=False)
+            cur = out
             continue
         if _is_clean(cur):
             break

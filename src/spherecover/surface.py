@@ -96,7 +96,13 @@ class FunctionalReport:
 
 
 class SurfaceComplex:
-    """Face copies over a base with an orientation-reversing side pairing."""
+    """Face copies over a base with an orientation-reversing side pairing.
+
+    ``_cache`` holds the derived sheets, walks, multiplicities and functional
+    report; a cached value is shared by every caller, who must not modify it.
+    ``add_copy``, ``pair`` and ``unpair`` invalidate it; a direct write to
+    ``.pairing``, ``.copies`` or the base must be followed by
+    ``surgery._remap_pairing`` or ``invalidate()`` before the next read."""
 
     def __init__(self, base: BaseComplex, copies, pairing):
         self.base = base
@@ -461,8 +467,10 @@ def riemann_hurwitz_check(s: SurfaceComplex):
     return d, b_total, b_total - (2 * d - 2)
 
 
-def functionals(s: SurfaceComplex, special=None) -> FunctionalReport:
-    """All the surface functionals: A, L, n-bar, B, R, H, covering sum."""
+def functionals(s: SurfaceComplex) -> FunctionalReport:
+    """All the surface functionals: A, L, n-bar, B, R, H, covering sum (cached)."""
+    if "functionals" in s._cache:
+        return s._cache["functionals"]
     sheets = s.sheet_list()
     walks = s.walks()
     kind = s.topology_kind()
@@ -491,21 +499,21 @@ def functionals(s: SurfaceComplex, special=None) -> FunctionalReport:
     n_comp = {root: nf[fs[0]] for root, fs in comps.items()}
     cov_sum = sum(n_comp.values())
 
-    q = len(n_bar) if special is None else special.q
     n_bar_eq = sum(n_bar.values())
-    reduced = (q - 2) * area - FOUR_PI * n_bar_eq
+    reduced = (len(n_bar) - 2) * area - FOUR_PI * n_bar_eq
     ratio = reduced / length if length > 1e-15 else None
     degree = None
     if kind == CLOSED:
         degree = set(nf.values()).pop()
 
-    return FunctionalReport(
+    s._cache["functionals"] = FunctionalReport(
         area=area, boundary_length=length, n_bar=n_bar, n_point=n_point,
         n_face=nf, n_component=n_comp, components=comps,
         n_bar_special=n_bar_eq, b_special=b_special, b_nonspecial=b_nonspecial,
         reduced_area=reduced, ratio=ratio, covering_sum=cov_sum,
         topology=kind, degree=degree, sheets=sheets, flags=flags,
     )
+    return s._cache["functionals"]
 
 
 # -- closed subarc relation ---------------------------------------------------

@@ -265,7 +265,6 @@ def cut_to_boundary(s: SurfaceComplex, path: SurfacePath) -> SurfaceComplex:
     pairs, _ = _check_path(out, path, want_start_boundary=True)
     for side, _partner in pairs:
         out.unpair(side)
-    out.invalidate()
     require_valid(out, "cut_to_boundary", strict_scaffold=False)
     if out.topology_kind() != DISK:
         raise InvalidSurface("cut did not preserve the disk type")
@@ -280,7 +279,6 @@ def cut_interior(s: SurfaceComplex, path: SurfacePath) -> SurfaceComplex:
     pairs, _ = _check_path(out, path, want_start_boundary=False)
     for side, _partner in pairs:
         out.unpair(side)
-    out.invalidate()
     require_valid(out, "cut_interior", strict_scaffold=False)
     if out.topology_kind() != ANNULUS:
         raise InvalidSurface("interior cut did not produce an annulus")
@@ -313,7 +311,6 @@ def sew(s: SurfaceComplex, run_a, run_b):
     case = "B" if len(run_a) + len(run_b) == walk_len else "A"
     for i, sa in enumerate(run_a):
         out.pair(sa, run_b[len(run_b) - 1 - i])
-    out.invalidate()
     require_valid(out, "sew", strict_scaffold=False)
     kind = out.topology_kind()
     if case == "A" and kind != DISK:
@@ -340,7 +337,6 @@ def sew_annulus(s: SurfaceComplex, run_a, run_b) -> SurfaceComplex:
         raise ImagesMismatch("runs do not partition the inner boundary")
     for i, sa in enumerate(run_a):
         out.pair(sa, run_b[len(run_b) - 1 - i])
-    out.invalidate()
     require_valid(out, "sew_annulus", strict_scaffold=False)
     if out.topology_kind() != DISK:
         raise InvalidSurface("sew_annulus must return a disk")
@@ -398,7 +394,6 @@ def star_rewire(s: SurfaceComplex, lifts, start_sheet: int,
         for t in range(T):
             out.pair(last.steps[t][2], boundary_run[t])
         # order[0]'s forward run stays free: the new boundary run.
-    out.invalidate()
     require_valid(out, "star_rewire")
     return out
 
@@ -449,7 +444,6 @@ def split_on_lifts(s: SurfaceComplex, lift_a: Lift, lift_b: Lift):
             if out.dart_of(a) == out.dart_of(b):
                 raise InvalidSurface("freed sides in one piece have equal darts")
             out.pair(a, b)
-    out.invalidate()
     pieces = _split_components(out)
     if len(pieces) != 2:
         raise InvalidSurface("cross-sew did not split the surface")
@@ -474,7 +468,6 @@ def reroute_boundary_split(s: SurfaceComplex, boundary_run, lift: Lift):
         side = boundary_run[t]
         q = lift.steps[t][2]
         out.pair(side, q)
-    out.invalidate()
     pieces = _split_components(out)
     if len(pieces) != 2:
         raise InvalidSurface("boundary reroute did not split the surface (%d pieces)"
@@ -676,7 +669,6 @@ def _recompose_swept_side(out, face, cyc, new_cyc, pos_out, context):
         if mate[0] in affected:
             mate = maps[mate[0]][mate[1]][0]
         out.pair((c, new_pos[cyc[pos_swept]]), mate)
-    out.invalidate()
 
 
 def _slide_slit_step(s: SurfaceComplex, e_slit: int) -> SurfaceComplex:

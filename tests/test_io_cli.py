@@ -80,18 +80,33 @@ def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
     ("vertex", ["1.0", "0.0"]),
     ("vertex", ["nan", "0", "0"]),
     ("fans", None),
+    ("document", [1, 2]),
+    ("copies", "x"),
+    ("copies", 999),
+    ("pairing", [[0, 1]]),
+    ("fan", [999]),
 ])
 def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
     doc = io.surface_to_dict(f4_double_cover())
     if field == "fans":
         del doc["base"]["fans"]
+    elif field == "document":
+        doc = value
+    elif field == "copies":
+        doc["copies"][0] = value
+    elif field == "pairing":
+        doc["pairing"][0] = value
+    elif field == "fan":
+        doc["base"]["fans"][0] = value
     else:
         doc["base"]["vertices"][0] = value
     surf = tmp_path / "bad.json"
     surf.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
-    assert cli_main(["normalize", str(surf), "--out", str(out)]) == EXIT_FAIL
-    assert "parse error:" in capsys.readouterr().err
+    for argv in (["normalize", str(surf), "--out", str(out)],
+                 ["inspect", str(surf)], ["verify", str(surf)]):
+        assert cli_main(argv) == EXIT_FAIL
+        assert "parse error:" in capsys.readouterr().err
     assert not out.exists()
 
 

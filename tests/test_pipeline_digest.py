@@ -1,0 +1,54 @@
+"""Byte-identity gate: normalize + certify over the stored corpora.
+
+Per corpus line the hash takes the normalized surface file as
+``save_surface`` writes it, the trace document ``spherecover normalize
+--trace-out`` writes, and the certificate report; a typed failure is hashed
+as its class and message instead.  A change that must keep behaviour keeps
+both digests.  Like the generator byte gate of the benchmark smoke tests,
+the pins assume numpy rounds a 3-vector ``dot`` as it does on x86-64 with
+numpy 2.4 (see README)."""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from spherecover import io
+from spherecover.normalize import certify, normalize
+from spherecover.surface import SurfaceError
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
+
+PINNED = {
+    "batch": ("ac622f8ebffbaa15f8265c92a84c9e70ccd8dd7736171c17ca01130c8c457352",
+              {"ok": 100}),
+    "stress": ("5f3b5231d2fc075283feeb82f45c61079fa80121bfdeccf20aa6b39db3a552d2",
+               {"ok": 61, "NoSuchPath": 14, "InvalidSurface": 4, "PipelineError": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pipeline_digest(tmp_path, name):
+    digest, outcomes = PINNED[name]
+    h = hashlib.sha256()
+    counts = {}
+    surf = tmp_path / "out.json"
+    for line in (CORPUS / (name + ".jsonl")).read_text().splitlines():
+        s = io.surface_from_dict(json.loads(line))
+        try:
+            out, trace = normalize(s)
+            ok, report = certify(out, s, trace)
+        except SurfaceError as err:
+            outcome = type(err).__name__
+            h.update(("ERR %s: %s\n" % (outcome, err)).encode())
+        else:
+            outcome = "ok" if ok else "certificate failed"
+            io.save_surface(out, surf, metadata={"normalized": True})
+            h.update(surf.read_bytes())
+            doc = json.dumps(io.trace_to_dict(trace, ok), indent=1, sort_keys=True) + "\n"
+            h.update(doc.encode())
+            h.update(json.dumps(report, sort_keys=True, default=repr).encode())
+        counts[outcome] = counts.get(outcome, 0) + 1
+    assert counts == outcomes
+    assert h.hexdigest() == digest

@@ -9,6 +9,7 @@ from spherecover.surface import (
     BoundaryWalk,
     CLOSED,
     DISK,
+    InvalidSurface,
     SurfaceComplex,
     boundary_multiplicities,
     classify_vertices,
@@ -117,6 +118,25 @@ def test_functionals_closed_double_cover_special_branch():
     assert rep.n_bar_special == 2 * 1 + (3 - 2) * 2
     assert rep.reduced_area == pytest.approx(-8 * math.pi, abs=1e-9)
     assert rep.degree == 2
+
+
+def test_functionals_report_cached_until_the_surface_changes():
+    s = generate_closed_cyclic_cover(2)
+    rep = functionals(s)
+    assert functionals(s) is rep
+    side = next(x for x in sorted(s.pairing) if s.base.kind(s.dart_of(x)) == "curve")
+    mate = s.unpair(side)
+    cut = functionals(s)
+    assert (rep.topology, cut.topology) == (CLOSED, DISK)
+    assert cut.boundary_length == pytest.approx(2 * s.base.length(s.dart_of(side)))
+    s.pair(side, mate)
+    assert functionals(s) is not rep and functionals(s) == rep
+    c = s.add_copy(s.copies[0])
+    with pytest.raises(InvalidSurface):  # a loose copy: no stale closed report
+        functionals(s)
+    s.copies[c] = None
+    s.invalidate()
+    assert functionals(s) == rep
 
 
 def test_boundary_multiplicities_identity(hemisphere):
