@@ -20,10 +20,10 @@ import numpy as np
 from .geometry import (
     EPS_SEP,
     GeodesicSegment,
+    PointRegistry,
     Rotation,
     angle_between,
     cross,
-    norm,
     points_coincide,
     segment_intersection,
     tangent_frame,
@@ -184,6 +184,15 @@ class BaseComplex:
     def right_face(self, d: int) -> int:
         return self.face_of_dart(d ^ 1)
 
+    def special_tips_by_face(self):
+        """{face: [special scaffold tips hanging inside it]}."""
+        tips = {}
+        for v in self.specials:
+            fan = self.fans[v]
+            if len(fan) == 1 and self.kind(fan[0]) == SCAFFOLD:
+                tips.setdefault(self.face_of_dart(fan[0]), []).append(v)
+        return tips
+
     def sigma_prev(self, d: int) -> int:
         fan = self.fans[self.tail(d)]
         return fan[(fan.index(d) - 1) % len(fan)]
@@ -218,8 +227,9 @@ class BaseComplex:
         if v - e + f != 2:
             raise ArrangementError("Euler formula violated: V-E+F = %d" % (v - e + f))
 
-    def check(self, require_areas=True):
-        """Structural consistency: fans vs edges, stored cycles vs traced, Euler, areas."""
+    def check(self):
+        """Structural consistency: fans vs edges, stored cycles vs traced, Euler,
+        finite non-negative edge lengths, finite positive face areas summing to 4pi."""
         for v in self.live_vertices():
             for d in self.fans[v]:
                 if self.edges[d >> 1] is None:
@@ -235,12 +245,15 @@ class BaseComplex:
         if traced != stored:
             raise ArrangementError("stored face cycles disagree with rotation system")
         self.euler_check()
-        if require_areas:
-            total = sum(self.faces[f].area for f in self.live_faces())
-            if abs(total - FULL_SPHERE) > 1e-9:
-                raise ArrangementError("face areas sum to %r, not 4pi" % total)
-            if any(self.faces[f].area <= 0 for f in self.live_faces()):
-                raise ArrangementError("non-positive face area")
+        if not all(math.isfinite(self.edges[e].length) and self.edges[e].length >= 0
+                   for e in self.live_edges()):
+            raise ArrangementError("edge length is not finite and non-negative")
+        if not all(math.isfinite(self.faces[f].area) and self.faces[f].area > 0
+                   for f in self.live_faces()):
+            raise ArrangementError("face area is not finite and positive")
+        total = sum(self.faces[f].area for f in self.live_faces())
+        if abs(total - FULL_SPHERE) > 1e-9:
+            raise ArrangementError("face areas sum to %r, not 4pi" % total)
 
     @staticmethod
     def _cyc_key(cyc):
@@ -288,16 +301,10 @@ class BaseComplex:
             if self.edges[e].kind != CURVE:
                 continue
             seg = self.dart_segment(2 * e)
-            n = seg.pole
-            c = p - float(np.dot(p, n)) * n
-            if norm(c) > 1e-12 and seg.contains(unit(c), tol=1e-9):
-                d_ang = angle_between(p, unit(c))
-                cand = (d_ang, e, None)
-            else:
-                da, db = angle_between(p, seg.a), angle_between(p, seg.b)
-                cand = (min(da, db), e, self.edges[e].a if da <= db else self.edges[e].b)
-            if best is None or cand[0] < best[0]:
-                best = cand
+            d_ang, x = seg.nearest_point(p)
+            if best is None or d_ang < best[0]:
+                ed = self.edges[e]
+                best = (d_ang, e, ed.a if x is seg.a else ed.b if x is seg.b else None)
         if best is None:
             raise ArrangementError("complex has no curve edges")
         _, e, vtx = best
@@ -392,8 +399,7 @@ class BaseComplex:
         self._invalidate()
         return x, e1, e2, rep
 
-    def add_bridge(self, face: int, attach_vertex: int, corner_pos: int, tip_point,
-                   length=None) -> tuple:
+    def add_bridge(self, face: int, attach_vertex: int, corner_pos: int, tip_point) -> tuple:
         """Attach a dangling SCAFFOLD edge from a boundary corner into the face.
 
         ``corner_pos`` indexes the face cycle: the new slit is inserted at the
@@ -404,8 +410,8 @@ class BaseComplex:
         if self.tail(cyc[corner_pos]) != attach_vertex:
             raise ArrangementError("corner does not sit at the attachment vertex")
         t = self.new_vertex(tip_point)
-        ln = length if length is not None else angle_between(self.vertices[attach_vertex], tip_point)
-        e = self._new_edge(attach_vertex, t, SCAFFOLD, ln)
+        e = self._new_edge(attach_vertex, t, SCAFFOLD,
+                           angle_between(self.vertices[attach_vertex], tip_point))
         d_out, d_in = 2 * e, 2 * e + 1
         self.faces[face].cycle = cyc[:corner_pos] + [d_out, d_in] + cyc[corner_pos:]
         # The corner before cycle[corner_pos] is the fan wedge starting at that
@@ -416,13 +422,12 @@ class BaseComplex:
         self._invalidate()
         return t, e
 
-    def insert_chord(self, face: int, pos_a: int, pos_b: int, kind=SCAFFOLD,
-                     honest_area=None) -> tuple:
-        """Insert a chord between the corners before cycle[pos_a] and cycle[pos_b].
+    def insert_chord(self, face: int, pos_a: int, pos_b: int) -> tuple:
+        """Insert a SCAFFOLD chord between the corners before cycle[pos_a] and
+        cycle[pos_b].
 
         Splits ``face`` into two; returns (edge id, face id containing old
-        cycle[pos_a] tail side, other face id).  ``honest_area``: area of the
-        first face if geometrically known, else the parent area splits evenly
+        cycle[pos_a] tail side, other face id).  The parent area splits evenly
         (functionals only consume counts times total area).
         """
         cyc = self.faces[face].cycle
@@ -430,7 +435,7 @@ class BaseComplex:
             raise ArrangementError("chord endpoints coincide")
         va, vb = self.tail(cyc[pos_a]), self.tail(cyc[pos_b])
         ln = angle_between(self.vertices[va], self.vertices[vb]) if va != vb else 0.0
-        e = self._new_edge(va, vb, kind, ln)
+        e = self._new_edge(va, vb, SCAFFOLD, ln)
         d_ab, d_ba = 2 * e, 2 * e + 1
         if pos_a < pos_b:
             cyc_a = [d_ba] + cyc[pos_a:pos_b]
@@ -439,9 +444,8 @@ class BaseComplex:
             cyc_a = [d_ba] + cyc[pos_a:] + cyc[:pos_b]
             cyc_b = [d_ab] + cyc[pos_b:pos_a]
         area = self.faces[face].area
-        area_a = honest_area if honest_area is not None else area / 2
-        fa = self._new_face(cyc_a, area_a)
-        fb = self._new_face(cyc_b, area - area_a)
+        fa = self._new_face(cyc_a, area / 2)
+        fb = self._new_face(cyc_b, area - area / 2)
         self.faces[face] = None
         self.fans[va].insert(self.fans[va].index(cyc[pos_a]) + 1, d_ab)
         self.fans[vb].insert(self.fans[vb].index(cyc[pos_b]) + 1, d_ba)
@@ -504,14 +508,8 @@ def build_arrangement(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
     segs = curve.segments()
     interesting = list(special.points) + [unit(m) for m in markers]
 
-    points = []  # registry of distinct points
-
-    def register(p):
-        for i, q in enumerate(points):
-            if points_coincide(p, q, 2 * EPS_SEP):
-                return i
-        points.append(unit(p))
-        return len(points) - 1
+    reg = PointRegistry(2 * EPS_SEP)
+    register, points = reg.key, reg.points
 
     seg_pts = [dict() for _ in segs]  # param -> point id
     for i, s in enumerate(segs):
@@ -638,20 +636,12 @@ def attach_scaffold(bc: BaseComplex) -> BaseComplex:
         )
         if not cands:
             raise ScaffoldBlocked("face has no attachable vertex")
-        v_pick, rubber = None, False
-        for v in cands:
-            if _segment_clear(out, p, v):
-                v_pick = v
-                break
-        if v_pick is None:
-            v_pick, rubber = cands[0], True
+        v_pick = next((v for v in cands if _segment_clear(out, p, v)), cands[0])
         try:
             corner = _corner_pos_toward(out, f, v_pick, p)
         except ScaffoldBlocked:
             corner = next(pos for pos, d in enumerate(cyc) if out.tail(d) == v_pick)
         t, _e = out.add_bridge(f, v_pick, corner, p)
-        if rubber:
-            out.meta.setdefault("rubber_bridges", []).append(t)
         if lab is None:
             out.markers.add(t)
         else:

@@ -152,7 +152,11 @@ def cmd_verify(args):
             except (ValueError, KeyError, TypeError) as err:
                 print("parse error: trace %s: %r" % (args.trace, err), file=sys.stderr)
                 return EXIT_FAIL
-        ok, report = is_better_than(s, original, rot, h_tol=args.tol)
+        try:
+            ok, report = is_better_than(s, original, rot, h_tol=args.tol)
+        except SurfaceError as err:
+            print("better-than certificate failed: %s" % err, file=sys.stderr)
+            return EXIT_FAIL
         print("better-than certificate: %s" % ("ok" if ok else "FAILED"))
         for clause, val in report.items():
             print("  %-8s %s" % (clause, "ok" if val[0] else "FAILED"))

@@ -18,6 +18,9 @@ from .geometry import angle_between, sphere_point
 from .surface import SurfaceComplex, functionals, require_valid
 
 
+FILTER_TRIES = 300  # seeded variants generate_disk_covering_filtered draws
+
+
 class GenerationStuck(RuntimeError):
     pass
 
@@ -95,8 +98,7 @@ def _random_curve_points(rng):
     ]
 
 
-def random_base(rng, q=3, max_segments=64, with_marker=False,
-                min_clean_faces=0):
+def random_base(rng, q=3, with_marker=False, min_clean_faces=0):
     """A random small polygonal curve plus q well-separated special points.
 
     ``min_clean_faces`` asks for at least that many faces without special
@@ -104,7 +106,7 @@ def random_base(rng, q=3, max_segments=64, with_marker=False,
     for _attempt in range(400):
         pts = _random_curve_points(rng)
         try:
-            curve = CurveInput(tuple(pts), max_segments=max_segments)
+            curve = CurveInput(tuple(pts))
             segs = curve.segments()
         except Exception:
             continue
@@ -136,14 +138,8 @@ def random_base(rng, q=3, max_segments=64, with_marker=False,
             bc = make_base(pts, specials, markers=markers)
         except Exception:
             continue
-        if min_clean_faces:
-            special_faces = set()
-            for v in bc.specials:
-                fan = bc.fans[v]
-                if len(fan) == 1 and bc.kind(fan[0]) == SCAFFOLD:
-                    special_faces.add(bc.face_of_dart(fan[0]))
-            if len(bc.live_faces()) - len(special_faces) < min_clean_faces:
-                continue
+        if len(bc.live_faces()) - len(bc.special_tips_by_face()) < min_clean_faces:
+            continue
         return bc
     raise GenerationStuck("could not build a random base")
 
@@ -163,8 +159,7 @@ def branched_fan(bc: BaseComplex, face: int, marker: int, m: int) -> SurfaceComp
 
 
 def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
-                           branch_budget=6, moves=None, base=None,
-                           sew_prob=0.35, special_face_cap=None,
+                           branch_budget=6, sew_prob=0.35, special_face_cap=None,
                            with_marker=False, fan_m=0, slits=0) -> SurfaceComplex:
     """Random disk covering by seeded accretion.
 
@@ -176,16 +171,9 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
     (low interior covering numbers of the special set keep H large).
     """
     rng = random.Random(repr(seed))
-    if base is not None:
-        bc = base.copy()
-    else:
-        clean = 2 if special_face_cap == 0 else 0
-        bc = random_base(rng, q=q, with_marker=with_marker, min_clean_faces=clean)
-    special_faces = set()
-    for v in bc.specials:
-        fan = bc.fans[v]
-        if len(fan) == 1 and bc.kind(fan[0]) == SCAFFOLD:
-            special_faces.add(bc.face_of_dart(fan[0]))
+    clean = 2 if special_face_cap == 0 else 0
+    bc = random_base(rng, q=q, with_marker=with_marker, min_clean_faces=clean)
+    special_faces = bc.special_tips_by_face()
     caps = {}
     for f in bc.live_faces():
         caps[f] = max_sheets
@@ -205,9 +193,7 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
             raise GenerationStuck("no marker face can host the fan")
     else:
         s = SurfaceComplex(bc, [rng.choice(start_candidates)], {})
-    if moves is None:
-        moves = rng.randint(4, 26)
-    for _ in range(moves):
+    for _ in range(rng.randint(4, 26)):
         free = s.free_sides()
         if not free:
             break
@@ -305,15 +291,14 @@ def _random_slit(s: SurfaceComplex, rng):
         return None
 
 
-def generate_disk_covering_filtered(seed, require_h_nonneg=True, max_sum=None,
-                                    max_degree=None, tries=300, **kw):
+def generate_disk_covering_filtered(seed, max_sum=None, max_degree=None, **kw):
     """Draw seeded variants until the covering meets the filters.
 
     Variants cycle through the number of special points, the cap on copies
     over special faces, marker presence, and the sew rate, so the accepted
     population exercises every pipeline path."""
     rng = random.Random(repr(("filter", seed)))
-    for k in range(tries):
+    for k in range(FILTER_TRIES):
         params = dict(kw)
         if "q" not in kw:
             params["q"] = rng.choice([3, 3, 4, 5])
@@ -332,14 +317,14 @@ def generate_disk_covering_filtered(seed, require_h_nonneg=True, max_sum=None,
         except GenerationStuck:
             continue
         rep = functionals(s)
-        if require_h_nonneg and (rep.ratio is None or rep.ratio < 0):
+        if rep.ratio is None or rep.ratio < 0:
             continue
         if max_sum is not None and rep.covering_sum > max_sum:
             continue
         if max_degree is not None and max(rep.n_component.values()) > max_degree:
             continue
         return s
-    raise GenerationStuck("no admissible covering after %d tries" % tries)
+    raise GenerationStuck("no admissible covering after %d tries" % FILTER_TRIES)
 
 
 def generate_closed_cyclic_cover(d, q=3, branch_special=True) -> SurfaceComplex:

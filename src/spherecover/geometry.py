@@ -22,6 +22,7 @@ import numpy as np
 
 EPS_UNIT = 1e-12
 EPS_SEP = 1e-9
+CONTACT_TOL = 1e-10  # rotation angle to which a first contact is bisected
 
 
 class GeometryError(ValueError):
@@ -143,8 +144,38 @@ class GeodesicSegment:
     def contains(self, p, tol=EPS_SEP) -> bool:
         return self.param_of(p, tol) is not None
 
+    def nearest_point(self, p):
+        """(angle, point) of the arc point nearest to p: the foot of the
+        perpendicular from p when it lies on the arc, else the nearer endpoint
+        (``a`` on a tie), returned as that endpoint object itself."""
+        n = self.pole
+        c = p - float(np.dot(p, n)) * n
+        if norm(c) > 1e-12:
+            foot = unit(c)
+            if self.contains(foot, tol=1e-9):
+                return angle_between(p, foot), foot
+        da, db = angle_between(p, self.a), angle_between(p, self.b)
+        return (da, self.a) if da <= db else (db, self.b)
+
     def reversed(self) -> "GeodesicSegment":
         return GeodesicSegment(self.b, self.a)
+
+
+class PointRegistry:
+    """Distinct points by linear scan: a point within ``tol`` of a registered
+    one gets that point's id, any other point is stored (as a unit vector)
+    under the next id."""
+
+    def __init__(self, tol):
+        self.points = []
+        self.tol = tol
+
+    def key(self, p) -> int:
+        for i, q in enumerate(self.points):
+            if points_coincide(p, q, self.tol):
+                return i
+        self.points.append(unit(p))
+        return len(self.points) - 1
 
 
 def geodesic_length(seg: GeodesicSegment) -> float:
@@ -314,13 +345,14 @@ def _circle_plane_roots(p0, axis, pole):
     return sorted({(phi + base) % (2 * math.pi), (phi - base) % (2 * math.pi)})
 
 
-def first_contact_rotation(curve, target, axis, tol=1e-10):
+def first_contact_rotation(curve, target, axis):
     """Smallest t* > 0 with R(axis, t*)^-1(target) on the curve.
 
     ``curve`` is a list of GeodesicSegments.  The preimage of the target
     travels along the circle {R(axis,-t) target}; contacts against each arc's
     great circle are found in closed form and verified on the arc, then the
-    first one is polished by bisection on the on/off predicate to ``tol``.
+    first one is polished by bisection on the on/off predicate to
+    ``CONTACT_TOL``.
 
     Returns (Rotation, segment_index, parameter_on_segment).
     """
@@ -335,7 +367,7 @@ def first_contact_rotation(curve, target, axis, tol=1e-10):
             raise GeometryError("target already lies on the curve")
         for t in _circle_plane_roots(p0, -unit(np.asarray(axis, dtype=float)), seg.pole):
             t %= 2 * math.pi
-            if t <= tol:
+            if t <= CONTACT_TOL:
                 continue
             prm = seg.param_of(pre(t), tol=10 * EPS_SEP)
             if prm is None:
@@ -349,7 +381,7 @@ def first_contact_rotation(curve, target, axis, tol=1e-10):
     # Bisection polish: largest t below t_star with the preimage off the arc.
     lo, hi = max(0.0, t_star - 1e-4), t_star + 1e-4
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= CONTACT_TOL:
             break
         mid = (lo + hi) / 2
         if seg.param_of(pre(mid), tol=10 * EPS_SEP) is None:

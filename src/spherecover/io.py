@@ -99,6 +99,12 @@ def surface_from_dict(d: dict) -> SurfaceComplex:
         faces = set(base.live_faces())
         if any(c is not None and (type(c) is not int or c not in faces) for c in copies):
             raise SurfaceFileError("a copy is not the id of a live face of the base")
+        live = set(base.live_vertices())
+        if not all(type(v) is int and v in live for v in (*base.specials, *base.markers)):
+            raise SurfaceFileError("a special or marker is not a live vertex of the base")
+        labels = list(base.specials.values())
+        if not all(isinstance(lab, str) for lab in labels) or len(set(labels)) != len(labels):
+            raise SurfaceFileError("special labels are not distinct strings")
     except KeyError as err:
         raise SurfaceFileError("missing key %s" % err)
     except (ArrangementError, AttributeError, IndexError, TypeError, ValueError) as err:

@@ -30,7 +30,6 @@ from .geometry import (
     angle_between,
     cross,
     first_contact_rotation,
-    norm,
     tangent_frame,
     unit,
 )
@@ -40,9 +39,10 @@ from .surface import (
     FunctionalReport,
     SurfaceComplex,
     SurfaceError,
-    closed_subarc_match,
+    better_than_clauses,
     functionals,
     is_better_than,
+    is_closed_subarc,
     require_valid,
 )
 from .surgery import (
@@ -108,20 +108,15 @@ def _summary(rep: FunctionalReport) -> dict:
     }
 
 
-def _walk_word(s: SurfaceComplex):
-    return tuple(s.boundary_walk().darts)
-
-
 def _word_subarc(s_new, s_old) -> bool:
     """Closed-subarc check of the new walk in the old one (same base)."""
-    w_old = _walk_word(s_old)
-    junctions = [s_old.base.tail(d) for d in w_old]
-    return closed_subarc_match(w_old, junctions, _walk_word(s_new)) is not None
+    return is_closed_subarc(s_new.boundary_walk(), s_old.boundary_walk(), s_old.base)[0]
 
 
 def _walk_word_unchanged(s_new, s_old) -> bool:
     """Cyclic equality of the walk words: a closed subarc of equal length."""
-    return len(_walk_word(s_new)) == len(_walk_word(s_old)) and _word_subarc(s_new, s_old)
+    return (len(s_new.boundary_walk()) == len(s_old.boundary_walk())
+            and _word_subarc(s_new, s_old))
 
 
 def _record_step(trace, op, case, old, new, check_walk=True, note=""):
@@ -133,12 +128,8 @@ def _record_step(trace, op, case, old, new, check_walk=True, note=""):
     if trace is None:
         return
     pre, post = functionals(old), functionals(new)
-    cert = {
-        "H": post.ratio >= pre.ratio - 1e-9,
-        "sum": post.covering_sum <= pre.covering_sum,
-        "n_bar": all(post.n_bar[k] <= pre.n_bar[k] for k in pre.n_bar),
-        "boundary": _word_subarc(new, old) if check_walk else True,
-    }
+    cert = {k: v[0] for k, v in better_than_clauses(post, pre).items()}
+    cert["boundary"] = _word_subarc(new, old) if check_walk else True
     cert["ok"] = all(cert.values())
     trace.steps.append(TraceStep(op=op, case=case, pre=_summary(pre), post=_summary(post),
                                  note=note, certificate=cert))
@@ -469,18 +460,9 @@ def sweep_boundary_branches(s: SurfaceComplex, trace: PipelineTrace = None):
 # -- sinking into a left-component special (Prop bd-in) -------------------------------
 
 
-def _special_tips_by_face(s: SurfaceComplex):
-    tips = {}
-    for v in s.base.specials:
-        fan = s.base.fans[v]
-        if len(fan) == 1 and s.base.kind(fan[0]) == SCAFFOLD:
-            tips.setdefault(s.base.face_of_dart(fan[0]), []).append(v)
-    return tips
-
-
 def _sinkable_arc(s: SurfaceComplex):
     """A walk dart whose left face holds a special tip, plus that tip."""
-    tips = _special_tips_by_face(s)
+    tips = s.base.special_tips_by_face()
     for d in s.boundary_walk().darts:
         f = s.base.left_face(d)
         if f in tips:
@@ -548,7 +530,7 @@ def sink_branch_to_special(s: SurfaceComplex, trace: PipelineTrace = None):
         branches = _boundary_nonspecial_branches(cur)
         if not branches:
             return cur, "DONE"
-        tips = _special_tips_by_face(cur)
+        tips = cur.base.special_tips_by_face()
         B = branches[0]
         if B.folded:
             raise PipelineError("boundary branch is folded after fold removal")
@@ -593,21 +575,9 @@ def rotate_to_touch_special(s: SurfaceComplex):
     (surface, specials' rotation)."""
     segs, edge_ids = _walk_segments(s)
     specials = [(v, s.base.vertices[v]) for v in s.base.specials]
-    base_axis = None
     best = None
     for v, p in specials:
-        dmin, x0 = None, None
-        for seg in segs:
-            n = seg.pole
-            c = p - float(np.dot(p, n)) * n
-            cand = None
-            if norm(c) > 1e-12 and seg.contains(unit(c), tol=1e-9):
-                cand = unit(c)
-            else:
-                cand = seg.a if angle_between(p, seg.a) <= angle_between(p, seg.b) else seg.b
-            dd = angle_between(p, cand)
-            if dmin is None or dd < dmin:
-                dmin, x0 = dd, cand
+        dmin, x0 = min((seg.nearest_point(p) for seg in segs), key=lambda x: x[0])
         if best is None or dmin < best[0]:
             best = (dmin, v, p, x0)
     _, v1, p1, x0 = best
@@ -665,8 +635,7 @@ def _apply_rotation_contact(s: SurfaceComplex, rho: Rotation, special_v: int,
     x_point = rho.apply(bc.vertices[special_v])
     tip_face = bc.face_of_dart(bc.fans[special_v][0])
     d_g = 2 * edge
-    m_left = sum(1 for side in s.free_sides() if s.dart_of(side) == d_g)
-    m_right = sum(1 for side in s.free_sides() if s.dart_of(side) == (d_g ^ 1))
+    m_left, m_right = s.multiplicities()[edge]
     if m_left == 0 and m_right > 0:
         d_g ^= 1
         m_left, m_right = m_right, m_left
@@ -715,15 +684,6 @@ def _assert_rotation_invariants(pre, post):
 # -- driver -------------------------------------------------------------------
 
 
-def _is_clean(s: SurfaceComplex) -> bool:
-    for sh in s.sheet_list():
-        if sh.is_branch and not sh.special:
-            return False
-        if (not sh.interior) and sh.folded and not sh.special:
-            return False
-    return True
-
-
 def declared_iteration_bound(s: SurfaceComplex) -> int:
     rep = functionals(s)
     n_branch = sum(1 for sh in rep.sheets if sh.is_branch)
@@ -761,28 +721,24 @@ def normalize(s: SurfaceComplex):
             cur, status = clear_interior_branches(cur, trace)
             cur = cleanup_unused_curve_edges(cur)
             continue
-        boundary_branches = _boundary_nonspecial_branches(cur)
-        if boundary_branches:
-            walk_special = any(
-                cur.base.tail(d) in cur.base.specials or cur.base.head(d) in cur.base.specials
-                for d in cur.boundary_walk().darts)
-            if walk_special:
-                cur, status = sweep_boundary_branches(cur, trace)
-                cur = cleanup_unused_curve_edges(cur)
-                continue
-            if _sinkable_arc(cur) is not None:
-                cur, status = sink_branch_to_special(cur, trace)
-                cur = cleanup_unused_curve_edges(cur)
-                continue
-            out, rho = rotate_to_touch_special(cur)
-            trace.rotations.append(rho)
-            _record_step(trace, "rotate_to_touch_special", "rotation", cur, out,
-                         check_walk=False)
-            cur = out
+        if not _boundary_nonspecial_branches(cur):
+            break  # no fold, no non-special branch: clean
+        walk_special = any(
+            cur.base.tail(d) in cur.base.specials or cur.base.head(d) in cur.base.specials
+            for d in cur.boundary_walk().darts)
+        if walk_special:
+            cur, status = sweep_boundary_branches(cur, trace)
+            cur = cleanup_unused_curve_edges(cur)
             continue
-        if _is_clean(cur):
-            break
-        raise PipelineError("no applicable step but the surface is not clean")
+        if _sinkable_arc(cur) is not None:
+            cur, status = sink_branch_to_special(cur, trace)
+            cur = cleanup_unused_curve_edges(cur)
+            continue
+        out, rho = rotate_to_touch_special(cur)
+        trace.rotations.append(rho)
+        _record_step(trace, "rotate_to_touch_special", "rotation", cur, out,
+                     check_walk=False)
+        cur = out
 
     phi = trace.composed_rotation()
     out = SurfaceComplex(cur.base.rotated(phi), cur.copies, cur.pairing)

@@ -19,13 +19,14 @@ import math
 from dataclasses import dataclass
 
 from .arrangement import CURVE, SCAFFOLD, BaseComplex
-from .geometry import Rotation, points_coincide, unit
+from .geometry import GeodesicSegment, PointRegistry, Rotation, points_coincide, unit
 
 DISK = "disk"
 ANNULUS = "annulus"
 CLOSED = "closed"
 
 FOUR_PI = 4 * math.pi
+SUBARC_TOL = 1e-7  # point identification in the geometric closed-subarc check
 
 
 class SurfaceError(ValueError):
@@ -600,19 +601,6 @@ def is_closed_subarc(w2: BoundaryWalk, w1: BoundaryWalk, base: BaseComplex):
     return (witness is not None), witness
 
 
-class _PointRegistry:
-    def __init__(self, tol=1e-7):
-        self.points = []
-        self.tol = tol
-
-    def key(self, p):
-        for i, q in enumerate(self.points):
-            if points_coincide(p, q, self.tol):
-                return i
-        self.points.append(unit(p))
-        return len(self.points) - 1
-
-
 def geometric_walk(s: SurfaceComplex, rot: Rotation = None):
     """Boundary walk as a list of (tail point, head point) geodesic steps."""
     r = rot if rot is not None else Rotation.identity()
@@ -624,11 +612,9 @@ def geometric_walk(s: SurfaceComplex, rot: Rotation = None):
     return out
 
 
-def is_closed_subarc_geometric(steps2, steps1, tol=1e-7):
+def is_closed_subarc_geometric(steps2, steps1):
     """Closed-subarc matching of geometric walks (point-id refined words)."""
-    from .geometry import GeodesicSegment
-
-    reg = _PointRegistry(tol)
+    reg = PointRegistry(SUBARC_TOL)
     segs1 = [GeodesicSegment(a, b) for a, b in steps1]
     segs2 = [GeodesicSegment(a, b) for a, b in steps2]
     cuts = [unit(a) for a, b in steps1] + [unit(b) for a, b in steps1]
@@ -639,13 +625,13 @@ def is_closed_subarc_geometric(steps2, steps1, tol=1e-7):
         for seg in segs:
             inside = []
             for p in cuts:
-                t = seg.param_of(p, tol)
-                if t is not None and tol < t * seg.length and (1 - t) * seg.length > tol:
+                t = seg.param_of(p, SUBARC_TOL)
+                if t is not None and SUBARC_TOL < t * seg.length and (1 - t) * seg.length > SUBARC_TOL:
                     inside.append((t, p))
             inside.sort(key=lambda x: x[0])
             pts = [seg.a] + [p for _, p in inside] + [seg.b]
             for a, b in zip(pts, pts[1:]):
-                if not points_coincide(a, b, tol):
+                if not points_coincide(a, b, SUBARC_TOL):
                     out.append(GeodesicSegment(a, b))
         return out
 
@@ -667,17 +653,25 @@ def is_closed_subarc_geometric(steps2, steps1, tol=1e-7):
     return (witness is not None), witness
 
 
+def better_than_clauses(new: FunctionalReport, old: FunctionalReport, h_tol=1e-9):
+    """The value clauses of the better-than order, each as (holds, new, old):
+    H does not fall (by more than ``h_tol``), and neither the covering sum
+    nor any n-bar grows."""
+    return {
+        "H": (new.ratio >= old.ratio - h_tol, new.ratio, old.ratio),
+        "sum": (new.covering_sum <= old.covering_sum, new.covering_sum, old.covering_sum),
+        "n_bar": (all(new.n_bar.get(lab, 0) <= old.n_bar[lab] for lab in old.n_bar),
+                  new.n_bar, old.n_bar),
+    }
+
+
 def is_better_than(s2: SurfaceComplex, s1: SurfaceComplex, rot: Rotation = None,
                    h_tol=1e-9):
     """The partial order of the improvement pipeline, with a per-clause report."""
     r1, r2 = functionals(s1), functionals(s2)
-    report = {}
     if r1.ratio is None or r2.ratio is None:
         raise SurfaceError("better-than needs two surfaces with boundary")
-    report["H"] = (r2.ratio >= r1.ratio - h_tol, r2.ratio, r1.ratio)
-    report["sum"] = (r2.covering_sum <= r1.covering_sum, r2.covering_sum, r1.covering_sum)
-    nb_ok = all(r2.n_bar.get(lab, 0) <= r1.n_bar[lab] for lab in r1.n_bar)
-    report["n_bar"] = (nb_ok, r2.n_bar, r1.n_bar)
+    report = better_than_clauses(r2, r1, h_tol)
     ok, witness = is_closed_subarc_geometric(
         geometric_walk(s2), geometric_walk(s1, rot))
     report["boundary"] = (ok, witness)

@@ -62,11 +62,7 @@ class Lift:
     free side run step ('boundary', side)."""
 
     steps: list
-    sheet_ids: list  # sheets visited, one more than steps
-
-    @property
-    def end_sheet(self):
-        return self.sheet_ids[-1]
+    end_sheet: int = None  # vertex sheet reached by the last step
 
     @property
     def is_boundary_run(self):
@@ -77,8 +73,6 @@ class Lift:
 class LiftResult:
     lifts: list
     stop: str
-    darts: tuple  # the (possibly truncated) base path actually lifted
-    start_sheet: int
 
 
 @dataclass
@@ -142,7 +136,7 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
         if s.dart_of(out_side) != d0:
             raise PreconditionViolated("boundary does not continue along the path")
         expected = X.multiplicity
-        lifts.append(Lift(steps=[("boundary", out_side)], sheet_ids=[start_sheet, None]))
+        lifts.append(Lift(steps=[("boundary", out_side)]))
     else:
         raise SurfaceError("unknown mode %r" % mode)
     if mode != ALONG_BOUNDARY and len(crossings) != expected:
@@ -150,8 +144,7 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
             "expected %d germs of the first dart, found %d" % (expected, len(crossings)))
 
     for side in crossings:
-        lifts.append(Lift(steps=[("interior", side, s.pairing[side])],
-                          sheet_ids=[start_sheet, None]))
+        lifts.append(Lift(steps=[("interior", side, s.pairing[side])]))
     if len(lifts) != expected:
         raise PreconditionViolated("lift count %d != multiplicity %d" % (len(lifts), expected))
 
@@ -167,8 +160,8 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
 
     t = 0
     while True:
-        for j, lift in enumerate(lifts):
-            lift.sheet_ids[-1] = end_sheet_of(lift)
+        for lift in lifts:
+            lift.end_sheet = end_sheet_of(lift)
         t += 1
         stop = None
         hit = [j for j, lift in enumerate(lifts)
@@ -180,8 +173,7 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
             end_v = s.base.head(darts[-1])
             stop = STOP_HIT_SPECIAL if end_v in s.base.specials else STOP_FULL
         if stop:
-            return LiftResult(lifts=lifts, stop=stop, darts=tuple(darts[:t]),
-                              start_sheet=start_sheet)
+            return LiftResult(lifts=lifts, stop=stop)
         dn = darts[t]
         for j, lift in enumerate(lifts):
             sh = sheets[lift.end_sheet]
@@ -190,7 +182,6 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
                 if s.dart_of(nxt) != dn:
                     raise PreconditionViolated("boundary deviates from the base path")
                 lift.steps.append(("boundary", nxt))
-                lift.sheet_ids.append(None)
                 continue
             if sh.multiplicity != 1:
                 raise PreconditionViolated(
@@ -201,7 +192,6 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
                     "no unique continuation over dart %d at a regular sheet" % dn)
             side = cont[0]
             lift.steps.append(("interior", side, s.pairing[side]))
-            lift.sheet_ids.append(None)
 
 
 # -- elementary cut and sew ----------------------------------------------------

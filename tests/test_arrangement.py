@@ -101,6 +101,18 @@ def test_scaffold_no_interior_specials_is_identity():
     assert len(bc.live_edges()) == len(bc0.live_edges())
 
 
+def test_special_tips_by_face_holds_the_tip_faces():
+    # a1 lies on the curve (no tip); a2 hangs in the north face, a3 in the south
+    on_curve, north, south = sph(1.0, 0.0), sph(2.4, 1.25), sph(3.3, -1.25)
+    bc = attach_scaffold(build_arrangement(CurveInput(equator_points()),
+                                           SpecialSet((on_curve, north, south))))
+    f_north = bc.locate_point(sphere_point(0, 0, 1))[1]
+    f_south = bc.locate_point(sphere_point(0, 0, -1))[1]
+    assert f_north != f_south and bc.vertex_at(on_curve) in bc.specials
+    assert bc.special_tips_by_face() == {f_north: [bc.vertex_at(north)],
+                                         f_south: [bc.vertex_at(south)]}
+
+
 def test_left_right_faces_antisymmetric():
     bc = attach_scaffold(build_arrangement(CurveInput(equator_points()),
                                            SpecialSet(NORTH_SPECIALS)))

@@ -11,6 +11,7 @@ from spherecover.geometry import (
     NoContact,
     Rotation,
     SelfIntersecting,
+    angle_between,
     cross,
     first_contact_rotation,
     geodesic_length,
@@ -80,6 +81,20 @@ def test_segment_pole_and_length_cache(seed):
         assert other.length == fresh_length(other)
         assert other.length == pytest.approx(length, abs=1e-14)
     assert np.allclose(seg.reversed().pole, -pole, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_nearest_point_of_arc(seed):
+    rng = np.random.default_rng(seed)
+    seg = GeodesicSegment(rng.standard_normal(3), rng.standard_normal(3))
+    p = unit(rng.standard_normal(3))
+    ang, x = seg.nearest_point(p)
+    assert seg.contains(x)
+    assert ang == angle_between(p, x)
+    assert ang <= angle_between(p, seg.a) and ang <= angle_between(p, seg.b)
+    for k in range(64):
+        assert ang <= angle_between(p, seg.point_at(k / 63)) + 1e-12
 
 
 def test_quarter_great_circle():

@@ -85,6 +85,13 @@ def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
     ("copies", 999),
     ("pairing", [[0, 1]]),
     ("fan", [999]),
+    ("special", "999"),
+    ("label", "duplicate"),
+    ("label", 5),
+    ("marker", 999),
+    ("area", "nan"),
+    ("length", "nan"),
+    ("length", "-5.0"),
 ])
 def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
     doc = io.surface_to_dict(f4_double_cover())
@@ -98,6 +105,18 @@ def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
         doc["pairing"][0] = value
     elif field == "fan":
         doc["base"]["fans"][0] = value
+    elif field == "special":
+        doc["base"]["specials"][value] = "a9"
+    elif field == "label":
+        specials = doc["base"]["specials"]
+        first, second = list(specials)[:2]
+        specials[first] = specials[second] if value == "duplicate" else value
+    elif field == "marker":
+        doc["base"]["markers"].append(value)
+    elif field == "area":
+        next(f for f in doc["base"]["faces"] if f)["area"] = value
+    elif field == "length":
+        next(e for e in doc["base"]["edges"] if e)["length"] = value
     else:
         doc["base"]["vertices"][0] = value
     surf = tmp_path / "bad.json"
@@ -126,6 +145,17 @@ def test_cli_gen_closed_and_verify(tmp_path):
     out = tmp_path / "closed.json"
     assert cli_main(["gen", "--closed-degree", "3", "--out", str(out)]) == 0
     assert cli_main(["verify", str(out)]) == 0
+
+
+def test_cli_verify_against_closed_surface_fails_in_one_line(tmp_path, capsys):
+    closed, disk = tmp_path / "closed.json", tmp_path / "disk.json"
+    assert cli_main(["gen", "--closed-degree", "2", "--out", str(closed)]) == 0
+    io.save_surface(f4_double_cover(), disk)
+    for a, b in ((closed, disk), (disk, closed)):
+        capsys.readouterr()
+        assert cli_main(["verify", str(a), "--against", str(b)]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "surfaces with boundary" in err
 
 
 def test_cli_normalize_and_certificate(tmp_path):
