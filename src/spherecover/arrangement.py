@@ -119,7 +119,15 @@ class Face:
 
 
 class BaseComplex:
-    """Planar spherical map: vertices, dart-encoded edges, rotation system, faces."""
+    """Planar spherical map: vertices, dart-encoded edges, rotation system, faces.
+
+    Cache rule: ``dart_segment`` and ``dart_tangent`` keep each dart's result
+    together with the tail and head vertex arrays it was built from, and reuse
+    it only while both are still the same objects.  So a vertex entry is
+    replaced (``vertices[v] = p``), never written in place, and a returned
+    segment or tangent is shared and must not be modified.  ``copy`` starts
+    with empty caches.
+    """
 
     def __init__(self):
         self.vertices = []  # np arrays or None (deleted)
@@ -131,6 +139,8 @@ class BaseComplex:
         self.traversal = []  # input curve as a dart word (may be empty)
         self.meta = {}
         self._dart_face = None
+        self._segments = {}  # dart -> (tail array, head array, GeodesicSegment)
+        self._tangents = {}  # dart -> (tail array, head array, tangent at tail)
 
     # -- dart helpers ------------------------------------------------------
 
@@ -147,8 +157,21 @@ class BaseComplex:
     def length(self, d: int) -> float:
         return self.edges[d >> 1].length
 
+    def _per_dart(self, cache, d, build):
+        """build(tail array, head array) of dart d, cached by the class's rule."""
+        ed = self.edges[d >> 1]
+        v, w = self.vertices[ed.a], self.vertices[ed.b]
+        if d & 1:
+            v, w = w, v
+        hit = cache.get(d)
+        if hit is not None and hit[0] is v and hit[1] is w:
+            return hit[2]
+        out = build(v, w)
+        cache[d] = (v, w, out)
+        return out
+
     def dart_segment(self, d: int) -> GeodesicSegment:
-        return GeodesicSegment(self.vertices[self.tail(d)], self.vertices[self.head(d)])
+        return self._per_dart(self._segments, d, GeodesicSegment)
 
     def live_edges(self):
         return [e for e in range(len(self.edges)) if self.edges[e] is not None]
@@ -269,8 +292,7 @@ class BaseComplex:
         return None
 
     def dart_tangent(self, d: int) -> np.ndarray:
-        v, w = self.vertices[self.tail(d)], self.vertices[self.head(d)]
-        return unit(cross(cross(v, w), v))
+        return self._per_dart(self._tangents, d, _tangent_at_tail)
 
     def azimuth_order(self, v: int, darts):
         e1, e2 = tangent_frame(self.vertices[v])
@@ -492,6 +514,11 @@ class BaseComplex:
         out.traversal = list(self.traversal)
         out.meta = dict(self.meta)
         return out
+
+
+def _tangent_at_tail(v, w) -> np.ndarray:
+    """Unit tangent at v of the great-circle arc from v toward w."""
+    return unit(cross(cross(v, w), v))
 
 
 def left_right_faces(bc: BaseComplex, dart: int):

@@ -95,6 +95,7 @@ class GeodesicSegment:
     """Directed minor great-circle arc from ``a`` to ``b``.
 
     Endpoints must be distinct and non-antipodal so the arc is unique.
+    ``length`` (the angle between the endpoints) is set on construction.
     """
 
     a: np.ndarray
@@ -103,18 +104,18 @@ class GeodesicSegment:
     def __post_init__(self):
         object.__setattr__(self, "a", unit(self.a))
         object.__setattr__(self, "b", unit(self.b))
-        if points_coincide(self.a, self.b):
+        # one angle serves both degeneracy tests (those of points_coincide
+        # and antipodal) and is the arc length
+        ang = angle_between(self.a, self.b)
+        if ang <= EPS_SEP:
             raise DegenerateSegment("segment endpoints coincide")
-        if antipodal(self.a, self.b):
+        if ang >= math.pi - EPS_SEP:
             raise DegenerateSegment("segment endpoints are antipodal")
+        object.__setattr__(self, "length", ang)
 
     # Cached in the instance __dict__ (which a frozen dataclass still has).
-    # Safe because __post_init__ copies both endpoints, so a segment never
-    # shares an array with a complex whose vertices are edited in place.
-    @cached_property
-    def length(self) -> float:
-        return angle_between(self.a, self.b)
-
+    # Safe because __post_init__ stores its own unit copies of both
+    # endpoints, so no later write to the input arrays reaches them.
     @cached_property
     def pole(self) -> np.ndarray:
         """Unit normal of the supporting great circle (right-hand rule a->b)."""

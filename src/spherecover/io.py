@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .arrangement import ArrangementError, BaseComplex, Edge, Face
+from .arrangement import CURVE, SCAFFOLD, ArrangementError, BaseComplex, Edge, Face
 from .surface import SurfaceComplex
 
 SCHEMA_VERSION = 1
@@ -46,12 +46,17 @@ def _vertex_from_list(v) -> np.ndarray:
     return np.array(xyz)
 
 
+def _edge_from_dict(e) -> Edge:
+    if e["kind"] not in (CURVE, SCAFFOLD):
+        raise SurfaceFileError("edge kind %r is not %r or %r" % (e["kind"], CURVE, SCAFFOLD))
+    return Edge(e["a"], e["b"], e["kind"], float(e["length"]))
+
+
 def base_from_dict(d: dict) -> BaseComplex:
     bc = BaseComplex()
     bc.vertices = [None if v is None else _vertex_from_list(v) for v in d["vertices"]]
     bc.fans = [list(f) for f in d["fans"]]
-    bc.edges = [None if e is None else
-                Edge(e["a"], e["b"], e["kind"], float(e["length"])) for e in d["edges"]]
+    bc.edges = [None if e is None else _edge_from_dict(e) for e in d["edges"]]
     bc.faces = [None if f is None else Face(list(f["cycle"]), float(f["area"]))
                 for f in d["faces"]]
     bc.specials = {int(v): lab for v, lab in d["specials"].items()}

@@ -14,7 +14,14 @@ from spherecover.arrangement import (
     build_arrangement,
     left_right_faces,
 )
-from spherecover.geometry import GeodesicSegment, angle_between, sphere_point
+from spherecover.geometry import (
+    GeodesicSegment,
+    Rotation,
+    angle_between,
+    cross,
+    sphere_point,
+    unit,
+)
 
 from conftest import sph
 
@@ -238,3 +245,35 @@ def test_rotate_base_complex_preserves_structure():
         seg2 = rbc.dart_segment(2 * e)
         assert abs(seg.length - seg2.length) < 1e-12
     assert [f for f in rbc.live_faces()] == [f for f in bc.live_faces()]
+
+
+def test_dart_segment_and_tangent_cache():
+    bc = build_arrangement(CurveInput(equator_points()), SpecialSet(NORTH_SPECIALS))
+
+    def live_darts():
+        return [d for e in bc.live_edges() for d in (2 * e, 2 * e + 1)]
+
+    def assert_fresh(d):
+        v, w = bc.vertices[bc.tail(d)], bc.vertices[bc.head(d)]
+        seg, want = bc.dart_segment(d), GeodesicSegment(v, w)
+        for got, exp in ((seg.a, want.a), (seg.b, want.b), (seg.pole, want.pole),
+                         (bc.dart_tangent(d), unit(cross(cross(v, w), v)))):
+            assert got.tobytes() == exp.tobytes()
+        assert seg.length.hex() == want.length.hex()
+
+    for d in live_darts():
+        assert_fresh(d)
+        assert bc.dart_segment(d) is bc.dart_segment(d)
+        assert bc.dart_tangent(d) is bc.dart_tangent(d)
+    assert bc.copy().dart_segment(0) is not bc.dart_segment(0)
+    # replace a vertex entry the way the rotation step moves a special tip
+    e = next(e for e in bc.live_edges() if bc.edges[e].kind == CURVE)
+    v = bc.edges[e].a
+    old_seg, old_tan = bc.dart_segment(2 * e), bc.dart_tangent(2 * e)
+    bc.vertices[v] = Rotation.from_axis_angle([0, 0, 1], 0.05).apply(bc.vertices[v])
+    for d in live_darts():
+        assert_fresh(d)
+    assert bc.dart_segment(2 * e) is not old_seg and bc.dart_tangent(2 * e) is not old_tan
+    bc.split_edge(e, bc.dart_segment(2 * e).point_at(0.5))
+    for d in live_darts():
+        assert_fresh(d)

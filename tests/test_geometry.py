@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherecover.geometry import (
+    EPS_SEP,
     DegenerateSegment,
     GeodesicSegment,
     GeometryError,
@@ -12,10 +13,12 @@ from spherecover.geometry import (
     Rotation,
     SelfIntersecting,
     angle_between,
+    antipodal,
     cross,
     first_contact_rotation,
     geodesic_length,
     norm,
+    points_coincide,
     segment_intersection,
     sphere_point,
     spherical_polygon_area,
@@ -81,6 +84,27 @@ def test_segment_pole_and_length_cache(seed):
         assert other.length == fresh_length(other)
         assert other.length == pytest.approx(length, abs=1e-14)
     assert np.allclose(seg.reversed().pole, -pole, rtol=0, atol=1e-15)
+
+
+# A segment measures its endpoints' angle once, for both degeneracy tests and
+# its length; pairs within a few EPS_SEP of coinciding or of being antipodal
+# probe both sides of each threshold.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["random", "near", "antipodal"]),
+       st.floats(0.5, 1.5), st.floats(1e-3, 1e3))
+def test_segment_length_and_degeneracy_from_one_angle(seed, kind, factor, scale):
+    rng = np.random.default_rng(seed)
+    a = unit(rng.standard_normal(3))
+    u = unit(cross(a, rng.standard_normal(3)))
+    t = {"random": rng.uniform(0, math.pi), "near": factor * EPS_SEP,
+         "antipodal": math.pi - factor * EPS_SEP}[kind]
+    a_in, b_in = scale * a, math.cos(t) * a + math.sin(t) * u
+    ua, ub = unit(a_in), unit(b_in)
+    if points_coincide(ua, ub) or antipodal(ua, ub):
+        with pytest.raises(DegenerateSegment):
+            GeodesicSegment(a_in, b_in)
+    else:
+        assert GeodesicSegment(a_in, b_in).length.hex() == angle_between(ua, ub).hex()
 
 
 @settings(max_examples=200, deadline=None)

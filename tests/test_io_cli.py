@@ -92,6 +92,7 @@ def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
     ("area", "nan"),
     ("length", "nan"),
     ("length", "-5.0"),
+    ("kind", "foo"),
 ])
 def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
     doc = io.surface_to_dict(f4_double_cover())
@@ -117,6 +118,8 @@ def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
         next(f for f in doc["base"]["faces"] if f)["area"] = value
     elif field == "length":
         next(e for e in doc["base"]["edges"] if e)["length"] = value
+    elif field == "kind":
+        next(e for e in doc["base"]["edges"] if e and e["kind"] == "curve")["kind"] = value
     else:
         doc["base"]["vertices"][0] = value
     surf = tmp_path / "bad.json"
