@@ -15,17 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import (
     EPS_SEP,
     GeodesicSegment,
     PointRegistry,
     Rotation,
+    add,
     angle_between,
     cross,
+    dot,
+    float_sum,
+    neg,
     points_coincide,
+    scale,
     segment_intersection,
+    sub,
     tangent_frame,
     turning_angle,
     unit,
@@ -122,15 +126,15 @@ class BaseComplex:
     """Planar spherical map: vertices, dart-encoded edges, rotation system, faces.
 
     Cache rule: ``dart_segment`` and ``dart_tangent`` keep each dart's result
-    together with the tail and head vertex arrays it was built from, and reuse
-    it only while both are still the same objects.  So a vertex entry is
-    replaced (``vertices[v] = p``), never written in place, and a returned
-    segment or tangent is shared and must not be modified.  ``copy`` starts
-    with empty caches.
+    together with the tail and head vertex tuples it was built from, and reuse
+    it only while both are still the same objects.  Points are immutable
+    tuples, so a vertex only moves by replacing its entry (``vertices[v] =
+    p``), and a returned segment or tangent is shared.  ``copy`` shares the
+    vertex tuples and starts with empty caches.
     """
 
     def __init__(self):
-        self.vertices = []  # np arrays or None (deleted)
+        self.vertices = []  # (x, y, z) tuples or None (deleted)
         self.fans = []  # per vertex: darts leaving it, ccw cyclic order
         self.edges = []  # Edge or None
         self.faces = []  # Face or None
@@ -139,8 +143,8 @@ class BaseComplex:
         self.traversal = []  # input curve as a dart word (may be empty)
         self.meta = {}
         self._dart_face = None
-        self._segments = {}  # dart -> (tail array, head array, GeodesicSegment)
-        self._tangents = {}  # dart -> (tail array, head array, tangent at tail)
+        self._segments = {}  # dart -> (tail, head, GeodesicSegment)
+        self._tangents = {}  # dart -> (tail, head, tangent at tail)
 
     # -- dart helpers ------------------------------------------------------
 
@@ -158,7 +162,7 @@ class BaseComplex:
         return self.edges[d >> 1].length
 
     def _per_dart(self, cache, d, build):
-        """build(tail array, head array) of dart d, cached by the class's rule."""
+        """build(tail, head) of dart d, cached by the class's rule."""
         ed = self.edges[d >> 1]
         v, w = self.vertices[ed.a], self.vertices[ed.b]
         if d & 1:
@@ -274,7 +278,7 @@ class BaseComplex:
         if not all(math.isfinite(self.faces[f].area) and self.faces[f].area > 0
                    for f in self.live_faces()):
             raise ArrangementError("face area is not finite and positive")
-        total = sum(self.faces[f].area for f in self.live_faces())
+        total = float_sum(self.faces[f].area for f in self.live_faces())
         if abs(total - FULL_SPHERE) > 1e-9:
             raise ArrangementError("face areas sum to %r, not 4pi" % total)
 
@@ -291,14 +295,14 @@ class BaseComplex:
                 return v
         return None
 
-    def dart_tangent(self, d: int) -> np.ndarray:
+    def dart_tangent(self, d: int) -> tuple:
         return self._per_dart(self._tangents, d, _tangent_at_tail)
 
     def azimuth_order(self, v: int, darts):
         e1, e2 = tangent_frame(self.vertices[v])
         def az(d):
             t = self.dart_tangent(d)
-            return math.atan2(float(np.dot(t, e2)), float(np.dot(t, e1)))
+            return math.atan2(dot(t, e2), dot(t, e1))
         return sorted(darts, key=az)
 
     def locate_point(self, p):
@@ -331,7 +335,7 @@ class BaseComplex:
             raise ArrangementError("complex has no curve edges")
         _, e, vtx = best
         if vtx is None:
-            side = float(np.dot(p, self.dart_segment(2 * e).pole))
+            side = dot(p, self.dart_segment(2 * e).pole)
             d = 2 * e if side > 0 else 2 * e + 1
             return ("face", self.left_face(d))
         return ("face", self._face_of_wedge(vtx, p))
@@ -350,7 +354,7 @@ class BaseComplex:
         e1 = unit(self.dart_tangent(fan[0]))
         e2 = unit(cross(pv, e1))
         def az(vec):
-            return math.atan2(float(np.dot(vec, e2)), float(np.dot(vec, e1))) % (2 * math.pi)
+            return math.atan2(dot(vec, e2), dot(vec, e1)) % (2 * math.pi)
         target = az(t)
         angs = [az(self.dart_tangent(d)) for d in fan]
         best_i, best_gap = 0, None
@@ -360,7 +364,7 @@ class BaseComplex:
                 best_i, best_gap = i, gap
         return self.left_face(fan[best_i])
 
-    def face_interior_point(self, f: int) -> np.ndarray:
+    def face_interior_point(self, f: int) -> tuple:
         """A point strictly inside face f (offset from a curve boundary dart)."""
         for d in self.faces[f].cycle:
             if self.kind(d) != CURVE:
@@ -368,12 +372,13 @@ class BaseComplex:
             seg = self.dart_segment(d)
             mid = seg.point_at(0.5)
             for eps in (1e-3, 1e-5, 1e-7):
-                cand = unit(math.cos(eps) * mid + math.sin(eps) * seg.pole)
+                along, off = scale(math.cos(eps), mid), scale(math.sin(eps), seg.pole)
+                cand = unit(add(along, off))
                 # pole side = left side of the dart
                 loc = self.locate_point(cand)
                 if loc == ("face", f):
                     return cand
-                cand2 = unit(math.cos(eps) * mid - math.sin(eps) * seg.pole)
+                cand2 = unit(sub(along, off))
                 loc2 = self.locate_point(cand2)
                 if loc2 == ("face", f):
                     return cand2
@@ -505,7 +510,7 @@ class BaseComplex:
 
     def copy(self) -> "BaseComplex":
         out = BaseComplex()
-        out.vertices = [None if v is None else v.copy() for v in self.vertices]
+        out.vertices = list(self.vertices)
         out.fans = [list(f) for f in self.fans]
         out.edges = [None if e is None else Edge(e.a, e.b, e.kind, e.length) for e in self.edges]
         out.faces = [None if f is None else Face(list(f.cycle), f.area) for f in self.faces]
@@ -516,7 +521,7 @@ class BaseComplex:
         return out
 
 
-def _tangent_at_tail(v, w) -> np.ndarray:
+def _tangent_at_tail(v, w) -> tuple:
     """Unit tangent at v of the great-circle arc from v toward w."""
     return unit(cross(cross(v, w), v))
 
@@ -603,7 +608,7 @@ def build_arrangement(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
             raise ArrangementError("face with non-positive area")
         bc._new_face(cyc, area)
 
-    total = sum(bc.faces[f].area for f in bc.live_faces())
+    total = float_sum(bc.faces[f].area for f in bc.live_faces())
     if abs(total - FULL_SPHERE) > 1e-9:
         raise ArrangementError("areas sum to %r instead of 4pi" % total)
 
@@ -628,7 +633,7 @@ def _cycle_turning(bc: BaseComplex, cyc) -> float:
     total = 0.0
     for k, d in enumerate(cyc):
         nxt = cyc[(k + 1) % len(cyc)]
-        t_in = -bc.dart_tangent(d ^ 1)
+        t_in = neg(bc.dart_tangent(d ^ 1))
         t_out = bc.dart_tangent(nxt)
         turn = turning_angle(t_in, t_out, bc.vertices[bc.tail(nxt)])
         if nxt == (d ^ 1):
@@ -706,7 +711,7 @@ def _corner_pos_toward(bc: BaseComplex, f: int, v: int, p) -> int:
     e1, e2 = tangent_frame(pv)
 
     def az(vec):
-        return math.atan2(float(np.dot(vec, e2)), float(np.dot(vec, e1))) % (2 * math.pi)
+        return math.atan2(dot(vec, e2), dot(vec, e1)) % (2 * math.pi)
 
     best = None
     for pos, d in enumerate(cyc):

@@ -240,7 +240,7 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
 
 def polygonal_family_membership(s: SurfaceComplex, length_cap, nbar_cap, segment_cap):
     """Membership report for the polygonal family with caps (L, M, N)."""
-    from .geometry import GeodesicSegment, norm
+    from .geometry import GeodesicSegment, norm, sub
     from .surface import functionals, geometric_walk
 
     rep = functionals(s)
@@ -248,7 +248,7 @@ def polygonal_family_membership(s: SurfaceComplex, length_cap, nbar_cap, segment
     poles = [GeodesicSegment(a, b).pole for a, b in steps]
     breaks = sum(
         1 for i in range(len(poles))
-        if norm(poles[i] - poles[(i + 1) % len(poles)]) > 1e-7)
+        if norm(sub(poles[i], poles[(i + 1) % len(poles)])) > 1e-7)
     segments = max(breaks, 1)
     report = {
         "boundary_length": rep.boundary_length,

@@ -1,12 +1,12 @@
 """Spherical geometry kernel: points, geodesic arcs, areas, rotations.
 
-All points live on the unit sphere in R^3 and are plain numpy arrays of
-shape (3,).  ``cross`` is computed on Python floats, with the same IEEE
-multiplies and subtracts as ``np.cross`` but without its per-call dispatch.
-Every dot product, and so every ``norm``, still goes through numpy's
-``dot``: its rounding differs in the last ulp from a plain-float sum, and
-the bytes of every surface file depend on it.  Incidence decisions use two
-tolerances:
+All points live on the unit sphere in R^3 and are immutable ``(x, y, z)``
+tuples of floats; the kernel owns its arithmetic.  ``dot`` is the FMA chain
+``fma(a2, b2, fma(a1, b1, a0*b0))``, each ``fma`` rounded once (Dekker's
+exact product, then one ``math.fsum``), so every length, area and incidence
+test rounds the same on every host and Python version.  ``Rotation`` rounds
+its products the same way, and ``float_sum`` adds floats strictly left to
+right.  Incidence decisions use two tolerances:
 
 * ``EPS_UNIT`` (1e-12) for algebraic identities (unit norm, orthogonality),
 * ``EPS_SEP`` (1e-9 rad) for deciding whether two points coincide.
@@ -15,14 +15,17 @@ tolerances:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from math import fsum
 
 EPS_UNIT = 1e-12
 EPS_SEP = 1e-9
 CONTACT_TOL = 1e-10  # rotation angle to which a first contact is bisected
+
+# Veltkamp's splitter 2**27 + 1: x == hi + lo with both halves 26 bits wide,
+# so the four partial products of two split floats are exact.
+_SPLIT = 134217729.0
 
 
 class GeometryError(ValueError):
@@ -45,40 +48,102 @@ class NoContact(GeometryError):
     """Rotation family never brings the target onto the curve."""
 
 
-def cross(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors, bit-identical to ``np.cross``."""
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+def dot(a, b) -> float:
+    """The FMA chain ``fma(a2, b2, fma(a1, b1, a0*b0))``: numpy's 3-vector dot
+    on OpenBLAS's AVX-512 kernels, bit for bit.
+
+    Each ``fma(x, y, s)`` rounds x*y + s once: the Veltkamp split halves of
+    x and y give Dekker's four exact partial products, and ``fsum`` rounds
+    their exact sum with s.  That is exact unless a partial product underflows (x*y nonzero
+    but below about 2**-969 in magnitude) or the split overflows (|x| or |y|
+    from 2**996), far outside the coordinates of points on the sphere."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    s = a0 * b0
+    t = a1 * _SPLIT
+    ah = t - (t - a1)
+    al = a1 - ah
+    t = b1 * _SPLIT
+    bh = t - (t - b1)
+    bl = b1 - bh
+    # fsum drops the sign of an exact zero; x*y is then exact, so x*y + s has it
+    s = fsum((ah * bh, ah * bl, al * bh, al * bl, s)) or a1 * b1 + s
+    t = a2 * _SPLIT
+    ah = t - (t - a2)
+    al = a2 - ah
+    t = b2 * _SPLIT
+    bh = t - (t - b2)
+    bl = b2 - bh
+    return fsum((ah * bh, ah * bl, al * bh, al * bl, s)) or a2 * b2 + s
 
 
-def norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float array, bit-identical to ``np.linalg.norm``."""
-    return math.sqrt(float(v.dot(v)))
+def float_sum(xs) -> float:
+    """Sum of floats strictly left to right (from Python 3.12 the built-in
+    ``sum`` compensates, which moves the last digit of a total)."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
-def unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+def cross(a, b) -> tuple:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def norm(v) -> float:
+    """sqrt(dot(v, v)); the split of each coordinate serves both factors."""
+    x, y, z = v
+    s = x * x
+    t = y * _SPLIT
+    h = t - (t - y)
+    lo = y - h
+    s = fsum((h * h, 2 * h * lo, lo * lo, s))
+    t = z * _SPLIT
+    h = t - (t - z)
+    lo = z - h
+    return math.sqrt(fsum((h * h, 2 * h * lo, lo * lo, s)))
+
+
+def unit(v) -> tuple:
     n = norm(v)
     if n < 1e-15:
         raise GeometryError("cannot normalize a (near-)zero vector")
-    return v / n
+    x, y, z = v
+    return (x / n, y / n, z / n)
 
 
-def sphere_point(x, y, z) -> np.ndarray:
+def add(a, b) -> tuple:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def sub(a, b) -> tuple:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def scale(s: float, v) -> tuple:
+    return (s * v[0], s * v[1], s * v[2])
+
+
+def neg(v) -> tuple:
+    return (-v[0], -v[1], -v[2])
+
+
+def sphere_point(x, y, z) -> tuple:
     return unit((x, y, z))
 
 
 def angle_between(a, b) -> float:
     """Angular distance in [0, pi], stable near 0 and pi."""
-    return math.atan2(norm(cross(a, b)), float(np.dot(a, b)))
+    return math.atan2(norm(cross(a, b)), dot(a, b))
 
 
 def tangent_frame(p):
     """Orthonormal frame (e1, e2) of the tangent plane at p, with e1 x e2 = p.
 
     e1 is perpendicular to the z axis, or to a fixed skew vector near the poles."""
-    e1 = unit(cross(p, [0.412, -0.777, 0.318]) if abs(p[2]) > 0.9 else cross(p, [0, 0, 1]))
+    e1 = unit(cross(p, (0.412, -0.777, 0.318)) if abs(p[2]) > 0.9 else cross(p, (0.0, 0.0, 1.0)))
     return e1, unit(cross(p, e1))
 
 
@@ -98,8 +163,8 @@ class GeodesicSegment:
     ``length`` (the angle between the endpoints) is set on construction.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    a: tuple
+    b: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "a", unit(self.a))
@@ -113,27 +178,27 @@ class GeodesicSegment:
             raise DegenerateSegment("segment endpoints are antipodal")
         object.__setattr__(self, "length", ang)
 
-    # Cached in the instance __dict__ (which a frozen dataclass still has).
-    # Safe because __post_init__ stores its own unit copies of both
-    # endpoints, so no later write to the input arrays reaches them.
+    # Cached in the instance __dict__ (which a frozen dataclass still has);
+    # the endpoints are immutable tuples, so it never goes stale.
     @cached_property
-    def pole(self) -> np.ndarray:
+    def pole(self) -> tuple:
         """Unit normal of the supporting great circle (right-hand rule a->b)."""
         return unit(cross(self.a, self.b))
 
-    def point_at(self, t: float) -> np.ndarray:
+    def point_at(self, t: float) -> tuple:
         """Arc point at parameter t in [0, 1] (slerp)."""
         ang = self.length
         s = math.sin(ang)
-        return unit(math.sin((1 - t) * ang) / s * self.a + math.sin(t * ang) / s * self.b)
+        return unit(add(scale(math.sin((1 - t) * ang) / s, self.a),
+                        scale(math.sin(t * ang) / s, self.b)))
 
-    def tangent_at(self, t: float) -> np.ndarray:
+    def tangent_at(self, t: float) -> tuple:
         p = self.point_at(t)
         return unit(cross(self.pole, p))
 
     def param_of(self, p, tol=EPS_SEP):
         """Parameter of p on the arc, or None if p is not on it."""
-        if abs(float(np.dot(p, self.pole))) > math.sin(tol) + EPS_UNIT * 10:
+        if abs(dot(p, self.pole)) > math.sin(tol) + EPS_UNIT * 10:
             return None
         ang = self.length
         ta = angle_between(self.a, p)
@@ -150,7 +215,7 @@ class GeodesicSegment:
         perpendicular from p when it lies on the arc, else the nearer endpoint
         (``a`` on a tie), returned as that endpoint object itself."""
         n = self.pole
-        c = p - float(np.dot(p, n)) * n
+        c = sub(p, scale(dot(p, n), n))
         if norm(c) > 1e-12:
             foot = unit(c)
             if self.contains(foot, tol=1e-9):
@@ -195,12 +260,12 @@ def segment_intersection(s1: GeodesicSegment, s2: GeodesicSegment, tol=EPS_SEP):
     cr = cross(n1, n2)
     if norm(cr) <= math.sin(tol):
         # Same great circle (or opposite orientation): interval overlap.
-        if abs(float(np.dot(n1, s2.a))) > math.sin(tol):
+        if abs(dot(n1, s2.a)) > math.sin(tol):
             return []  # parallel circles cannot happen on a sphere unless equal
         return _collinear_overlap(s1, s2, tol)
     out = []
     u = unit(cr)
-    for cand in (u, -u):
+    for cand in (u, neg(u)):
         if s1.contains(cand, tol) and s2.contains(cand, tol):
             out.append(cand)
     return out
@@ -212,8 +277,11 @@ def _collinear_overlap(s1, s2, tol):
     ref = s1.a
     perp = unit(cross(pole, ref))
 
+    def on_circle(x):
+        return unit(add(scale(math.cos(x), ref), scale(math.sin(x), perp)))
+
     def ang(p):
-        return math.atan2(float(np.dot(p, perp)), float(np.dot(p, ref))) % (2 * math.pi)
+        return math.atan2(dot(p, perp), dot(p, ref)) % (2 * math.pi)
 
     a1, b1 = 0.0, s1.length
     a2, b2 = ang(s2.a), ang(s2.b)
@@ -226,19 +294,15 @@ def _collinear_overlap(s1, s2, tol):
         lo = max(a1, a2 + shift)
         hi = min(b1, a2 + shift + len2)
         if hi - lo > tol:
-            pa = unit(math.cos(lo) * ref + math.sin(lo) * perp)
-            pb = unit(math.cos(hi) * ref + math.sin(hi) * perp)
-            pieces.append(GeodesicSegment(pa, pb))
+            pieces.append(GeodesicSegment(on_circle(lo), on_circle(hi)))
         elif hi - lo > -tol:
-            pieces.append(unit(math.cos((lo + hi) / 2) * ref + math.sin((lo + hi) / 2) * perp))
+            pieces.append(on_circle((lo + hi) / 2))
     return pieces
 
 
 def turning_angle(t_in, t_out, at) -> float:
     """Signed exterior angle between tangents at a polygon vertex."""
-    s = float(np.dot(cross(t_in, t_out), at))
-    c = float(np.dot(t_in, t_out))
-    return math.atan2(s, c)
+    return math.atan2(dot(cross(t_in, t_out), at), dot(t_in, t_out))
 
 
 def spherical_polygon_area(boundary, check_simple=True) -> float:
@@ -279,45 +343,79 @@ def spherical_polygon_area(boundary, check_simple=True) -> float:
     return area
 
 
+_IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _matmul(m, n) -> tuple:
+    """m @ n, each entry the ``dot`` of a row of m and a column of n."""
+    cols = tuple(zip(*n))
+    return tuple(tuple(dot(row, col) for col in cols) for row in m)
+
+
 @dataclass(frozen=True)
 class Rotation:
-    """Orientation-preserving isometry of the sphere (det +1 orthogonal matrix)."""
+    """Orientation-preserving isometry of the sphere (det +1 orthogonal matrix).
 
-    matrix: np.ndarray = field(default_factory=lambda: np.eye(3))
+    ``matrix`` holds the three rows as float tuples.  ``inverse`` transposes
+    them and flips ``transposed``, which picks the order in which ``apply``
+    rounds a row times a point, the orders of numpy's gemv: ``dot`` for a
+    transposed matrix, ``fma(r2, x2, fma(r0, x0, r1*x1))`` for a stored one.
+    """
+
+    matrix: tuple = _IDENTITY
+    transposed: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = tuple(tuple(float(x) for x in row) for row in self.matrix)
+        if len(m) != 3 or any(len(row) != 3 for row in m):
+            raise GeometryError("matrix is not 3 x 3")
         object.__setattr__(self, "matrix", m)
-        if np.max(np.abs(m @ m.T - np.eye(3))) > 1e-10:
+        # tolerance and sign tests only, so plain float sums suffice
+        err = max(abs(m[i][0] * m[j][0] + m[i][1] * m[j][1] + m[i][2] * m[j][2]
+                      - _IDENTITY[i][j]) for i in range(3) for j in range(3))
+        if not err <= 1e-10:
             raise GeometryError("matrix is not orthogonal")
-        if np.linalg.det(m) < 0:
+        (a, b, c), (d, e, f), (g, h, k) = m
+        if a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g) < 0:
             raise GeometryError("matrix reverses orientation")
 
     @staticmethod
     def identity() -> "Rotation":
-        return Rotation(np.eye(3))
+        return Rotation()
 
     @staticmethod
     def from_axis_angle(axis, angle: float) -> "Rotation":
-        k = unit(axis)
-        kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-        m = np.eye(3) + math.sin(angle) * kx + (1 - math.cos(angle)) * (kx @ kx)
-        return Rotation(m)
+        k0, k1, k2 = unit(axis)
+        kx = ((0.0, -k2, k1), (k2, 0.0, -k0), (-k1, k0, 0.0))
+        kk = _matmul(kx, kx)
+        s, c = math.sin(angle), 1 - math.cos(angle)
+        return Rotation(tuple(
+            tuple((_IDENTITY[i][j] + s * kx[i][j]) + c * kk[i][j] for j in range(3))
+            for i in range(3)))
+
+    def _times(self, x) -> tuple:
+        m0, m1, m2 = self.matrix
+        if self.transposed:
+            return (dot(m0, x), dot(m1, x), dot(m2, x))
+        x0, x1, x2 = x
+        x = (x1, x0, x2)
+        return tuple(dot((r1, r0, r2), x) for r0, r1, r2 in (m0, m1, m2))
 
     def apply(self, x):
         if isinstance(x, GeodesicSegment):
-            return GeodesicSegment(self.matrix @ x.a, self.matrix @ x.b)
-        return unit(self.matrix @ np.asarray(x, dtype=float))
+            return GeodesicSegment(self._times(x.a), self._times(x.b))
+        return unit(self._times(x))
 
     def compose(self, other: "Rotation") -> "Rotation":
         """self after other: (self.compose(other)).apply(p) == self(other(p))."""
-        return Rotation(self.matrix @ other.matrix)
+        return Rotation(_matmul(self.matrix, other.matrix))
 
     def inverse(self) -> "Rotation":
-        return Rotation(self.matrix.T)
+        return Rotation(tuple(zip(*self.matrix)), not self.transposed)
 
     def is_identity(self, tol=EPS_UNIT) -> bool:
-        return bool(np.max(np.abs(self.matrix - np.eye(3))) <= 10 * tol)
+        return all(abs(self.matrix[i][j] - _IDENTITY[i][j]) <= 10 * tol
+                   for i in range(3) for j in range(3))
 
 
 def rotate(r: Rotation, x):
@@ -331,9 +429,9 @@ def _circle_plane_roots(p0, axis, pole):
     """Angles t with pole . (R(axis,t) p0) = 0, as a sorted list in [0, 2pi)."""
     k = unit(axis)
     # R(k,t) p0 = cos t * p0 + sin t * (k x p0) + (1-cos t)(k.p0) k
-    c0 = float(np.dot(pole, p0))
-    c1 = float(np.dot(pole, cross(k, p0)))
-    c2 = float(np.dot(pole, k)) * float(np.dot(k, p0))
+    c0 = dot(pole, p0)
+    c1 = dot(pole, cross(k, p0))
+    c2 = dot(pole, k) * dot(k, p0)
     # equation: (c0 - c2) cos t + c1 sin t + c2 = 0
     A, B, C = c0 - c2, c1, c2
     r = math.hypot(A, B)
@@ -366,7 +464,7 @@ def first_contact_rotation(curve, target, axis):
     for idx, seg in enumerate(curve):
         if seg.contains(p0):
             raise GeometryError("target already lies on the curve")
-        for t in _circle_plane_roots(p0, -unit(np.asarray(axis, dtype=float)), seg.pole):
+        for t in _circle_plane_roots(p0, neg(unit(axis)), seg.pole):
             t %= 2 * math.pi
             if t <= CONTACT_TOL:
                 continue

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from .arrangement import CURVE, SCAFFOLD, ArrangementError, BaseComplex, Edge, Face
 from .surface import SurfaceComplex
 
@@ -36,14 +34,14 @@ def base_to_dict(bc: BaseComplex) -> dict:
     }
 
 
-def _vertex_from_list(v) -> np.ndarray:
+def _vertex_from_list(v) -> tuple:
     try:
         xyz = [float(x) for x in v]
     except (TypeError, ValueError):
         xyz = None
     if xyz is None or len(xyz) != 3 or not all(map(math.isfinite, xyz)):
         raise SurfaceFileError("vertex %r is not exactly 3 finite numbers" % (v,))
-    return np.array(xyz)
+    return tuple(xyz)
 
 
 def _edge_from_dict(e) -> Edge:
@@ -153,4 +151,4 @@ def rotation_to_dict(rot) -> list:
 
 def rotation_from_dict(rows):
     from .geometry import Rotation
-    return Rotation(np.array([[float(x) for x in row] for row in rows]))
+    return Rotation(rows)

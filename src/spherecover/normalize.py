@@ -21,15 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .arrangement import CURVE, SCAFFOLD
 from .geometry import (
     NoContact,
     Rotation,
     angle_between,
     cross,
+    dot,
     first_contact_rotation,
+    neg,
+    scale,
+    sub,
     tangent_frame,
     unit,
 )
@@ -592,7 +594,7 @@ def rotate_to_touch_special(s: SurfaceComplex):
         contacts = []
         for v, p in specials:
             try:
-                rot, seg_idx, prm = first_contact_rotation(segs, p, -np.asarray(axis))
+                rot, seg_idx, prm = first_contact_rotation(segs, p, neg(axis))
                 contacts.append((rot, seg_idx, prm, v))
             except NoContact:
                 continue
@@ -601,7 +603,7 @@ def rotate_to_touch_special(s: SurfaceComplex):
             continue
 
         def angle_of(rot):
-            return _rotation_angle_about(rot, -np.asarray(axis))
+            return _rotation_angle_about(rot, neg(axis))
 
         contacts.sort(key=lambda c: angle_of(c[0]))
         rot, seg_idx, prm, v_c = contacts[0]
@@ -624,8 +626,8 @@ def _rotation_angle_about(rot: Rotation, axis) -> float:
     k = unit(axis)
     ref, _ = tangent_frame(k)
     w = rot.apply(ref)
-    w = unit(w - float(np.dot(w, k)) * k)
-    ang = math.atan2(float(np.dot(cross(ref, w), k)), float(np.dot(ref, w)))
+    w = unit(sub(w, scale(dot(w, k), k)))
+    ang = math.atan2(dot(cross(ref, w), k), dot(ref, w))
     return ang % (2 * math.pi)
 
 

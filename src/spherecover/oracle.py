@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 
 from .arrangement import CURVE, SCAFFOLD
+from .geometry import float_sum
 from .surface import FOUR_PI, SurfaceComplex, functionals
 
 
@@ -69,22 +70,22 @@ def oracle_verify(s: SurfaceComplex) -> list:
             bad.append("n_bar(%s): functionals %d, ccw orbits %d"
                        % (lab, rep.n_bar[lab], per_vertex_interior.get(v, 0)))
 
-    area = sum(s.base.faces[s.copies[c]].area for c in s.live_copy_ids())
+    area = float_sum(s.base.faces[s.copies[c]].area for c in s.live_copy_ids())
     if abs(area - rep.area) > 1e-9:
         bad.append("area per-copy %r vs functionals %r" % (area, rep.area))
-    area_comp = sum(
-        rep.n_component[root] * sum(s.base.faces[f].area for f in fs)
+    area_comp = float_sum(
+        rep.n_component[root] * float_sum(s.base.faces[f].area for f in fs)
         for root, fs in rep.components.items())
     if abs(area_comp - rep.area) > 1e-9:
         bad.append("area by components %r vs %r" % (area_comp, rep.area))
 
-    length_sides = sum(s.base.length(s.dart_of(side)) for side in s.free_sides())
+    length_sides = float_sum(s.base.length(s.dart_of(side)) for side in s.free_sides())
     if abs(length_sides - rep.boundary_length) > 1e-9:
         bad.append("boundary length %r vs %r" % (length_sides, rep.boundary_length))
     mult = s.multiplicities()
-    length_mult = sum((mp + mm) * s.base.edges[e].length
-                      for e, (mp, mm) in mult.items()
-                      if s.base.edges[e].kind == CURVE)
+    length_mult = float_sum((mp + mm) * s.base.edges[e].length
+                            for e, (mp, mm) in mult.items()
+                            if s.base.edges[e].kind == CURVE)
     if abs(length_mult - rep.boundary_length) > 1e-9:
         bad.append("L by multiplicities %r vs %r" % (length_mult, rep.boundary_length))
 

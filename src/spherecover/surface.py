@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .arrangement import CURVE, SCAFFOLD, BaseComplex
-from .geometry import GeodesicSegment, PointRegistry, Rotation, points_coincide, unit
+from .geometry import GeodesicSegment, PointRegistry, Rotation, float_sum, points_coincide, unit
 
 DISK = "disk"
 ANNULUS = "annulus"
@@ -281,7 +281,7 @@ class SurfaceComplex:
                 seen.add(s)
                 s = self.walk_successor(s)
             darts = tuple(self.dart_of(x) for x in run)
-            length = sum(self.base.length(d) for d in darts)
+            length = float_sum(self.base.length(d) for d in darts)
             out.append(BoundaryWalk(tuple(run), darts, length))
         self._cache["walks"] = out
         return out
@@ -475,8 +475,8 @@ def functionals(s: SurfaceComplex) -> FunctionalReport:
     sheets = s.sheet_list()
     walks = s.walks()
     kind = s.topology_kind()
-    area = sum(s.base.faces[s.copies[c]].area for c in s.live_copy_ids())
-    length = sum(w.length for w in walks)
+    area = float_sum(s.base.faces[s.copies[c]].area for c in s.live_copy_ids())
+    length = float_sum(w.length for w in walks)
 
     label_of = s.base.specials
     n_bar = {lab: 0 for lab in label_of.values()}

@@ -297,7 +297,7 @@ def _polygonal_segments(steps, tol=1e-9):
     n = len(poles)
     breaks = 0
     for i in range(n):
-        if np.linalg.norm(poles[i] - poles[(i + 1) % n]) > 1e-7:
+        if np.linalg.norm(np.subtract(poles[i], poles[(i + 1) % n])) > 1e-7:
             breaks += 1
     return max(breaks, 1)
 

@@ -158,7 +158,7 @@ def _ray_cross_oracle(bc, p):
             probe_hits = []
             from spherecover.geometry import segment_intersection
             full = [GeodesicSegment(p, unit(np.cross(pole, p))),
-                    GeodesicSegment(unit(np.cross(pole, p)), -p)]
+                    GeodesicSegment(unit(np.cross(pole, p)), np.negative(p))]
             for piece_idx, piece in enumerate(full):
                 for h in segment_intersection(piece, seg):
                     if isinstance(h, GeodesicSegment):
@@ -247,6 +247,11 @@ def test_rotate_base_complex_preserves_structure():
     assert [f for f in rbc.live_faces()] == [f for f in bc.live_faces()]
 
 
+def _hex(v):
+    """The exact bits of a point's coordinates (signed zeros told apart)."""
+    return tuple(float(x).hex() for x in v)
+
+
 def test_dart_segment_and_tangent_cache():
     bc = build_arrangement(CurveInput(equator_points()), SpecialSet(NORTH_SPECIALS))
 
@@ -258,7 +263,7 @@ def test_dart_segment_and_tangent_cache():
         seg, want = bc.dart_segment(d), GeodesicSegment(v, w)
         for got, exp in ((seg.a, want.a), (seg.b, want.b), (seg.pole, want.pole),
                          (bc.dart_tangent(d), unit(cross(cross(v, w), v)))):
-            assert got.tobytes() == exp.tobytes()
+            assert _hex(got) == _hex(exp)
         assert seg.length.hex() == want.length.hex()
 
     for d in live_darts():

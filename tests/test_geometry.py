@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spherecover.geometry import (
     angle_between,
     antipodal,
     cross,
+    dot,
     first_contact_rotation,
     geodesic_length,
     norm,
@@ -38,18 +40,108 @@ def rand_rotation(rng):
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 VEC3 = st.lists(FINITE, min_size=3, max_size=3)
+# Where ``fma`` is exact (see its docstring): each coordinate is 0 or at least
+# 1e-60 in magnitude, so no partial product of theirs, nor of their cross
+# product's coordinates, underflows.
+KERNEL = FINITE.filter(lambda x: x == 0 or abs(x) >= 1e-60)
+KVEC3 = st.lists(KERNEL, min_size=3, max_size=3)
 
 
-# The surface-file bytes depend on these being bit-identical to numpy: a
-# plain-float sum in place of numpy's dot rounds differently in the last ulp.
+def in_kernel_domain(v):
+    return all(x == 0 or abs(x) >= 1e-60 for x in v)
+
+
+def exact_fma(x, y, z):
+    """x*y + z rounded once, from exact rationals (a zero result is +0.0)."""
+    return float(Fraction(x) * Fraction(y) + Fraction(z))
+
+
+def exact_dot(a, b):
+    """``dot``'s FMA chain fma(a2, b2, fma(a1, b1, a0*b0)) from exact rationals."""
+    return exact_fma(a[2], b[2], exact_fma(a[1], b[1], a[0] * b[0]))
+
+
+def _hex(v):
+    """The exact bits of a point's coordinates (signed zeros told apart)."""
+    return tuple(float(x).hex() for x in v)
+
+
+# The surface-file bytes depend on these being bit-identical to numpy on an
+# FMA host: np.cross is plain IEEE multiplies and subtracts on every host, and
+# numpy's dot (so ``norm``) is the FMA chain, here from exact rationals.
 @settings(max_examples=300, deadline=None)
 @given(VEC3, st.one_of(VEC3, st.lists(st.integers(-2, 2), min_size=3, max_size=3)))
 def test_scalar_cross_and_norm_match_numpy_bit_for_bit(a, b):
     a = np.array(a)
     got, want = cross(a, b), np.cross(a, b)
-    assert got.shape == (3,) and got.tobytes() == want.tobytes()
-    assert norm(a) == np.linalg.norm(a)
-    assert norm(got) == np.linalg.norm(want)
+    assert len(got) == 3 and _hex(got) == _hex(want)
+    for v in (a, got):
+        if in_kernel_domain(v):
+            assert norm(v) == math.sqrt(exact_dot(v, v))
+
+
+def fma_of_dot(x, y, z):
+    """``dot``'s middle step alone: its first product is z * 1.0 == z, and its
+    last step adds the exact product 0.0 * -0.0 == -0.0, which keeps every
+    value, the sign of a zero included."""
+    return dot((z, x, 0.0), (1.0, y, -0.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(KERNEL, KERNEL, KERNEL, st.booleans())
+def test_dot_rounds_each_fma_once(x, y, z, cancel):
+    if cancel:
+        z = -(x * y)  # the exact result is the rounding error of x*y
+    got = fma_of_dot(x, y, z)
+    assert got == exact_fma(x, y, z)
+    if hasattr(math, "fma"):
+        assert got.hex() == math.fma(x, y, z).hex()
+
+
+def test_dot_keeps_the_sign_of_an_exact_zero():
+    for x, y, z, want in ((-1.0, 0.0, -0.0, -0.0), (1.0, 0.0, -0.0, 0.0),
+                          (0.5, -0.0, -0.0, -0.0), (3.0, 0.25, -0.75, 0.0)):
+        assert fma_of_dot(x, y, z).hex() == want.hex()
+    assert dot((0.0, -0.0, -0.0), (-1.0, 2.0, 3.0)).hex() == (-0.0).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(KVEC3, KVEC3)
+def test_dot_is_the_fma_chain(a, b):
+    assert dot(a, b) == exact_dot(a, b)
+    assert norm(a) == math.sqrt(exact_dot(a, a))
+    if hasattr(math, "fma"):
+        want = math.fma(a[2], b[2], math.fma(a[1], b[1], a[0] * b[0]))
+        assert dot(a, b).hex() == want.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_rotation_rounds_like_gemv_and_gemm(seed):
+    """A stored matrix times x rounds each row as fma(r2, x2, fma(r0, x0,
+    r1*x1)), a transposed one (from ``inverse``) as ``dot``; every entry of a
+    product of matrices, and of kx @ kx in ``from_axis_angle``, as ``dot``."""
+    rng = np.random.default_rng(seed)
+    axis, angle = rng.standard_normal(3), rng.uniform(0, 2 * math.pi)
+    r, r2 = Rotation.from_axis_angle(axis, angle), rand_rotation(rng)
+    x = unit(rng.standard_normal(3))
+    k0, k1, k2 = unit(axis)
+    kx = ((0.0, -k2, k1), (k2, 0.0, -k0), (-k1, k0, 0.0))
+    s, c = math.sin(angle), 1 - math.cos(angle)
+    want = [[(float(i == j) + s * kx[i][j]) + c * exact_dot(kx[i], [row[j] for row in kx])
+             for j in range(3)] for i in range(3)]
+    assert [_hex(row) for row in r.matrix] == [_hex(row) for row in want]
+    stored = [exact_fma(m[2], x[2], exact_fma(m[0], x[0], m[1] * x[1])) for m in want]
+    assert _hex(r.apply(x)) == _hex(unit(stored))
+    cols = list(zip(*want))
+    inv = r.inverse()
+    assert inv.transposed and not inv.inverse().transposed
+    assert _hex(inv.apply(x)) == _hex(unit([exact_dot(col, x) for col in cols]))
+    for left, right in ((r, r2), (inv, r2), (r2, inv)):
+        prod = left.compose(right)
+        want = [[exact_dot(row, col) for col in zip(*right.matrix)] for row in left.matrix]
+        assert not prod.transposed
+        assert [_hex(row) for row in prod.matrix] == [_hex(row) for row in want]
 
 
 def test_unit_of_near_zero_vector_raises():
@@ -63,27 +155,28 @@ def test_unit_of_near_zero_vector_raises():
 def test_segment_pole_and_length_cache(seed):
     def fresh_pole(s):
         v = np.cross(s.a, s.b)
-        return v / np.linalg.norm(v)
+        return v / math.sqrt(exact_dot(v, v))
 
     def fresh_length(s):
-        return math.atan2(np.linalg.norm(np.cross(s.a, s.b)), float(np.dot(s.a, s.b)))
+        v = np.cross(s.a, s.b)
+        return math.atan2(math.sqrt(exact_dot(v, v)), exact_dot(s.a, s.b))
 
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     seg = GeodesicSegment(a, b)
     pole, length = seg.pole, seg.length
     assert seg.pole is pole
-    assert pole.tobytes() == fresh_pole(seg).tobytes() and length == fresh_length(seg)
+    assert _hex(pole) == _hex(fresh_pole(seg)) and length == fresh_length(seg)
     # the segment owns its endpoints: editing the input arrays changes nothing
     a *= -1
-    assert seg.pole.tobytes() == fresh_pole(seg).tobytes()
+    assert _hex(seg.pole) == _hex(fresh_pole(seg))
     # new segments renormalize their endpoints, so compare with a fresh
     # computation bit for bit and with the original to rounding
     for other in (seg.reversed(), rand_rotation(rng).apply(seg)):
-        assert other.pole.tobytes() == fresh_pole(other).tobytes()
+        assert _hex(other.pole) == _hex(fresh_pole(other))
         assert other.length == fresh_length(other)
         assert other.length == pytest.approx(length, abs=1e-14)
-    assert np.allclose(seg.reversed().pole, -pole, rtol=0, atol=1e-15)
+    assert np.allclose(seg.reversed().pole, np.negative(pole), rtol=0, atol=1e-15)
 
 
 # A segment measures its endpoints' angle once, for both degeneracy tests and
@@ -94,8 +187,8 @@ def test_segment_pole_and_length_cache(seed):
        st.floats(0.5, 1.5), st.floats(1e-3, 1e3))
 def test_segment_length_and_degeneracy_from_one_angle(seed, kind, factor, scale):
     rng = np.random.default_rng(seed)
-    a = unit(rng.standard_normal(3))
-    u = unit(cross(a, rng.standard_normal(3)))
+    a = np.array(unit(rng.standard_normal(3)))
+    u = np.array(unit(cross(a, rng.standard_normal(3))))
     t = {"random": rng.uniform(0, math.pi), "near": factor * EPS_SEP,
          "antipodal": math.pi - factor * EPS_SEP}[kind]
     a_in, b_in = scale * a, math.cos(t) * a + math.sin(t) * u

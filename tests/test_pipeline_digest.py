@@ -4,9 +4,9 @@ Per corpus line the hash takes the normalized surface file as
 ``save_surface`` writes it, the trace document ``spherecover normalize
 --trace-out`` writes, and the certificate report; a typed failure is hashed
 as its class and message instead.  A change that must keep behaviour keeps
-both digests.  Like the generator byte gate of the benchmark smoke tests,
-the pins assume numpy rounds a 3-vector ``dot`` as it does on x86-64 with
-numpy 2.4 (see README)."""
+both digests.  The library rounds every product and sum itself (see
+README), so the pins hold on every host and Python version;
+``test_host_independence.py`` reruns them under another BLAS kernel."""
 
 import hashlib
 import json
