@@ -40,15 +40,17 @@ def rand_rotation(rng):
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 VEC3 = st.lists(FINITE, min_size=3, max_size=3)
-# Where ``fma`` is exact (see its docstring): each coordinate is 0 or at least
-# 1e-60 in magnitude, so no partial product of theirs, nor of their cross
-# product's coordinates, underflows.
-KERNEL = FINITE.filter(lambda x: x == 0 or abs(x) >= 1e-60)
-KVEC3 = st.lists(KERNEL, min_size=3, max_size=3)
 
 
 def in_kernel_domain(v):
+    """Where ``dot`` is exact (see its docstring): each coordinate is 0 or at
+    least 1e-60 in magnitude, so no partial product of theirs, nor of their
+    cross product's coordinates, underflows."""
     return all(x == 0 or abs(x) >= 1e-60 for x in v)
+
+
+KERNEL = FINITE.filter(lambda x: in_kernel_domain((x,)))
+KVEC3 = st.lists(KERNEL, min_size=3, max_size=3)
 
 
 def exact_fma(x, y, z):
