@@ -93,7 +93,8 @@ def cross(a, b) -> tuple:
 
 
 def norm(v) -> float:
-    """sqrt(dot(v, v)); the split of each coordinate serves both factors."""
+    """sqrt(dot(v, v)); the split of each coordinate serves both factors, and
+    as every term is non-negative, ``fsum``'s +0.0 for a zero sum is right."""
     x, y, z = v
     s = x * x
     t = y * _SPLIT
