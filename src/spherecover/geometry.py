@@ -15,7 +15,9 @@ right.  Incidence decisions use two tolerances:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import fsum
 
@@ -26,6 +28,10 @@ CONTACT_TOL = 1e-10  # rotation angle to which a first contact is bisected
 # Veltkamp's splitter 2**27 + 1: x == hi + lo with both halves 26 bits wide,
 # so the four partial products of two split floats are exact.
 _SPLIT = 134217729.0
+# the magnitudes of an fma step's fsum that ``dot`` keeps (see its docstring)
+_TINY = 2.0 ** -900
+_NO_UNDERFLOW = 2.0 ** -968  # |x*y| from which no partial product underflows
+_MAX = sys.float_info.max
 
 
 class GeometryError(ValueError):
@@ -48,33 +54,62 @@ class NoContact(GeometryError):
     """Rotation family never brings the target onto the curve."""
 
 
+def _fma(x, y, s, r) -> float:
+    """x*y + s rounded once, as IEEE fma rounds it, where ``dot``'s fsum gave
+    r: r itself (a zero signed) if no partial product underflowed, otherwise
+    from exact rationals, with an overflow rounded to an infinity."""
+    p = x * y
+    if abs(r) < _TINY and (not x or not y or abs(p) >= _NO_UNDERFLOW):
+        return r or p + s  # an exact zero sum: p is exact, so p + s has its sign
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return p + s  # the product is already exact: an infinity or nan
+    if not math.isfinite(s):
+        return s
+    r = Fraction(x) * Fraction(y) + Fraction(s)
+    if not r:
+        return p + s
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf if r > 0 else -math.inf
+
+
 def dot(a, b) -> float:
     """The FMA chain ``fma(a2, b2, fma(a1, b1, a0*b0))``: numpy's 3-vector dot
-    on OpenBLAS's AVX-512 kernels, bit for bit.
+    on OpenBLAS's AVX-512 kernels, bit for bit, for all finite inputs (an
+    overflow gives an infinity, as there).
 
     Each ``fma(x, y, s)`` rounds x*y + s once: the Veltkamp split halves of
     x and y give Dekker's four exact partial products, and ``fsum`` rounds
-    their exact sum with s.  That is exact unless a partial product underflows (x*y nonzero
-    but below about 2**-969 in magnitude) or the split overflows (|x| or |y|
-    from 2**996), far outside the coordinates of points on the sphere."""
+    their exact sum with s.  A partial product is inexact only if it
+    underflows; then |x*y| < 2**-969 and the error is below 2**-1073, too
+    little to move a sum of magnitude ``_TINY`` (2**-900) or more across a
+    rounding boundary.  Any other sum -- zero (``fsum`` drops its sign),
+    tiny, infinite, or nan from a split of |x| >= 2**996 -- goes to ``_fma``,
+    and so does the whole chain where ``fsum`` refuses an intermediate
+    overflow or inf - inf."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     s = a0 * b0
-    t = a1 * _SPLIT
-    ah = t - (t - a1)
-    al = a1 - ah
-    t = b1 * _SPLIT
-    bh = t - (t - b1)
-    bl = b1 - bh
-    # fsum drops the sign of an exact zero; x*y is then exact, so x*y + s has it
-    s = fsum((ah * bh, ah * bl, al * bh, al * bl, s)) or a1 * b1 + s
-    t = a2 * _SPLIT
-    ah = t - (t - a2)
-    al = a2 - ah
-    t = b2 * _SPLIT
-    bh = t - (t - b2)
-    bl = b2 - bh
-    return fsum((ah * bh, ah * bl, al * bh, al * bl, s)) or a2 * b2 + s
+    try:
+        t = a1 * _SPLIT
+        ah = t - (t - a1)
+        al = a1 - ah
+        t = b1 * _SPLIT
+        bh = t - (t - b1)
+        bl = b1 - bh
+        r = fsum((ah * bh, ah * bl, al * bh, al * bl, s))
+        s = r if _TINY <= abs(r) <= _MAX else _fma(a1, b1, s, r)
+        t = a2 * _SPLIT
+        ah = t - (t - a2)
+        al = a2 - ah
+        t = b2 * _SPLIT
+        bh = t - (t - b2)
+        bl = b2 - bh
+        r = fsum((ah * bh, ah * bl, al * bh, al * bl, s))
+        return r if _TINY <= abs(r) <= _MAX else _fma(a2, b2, s, r)
+    except (OverflowError, ValueError):
+        return _fma(a2, b2, _fma(a1, b1, a0 * b0, math.nan), math.nan)
 
 
 def float_sum(xs) -> float:
@@ -93,24 +128,13 @@ def cross(a, b) -> tuple:
 
 
 def norm(v) -> float:
-    """sqrt(dot(v, v)); the split of each coordinate serves both factors, and
-    as every term is non-negative, ``fsum``'s +0.0 for a zero sum is right."""
-    x, y, z = v
-    s = x * x
-    t = y * _SPLIT
-    h = t - (t - y)
-    lo = y - h
-    s = fsum((h * h, 2 * h * lo, lo * lo, s))
-    t = z * _SPLIT
-    h = t - (t - z)
-    lo = z - h
-    return math.sqrt(fsum((h * h, 2 * h * lo, lo * lo, s)))
+    return math.sqrt(dot(v, v))
 
 
 def unit(v) -> tuple:
     n = norm(v)
-    if n < 1e-15:
-        raise GeometryError("cannot normalize a (near-)zero vector")
+    if not 1e-15 <= n <= _MAX:
+        raise GeometryError("cannot normalize a (near-)zero or non-finite vector")
     x, y, z = v
     return (x / n, y / n, z / n)
 

@@ -6,6 +6,7 @@ import json
 import math
 
 from .arrangement import CURVE, SCAFFOLD, ArrangementError, BaseComplex, Edge, Face
+from .geometry import EPS_UNIT, Rotation, norm
 from .surface import SurfaceComplex
 
 SCHEMA_VERSION = 1
@@ -41,6 +42,8 @@ def _vertex_from_list(v) -> tuple:
         xyz = None
     if xyz is None or len(xyz) != 3 or not all(map(math.isfinite, xyz)):
         raise SurfaceFileError("vertex %r is not exactly 3 finite numbers" % (v,))
+    if not abs(norm(xyz) - 1.0) <= EPS_UNIT:
+        raise SurfaceFileError("vertex %r is not on the unit sphere" % (v,))
     return tuple(xyz)
 
 
@@ -150,5 +153,4 @@ def rotation_to_dict(rot) -> list:
 
 
 def rotation_from_dict(rows):
-    from .geometry import Rotation
     return Rotation(rows)

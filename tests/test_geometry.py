@@ -42,20 +42,31 @@ FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 VEC3 = st.lists(FINITE, min_size=3, max_size=3)
 
 
-def in_kernel_domain(v):
-    """Where ``dot`` is exact (see its docstring): each coordinate is 0 or at
-    least 1e-60 in magnitude, so no partial product of theirs, nor of their
-    cross product's coordinates, underflows."""
-    return all(x == 0 or abs(x) >= 1e-60 for x in v)
-
-
-KERNEL = FINITE.filter(lambda x: in_kernel_domain((x,)))
-KVEC3 = st.lists(KERNEL, min_size=3, max_size=3)
+# every finite float, subnormals and magnitudes whose products overflow too
+FLOAT = st.one_of(FINITE, st.floats(allow_nan=False, allow_infinity=False))
 
 
 def exact_fma(x, y, z):
-    """x*y + z rounded once, from exact rationals (a zero result is +0.0)."""
-    return float(Fraction(x) * Fraction(y) + Fraction(z))
+    """x*y + z rounded once, from exact rationals, an overflow rounded to an
+    infinity as IEEE rounds it (a zero result is +0.0); x and y are finite."""
+    if not math.isfinite(z):
+        return z
+    r = Fraction(x) * Fraction(y) + Fraction(z)
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf if r > 0 else -math.inf
+
+
+def host_fma(x, y, z):
+    """``math.fma`` (Python 3.13 on), which raises where IEEE rounds to an
+    infinity; None where it does not exist."""
+    if not hasattr(math, "fma"):
+        return None
+    try:
+        return math.fma(x, y, z)
+    except OverflowError:
+        return exact_fma(x, y, z)
 
 
 def exact_dot(a, b):
@@ -77,9 +88,8 @@ def test_scalar_cross_and_norm_match_numpy_bit_for_bit(a, b):
     a = np.array(a)
     got, want = cross(a, b), np.cross(a, b)
     assert len(got) == 3 and _hex(got) == _hex(want)
-    for v in (a, got):
-        if in_kernel_domain(v):
-            assert norm(v) == math.sqrt(exact_dot(v, v))
+    assert norm(a) == math.sqrt(exact_dot(a, a))
+    assert norm(got) == math.sqrt(exact_dot(got, got))
 
 
 def fma_of_dot(x, y, z):
@@ -89,32 +99,59 @@ def fma_of_dot(x, y, z):
     return dot((z, x, 0.0), (1.0, y, -0.0))
 
 
-@settings(max_examples=500, deadline=None)
-@given(KERNEL, KERNEL, KERNEL, st.booleans())
+@settings(max_examples=1000, deadline=None)
+@given(FLOAT, FLOAT, FLOAT, st.booleans())
 def test_dot_rounds_each_fma_once(x, y, z, cancel):
-    if cancel:
+    if cancel and math.isfinite(x * y):
         z = -(x * y)  # the exact result is the rounding error of x*y
     got = fma_of_dot(x, y, z)
     assert got == exact_fma(x, y, z)
     if hasattr(math, "fma"):
-        assert got.hex() == math.fma(x, y, z).hex()
+        assert got.hex() == host_fma(x, y, z).hex()
 
 
 def test_dot_keeps_the_sign_of_an_exact_zero():
     for x, y, z, want in ((-1.0, 0.0, -0.0, -0.0), (1.0, 0.0, -0.0, 0.0),
-                          (0.5, -0.0, -0.0, -0.0), (3.0, 0.25, -0.75, 0.0)):
+                          (0.5, -0.0, -0.0, -0.0), (3.0, 0.25, -0.75, 0.0),
+                          (1e-200, 1e-200, -0.0, 0.0), (-1e-200, 1e-200, 0.0, -0.0)):
         assert fma_of_dot(x, y, z).hex() == want.hex()
     assert dot((0.0, -0.0, -0.0), (-1.0, 2.0, 3.0)).hex() == (-0.0).hex()
 
 
-@settings(max_examples=300, deadline=None)
-@given(KVEC3, KVEC3)
+def test_dot_rounds_an_underflowed_partial_product_once():
+    """Below 2**-969 a partial product of the split can underflow, and fsum
+    of the partial products then misses the exact result by a subnormal."""
+    h = float.fromhex
+    for x, y, z, want in (
+            ("0x1.0ed9c87b0b125p-501", "0x1.ee661d7210dffp-530", "-0x1p-1074", "0x0.01058a2565556p-1022"),
+            ("0x1.04a5ed75b1e24p-517", "0x1.17ec973ec28d0p-518", "-0x0.0008e80dc5ff9p-1022", "0x0p+0"),
+            ("0x1.ae0f225f02628p-501", "0x1.9ff9717921e6cp-536", "-0x0.0005759b28214p-1022", "-0x0p+0")):
+        assert fma_of_dot(h(x), h(y), h(z)).hex() == h(want).hex()
+        assert exact_fma(h(x), h(y), h(z)) == h(want)
+
+
+def test_dot_overflows_to_an_infinity_as_fma_does():
+    big = 1.3e154
+    assert norm((big, big, 0.0)) == math.inf
+    # a0*b0 overflows, and fsum refuses its inf with the -inf of a partial product
+    assert dot((1e200, 1e200, 0.0), (1e200, -1e200, 0.0)) == math.inf
+    # the split of 2**1000 overflows; the exact sum is finite
+    assert dot((1.0, 2.0 ** 1000, 0.0), (1.0, 2.0 ** -1000, 0.0)) == 2.0
+    # fsum refuses the intermediate overflow of s + a1*b1
+    assert dot((1e308, 1.5, 0.0), (1.0, 1e308, 0.0)) == math.inf
+    with pytest.raises(GeometryError):
+        unit((big, big, 0.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(FLOAT, min_size=3, max_size=3), st.lists(FLOAT, min_size=3, max_size=3))
 def test_dot_is_the_fma_chain(a, b):
-    assert dot(a, b) == exact_dot(a, b)
+    got = dot(a, b)
+    assert got == exact_dot(a, b)
     assert norm(a) == math.sqrt(exact_dot(a, a))
     if hasattr(math, "fma"):
-        want = math.fma(a[2], b[2], math.fma(a[1], b[1], a[0] * b[0]))
-        assert dot(a, b).hex() == want.hex()
+        want = host_fma(a[2], b[2], host_fma(a[1], b[1], a[0] * b[0]))
+        assert got.hex() == want.hex()
 
 
 @settings(max_examples=100, deadline=None)

@@ -79,6 +79,9 @@ def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
 @pytest.mark.parametrize("field, value", [
     ("vertex", ["1.0", "0.0"]),
     ("vertex", ["nan", "0", "0"]),
+    ("vertex", ["1.3e154", "1.3e154", "0"]),
+    ("vertex", ["1e-200", "0", "0"]),
+    ("vertex", ["0.6", "0.6", "0.6"]),
     ("fans", None),
     ("document", [1, 2]),
     ("copies", "x"),
