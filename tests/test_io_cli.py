@@ -79,9 +79,6 @@ def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
 @pytest.mark.parametrize("field, value", [
     ("vertex", ["1.0", "0.0"]),
     ("vertex", ["nan", "0", "0"]),
-    ("vertex", ["1.3e154", "1.3e154", "0"]),
-    ("vertex", ["1e-200", "0", "0"]),
-    ("vertex", ["0.6", "0.6", "0.6"]),
     ("fans", None),
     ("document", [1, 2]),
     ("copies", "x"),
@@ -96,6 +93,9 @@ def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
     ("length", "nan"),
     ("length", "-5.0"),
     ("kind", "foo"),
+    ("vertex", ["1.3e154", "1.3e154", "0"]),
+    ("vertex", ["1e-200", "0", "0"]),
+    ("vertex", ["0.6", "0.6", "0.6"]),
 ])
 def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
     doc = io.surface_to_dict(f4_double_cover())
