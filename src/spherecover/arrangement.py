@@ -22,6 +22,7 @@ from .geometry import (
     Rotation,
     add,
     angle_between,
+    antipodal,
     cross,
     dot,
     float_sum,
@@ -100,7 +101,7 @@ class CurveInput:
             a, b = pts[i], pts[(i + 1) % k]
             if points_coincide(a, b):
                 raise ArrangementError("consecutive curve points %d, %d coincide" % (i, (i + 1) % k))
-            if angle_between(a, b) >= math.pi - EPS_SEP:
+            if antipodal(a, b):
                 raise ArrangementError("consecutive curve points %d, %d are antipodal" % (i, (i + 1) % k))
 
     def segments(self):
@@ -687,7 +688,7 @@ def _segment_clear(bc: BaseComplex, p, v) -> bool:
     pv = bc.vertices[v]
     if points_coincide(p, pv):
         return False
-    if angle_between(p, pv) >= math.pi - EPS_SEP:
+    if antipodal(p, pv):
         return False
     probe = GeodesicSegment(p, pv)
     for e in bc.live_edges():

@@ -14,7 +14,7 @@ from .arrangement import (
     attach_scaffold,
     build_arrangement,
 )
-from .geometry import angle_between, sphere_point
+from .geometry import points_coincide, sphere_point
 from .surface import SurfaceComplex, functionals, require_valid
 
 
@@ -115,9 +115,9 @@ def random_base(rng, q=3, with_marker=False, min_clean_faces=0):
         lat_side = rng.choice([1, -1])
         while len(specials) < q and fails < 200:
             p = _sph(rng.uniform(0, 2 * math.pi), lat_side * rng.uniform(0.95, 1.4))
-            ok = all(angle_between(p, q2) > 0.12 for q2 in specials)
+            ok = all(not points_coincide(p, q2, 0.12) for q2 in specials)
             ok = ok and all(seg.param_of(p, tol=0.02) is None for seg in segs)
-            ok = ok and all(angle_between(p, c) > 0.1 for c in pts)
+            ok = ok and all(not points_coincide(p, c, 0.1) for c in pts)
             if ok:
                 specials.append(p)
             else:
@@ -129,7 +129,7 @@ def random_base(rng, q=3, with_marker=False, min_clean_faces=0):
             for _try in range(80):
                 p = _sph(rng.uniform(0, 2 * math.pi), rng.uniform(-0.3, 0.3))
                 if all(seg.param_of(p, tol=0.05) is None for seg in segs) and \
-                        all(angle_between(p, q2) > 0.12 for q2 in specials + pts):
+                        all(not points_coincide(p, q2, 0.12) for q2 in specials + pts):
                     markers.append(p)
                     break
             if not markers:

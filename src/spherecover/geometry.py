@@ -10,6 +10,14 @@ right.  Incidence decisions use two tolerances:
 
 * ``EPS_UNIT`` (1e-12) for algebraic identities (unit norm, orthogonality),
 * ``EPS_SEP`` (1e-9 rad) for deciding whether two points coincide.
+
+The threshold tests (``points_coincide``, ``antipodal``, ``param_of`` and
+``segment_intersection``'s same-circle test) are filtered: a test may take
+its decision from the plain-float twin (``_fangle``, ``_fdot``) only when
+the twin is more than ``_FILTER`` from the threshold, far more than the
+twin can be off; otherwise it evaluates its exact-kernel formula.  So every
+decision is the exact kernel's, and every value that is returned or stored
+(lengths, parameters, points, areas) comes from the exact kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +40,12 @@ _SPLIT = 134217729.0
 _TINY = 2.0 ** -900
 _NO_UNDERFLOW = 2.0 ** -968  # |x*y| from which no partial product underflows
 _MAX = sys.float_info.max
+# A filtered test trusts its plain-float twin only this far (rad, or times
+# the dot's sum of |a_i*b_i|) from the threshold; the twin errs by < 1e-14.
+_FILTER = 1e-13
+# range of the squared magnitudes (|a|**2 |b|**2) where a twin is trusted: no
+# coordinate product overflows, and an underflowed one errs negligibly.
+_FILTER_LO, _FILTER_HI = 2.0 ** -800, 2.0 ** 800
 
 
 class GeometryError(ValueError):
@@ -164,6 +178,36 @@ def angle_between(a, b) -> float:
     return math.atan2(norm(cross(a, b)), dot(a, b))
 
 
+def _fdot(a, b) -> float:
+    """Plain-float twin of ``dot``: (a0*b0 + a1*b1) + a2*b2.
+
+    Both it and the FMA chain lie within gamma_3 * sum |a_i*b_i| of the real
+    a.b (Higham, section 3.1; gamma_3 = 3u/(1 - 3u), u = 2**-53), so they
+    differ by at most 2*gamma_3*sum |a_i*b_i| < 7e-16 * sum |a_i*b_i|, with
+    each underflowed product adding at most 2**-1075."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _fangle(a, b):
+    """Plain-float twin of ``angle_between``, or None where it is not trusted.
+
+    ``cross`` is the same plain-float expression in both, so the two atan2
+    arguments are its norm and a.b, each from ``_fdot`` here and from the FMA
+    chain there.  Those differ by at most 2*gamma_3*|a||b|, and the norm's by
+    less after the square root.  atan2 is 1-Lipschitz in the perturbation of
+    its arguments relative to their length, which is |a||b| up to rounding.
+    With libm's error of an ulp or two, the twin stays within about 3e-15 rad
+    of ``angle_between``.  That holds while no coordinate product overflows
+    and an underflowed one, off by at most 2**-1075, is negligible beside
+    |a||b|: so the twin answers only for |a|**2 |b|**2 (taken from its own
+    arguments) in [2**-800, 2**800], and is None outside, or on inf or nan."""
+    c = cross(a, b)
+    x, yy = _fdot(a, b), _fdot(c, c)
+    if _FILTER_LO <= yy + x * x <= _FILTER_HI:
+        return math.atan2(math.sqrt(yy), x)
+    return None
+
+
 def tangent_frame(p):
     """Orthonormal frame (e1, e2) of the tangent plane at p, with e1 x e2 = p.
 
@@ -173,11 +217,20 @@ def tangent_frame(p):
 
 
 def points_coincide(a, b, tol=EPS_SEP) -> bool:
-    return angle_between(a, b) <= tol
+    """angle_between(a, b) <= tol (filtered, see the module docstring)."""
+    w = _fangle(a, b)
+    if w is None or abs(w - tol) <= _FILTER:
+        w = angle_between(a, b)
+    return w <= tol
 
 
 def antipodal(a, b, tol=EPS_SEP) -> bool:
-    return angle_between(a, b) >= math.pi - tol
+    """angle_between(a, b) >= pi - tol (filtered)."""
+    t = math.pi - tol
+    w = _fangle(a, b)
+    if w is None or abs(w - t) <= _FILTER:
+        w = angle_between(a, b)
+    return w >= t
 
 
 @dataclass(frozen=True)
@@ -222,15 +275,27 @@ class GeodesicSegment:
         return unit(cross(self.pole, p))
 
     def param_of(self, p, tol=EPS_SEP):
-        """Parameter of p on the arc, or None if p is not on it."""
-        if abs(dot(p, self.pole)) > math.sin(tol) + EPS_UNIT * 10:
+        """Parameter of p on the arc, or None if p is not on it.
+
+        Two filtered tests: p off the arc's plane, |p . pole| > sin(tol) +
+        1e-11, and p beyond its ends, ta + tb > length + tol (ta, tb the
+        angles from a and b).  The returned parameter is from the exact ta."""
+        pole = self.pole
+        lim = math.sin(tol) + EPS_UNIT * 10
+        # the pole is a unit vector: m bounds sum |p_i*pole_i| (see _fdot)
+        m = abs(p[0]) + abs(p[1]) + abs(p[2])
+        w = _fdot(p, pole)
+        if not (_FILTER_LO <= m * m <= _FILTER_HI and abs(abs(w) - lim) > _FILTER * m):
+            w = dot(p, pole)
+        if abs(w) > lim:
             return None
         ang = self.length
-        ta = angle_between(self.a, p)
-        tb = angle_between(self.b, p)
-        if ta + tb > ang + tol:
+        wa, wb = _fangle(self.a, p), _fangle(self.b, p)
+        if wa is None or wb is None or abs(wa + wb - (ang + tol)) <= _FILTER:
+            wa, wb = angle_between(self.a, p), angle_between(self.b, p)
+        if wa + wb > ang + tol:
             return None
-        return min(max(ta / ang, 0.0), 1.0)
+        return min(max(angle_between(self.a, p) / ang, 0.0), 1.0)
 
     def contains(self, p, tol=EPS_SEP) -> bool:
         return self.param_of(p, tol) is not None
@@ -283,9 +348,14 @@ def segment_intersection(s1: GeodesicSegment, s2: GeodesicSegment, tol=EPS_SEP):
     """
     n1, n2 = s1.pole, s2.pole
     cr = cross(n1, n2)
-    if norm(cr) <= math.sin(tol):
+    lim = math.sin(tol)
+    # the poles are unit vectors: |cr| <= 1 and the twin errs by < 1e-15
+    r = math.sqrt(_fdot(cr, cr))
+    if abs(r - lim) <= _FILTER:
+        r = norm(cr)
+    if r <= lim:
         # Same great circle (or opposite orientation): interval overlap.
-        if abs(dot(n1, s2.a)) > math.sin(tol):
+        if abs(dot(n1, s2.a)) > lim:
             return []  # parallel circles cannot happen on a sphere unless equal
         return _collinear_overlap(s1, s2, tol)
     out = []
@@ -377,6 +447,21 @@ def _matmul(m, n) -> tuple:
     return tuple(tuple(dot(row, col) for col in cols) for row in m)
 
 
+def _axis_terms(axis) -> tuple:
+    """(kx, kx @ kx) of the unit axis k, kx the matrix of k x ."""
+    k0, k1, k2 = unit(axis)
+    kx = ((0.0, -k2, k1), (k2, 0.0, -k0), (-k1, k0, 0.0))
+    return kx, _matmul(kx, kx)
+
+
+def _axis_angle_matrix(kx, kk, angle) -> tuple:
+    """Rows of Rodrigues' rotation I + sin(angle) kx + (1 - cos(angle)) kk."""
+    s, c = math.sin(angle), 1 - math.cos(angle)
+    return tuple(
+        tuple((_IDENTITY[i][j] + s * kx[i][j]) + c * kk[i][j] for j in range(3))
+        for i in range(3))
+
+
 @dataclass(frozen=True)
 class Rotation:
     """Orientation-preserving isometry of the sphere (det +1 orthogonal matrix).
@@ -410,13 +495,7 @@ class Rotation:
 
     @staticmethod
     def from_axis_angle(axis, angle: float) -> "Rotation":
-        k0, k1, k2 = unit(axis)
-        kx = ((0.0, -k2, k1), (k2, 0.0, -k0), (-k1, k0, 0.0))
-        kk = _matmul(kx, kx)
-        s, c = math.sin(angle), 1 - math.cos(angle)
-        return Rotation(tuple(
-            tuple((_IDENTITY[i][j] + s * kx[i][j]) + c * kk[i][j] for j in range(3))
-            for i in range(3)))
+        return Rotation(_axis_angle_matrix(*_axis_terms(axis), angle))
 
     def _times(self, x) -> tuple:
         m0, m1, m2 = self.matrix
@@ -481,15 +560,19 @@ def first_contact_rotation(curve, target, axis):
     Returns (Rotation, segment_index, parameter_on_segment).
     """
     p0 = unit(target)
+    back = neg(unit(axis))
+    kx, kk = _axis_terms(axis)
 
     def pre(t):
-        return Rotation.from_axis_angle(axis, t).inverse().apply(p0)
+        # Rotation.from_axis_angle(axis, t).inverse().apply(p0): the
+        # inverse's rows are the columns, each taken by ``dot`` with p0
+        return unit(tuple(dot(col, p0) for col in zip(*_axis_angle_matrix(kx, kk, t))))
 
     best = None
     for idx, seg in enumerate(curve):
         if seg.contains(p0):
             raise GeometryError("target already lies on the curve")
-        for t in _circle_plane_roots(p0, neg(unit(axis)), seg.pole):
+        for t in _circle_plane_roots(p0, back, seg.pole):
             t %= 2 * math.pi
             if t <= CONTACT_TOL:
                 continue

@@ -30,6 +30,7 @@ from .geometry import (
     dot,
     first_contact_rotation,
     neg,
+    points_coincide,
     scale,
     sub,
     tangent_frame,
@@ -748,7 +749,7 @@ def normalize(s: SurfaceComplex):
     # the composed rotation returns the specials to their input positions
     in_pos = {lab: s.base.vertices[v] for v, lab in s.base.specials.items()}
     for v, lab in out.base.specials.items():
-        if angle_between(out.base.vertices[v], in_pos[lab]) > 1e-8:
+        if not points_coincide(out.base.vertices[v], in_pos[lab], 1e-8):
             raise PipelineError("composed rotation does not restore special %s" % lab)
     return out, trace
 

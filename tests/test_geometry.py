@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spherecover import geometry
 from spherecover.geometry import (
     EPS_SEP,
     DegenerateSegment,
@@ -19,6 +20,7 @@ from spherecover.geometry import (
     dot,
     first_contact_rotation,
     geodesic_length,
+    neg,
     norm,
     points_coincide,
     segment_intersection,
@@ -421,3 +423,173 @@ def test_first_contact_bisection_cap_boundary():
     rot, idx, prm = first_contact_rotation(cap, S, [0, 1, 0])
     pre = rot.inverse().apply(S)
     assert cap[idx].contains(pre, tol=1e-6)
+
+
+# The filtered predicates against their exact formulas, written out here as
+# the oracles: a decision may come from the plain-float twin only where it
+# is the exact kernel's, and every returned value is the exact kernel's.
+def exact_coincide(a, b, tol):
+    return angle_between(a, b) <= tol
+
+
+def exact_antipodal(a, b, tol):
+    return angle_between(a, b) >= math.pi - tol
+
+
+def exact_param_of(seg, p, tol):
+    if abs(dot(p, seg.pole)) > math.sin(tol) + 1e-11:
+        return None
+    ta, tb = angle_between(seg.a, p), angle_between(seg.b, p)
+    if ta + tb > seg.length + tol:
+        return None
+    return min(max(ta / seg.length, 0.0), 1.0)
+
+
+def exact_intersection(s1, s2, tol):
+    n1, n2 = s1.pole, s2.pole
+    cr = cross(n1, n2)
+    if norm(cr) <= math.sin(tol):
+        if abs(dot(n1, s2.a)) > math.sin(tol):
+            return []
+        return geometry._collinear_overlap(s1, s2, tol)
+    u = unit(cr)
+    return [c for c in (u, neg(u))
+            if exact_param_of(s1, c, tol) is not None and exact_param_of(s2, c, tol) is not None]
+
+
+def _hits(hits):
+    return [(_hex(h.a), _hex(h.b)) if isinstance(h, GeodesicSegment) else _hex(h) for h in hits]
+
+
+TOLS = [EPS_SEP, 10 * EPS_SEP, 1e-8, 1e-6, 0.02, 0.05, 0.1, 0.12, 0.5, 1.0]
+# where near a threshold an input is put: relative nudges of k * 2**-50, then
+# k quarters of the filter margin, and absolute steps of about a rounding
+# error of the construction (so that some land between twin and exact value)
+NUDGES = [k * 2.0 ** -50 for k in range(-16, 17)] + [k * 2.5e-14 for k in range(-8, 9) if k]
+STEPS = [k * 2.0 ** -56 for k in range(-12, 13)]
+SCALE = st.one_of(st.just(1.0), st.floats(1e-3, 1e3), st.sampled_from([1e-170, 1e170]))
+
+
+def _frame(rng):
+    """A random unit point a and a unit u perpendicular to it."""
+    a = unit(rng.standard_normal(3).tolist())
+    return a, unit(cross(a, rng.standard_normal(3).tolist()))
+
+
+def _at_angle(a, u, t):
+    return tuple(math.cos(t) * x + math.sin(t) * y for x, y in zip(a, u))
+
+
+def _scaled(s, v):
+    return tuple(s * x for x in v)
+
+
+def test_angle_twin_error_is_far_below_the_filter():
+    assert 4 * 2.5e-14 == geometry._FILTER
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(3000):
+        a, u = _frame(rng)
+        b = _scaled(rng.uniform(1e-3, 1e3), _at_angle(a, u, rng.uniform(0, math.pi)))
+        worst = max(worst, abs(geometry._fangle(a, b) - angle_between(a, b)))
+    assert worst <= 3e-15
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e170, math.inf, math.nan])
+def test_twins_refuse_underflow_overflow_and_nonfinite(s):
+    a = sphere_point(0.3, 0.5, 0.8)
+    assert geometry._fangle(a, _scaled(s, E1)) is None
+    assert geometry._fangle(_scaled(s, a), _scaled(s, E1)) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(TOLS), SCALE, SCALE)
+def test_filtered_point_predicates_decide_as_the_exact_kernel(seed, tol, sa, sb):
+    rng = np.random.default_rng(seed)
+    a, u = _frame(rng)
+    ts = [rng.uniform(0, math.pi)] + [tol * (1 + x) for x in NUDGES] + \
+        [math.pi - tol * (1 + x) for x in NUDGES]
+    for t in ts:
+        x, y = _scaled(sa, a), _scaled(sb, _at_angle(a, u, t))
+        assert points_coincide(x, y, tol) == exact_coincide(x, y, tol)
+        assert antipodal(x, y, tol) == exact_antipodal(x, y, tol)
+        # thresholds at the pair's own exact angle, give or take an ulp
+        e = angle_between(x, y)
+        for k in (-1, 0, 1):
+            tk = e + k * math.ulp(e)
+            assert points_coincide(x, y, tk) == exact_coincide(x, y, tk)
+            assert antipodal(x, y, math.pi - tk) == exact_antipodal(x, y, math.pi - tk)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["plane", "before", "beyond"]),
+       st.sampled_from(TOLS[:6]), SCALE)
+def test_filtered_param_of_decides_and_measures_as_the_exact_kernel(seed, kind, tol, sp):
+    rng = np.random.default_rng(seed)
+    a, u = _frame(rng)
+    seg = GeodesicSegment(a, _at_angle(a, u, rng.uniform(0.05, 3.0)))
+    ps = [unit(rng.standard_normal(3).tolist())]
+    if kind == "plane":
+        # off the plane by sin(tol) + 1e-11, nudged, a few ulps and steps either way
+        q = seg.point_at(rng.uniform(0, 1))
+        lim = math.sin(tol) + 1e-11
+        ds = [lim * (1 + x) for x in NUDGES] + [lim + k * math.ulp(lim) for k in range(-4, 5)] + \
+            [lim + x for x in STEPS]
+        ps += [tuple(math.sqrt(1 - d * d) * x + d * n for x, n in zip(q, seg.pole)) for d in ds]
+    else:
+        # on the circle, past an end by tol / 2 (nudged): ta + tb = length + tol
+        v = unit(cross(seg.pole, seg.a))
+        ts = [tol / 2 * (1 + x) for x in NUDGES] + [tol / 2 + x for x in STEPS]
+        ps += [_at_angle(seg.a, v, -t if kind == "before" else seg.length + t) for t in ts]
+    for p in ps:
+        p = _scaled(sp, p)
+        got, want = seg.param_of(p, tol), exact_param_of(seg, p, tol)
+        assert got == want and (got is None or got.hex() == want.hex())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([EPS_SEP, 1e-6, 0.1, 0.5]))
+def test_filtered_same_circle_test_intersects_as_the_exact_kernel(seed, tol):
+    rng = np.random.default_rng(seed)
+    a, u = _frame(rng)
+    s1 = GeodesicSegment(a, _at_angle(a, u, rng.uniform(0.05, 3.0)))
+    pairs = [GeodesicSegment(rng.standard_normal(3).tolist(), rng.standard_normal(3).tolist())]
+    # s2 on the circle through a and w, whose pole is t from s1's
+    lo, hi = rng.uniform(-1.0, 0.5), rng.uniform(0.6, 2.0)
+    for t in [tol * (1 + x) for x in NUDGES] + [tol + x for x in STEPS]:
+        w = unit(_at_angle(u, s1.pole, t))
+        pairs.append(GeodesicSegment(_at_angle(a, w, lo), _at_angle(a, w, hi)))
+    for s2 in pairs:
+        # the drawn tol, and tolerances whose sine is the exact |n1 x n2|
+        e = math.asin(norm(cross(s1.pole, s2.pole)))
+        for tk in [tol] + [e + k * math.ulp(e) for k in (-1, 0, 1)]:
+            assert _hits(segment_intersection(s1, s2, tk)) == _hits(exact_intersection(s1, s2, tk))
+
+
+def test_filter_skips_the_exact_dot_only_when_clear(monkeypatch):
+    a = sphere_point(0.3, 0.5, 0.8)
+    u = unit(cross(a, E1))
+    far, close, near = (_at_angle(a, u, t)
+                        for t in (0.5, 0.5 * EPS_SEP, EPS_SEP * (1 + 2.0 ** -50)))
+    seg = GeodesicSegment(a, _at_angle(a, u, 1.0))
+    off_plane, off_end = _at_angle(a, seg.pole, 0.5), _at_angle(a, u, -0.5)
+    calls = []
+    exact = geometry.dot
+    monkeypatch.setattr(geometry, "dot", lambda a, b: calls.append(1) or exact(a, b))
+    assert not points_coincide(a, far) and points_coincide(a, close) and not antipodal(a, far)
+    assert seg.param_of(off_plane) is None and seg.param_of(off_end) is None
+    assert not calls
+    points_coincide(a, near)
+    assert calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10 ** 6), st.floats(0, 2 * math.pi))
+def test_contact_preimage_is_the_transposed_rotation(seed, t):
+    # first_contact_rotation's bisection takes the preimage from the matrix
+    # entries, without building Rotations
+    rng = np.random.default_rng(seed)
+    axis, p = rng.standard_normal(3).tolist(), unit(rng.standard_normal(3).tolist())
+    cols = zip(*geometry._axis_angle_matrix(*geometry._axis_terms(axis), t))
+    want = Rotation.from_axis_angle(axis, t).inverse().apply(p)
+    assert _hex(unit(tuple(dot(col, p) for col in cols))) == _hex(want)
