@@ -309,8 +309,10 @@ class BaseComplex:
     def locate_point(self, p):
         """Classify p against the complex: ('vertex', v) | ('edge', e, t) | ('face', f).
 
-        Snapping priority vertex > edge > face at EPS_SEP; SCAFFOLD edges are
-        skipped for edge hits when their geometry is not honest.
+        Snapping priority vertex > edge > face at EPS_SEP.  Only CURVE edges
+        give edge hits and decide the side; SCAFFOLD edges are always
+        skipped, whether their embedding is honest or nominal, so a point on
+        a bridge is located in the face the bridge hangs in.
         """
         p = unit(p)
         v = self.vertex_at(p)
@@ -699,7 +701,7 @@ def _segment_clear(bc: BaseComplex, p, v) -> bool:
             if not points_coincide(h, pv):
                 return False
     for w in bc.live_vertices():
-        if w != v and bc.vertices[w] is not None and probe.contains(bc.vertices[w]):
+        if w != v and probe.contains(bc.vertices[w]):
             return False
     return True
 

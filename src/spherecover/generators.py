@@ -8,14 +8,15 @@ import random
 from .arrangement import (
     CURVE,
     SCAFFOLD,
+    ArrangementError,
     BaseComplex,
     CurveInput,
     SpecialSet,
     attach_scaffold,
     build_arrangement,
 )
-from .geometry import points_coincide, sphere_point
-from .surface import SurfaceComplex, functionals, require_valid
+from .geometry import GeometryError, points_coincide, sphere_point
+from .surface import SurfaceComplex, SurfaceError, functionals, require_valid
 
 
 FILTER_TRIES = 300  # seeded variants generate_disk_covering_filtered draws
@@ -102,13 +103,21 @@ def random_base(rng, q=3, with_marker=False, min_clean_faces=0):
     """A random small polygonal curve plus q well-separated special points.
 
     ``min_clean_faces`` asks for at least that many faces without special
-    tips, so cap-limited accretion has room to grow."""
+    tips, so cap-limited accretion has room to grow.
+
+    Every special point is drawn more than 0.02 rad off the curve, so it
+    becomes a scaffold tip hanging inside some face, and scaffolding keeps
+    the face count.  A base therefore has at most ``len(live_faces()) - 1``
+    clean faces, and an arrangement below that bound is refused before
+    ``attach_scaffold`` runs.  Building a base draws nothing from ``rng``, so
+    the early refusal takes the same attempts as the exact count after
+    scaffolding would."""
     for _attempt in range(400):
         pts = _random_curve_points(rng)
         try:
             curve = CurveInput(tuple(pts))
             segs = curve.segments()
-        except Exception:
+        except (ArrangementError, GeometryError):
             continue
         specials = []
         fails = 0
@@ -135,8 +144,14 @@ def random_base(rng, q=3, with_marker=False, min_clean_faces=0):
             if not markers:
                 continue
         try:
-            bc = make_base(pts, specials, markers=markers)
-        except Exception:
+            bc = build_arrangement(curve, SpecialSet(tuple(specials)), markers=markers)
+        except (ArrangementError, GeometryError):
+            continue
+        if len(bc.live_faces()) - 1 < min_clean_faces:
+            continue
+        try:
+            bc = attach_scaffold(bc)
+        except (ArrangementError, GeometryError):
             continue
         if len(bc.live_faces()) - len(bc.special_tips_by_face()) < min_clean_faces:
             continue
@@ -287,7 +302,7 @@ def _random_slit(s: SurfaceComplex, rng):
     side = cands[rng.randrange(len(cands))]
     try:
         return cut_to_boundary(s, SurfacePath([side]))
-    except Exception:
+    except SurfaceError:
         return None
 
 
