@@ -9,8 +9,9 @@ import sys
 from . import generators, io, oracle
 from .normalize import certify as pipeline_certify
 from .normalize import normalize as run_pipeline
+from .arrangement import ArrangementError
+from .geometry import GeometryError, Rotation
 from .surface import SurfaceError, functionals, is_better_than, validate
-from .geometry import Rotation
 from .surgery import (
     SurfacePath,
     cut_interior,
@@ -21,7 +22,6 @@ from .surgery import (
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_USAGE = 2
 
 
 def _report_dict(rep):
@@ -84,29 +84,54 @@ def cmd_inspect(args):
     return EXIT_OK
 
 
+# the side lists each surgery reads from --params
+SURGERY_PARAMS = {"cut_to_boundary": ("sides",), "cut_interior": ("sides",),
+                  "sew": ("run_a", "run_b"), "sew_annulus": ("run_a", "run_b")}
+
+
+def _surgery_sides(s, op, text):
+    """The side lists of ``op`` from its --params JSON text, each side a
+    ``(copy, position)`` tuple of the surface; ValueError names what is wrong."""
+    params = json.loads(text) if text else {}
+    if not isinstance(params, dict):
+        raise ValueError("expected a JSON object, got %s" % type(params).__name__)
+    sides = set(s.sides())
+    lists = []
+    for name in SURGERY_PARAMS[op]:
+        if name not in params:
+            raise ValueError("missing %r" % name)
+        entries = params[name]
+        if not isinstance(entries, list):
+            raise ValueError("%r is not a list" % name)
+        for x in entries:
+            if not (isinstance(x, list) and len(x) == 2 and all(type(v) is int for v in x)):
+                raise ValueError("%r entry %s is not a list of two integers"
+                                 % (name, json.dumps(x)))
+            if tuple(x) not in sides:
+                raise ValueError("%r entry %s is not a side of the surface"
+                                 % (name, json.dumps(x)))
+        lists.append([tuple(x) for x in entries])
+    return lists
+
+
 def cmd_surgery(args):
     s = io.load_surface(args.file)
     try:
-        params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as err:
+        sides = _surgery_sides(s, args.op, args.params)
+    except ValueError as err:  # json.JSONDecodeError included
         print("parse error: --params: %s" % err, file=sys.stderr)
         return EXIT_FAIL
     try:
-        if args.op in ("cut_to_boundary", "cut_interior"):
-            path = SurfacePath([tuple(x) for x in params["sides"]])
-            out = (cut_to_boundary if args.op == "cut_to_boundary" else cut_interior)(s, path)
-        elif args.op in ("sew", "sew_annulus"):
-            run_a = [tuple(x) for x in params["run_a"]]
-            run_b = [tuple(x) for x in params["run_b"]]
-            if args.op == "sew":
-                out, case = sew(s, run_a, run_b)
-                print("sew case %s" % case)
-            else:
-                out = sew_annulus(s, run_a, run_b)
+        if args.op == "cut_to_boundary":
+            out = cut_to_boundary(s, SurfacePath(sides[0]))
+        elif args.op == "cut_interior":
+            out = cut_interior(s, SurfacePath(sides[0]))
+        elif args.op == "sew":
+            out, case = sew(s, *sides)
+            print("sew case %s" % case)
         else:
-            print("unknown operation %r" % args.op, file=sys.stderr)
-            return EXIT_USAGE
-    except Exception as err:
+            out = sew_annulus(s, *sides)
+    except (SurfaceError, ArrangementError, GeometryError) as err:
         print("surgery failed: %s" % err, file=sys.stderr)
         return EXIT_FAIL
     io.save_surface(out, args.out, metadata={"surgery": args.op})
@@ -220,7 +245,7 @@ def build_parser():
     srg = sub.add_parser("surgery", help="apply one named surgery")
     srg.add_argument("file")
     srg.add_argument("--op", required=True,
-                     choices=["cut_to_boundary", "cut_interior", "sew", "sew_annulus"])
+                     choices=list(SURGERY_PARAMS))
     srg.add_argument("--params", help="JSON parameters for the operation")
     srg.add_argument("--out", required=True)
     srg.set_defaults(func=cmd_surgery)

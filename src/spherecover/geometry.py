@@ -320,18 +320,37 @@ class GeodesicSegment:
 class PointRegistry:
     """Distinct points by linear scan: a point within ``tol`` of a registered
     one gets that point's id, any other point is stored (as a unit vector)
-    under the next id."""
+    under the next id.
+
+    Reuse rule: a point equal by value to one stored earlier gets that one's
+    id without a scan.  That is the id the scan would give, since the
+    registry only appends: the scan tests the same earlier points as before,
+    none of which coincided with the point, and then stops at its stored
+    unit vector (it is recorded only if it coincides with that).  A point is
+    stored only if its norm is at least 1e-15 (``unit`` accepts it), so its
+    cross product and dot with a unit vector are never both zero, and its
+    coordinates of 0.0 and -0.0, equal by value, decide alike.  A point
+    that matched an earlier one is not recorded: a near-zero point can match
+    on the sign of a zero dot."""
 
     def __init__(self, tol):
         self.points = []
         self.tol = tol
+        self._ids = {}  # point stored under an id -> that id
 
     def key(self, p) -> int:
+        i = self._ids.get(p)
+        if i is not None:
+            return i
         for i, q in enumerate(self.points):
             if points_coincide(p, q, self.tol):
                 return i
-        self.points.append(unit(p))
-        return len(self.points) - 1
+        q = unit(p)
+        i = len(self.points)
+        self.points.append(q)
+        if points_coincide(p, q, self.tol):
+            self._ids[p] = i
+        return i
 
 
 def geodesic_length(seg: GeodesicSegment) -> float:

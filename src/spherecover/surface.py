@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .arrangement import CURVE, SCAFFOLD, BaseComplex
-from .geometry import GeodesicSegment, PointRegistry, Rotation, float_sum, points_coincide, unit
+from .geometry import GeodesicSegment, PointRegistry, Rotation, float_sum, points_coincide
 
 DISK = "disk"
 ANNULUS = "annulus"
@@ -602,54 +602,82 @@ def is_closed_subarc(w2: BoundaryWalk, w1: BoundaryWalk, base: BaseComplex):
 
 
 def geometric_walk(s: SurfaceComplex, rot: Rotation = None):
-    """Boundary walk as a list of (tail point, head point) geodesic steps."""
+    """Boundary walk as a list of (tail point, head point) geodesic steps.
+
+    The rotation is applied once per walk vertex, which is the head of one
+    step and the tail of the next: both get the one rotated point, the value
+    a second ``apply`` of the same vertex would give."""
     r = rot if rot is not None else Rotation.identity()
-    out = []
-    for d in s.boundary_walk().darts:
-        a = s.base.vertices[s.base.tail(d)]
-        b = s.base.vertices[s.base.head(d)]
-        out.append((r.apply(a), r.apply(b)))
-    return out
+    base, at = s.base, {}
+
+    def point(v):
+        p = at.get(v)
+        if p is None:
+            p = at[v] = r.apply(base.vertices[v])
+        return p
+
+    return [(point(base.tail(d)), point(base.head(d))) for d in s.boundary_walk().darts]
 
 
 def is_closed_subarc_geometric(steps2, steps1):
-    """Closed-subarc matching of geometric walks (point-id refined words)."""
-    reg = PointRegistry(SUBARC_TOL)
-    segs1 = [GeodesicSegment(a, b) for a, b in steps1]
-    segs2 = [GeodesicSegment(a, b) for a, b in steps2]
-    cuts = [unit(a) for a, b in steps1] + [unit(b) for a, b in steps1]
-    cuts += [unit(a) for a, b in steps2] + [unit(b) for a, b in steps2]
+    """Closed-subarc matching of geometric walks (point-id refined words).
 
-    def refine(segs):
+    Every step of both walks is cut at the step ends of both walks lying
+    inside it (further than ``SUBARC_TOL`` from its ends, in the order of
+    their parameters, ties in cut-list order), and each piece becomes the
+    symbol (tail id, midpoint id, head id) of one ``PointRegistry``.
+
+    Reuse rule: a step equal by value to an earlier step, in either walk,
+    gets the earlier one's segment, pieces and symbols, and a cut point equal
+    by value to an earlier one gets its parameter on a segment.  That is
+    exact: a segment, its parameters and pieces are functions of the point
+    values, and the registry gives a value-equal point the id it gave before
+    and stores nothing new for it, so the ids handed out in order are the
+    same."""
+    reg = PointRegistry(SUBARC_TOL)
+    segs = {}  # step (a, b) -> its segment, built in the order of the steps
+    for a, b in (*steps1, *steps2):
+        if (a, b) not in segs:
+            segs[a, b] = GeodesicSegment(a, b)
+    segs1 = [segs[a, b] for a, b in steps1]
+    segs2 = [segs[a, b] for a, b in steps2]
+    # seg.a is unit(a) and seg.b is unit(b), the cut points
+    cuts = [g.a for g in segs1] + [g.b for g in segs1] + [g.a for g in segs2] + [g.b for g in segs2]
+    distinct = list(dict.fromkeys(cuts))
+
+    def symbols(seg):
+        t_of = {}
+        for p in distinct:
+            t = seg.param_of(p, SUBARC_TOL)
+            if t is not None and SUBARC_TOL < t * seg.length and (1 - t) * seg.length > SUBARC_TOL:
+                t_of[p] = t
+        # from the full cut list, so equal parameters keep its order and multiplicity
+        inside = [(t_of[p], p) for p in cuts if p in t_of]
+        inside.sort(key=lambda x: x[0])
+        pts = [seg.a] + [p for _, p in inside] + [seg.b]
         out = []
-        for seg in segs:
-            inside = []
-            for p in cuts:
-                t = seg.param_of(p, SUBARC_TOL)
-                if t is not None and SUBARC_TOL < t * seg.length and (1 - t) * seg.length > SUBARC_TOL:
-                    inside.append((t, p))
-            inside.sort(key=lambda x: x[0])
-            pts = [seg.a] + [p for _, p in inside] + [seg.b]
-            for a, b in zip(pts, pts[1:]):
-                if not points_coincide(a, b, SUBARC_TOL):
-                    out.append(GeodesicSegment(a, b))
+        for a, b in zip(pts, pts[1:]):
+            if not points_coincide(a, b, SUBARC_TOL):
+                piece = GeodesicSegment(a, b)
+                # ids go out in the order tail, head, midpoint
+                ka = reg.key(piece.a)
+                kb = reg.key(piece.b)
+                out.append((ka, reg.key(piece.point_at(0.5)), kb))
         return out
 
-    f1, f2 = refine(segs1), refine(segs2)
+    syms = {}  # step (a, b) -> the symbols of its pieces
 
-    def word(segs):
-        syms, juncs = [], []
-        for seg in segs:
-            ka = reg.key(seg.a)
-            kb = reg.key(seg.b)
-            km = reg.key(seg.point_at(0.5))
-            syms.append((ka, km, kb))
-            juncs.append(ka)
-        return syms, juncs
+    def word(steps):
+        w = []
+        for a, b in steps:
+            if (a, b) not in syms:
+                syms[a, b] = symbols(segs[a, b])
+            w += syms[a, b]
+        return w
 
-    w1, j1 = word(f1)
-    w2, _ = word(f2)
-    witness = closed_subarc_match(w1, j1, w2)
+    w1 = word(steps1)
+    w2 = word(steps2)
+    witness = closed_subarc_match(w1, [ka for ka, _, _ in w1], w2)
     return (witness is not None), witness
 
 

@@ -593,3 +593,71 @@ def test_contact_preimage_is_the_transposed_rotation(seed, t):
     cols = zip(*geometry._axis_angle_matrix(*geometry._axis_terms(axis), t))
     want = Rotation.from_axis_angle(axis, t).inverse().apply(p)
     assert _hex(unit(tuple(dot(col, p) for col in cols))) == _hex(want)
+
+
+# -- PointRegistry against the linear scan -------------------------------------
+
+
+def scan_key(points, p, tol):
+    """PointRegistry.key by linear scan alone."""
+    for i, q in enumerate(points):
+        if points_coincide(p, q, tol):
+            return i
+    points.append(unit(p))
+    return len(points) - 1
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except GeometryError as err:
+        return type(err).__name__
+
+
+def _flip_zeros(p, mask):
+    return tuple(-x if x == 0 and mask >> i & 1 else x for i, x in enumerate(p))
+
+
+def _turned_from(p, ang, turn):
+    """A point ang rad from p, in the tangent direction turn."""
+    e1, e2 = geometry.tangent_frame(unit(p))
+    e = geometry.add(geometry.scale(math.cos(turn), e1), geometry.scale(math.sin(turn), e2))
+    return unit(geometry.add(geometry.scale(math.cos(ang), unit(p)), geometry.scale(math.sin(ang), e)))
+
+
+_AXES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
+         (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)]
+_OPS = ("new", "axis", "again", "zeros", "inside", "outside", "at_tol", "scaled", "tiny")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2 * EPS_SEP, 1e-7]),
+       st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 63), VEC3,
+                          st.floats(0, 2 * math.pi)), min_size=1, max_size=40))
+def test_point_registry_matches_linear_scan(tol, ops):
+    # streams of repeated values, points just inside and just outside tol of
+    # earlier ones, and coordinates of 0.0 and -0.0 (equal by value)
+    reg, points, seen = geometry.PointRegistry(tol), [], []
+    for op, k, v, turn in ops:
+        prev = seen[k % len(seen)] if seen else _AXES[k % 6]
+        if op == "new":
+            p = unit(v) if 1e-3 < norm(v) < 1e300 else _AXES[k % 6]
+        elif op == "axis":
+            p = _flip_zeros(_AXES[k % 6], k >> 3)
+        elif op == "again":
+            p = tuple(list(prev))  # a new tuple, equal by value
+        elif op == "zeros":
+            p = _flip_zeros(prev, k)
+        elif op == "scaled":
+            p = geometry.scale(3.0, prev)
+        elif op == "tiny":
+            p = _flip_zeros((0.0, 0.0, 0.0) if k & 1 else (5e-324, 0.0, 0.0), k >> 1)
+        else:
+            ang = tol * {"inside": 1 - 1e-4, "outside": 1 + 1e-4, "at_tol": 1.0}[op]
+            p = _turned_from(prev, ang, turn)
+        got = _outcome(lambda: reg.key(p))
+        want = _outcome(lambda: scan_key(points, p, tol))
+        assert got == want, (op, p)
+        if op != "tiny":
+            seen.append(p)
+    assert [repr(q) for q in reg.points] == [repr(q) for q in points]

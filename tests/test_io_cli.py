@@ -61,6 +61,18 @@ def test_malformed_file_rejected(tmp_path):
     ("verify", "{not json"),
     ("verify", '{"steps": []}'),
     ("surgery", "{bad"),
+    ("surgery", "[1, 2]"),
+    ("surgery", '"sides"'),
+    ("surgery", '{"sides": [[0, 2]]}'),
+    ("surgery", '{"run_a": [[0, 2]]}'),
+    ("surgery", '{"run_a": [[0, 2]], "run_b": 7}'),
+    ("surgery", '{"run_a": [[0, 2]], "run_b": [0, 2]}'),
+    ("surgery", '{"run_a": [[0, 2]], "run_b": [[0, 2, 1]]}'),
+    ("surgery", '{"run_a": [[0, 2]], "run_b": [[0, "2"]]}'),
+    ("surgery", '{"run_a": [[0, 2]], "run_b": [[0, 2.0]]}'),
+    ("surgery", '{"run_a": [[0, 2]], "run_b": [[true, 2]]}'),
+    ("surgery", '{"run_a": [[0, 2]], "run_b": [[999, 0]]}'),
+    ("surgery", '{"run_a": [[0, 2]], "run_b": [[-1, 2]]}'),
 ])
 def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
     surf = tmp_path / "f4.json"
@@ -73,7 +85,28 @@ def test_cli_bad_input_is_parse_error(tmp_path, capsys, command, payload):
         argv = ["surgery", str(surf), "--op", "sew", "--params", payload,
                 "--out", str(tmp_path / "out.json")]
     assert cli_main(argv) == EXIT_FAIL
-    assert "parse error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "parse error:" in err and len(err.splitlines()) == 1
+    if command == "surgery":
+        assert err.startswith("parse error: --params: ")
+
+
+def test_cli_surgery_reports_typed_errors_only(tmp_path, capsys, monkeypatch):
+    surf = tmp_path / "f4.json"
+    io.save_surface(f4_double_cover(), surf)
+    argv = ["surgery", str(surf), "--op", "sew", "--params",
+            json.dumps({"run_a": [[0, 2]], "run_b": [[0, 3]]}),
+            "--out", str(tmp_path / "out.json")]
+    # well-formed sides whose images do not match: the library's typed error
+    assert cli_main(argv) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith("surgery failed: ")
+
+    def broken(*_):
+        raise KeyError("a programming error")
+
+    monkeypatch.setattr("spherecover.cli.sew", broken)
+    with pytest.raises(KeyError):
+        cli_main(argv)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -1,14 +1,21 @@
+import json
 import math
-import numpy as np
+import pathlib
 import random
+
+import numpy as np
 
 import pytest
 
 from spherecover.generators import generate_disk_covering_filtered, GenerationStuck
-from spherecover.geometry import Rotation
+from spherecover import io
+from spherecover.geometry import GeodesicSegment, Rotation, angle_between, points_coincide, unit
 from spherecover.surface import (
     CLOSED,
     DISK,
+    SUBARC_TOL,
+    SurfaceError,
+    closed_subarc_match,
     functionals,
     geometric_walk,
     is_better_than,
@@ -350,3 +357,134 @@ def test_rotation_vertex_contact_jittered():
     # contact vertex is not one of the original triangle corners
     for p in pts:
         assert not np.allclose(out.base.vertices[v], p, atol=1e-9)
+
+
+# -- the geometric closed-subarc check against its one-pass-per-use reference --
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
+
+
+def ref_key(points, p):
+    """PointRegistry.key by linear scan alone."""
+    for i, q in enumerate(points):
+        if points_coincide(p, q, SUBARC_TOL):
+            return i
+    points.append(unit(p))
+    return len(points) - 1
+
+
+def ref_geometric_walk(s, rot=None):
+    """geometric_walk with the rotation applied at both ends of every step."""
+    r = rot if rot is not None else Rotation.identity()
+    out = []
+    for d in s.boundary_walk().darts:
+        a = s.base.vertices[s.base.tail(d)]
+        b = s.base.vertices[s.base.head(d)]
+        out.append((r.apply(a), r.apply(b)))
+    return out
+
+
+def ref_is_closed_subarc_geometric(steps2, steps1):
+    """is_closed_subarc_geometric doing every step, cut and point key anew."""
+    points = []
+    segs1 = [GeodesicSegment(a, b) for a, b in steps1]
+    segs2 = [GeodesicSegment(a, b) for a, b in steps2]
+    cuts = [unit(a) for a, b in steps1] + [unit(b) for a, b in steps1]
+    cuts += [unit(a) for a, b in steps2] + [unit(b) for a, b in steps2]
+
+    def refine(segs):
+        out = []
+        for seg in segs:
+            inside = []
+            for p in cuts:
+                t = seg.param_of(p, SUBARC_TOL)
+                if t is not None and SUBARC_TOL < t * seg.length and (1 - t) * seg.length > SUBARC_TOL:
+                    inside.append((t, p))
+            inside.sort(key=lambda x: x[0])
+            pts = [seg.a] + [p for _, p in inside] + [seg.b]
+            for a, b in zip(pts, pts[1:]):
+                if not points_coincide(a, b, SUBARC_TOL):
+                    out.append(GeodesicSegment(a, b))
+        return out
+
+    f1, f2 = refine(segs1), refine(segs2)
+
+    def word(segs):
+        syms, juncs = [], []
+        for seg in segs:
+            ka = ref_key(points, seg.a)
+            kb = ref_key(points, seg.b)
+            km = ref_key(points, seg.point_at(0.5))
+            syms.append((ka, km, kb))
+            juncs.append(ka)
+        return syms, juncs
+
+    w1, j1 = word(f1)
+    w2, _ = word(f2)
+    witness = closed_subarc_match(w1, j1, w2)
+    return (witness is not None), witness
+
+
+def assert_subarc_as_reference(steps2, steps1):
+    got = is_closed_subarc_geometric(steps2, steps1)
+    assert got == ref_is_closed_subarc_geometric(steps2, steps1)
+    return got
+
+
+@pytest.mark.parametrize("name", ["batch", "stress"])
+def test_subarc_check_matches_reference_on_corpus(name):
+    passed = 0
+    for line in (CORPUS / (name + ".jsonl")).read_text().splitlines():
+        s = io.surface_from_dict(json.loads(line))
+        try:
+            out, trace = normalize(s)
+        except SurfaceError:
+            continue
+        rot = trace.composed_rotation()
+        steps1, steps2 = geometric_walk(s, rot), geometric_walk(out)
+        assert steps1 == ref_geometric_walk(s, rot)
+        assert steps2 == ref_geometric_walk(out)
+        ok, _ = assert_subarc_as_reference(steps2, steps1)
+        assert ok
+        passed += 1
+    assert passed == {"batch": 100, "stress": 61}[name]
+
+
+A, B, N = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+C, D = unit((-1.0, 0.0, 0.3)), unit((0.2, 0.3, 0.9))
+
+
+def test_subarc_check_matches_reference_on_repeated_steps():
+    tri = [(A, B), (B, N), (N, A)]
+    # twice round, and a slit out to D and back in the middle
+    twice = tri + tri
+    slit = [(A, B), (B, D), (D, B), (B, N), (N, A)]
+    for steps2, steps1 in [(tri, twice), (twice, tri), (twice, twice),
+                           (tri, slit), (slit, slit), (slit, tri)]:
+        assert_subarc_as_reference(steps2, steps1)
+    assert assert_subarc_as_reference(tri, slit)[0]
+
+
+def test_subarc_check_matches_reference_on_strict_subarc():
+    # walk 1 runs A -> B through m, out to C and back, then B -> N -> A;
+    # walk 2 skips the loop out to C
+    m = unit((1.0, 1.0, 0.0))  # inside A -> B: walk 1's step is refined there
+    walk1 = [(A, m), (m, B), (B, C), (C, B), (B, N), (N, A)]
+    walk2 = [(A, B), (B, N), (N, A)]
+    ok, witness = assert_subarc_as_reference(walk2, walk1)
+    assert ok and len(witness["kept_runs"]) == 2
+    assert not assert_subarc_as_reference(walk1, walk2)[0]
+
+
+def test_subarc_check_matches_reference_on_mirrored_cut_points():
+    # p and q mirror each other across the plane of A -> B: the same
+    # parameter on it, 1.2e-7 rad apart, so two registry points with a tie in
+    # the sort, where the cut list's order and multiplicity pick the pieces
+    h = 6e-8
+    p, q = unit((1.0, 1.0, h * math.sqrt(2))), unit((1.0, 1.0, -h * math.sqrt(2)))
+    ab = GeodesicSegment(A, B)
+    assert ab.param_of(p, SUBARC_TOL) == ab.param_of(q, SUBARC_TOL)
+    assert 1.1e-7 < angle_between(p, q) < 1.3e-7
+    walk = [(A, B), (B, p), (p, N), (N, q), (q, A)]
+    for steps2, steps1 in [(walk, walk), ([(A, B), (B, N), (N, A)], walk)]:
+        assert_subarc_as_reference(steps2, steps1)
