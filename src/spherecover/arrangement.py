@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .geometry import (
     EPS_SEP,
     GeodesicSegment,
     PointRegistry,
     Rotation,
+    _fdot,
     add,
     angle_between,
     antipodal,
@@ -104,9 +106,12 @@ class CurveInput:
             if antipodal(a, b):
                 raise ArrangementError("consecutive curve points %d, %d are antipodal" % (i, (i + 1) % k))
 
-    def segments(self):
+    # Cached in the instance __dict__ (which a frozen dataclass still has);
+    # the points are immutable tuples, so it never goes stale.
+    @cached_property
+    def segments(self) -> tuple:
         k = len(self.points)
-        return [GeodesicSegment(self.points[i], self.points[(i + 1) % k]) for i in range(k)]
+        return tuple(GeodesicSegment(self.points[i], self.points[(i + 1) % k]) for i in range(k))
 
 
 @dataclass
@@ -538,10 +543,24 @@ def build_arrangement(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
     """Arrangement of the curve: split at mutual crossings and at special or
     marker points lying on it; faces traced with Gauss-Bonnet areas.
 
-    Off-curve special/marker points are recorded for attach_scaffold.
+    The composition of ``build_curve_graph`` and ``build_faces``.  Off-curve
+    special/marker points are recorded for attach_scaffold.
     """
-    segs = curve.segments()
-    interesting = list(special.points) + [unit(m) for m in markers]
+    return build_faces(build_curve_graph(curve, special, markers))
+
+
+def build_curve_graph(curve: CurveInput, special: SpecialSet, markers=()) -> BaseComplex:
+    """First phase of ``build_arrangement``: the registry, the intersections
+    and the edges, with no fans or faces yet.
+
+    Every special and marker point waits in ``meta["pending_interior_points"]``
+    for ``build_faces``.  An arrangement that completes passes
+    ``euler_check``, and ``build_faces`` adds no vertex or edge, so its face
+    count is E - V + 2 of this graph: a caller can refuse on the face count
+    before the faces are traced.
+    """
+    segs = curve.segments
+    tagged = list(zip(special.points, special.labels())) + [(unit(m), None) for m in markers]
 
     reg = PointRegistry(2 * EPS_SEP)
     register, points = reg.key, reg.points
@@ -567,7 +586,7 @@ def build_arrangement(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
                     seg_pts[i][round(ti, 12)] = pid
                 if tj is not None:
                     seg_pts[j][round(tj, 12)] = pid
-    for p in interesting:
+    for p, _lab in tagged:
         for i, s in enumerate(segs):
             t = s.param_of(p)
             if t is not None:
@@ -596,7 +615,18 @@ def build_arrangement(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
             edge_lookup[key] = e
             traversal.append(2 * e)
     bc.traversal = traversal
+    bc.meta["pending_interior_points"] = tagged
+    return bc
 
+
+def build_faces(bc: BaseComplex) -> BaseComplex:
+    """Second phase of ``build_arrangement``, in place: fans, faces with
+    their areas, and the tags.
+
+    Refuses an isolated vertex, a face of non-positive area and areas not
+    summing to 4pi.  Pending points on the curve become special or marker
+    vertices; the others stay pending for attach_scaffold.
+    """
     for v in bc.live_vertices():
         darts = [2 * e for e in bc.live_edges() if bc.edges[e].a == v]
         darts += [2 * e + 1 for e in bc.live_edges() if bc.edges[e].b == v]
@@ -615,10 +645,8 @@ def build_arrangement(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
     if abs(total - FULL_SPHERE) > 1e-9:
         raise ArrangementError("areas sum to %r instead of 4pi" % total)
 
-    # Tag on-curve specials/markers; remember off-curve ones for the scaffold.
-    labels = special.labels()
     pending = []
-    for p, lab in list(zip(special.points, labels)) + [(unit(m), None) for m in markers]:
+    for p, lab in bc.meta["pending_interior_points"]:
         v = bc.vertex_at(p)
         if v is not None:
             if lab is None:
@@ -655,34 +683,97 @@ def attach_scaffold(bc: BaseComplex) -> BaseComplex:
     to the nearest vertex is preferred; when every view is blocked the nearest
     vertex is used with a nominal embedding (bridges are auxiliary and never
     enter a functional).
+
+    The composition, on a copy, of ``locate_pending`` and ``attach_bridges``,
+    so every point is located, and refused if it is not strictly inside a
+    face or its face has no attachable vertex, before the first bridge is
+    built.
     """
     out = bc.copy()
-    pending = list(out.meta.pop("pending_interior_points", []))
-    for p, lab in pending:
-        loc = out.locate_point(p)
-        if loc[0] != "face":
-            raise ScaffoldBlocked("interior point is not strictly inside a face")
-        f = loc[1]
-        cyc = out.faces[f].cycle
-        cands = sorted(
-            {out.tail(d) for d in cyc
-             if out.tail(d) not in out.specials and out.tail(d) not in out.markers},
-            key=lambda v: (angle_between(out.vertices[v], p), v),
-        )
-        if not cands:
-            raise ScaffoldBlocked("face has no attachable vertex")
-        v_pick = next((v for v in cands if _segment_clear(out, p, v)), cands[0])
-        try:
-            corner = _corner_pos_toward(out, f, v_pick, p)
-        except ScaffoldBlocked:
-            corner = next(pos for pos, d in enumerate(cyc) if out.tail(d) == v_pick)
-        t, _e = out.add_bridge(f, v_pick, corner, p)
-        if lab is None:
-            out.markers.add(t)
-        else:
-            out.specials[t] = lab
-    out.check()
+    attach_bridges(out, locate_pending(out))
     return out
+
+
+def _attachable(bc: BaseComplex, cycle) -> set:
+    """Vertices of a face cycle a bridge may attach to: not special, not a marker."""
+    return {bc.tail(d) for d in cycle} - bc.specials.keys() - bc.markers
+
+
+def locate_pending(bc: BaseComplex) -> list:
+    """The face of each pending interior point, in order, before any bridge.
+
+    Refuses (ScaffoldBlocked) a point that is not strictly inside a face and a
+    face with no attachable vertex, as attach_scaffold always has.  A bridge
+    is a SCAFFOLD edge, which ``locate_point`` skips, and keeps every face id
+    and every attachable vertex, so locating against the bridgeless complex
+    gives each point the answer it got after the earlier bridges.  The one
+    thing a bridge adds that ``locate_point`` sees is its tip, a vertex at
+    the earlier point: a point within EPS_SEP of an earlier one is refused
+    here, as ``vertex_at`` refused it there.
+    """
+    pending = bc.meta.get("pending_interior_points", [])
+    faces = []
+    for k, (p, _lab) in enumerate(pending):
+        loc = bc.locate_point(p)
+        u = unit(p)
+        if loc[0] != "face" or any(points_coincide(unit(q), u) for q, _ in pending[:k]):
+            raise ScaffoldBlocked("interior point is not strictly inside a face")
+        if not _attachable(bc, bc.faces[loc[1]].cycle):
+            raise ScaffoldBlocked("face has no attachable vertex")
+        faces.append(loc[1])
+    return faces
+
+
+def attach_bridges(bc: BaseComplex, faces) -> None:
+    """Bridge each pending point into its face from ``locate_pending``, in place."""
+    for (p, lab), f in zip(bc.meta.pop("pending_interior_points", []), faces):
+        cyc = bc.faces[f].cycle
+        cands = sorted(_attachable(bc, cyc),
+                       key=lambda v: (angle_between(bc.vertices[v], p), v))
+        v_pick = next((v for v in cands if _segment_clear(bc, p, v)), cands[0])
+        try:
+            corner = _corner_pos_toward(bc, f, v_pick, p)
+        except ScaffoldBlocked:
+            corner = next(pos for pos, d in enumerate(cyc) if bc.tail(d) == v_pick)
+        t, _e = bc.add_bridge(f, v_pick, corner, p)
+        if lab is None:
+            bc.markers.add(t)
+        else:
+            bc.specials[t] = lab
+    bc.check()
+
+
+def bridges_cannot_fail(bc: BaseComplex, faces) -> bool:
+    """True if ``attach_bridges(bc, faces)`` cannot raise; False if undecided.
+
+    With ``faces`` from ``locate_pending``, only geometry near a degeneracy
+    is left to raise, and margins far above rounding exclude it:
+
+    - each point is more than 2 EPS_SEP from every attachable vertex of its
+      face and from its antipode, so no probe or bridge segment is
+      degenerate and no tangent at a bridge reaches ``unit``'s 1e-15 floor;
+    - no point is within 1e-8 of the great circle of an edge, or of a bridge
+      another point might get.  A probe runs on a circle through its point,
+      so ``segment_intersection`` never takes it for collinear with an edge.
+
+    Curve segments and tangents were built by ``build_faces`` and
+    ``locate_pending``.  ``add_bridge`` gets a corner at the picked vertex.
+    ``check`` holds: a bridge puts its dart pair into one face cycle and the
+    matching fan wedge, so the fans still trace the stored cycles and V - E
+    + F stays 2; its length is an angle; faces and areas do not change.
+    """
+    pending = bc.meta.get("pending_interior_points", [])
+    circles = [(-1, bc.dart_segment(2 * e).pole) for e in bc.live_edges()]
+    for k, ((p, _lab), f) in enumerate(zip(pending, faces)):
+        for v in _attachable(bc, bc.faces[f].cycle):
+            c = cross(p, bc.vertices[v])
+            s = math.sqrt(_fdot(c, c))
+            if s <= 2 * EPS_SEP:
+                return False
+            circles.append((k, scale(1 / s, c)))
+    return all(abs(_fdot(p, n)) > 1e-8
+               for k, (p, _lab) in enumerate(pending)
+               for j, n in circles if j != k)
 
 
 def _segment_clear(bc: BaseComplex, p, v) -> bool:

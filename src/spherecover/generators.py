@@ -12,14 +12,20 @@ from .arrangement import (
     BaseComplex,
     CurveInput,
     SpecialSet,
+    attach_bridges,
     attach_scaffold,
+    bridges_cannot_fail,
     build_arrangement,
+    build_curve_graph,
+    build_faces,
+    locate_pending,
 )
 from .geometry import GeometryError, points_coincide, sphere_point
 from .surface import SurfaceComplex, SurfaceError, functionals, require_valid
 
 
 FILTER_TRIES = 300  # seeded variants generate_disk_covering_filtered draws
+NO_FAN_HOST = "no marker face can host the fan"
 
 
 class GenerationStuck(RuntimeError):
@@ -99,24 +105,34 @@ def _random_curve_points(rng):
     ]
 
 
-def random_base(rng, q=3, with_marker=False, min_clean_faces=0):
+def random_base(rng, q=3, with_marker=False, min_clean_faces=0, fan=None):
     """A random small polygonal curve plus q well-separated special points.
 
     ``min_clean_faces`` asks for at least that many faces without special
-    tips, so cap-limited accretion has room to grow.
+    tips, so cap-limited accretion has room to grow.  ``fan``, if given, is
+    ``(fan_m, max_sheets, special_face_cap)`` of ``generate_disk_covering``:
+    the base must have a marker whose face allows ``fan_m`` copies, else
+    GenerationStuck is raised for the first base that passes the rest.
 
-    Every special point is drawn more than 0.02 rad off the curve, so it
-    becomes a scaffold tip hanging inside some face, and scaffolding keeps
-    the face count.  A base therefore has at most ``len(live_faces()) - 1``
-    clean faces, and an arrangement below that bound is refused before
-    ``attach_scaffold`` runs.  Building a base draws nothing from ``rng``, so
-    the early refusal takes the same attempts as the exact count after
-    scaffolding would."""
+    Building a base draws nothing from ``rng``, so each refusal is made at
+    the earliest point where it is exact, and the attempts are those of
+    building and scaffolding every base in full:
+
+    - the face count, after the curve graph: an arrangement that completes
+      has E - V + 2 faces (``build_curve_graph``), and one that does not is
+      refused too;
+    - the clean faces and the fan host, after ``locate_pending``: bridges
+      keep every face and give each special or marker point a tip in its
+      located face, so both are known before any bridge is built;
+    - a base with no fan host is refused before its bridges whenever
+      ``bridges_cannot_fail``.  Otherwise the bridges are built first, since
+      a base whose bridges fail is a draw again and not a failure.
+    """
     for _attempt in range(400):
         pts = _random_curve_points(rng)
         try:
             curve = CurveInput(tuple(pts))
-            segs = curve.segments()
+            segs = curve.segments
         except (ArrangementError, GeometryError):
             continue
         specials = []
@@ -144,19 +160,45 @@ def random_base(rng, q=3, with_marker=False, min_clean_faces=0):
             if not markers:
                 continue
         try:
-            bc = build_arrangement(curve, SpecialSet(tuple(specials)), markers=markers)
+            bc = build_curve_graph(curve, SpecialSet(tuple(specials)), markers=markers)
+            if len(bc.live_edges()) - len(bc.live_vertices()) + 1 < min_clean_faces:
+                continue
+            faces = locate_pending(build_faces(bc))
         except (ArrangementError, GeometryError):
             continue
-        if len(bc.live_faces()) - 1 < min_clean_faces:
+        pending = bc.meta["pending_interior_points"]
+        special_faces = {f for (_p, lab), f in zip(pending, faces) if lab is not None}
+        if len(bc.live_faces()) - len(special_faces) < min_clean_faces:
             continue
+        hosted = fan is None or _hosts_fan(bc, pending, faces, special_faces, *fan)
+        if not hosted and bridges_cannot_fail(bc, faces):
+            raise GenerationStuck(NO_FAN_HOST)
         try:
-            bc = attach_scaffold(bc)
+            attach_bridges(bc, faces)
         except (ArrangementError, GeometryError):
             continue
-        if len(bc.live_faces()) - len(bc.special_tips_by_face()) < min_clean_faces:
-            continue
+        if not hosted:
+            raise GenerationStuck(NO_FAN_HOST)
         return bc
     raise GenerationStuck("could not build a random base")
+
+
+def _face_cap(f, special_faces, max_sheets, special_face_cap):
+    """Copies allowed over face f: ``special_face_cap`` over a face holding a
+    special tip, if set, else ``max_sheets``."""
+    if special_face_cap is not None and f in special_faces:
+        return special_face_cap
+    return max_sheets
+
+
+def _hosts_fan(bc, pending, faces, special_faces, fan_m, max_sheets, special_face_cap):
+    """Whether a marker's face allows ``fan_m`` copies, decided before the
+    bridges: a marker on the curve keeps its fan, a pending one becomes a tip
+    in its located face."""
+    marker_faces = [bc.face_of_dart(bc.fans[v][0]) for v in bc.markers]
+    marker_faces += [f for (_p, lab), f in zip(pending, faces) if lab is None]
+    return any(_face_cap(f, special_faces, max_sheets, special_face_cap) >= fan_m
+               for f in marker_faces)
 
 
 def branched_fan(bc: BaseComplex, face: int, marker: int, m: int) -> SurfaceComplex:
@@ -187,25 +229,18 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
     """
     rng = random.Random(repr(seed))
     clean = 2 if special_face_cap == 0 else 0
-    bc = random_base(rng, q=q, with_marker=with_marker, min_clean_faces=clean)
+    fan = (fan_m, max_sheets, special_face_cap) if fan_m >= 2 else None
+    bc = random_base(rng, q=q, with_marker=with_marker, min_clean_faces=clean, fan=fan)
     special_faces = bc.special_tips_by_face()
-    caps = {}
-    for f in bc.live_faces():
-        caps[f] = max_sheets
-        if special_face_cap is not None and f in special_faces:
-            caps[f] = special_face_cap
+    caps = {f: _face_cap(f, special_faces, max_sheets, special_face_cap)
+            for f in bc.live_faces()}
     start_candidates = [f for f in bc.live_faces() if caps[f] > 0]
     if not start_candidates:
         raise GenerationStuck("no admissible start face")
-    s = None
-    if fan_m >= 2:
-        for v in bc.markers:
-            f_m = bc.face_of_dart(bc.fans[v][0])
-            if caps.get(f_m, 0) >= fan_m:
-                s = branched_fan(bc, f_m, v, fan_m)
-                break
-        if s is None:
-            raise GenerationStuck("no marker face can host the fan")
+    if fan:
+        # random_base made sure that some marker's face can host the fan
+        v = next(v for v in bc.markers if caps[bc.face_of_dart(bc.fans[v][0])] >= fan_m)
+        s = branched_fan(bc, bc.face_of_dart(bc.fans[v][0]), v, fan_m)
     else:
         s = SurfaceComplex(bc, [rng.choice(start_candidates)], {})
     for _ in range(rng.randint(4, 26)):

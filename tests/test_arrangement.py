@@ -8,11 +8,15 @@ from spherecover.arrangement import (
     SCAFFOLD,
     CurveInput,
     OverlappingInput,
+    ScaffoldBlocked,
     SpecialSet,
     TooManySegments,
+    attach_bridges,
     attach_scaffold,
+    bridges_cannot_fail,
     build_arrangement,
     left_right_faces,
+    locate_pending,
 )
 from spherecover.geometry import (
     GeodesicSegment,
@@ -118,6 +122,43 @@ def test_special_tips_by_face_holds_the_tip_faces():
     assert f_north != f_south and bc.vertex_at(on_curve) in bc.specials
     assert bc.special_tips_by_face() == {f_north: [bc.vertex_at(north)],
                                          f_south: [bc.vertex_at(south)]}
+
+
+def test_curve_segments_are_built_once():
+    curve = CurveInput(equator_points())
+    segs = curve.segments
+    assert isinstance(segs, tuple) and curve.segments is segs
+    assert [(s.a, s.b) for s in segs] == [
+        (curve.points[i], curve.points[(i + 1) % 3]) for i in range(3)]
+
+
+def test_scaffold_refuses_a_point_on_an_earlier_tip():
+    """The second of two coinciding markers meets the first one's tip: it is
+    refused before any bridge, as it was when located after the bridge."""
+    m = sph(1.0, -0.6)
+    for markers in ([m, m], [m, sph(1.0, -0.6 + 1e-10)]):
+        bc = build_arrangement(CurveInput(equator_points()),
+                               SpecialSet(NORTH_SPECIALS), markers=markers)
+        with pytest.raises(ScaffoldBlocked, match="strictly inside"):
+            locate_pending(bc)
+        with pytest.raises(ScaffoldBlocked, match="strictly inside"):
+            attach_scaffold(bc)
+
+
+def test_bridges_cannot_fail_only_clear_of_degeneracy():
+    """bridges_cannot_fail is False for a point on an edge's great circle,
+    such as the antipode of a vertex, where it cannot vouch for the bridges;
+    the bridges are still built there."""
+    pts = (sph(0.0, 0.0), sph(1.0, 0.5), sph(2.0, 0.0))
+    for marker, ok in ((sph(3.5, -0.4), True),
+                       (sph(3.0, 0.0), False),  # on the circle of the edge 2 -> 0
+                       (sph(1.0 + math.pi, -0.5), False)):  # a vertex's antipode
+        bc = build_arrangement(CurveInput(pts), SpecialSet(NORTH_SPECIALS), markers=[marker])
+        faces = locate_pending(bc)
+        assert bridges_cannot_fail(bc, faces) is ok
+        out = attach_scaffold(bc)
+        attach_bridges(bc, faces)
+        assert bc.markers == out.markers and len(bc.live_edges()) == len(out.live_edges())
 
 
 def test_left_right_faces_antisymmetric():

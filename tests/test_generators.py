@@ -5,26 +5,46 @@ import random
 import pytest
 
 from spherecover import generators, io
-from spherecover.arrangement import ArrangementError, CurveInput, attach_scaffold
+from spherecover.arrangement import CURVE, ArrangementError, CurveInput
 from spherecover.generators import (
     GenerationStuck,
-    _random_curve_points,
+    _close_scaffold_sides,
+    _count_branches,
+    _random_slit,
     _sph,
+    branched_fan,
+    generate_disk_covering,
     make_base,
     random_base,
 )
-from spherecover.geometry import GeometryError, points_coincide
+from spherecover.geometry import GeometryError, Rotation, points_coincide
+from spherecover.surface import SurfaceComplex, require_valid
 
 SEEDS = range(24)
 
 
-def reference_random_base(rng, q=3, with_marker=False, min_clean_faces=0):
-    """random_base as it was before the face-count bound: every base is
-    scaffolded, then its clean faces are counted exactly."""
+def reference_hosts_fan(bc, fan_m, max_sheets, special_face_cap):
+    """The fan host test of generate_disk_covering on a scaffolded base, as it
+    was before random_base took the fan requirement."""
+    special_faces = bc.special_tips_by_face()
+    for v in bc.markers:
+        f_m = bc.face_of_dart(bc.fans[v][0])
+        cap = max_sheets
+        if special_face_cap is not None and f_m in special_faces:
+            cap = special_face_cap
+        if cap >= fan_m:
+            return True
+    return False
+
+
+def reference_random_base(rng, q=3, with_marker=False, min_clean_faces=0, fan=None):
+    """random_base as it was before any early refusal: every base is traced
+    and scaffolded in full, then its clean faces are counted exactly and,
+    for a fan requirement, its marker faces tested after scaffolding."""
     for _attempt in range(400):
-        pts = _random_curve_points(rng)
+        pts = generators._random_curve_points(rng)
         try:
-            segs = CurveInput(tuple(pts)).segments()
+            segs = CurveInput(tuple(pts)).segments
         except (ArrangementError, GeometryError):
             continue
         specials = []
@@ -57,54 +77,192 @@ def reference_random_base(rng, q=3, with_marker=False, min_clean_faces=0):
             continue
         if len(bc.live_faces()) - len(bc.special_tips_by_face()) < min_clean_faces:
             continue
+        if fan is not None and not reference_hosts_fan(bc, *fan):
+            raise GenerationStuck("no marker face can host the fan")
         return bc
     raise GenerationStuck("could not build a random base")
+
+
+def reference_generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
+                                     branch_budget=6, sew_prob=0.35,
+                                     special_face_cap=None, with_marker=False,
+                                     fan_m=0, slits=0):
+    """generate_disk_covering as it was before random_base took the fan
+    requirement: the base is scaffolded first, then the fan host is looked
+    for."""
+    rng = random.Random(repr(seed))
+    clean = 2 if special_face_cap == 0 else 0
+    bc = reference_random_base(rng, q=q, with_marker=with_marker, min_clean_faces=clean)
+    special_faces = bc.special_tips_by_face()
+    caps = {}
+    for f in bc.live_faces():
+        caps[f] = max_sheets
+        if special_face_cap is not None and f in special_faces:
+            caps[f] = special_face_cap
+    start_candidates = [f for f in bc.live_faces() if caps[f] > 0]
+    if not start_candidates:
+        raise GenerationStuck("no admissible start face")
+    s = None
+    if fan_m >= 2:
+        for v in bc.markers:
+            f_m = bc.face_of_dart(bc.fans[v][0])
+            if caps.get(f_m, 0) >= fan_m:
+                s = branched_fan(bc, f_m, v, fan_m)
+                break
+        if s is None:
+            raise GenerationStuck("no marker face can host the fan")
+    else:
+        s = SurfaceComplex(bc, [rng.choice(start_candidates)], {})
+    for _ in range(rng.randint(4, 26)):
+        free = s.free_sides()
+        if not free:
+            break
+        do_sew = rng.random() < sew_prob and branch_budget > 0
+        if do_sew:
+            walk_len = sum(len(w) for w in s.walks())
+            rng.shuffle(free)
+            done = False
+            for side in free:
+                if s.base.kind(s.dart_of(side)) != CURVE:
+                    continue
+                nxt = s.walk_successor(side)
+                if nxt == side or walk_len <= 2:
+                    continue
+                if s.dart_of(nxt) == (s.dart_of(side) ^ 1):
+                    s.pair(side, nxt)
+                    done = True
+                    break
+            if done:
+                if _count_branches(s) >= branch_budget:
+                    branch_budget = 0
+                continue
+        counts = {}
+        for c in s.live_copy_ids():
+            counts[s.copies[c]] = counts.get(s.copies[c], 0) + 1
+        rng.shuffle(free)
+        for side in free:
+            f_new = s.base.face_of_dart(s.dart_of(side) ^ 1)
+            if counts.get(f_new, 0) >= caps[f_new] or len(s.live_copy_ids()) >= max_faces:
+                continue
+            c_new = s.add_copy(f_new)
+            pos = s.base.faces[f_new].cycle.index(s.dart_of(side) ^ 1)
+            s.pair(side, (c_new, pos))
+            break
+    _close_scaffold_sides(s)
+    require_valid(s, "generated disk covering")
+    if s.topology_kind() != "disk":
+        raise GenerationStuck("generator produced a non-disk")
+    for _ in range(slits):
+        s = _random_slit(s, rng) or s
+    return s
 
 
 def _dump(bc):
     return json.dumps(io.base_to_dict(bc), sort_keys=True)
 
 
+def _outcome(build, *args, **kwargs):
+    """What a generator call gives: ("ok", its output) or ("stuck", None)."""
+    try:
+        return "ok", build(*args, **kwargs)
+    except GenerationStuck:
+        return "stuck", None
+
+
+# fan requirements (fan_m, max_sheets, special_face_cap) as
+# generate_disk_covering passes them
+FANS = [None, (2, 8, None), (2, 8, 0), (3, 8, 1), (3, 4, 2)]
+
+
 @pytest.mark.parametrize("with_marker", [False, True])
 @pytest.mark.parametrize("min_clean_faces", [0, 2])
 def test_random_base_matches_scaffold_first_reference(min_clean_faces, with_marker):
+    for fan in FANS:
+        for seed in SEEDS:
+            kw = dict(q=3 + seed % 3, with_marker=with_marker,
+                      min_clean_faces=min_clean_faces, fan=fan)
+            rng_new, rng_ref = random.Random(seed), random.Random(seed)
+            new, bc_new = _outcome(random_base, rng_new, **kw)
+            ref, bc_ref = _outcome(reference_random_base, rng_ref, **kw)
+            assert new == ref, (fan, seed)
+            if new == "ok":
+                assert _dump(bc_new) == _dump(bc_ref), (fan, seed)
+            assert rng_new.getstate() == rng_ref.getstate(), (fan, seed)
+
+
+def test_random_base_matches_reference_on_tilted_curves(monkeypatch):
+    """Curves tilted into the band of the special points put specials in
+    several faces, so the exact clean-face count refuses bases the face-count
+    bound lets through; the generator's own curves never get there."""
+    tilt = Rotation.from_axis_angle((0.0, 1.0, 0.0), 0.9)
+    draw = generators._random_curve_points
+    monkeypatch.setattr(generators, "_random_curve_points",
+                        lambda rng: [tilt.apply(p) for p in draw(rng)])
+    for fan in (None, (2, 8, 0)):
+        for seed in SEEDS:
+            kw = dict(q=3 + seed % 3, with_marker=seed % 2 == 1, min_clean_faces=2, fan=fan)
+            rng_new, rng_ref = random.Random(seed), random.Random(seed)
+            new, bc_new = _outcome(random_base, rng_new, **kw)
+            ref, bc_ref = _outcome(reference_random_base, rng_ref, **kw)
+            assert new == ref, (fan, seed)
+            if new == "ok":
+                assert _dump(bc_new) == _dump(bc_ref), (fan, seed)
+            assert rng_new.getstate() == rng_ref.getstate(), (fan, seed)
+
+
+@pytest.mark.parametrize("fan_m", [0, 2, 3])
+@pytest.mark.parametrize("special_face_cap", [None, 0, 1, 2])
+def test_generate_disk_covering_matches_scaffold_first_reference(fan_m, special_face_cap):
     for seed in SEEDS:
-        q = 3 + seed % 3
-        kw = dict(q=q, with_marker=with_marker, min_clean_faces=min_clean_faces)
-        rng_new, rng_ref = random.Random(seed), random.Random(seed)
-        new = random_base(rng_new, **kw)
-        ref = reference_random_base(rng_ref, **kw)
-        assert _dump(new) == _dump(ref), seed
-        assert rng_new.getstate() == rng_ref.getstate(), seed
+        kw = dict(q=3 + seed % 3, special_face_cap=special_face_cap, fan_m=fan_m,
+                  with_marker=fan_m >= 2 or seed % 2 == 1, slits=seed % 3)
+        new, s_new = _outcome(generate_disk_covering, ("ref", seed), **kw)
+        ref, s_ref = _outcome(reference_generate_disk_covering, ("ref", seed), **kw)
+        assert new == ref, seed
+        if new == "ok":
+            assert json.dumps(io.surface_to_dict(s_new), sort_keys=True) == \
+                json.dumps(io.surface_to_dict(s_ref), sort_keys=True), seed
 
 
 def test_face_count_bound_is_sound(monkeypatch):
-    """Scaffolding keeps the face count and hangs a special tip in some face,
-    so no scaffolded base has more than live_faces - 1 clean faces: every
-    arrangement the bound refuses would have failed the exact count."""
-    built = []
-    build = generators.build_arrangement
+    """Every arrangement that completes has E - V + 2 faces, counted on its
+    curve graph, so random_base's refusal before build_faces is exact; and
+    that refusal happens.  The refused graphs are traced here to check them
+    as well."""
+    graphs, faced, completed = [], set(), set()
+    build_graph, build = generators.build_curve_graph, generators.build_faces
 
-    def recording_build(*args, **kwargs):
-        bc = build(*args, **kwargs)
-        built.append(bc)
+    def recording_graph(*args, **kwargs):
+        bc = build_graph(*args, **kwargs)
+        graphs.append((bc, len(bc.live_edges()) - len(bc.live_vertices()) + 2))
         return bc
 
-    monkeypatch.setattr(generators, "build_arrangement", recording_build)
+    def recording_faces(bc):
+        faced.add(id(bc))
+        out = build(bc)
+        completed.add(id(bc))
+        return out
+
+    monkeypatch.setattr(generators, "build_curve_graph", recording_graph)
+    monkeypatch.setattr(generators, "build_faces", recording_faces)
     for seed in SEEDS:
         random_base(random.Random(seed), q=3 + seed % 3,
                     with_marker=seed % 2 == 1, min_clean_faces=2)
-    refused = 0
-    for bc in built:
-        bound = len(bc.live_faces()) - 1
-        refused += bound < 2
-        try:
-            out = attach_scaffold(bc)
-        except (ArrangementError, GeometryError):
+    refused = [bc for bc, n in graphs if n - 1 < 2]
+    assert refused and len(faced) == len(graphs) - len(refused)
+    assert not faced & {id(bc) for bc in refused}
+    checked = 0
+    for bc, n in graphs:
+        if id(bc) not in faced:
+            try:
+                build(bc)
+            except (ArrangementError, GeometryError):
+                continue
+        elif id(bc) not in completed:
             continue
-        assert len(out.live_faces()) == bound + 1
-        assert len(out.live_faces()) - len(out.special_tips_by_face()) <= bound
-    assert refused > 0
+        assert len(bc.live_faces()) == n
+        checked += 1
+    assert checked > len(refused)
 
 
 def test_random_base_propagates_unexpected_errors(monkeypatch):
@@ -116,7 +274,7 @@ def test_random_base_propagates_unexpected_errors(monkeypatch):
         calls.append(1)
         raise TypeError("broken arrangement builder")
 
-    monkeypatch.setattr(generators, "build_arrangement", broken_build)
+    monkeypatch.setattr(generators, "build_curve_graph", broken_build)
     with pytest.raises(TypeError, match="broken arrangement builder"):
         random_base(random.Random(0))
     assert len(calls) == 1

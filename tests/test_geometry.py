@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spherecover import geometry
 from spherecover.geometry import (
@@ -193,6 +193,8 @@ def test_unit_of_near_zero_vector_raises():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6))
+@example(2887)
+@example(33724)
 def test_segment_pole_and_length_cache(seed):
     def fresh_pole(s):
         v = np.cross(s.a, s.b)
@@ -217,7 +219,10 @@ def test_segment_pole_and_length_cache(seed):
         assert _hex(other.pole) == _hex(fresh_pole(other))
         assert other.length == fresh_length(other)
         assert other.length == pytest.approx(length, abs=1e-14)
-    assert np.allclose(seg.reversed().pole, np.negative(pole), rtol=0, atol=1e-15)
+    # the pole is a normalized cross product of endpoints that reversed()
+    # renormalizes, so its rounding grows as 1 / sin(length) on short arcs
+    tol = max(1e-15, 4 * 2.0 ** -52 / math.sin(seg.length))
+    assert np.allclose(seg.reversed().pole, np.negative(pole), rtol=0, atol=tol)
 
 
 # A segment measures its endpoints' angle once, for both degeneracy tests and
