@@ -28,6 +28,7 @@ from .geometry import (
     cross,
     dot,
     float_sum,
+    nearest_feature,
     neg,
     points_coincide,
     scale,
@@ -323,27 +324,25 @@ class BaseComplex:
         v = self.vertex_at(p)
         if v is not None:
             return ("vertex", v)
-        for e in self.live_edges():
-            if self.edges[e].kind != CURVE:
-                continue
-            t = self.dart_segment(2 * e).param_of(p)
-            if t is not None:
-                return ("edge", e, t)
-        # Nearest curve feature decides the side.
-        best = None
+        edges, segs = [], []
         for e in self.live_edges():
             if self.edges[e].kind != CURVE:
                 continue
             seg = self.dart_segment(2 * e)
-            d_ang, x = seg.nearest_point(p)
-            if best is None or d_ang < best[0]:
-                ed = self.edges[e]
-                best = (d_ang, e, ed.a if x is seg.a else ed.b if x is seg.b else None)
+            t = seg.param_of(p)
+            if t is not None:
+                return ("edge", e, t)
+            edges.append(e)
+            segs.append(seg)
+        # Nearest curve feature decides the side.
+        best = nearest_feature(segs, p)
         if best is None:
             raise ArrangementError("complex has no curve edges")
-        _, e, vtx = best
+        i, _, x = best
+        e, seg = edges[i], segs[i]
+        vtx = self.edges[e].a if x is seg.a else self.edges[e].b if x is seg.b else None
         if vtx is None:
-            side = dot(p, self.dart_segment(2 * e).pole)
+            side = dot(p, seg.pole)
             d = 2 * e if side > 0 else 2 * e + 1
             return ("face", self.left_face(d))
         return ("face", self._face_of_wedge(vtx, p))

@@ -18,6 +18,23 @@ the twin is more than ``_FILTER`` from the threshold, far more than the
 twin can be off; otherwise it evaluates its exact-kernel formula.  So every
 decision is the exact kernel's, and every value that is returned or stored
 (lengths, parameters, points, areas) comes from the exact kernel.
+
+Three searches run the exact kernel only on candidates that can win; each
+skips a candidate only where a sound plain-float bound puts it more than
+``_PRUNE`` (1e-7 rad) behind.  An arc is well conditioned when its length
+lies in [1e-5, pi - 1e-5].
+
+* ``nearest_feature`` runs ``nearest_point`` on the arcs whose twin angle
+  is within ``_PRUNE`` of the least; the twin is within 1e-9 of it on a
+  well-conditioned arc, and any other arc always runs.
+* ``segment_intersection`` returns [] where two well-conditioned arcs'
+  midpoints lie more than (L1 + L2)/2 + 3*tol + ``_PRUNE`` apart (tol <=
+  1e-6): a point it returns lies within (L1 + L2)/2 + 3*tol + 5e-10 of the
+  two together.
+* ``polish_contact`` moves ``contact_angle``'s closed-form angle by at most
+  ``CONTACT_BRACKET`` (1e-4), so of several targets' first contacts only
+  those within 2e-4 + 1e-7 of the least need polishing to find the first
+  two (all of them when one lies within 1e-3 of 2*pi).
 """
 
 from __future__ import annotations
@@ -32,6 +49,7 @@ from math import fsum
 EPS_UNIT = 1e-12
 EPS_SEP = 1e-9
 CONTACT_TOL = 1e-10  # rotation angle to which a first contact is bisected
+CONTACT_BRACKET = 1e-4  # half-width of that bisection around the closed form
 
 # Veltkamp's splitter 2**27 + 1: x == hi + lo with both halves 26 bits wide,
 # so the four partial products of two split floats are exact.
@@ -46,6 +64,13 @@ _FILTER = 1e-13
 # range of the squared magnitudes (|a|**2 |b|**2) where a twin is trusted: no
 # coordinate product overflows, and an underflowed one errs negligibly.
 _FILTER_LO, _FILTER_HI = 2.0 ** -800, 2.0 ** 800
+# A search skips a candidate only where a plain-float bound puts it more than
+# this (rad) behind what can win; those bounds err by less than 2e-9 rad.
+_PRUNE = 1e-7
+# An arc is well conditioned when its length lies in [_WELL, pi - _WELL]:
+# then sin(length) > 0.99e-5, and since its pole comes from a cross product
+# rounded by < 6e-16, both endpoints lie within 1e-10 rad of the pole's circle.
+_WELL = 1e-5
 
 
 class GeometryError(ValueError):
@@ -316,6 +341,65 @@ class GeodesicSegment:
     def reversed(self) -> "GeodesicSegment":
         return GeodesicSegment(self.b, self.a)
 
+    @cached_property
+    def _reach(self):
+        """(midpoint in plain floats, length / 2) of a well-conditioned arc,
+        None for any other (see ``segment_intersection`` and ``_fnearest``)."""
+        if not _WELL <= self.length <= math.pi - _WELL:
+            return None
+        m = add(self.a, self.b)
+        r = math.sqrt(_fdot(m, m))
+        return (m[0] / r, m[1] / r, m[2] / r), self.length / 2
+
+
+def _fnearest(seg, p):
+    """Plain-float twin of ``seg.nearest_point(p)[0]``, or None where it is not
+    trusted: on an arc that is not well conditioned, and unless p is a unit
+    vector at least 1e-4 rad from either pole of the arc's circle.
+
+    It is the distance from p to the circle (atan2(|p.n|, |n x p|)) where p
+    lies in the lune of the circle's normals through the two endpoints (the
+    signs of p.(n x a) and p.(b x n)), and the nearer endpoint's angle
+    elsewhere."""
+    if seg._reach is None:
+        return None
+    n = seg.pole
+    q = cross(n, p)
+    qq, s = _fdot(q, q), _fdot(p, n)
+    if not (qq >= 1e-8 and abs(qq + s * s - 1.0) <= 1e-9):
+        return None
+    if _fdot(p, cross(n, seg.a)) >= 0 and _fdot(p, cross(seg.b, n)) >= 0:
+        return math.atan2(abs(s), math.sqrt(qq))
+    return min(_fangle(p, seg.a), _fangle(p, seg.b))
+
+
+def nearest_feature(segs, p):
+    """(index, angle, point) of the first arc of ``segs`` whose
+    ``nearest_point(p)`` angle is least, that angle and point; None for no arcs.
+
+    Filtered: the exact ``nearest_point`` runs only on the arcs whose twin
+    (``_fnearest``) is untrusted or within ``_PRUNE`` of the least trusted
+    twin.  That keeps every arc the full scan can pick.  Let d be the
+    distance from p to the arc between the endpoints' feet on the pole's
+    circle; the endpoints lie within eta < 1e-10 of that circle.  The twin
+    is within eta of d (plus rounding).  ``nearest_point`` is too where its
+    foot is refused (the foot is then off that arc, so d is an endpoint's
+    distance), and within 5e-10 + 2*eta where the foot is taken (a foot
+    passing the 1e-9 end test lies within that of the arc; the plane test
+    passes, as |n x p| >= 1e-4 keeps the foot within 1e-11 of the plane).
+    So twin and exact angle differ by < 1e-9, and an arc whose twin exceeds
+    another's by more than ``_PRUNE`` has the larger exact angle."""
+    twins = [_fnearest(seg, p) for seg in segs]
+    cut = min((w for w in twins if w is not None), default=math.inf) + _PRUNE
+    best = None
+    for i, (seg, w) in enumerate(zip(segs, twins)):
+        if w is not None and w > cut:
+            continue
+        d, x = seg.nearest_point(p)
+        if best is None or d < best[1]:
+            best = (i, d, x)
+    return best
+
 
 class PointRegistry:
     """Distinct points by linear scan: a point within ``tol`` of a registered
@@ -364,7 +448,23 @@ def segment_intersection(s1: GeodesicSegment, s2: GeodesicSegment, tol=EPS_SEP):
     Returns a list whose entries are points (transversal or touching
     intersections) or GeodesicSegments (shared subarcs when both arcs lie
     on one great circle).
-    """
+
+    Broad phase: for two well-conditioned arcs and tol <= 1e-6 it returns []
+    at once where the plain-float angle between their midpoints M1, M2
+    exceeds (L1 + L2)/2 + 3*tol + ``_PRUNE``.  That is sound, because every
+    returned point q has qM1 + qM2 <= (L1 + L2)/2 + 3*tol + 5e-10.  For a
+    unit q at angles ta, tb from the ends of an arc of length L, cos(qM) =
+    (cos ta + cos tb) / (2 cos(L/2)) = cos((ta+tb)/2) cos((ta-tb)/2) /
+    cos(L/2) >= cos((ta+tb)/2), as |ta - tb| <= L; so qM <= (ta + tb)/2
+    while that is at most pi/2.  A point that ``contains`` accepts has
+    ta + tb <= L + tol.  A point or piece end of ``_collinear_overlap`` lies
+    on the circle C through s1.a, within tol/2 of both arcs' angle intervals
+    on C.  An endpoint at distance e from C adds at most 2e to ta + tb, and
+    s1's endpoints lie within 2e-10 of C, s2's within tol + 2e-10."""
+    r1, r2 = s1._reach, s2._reach
+    if (r1 is not None and r2 is not None and tol <= 1e-6
+            and _fangle(r1[0], r2[0]) > r1[1] + r2[1] + 3 * tol + _PRUNE):
+        return []
     n1, n2 = s1.pole, s2.pole
     cr = cross(n1, n2)
     lim = math.sin(tol)
@@ -567,26 +667,28 @@ def _circle_plane_roots(p0, axis, pole):
     return sorted({(phi + base) % (2 * math.pi), (phi - base) % (2 * math.pi)})
 
 
-def first_contact_rotation(curve, target, axis):
-    """Smallest t* > 0 with R(axis, t*)^-1(target) on the curve.
-
-    ``curve`` is a list of GeodesicSegments.  The preimage of the target
-    travels along the circle {R(axis,-t) target}; contacts against each arc's
-    great circle are found in closed form and verified on the arc, then the
-    first one is polished by bisection on the on/off predicate to
-    ``CONTACT_TOL``.
-
-    Returns (Rotation, segment_index, parameter_on_segment).
-    """
+def _preimages(target, axis):
+    """(p0, pre): the unit target p0 and t -> R(axis, t)^-1 p0.  The
+    inverse's rows are the rotation's columns, each taken by ``dot`` with
+    p0, as ``Rotation.from_axis_angle(axis, t).inverse().apply`` takes them."""
     p0 = unit(target)
-    back = neg(unit(axis))
     kx, kk = _axis_terms(axis)
 
     def pre(t):
-        # Rotation.from_axis_angle(axis, t).inverse().apply(p0): the
-        # inverse's rows are the columns, each taken by ``dot`` with p0
         return unit(tuple(dot(col, p0) for col in zip(*_axis_angle_matrix(kx, kk, t))))
+    return p0, pre
 
+
+def contact_angle(curve, target, axis):
+    """Closed-form step of ``first_contact_rotation``: (t, segment_index) of
+    the least t > ``CONTACT_TOL`` (the first arc on a tie) at which
+    R(axis, t)^-1(target) meets the great circle of an arc and lies on the
+    arc within 10 * EPS_SEP.
+
+    Raises GeometryError if the target lies on the curve, NoContact if it
+    never meets it."""
+    p0, pre = _preimages(target, axis)
+    back = neg(unit(axis))
     best = None
     for idx, seg in enumerate(curve):
         if seg.contains(p0):
@@ -595,17 +697,24 @@ def first_contact_rotation(curve, target, axis):
             t %= 2 * math.pi
             if t <= CONTACT_TOL:
                 continue
-            prm = seg.param_of(pre(t), tol=10 * EPS_SEP)
-            if prm is None:
+            if seg.param_of(pre(t), tol=10 * EPS_SEP) is None:
                 continue
             if best is None or t < best[0]:
-                best = (t, idx, prm)
+                best = (t, idx)
     if best is None:
         raise NoContact("rotation family never meets the curve")
-    t_star, idx, prm = best
-    seg = curve[idx]
-    # Bisection polish: largest t below t_star with the preimage off the arc.
-    lo, hi = max(0.0, t_star - 1e-4), t_star + 1e-4
+    return best
+
+
+def polish_contact(seg, target, axis, t):
+    """Bisection step of ``first_contact_rotation``: (Rotation, parameter) at
+    the angle where the preimage reaches ``seg`` (within 10 * EPS_SEP),
+    bisected to ``CONTACT_TOL`` within ``CONTACT_BRACKET`` of the
+    closed-form angle t.  So the rotation's angle differs from t by at most
+    ``CONTACT_BRACKET``.  The parameter is None if the preimage is off the
+    arc by more than 1e-6."""
+    _, pre = _preimages(target, axis)
+    lo, hi = max(0.0, t - CONTACT_BRACKET), t + CONTACT_BRACKET
     for _ in range(200):
         if hi - lo <= CONTACT_TOL:
             break
@@ -614,6 +723,20 @@ def first_contact_rotation(curve, target, axis):
             lo = mid
         else:
             hi = mid
-    t_star = hi
-    prm = seg.param_of(pre(t_star), tol=1e-6)
-    return Rotation.from_axis_angle(axis, t_star), idx, prm
+    return Rotation.from_axis_angle(axis, hi), seg.param_of(pre(hi), tol=1e-6)
+
+
+def first_contact_rotation(curve, target, axis):
+    """Smallest t* > 0 with R(axis, t*)^-1(target) on the curve.
+
+    ``curve`` is a list of GeodesicSegments.  The preimage of the target
+    travels along the circle {R(axis,-t) target}; contacts against each arc's
+    great circle are found in closed form and verified on the arc
+    (``contact_angle``), then the first one is polished by bisection on the
+    on/off predicate to ``CONTACT_TOL`` (``polish_contact``).
+
+    Returns (Rotation, segment_index, parameter_on_segment).
+    """
+    t, idx = contact_angle(curve, target, axis)
+    rot, prm = polish_contact(curve[idx], target, axis, t)
+    return rot, idx, prm

@@ -23,14 +23,17 @@ from dataclasses import dataclass, field
 
 from .arrangement import CURVE, SCAFFOLD
 from .geometry import (
+    CONTACT_BRACKET,
     NoContact,
     Rotation,
     angle_between,
+    contact_angle,
     cross,
     dot,
-    first_contact_rotation,
+    nearest_feature,
     neg,
     points_coincide,
+    polish_contact,
     scale,
     sub,
     tangent_frame,
@@ -580,7 +583,7 @@ def rotate_to_touch_special(s: SurfaceComplex):
     specials = [(v, s.base.vertices[v]) for v in s.base.specials]
     best = None
     for v, p in specials:
-        dmin, x0 = min((seg.nearest_point(p) for seg in segs), key=lambda x: x[0])
+        _, dmin, x0 = nearest_feature(segs, p)
         if best is None or dmin < best[0]:
             best = (dmin, v, p, x0)
     _, v1, p1, x0 = best
@@ -592,24 +595,12 @@ def rotate_to_touch_special(s: SurfaceComplex):
         axis = base_axis
         if jt:
             axis = Rotation.from_axis_angle(p1, jt).apply(base_axis)
-        contacts = []
-        for v, p in specials:
-            try:
-                rot, seg_idx, prm = first_contact_rotation(segs, p, neg(axis))
-                contacts.append((rot, seg_idx, prm, v))
-            except NoContact:
-                continue
+        contacts = _ordered_contacts(segs, specials, neg(axis))
         if not contacts:
             last_err = NoContact("no special reaches the boundary under this axis")
             continue
-
-        def angle_of(rot):
-            return _rotation_angle_about(rot, neg(axis))
-
-        contacts.sort(key=lambda c: angle_of(c[0]))
-        rot, seg_idx, prm, v_c = contacts[0]
-        t_star = angle_of(rot)
-        if len(contacts) > 1 and angle_of(contacts[1][0]) - t_star < 1e-9:
+        t_star, rot, seg_idx, prm, v_c = contacts[0]
+        if len(contacts) > 1 and contacts[1][0] - t_star < 1e-9:
             last_err = PipelineError("two specials touch simultaneously")
             continue
         seg = segs[seg_idx]
@@ -620,6 +611,41 @@ def rotate_to_touch_special(s: SurfaceComplex):
         rho = Rotation.from_axis_angle(axis, t_star)
         return _apply_rotation_contact(s, rho, v_c, edge_ids[seg_idx], prm), rho
     raise last_err if last_err is not None else NoContact("rotation search failed")
+
+
+def _ordered_contacts(segs, specials, axis):
+    """First contacts of the specials turned about ``axis``, sorted by angle
+    (stably, so in the order of ``specials`` on a tie), as (angle, Rotation,
+    segment index, parameter, special), with the angle read back from the
+    polished rotation by ``_rotation_angle_about``.
+
+    Every special's closed-form step (``contact_angle``) runs, in order, so
+    a GeometryError is raised as before.  Only the contacts whose
+    closed-form angle is within 2 * CONTACT_BRACKET + 1e-7 of the least are
+    polished (all of them if one lies within 1e-3 of 2*pi, where the read
+    angle would wrap), and the list holds only those.  That leaves its
+    first entry, and whether a second one lies within 1e-9 of it, as with
+    every contact polished: polishing moves an angle by at most
+    CONTACT_BRACKET, and reading it back by far less than 1e-9, so each
+    skipped contact's angle exceeds the least polished one by more than
+    1e-9."""
+    found = []
+    for v, p in specials:
+        try:
+            found.append((contact_angle(segs, p, axis), v, p))
+        except NoContact:
+            continue
+    if not found:
+        return []
+    ts = [t for (t, _), _, _ in found]
+    cut = min(ts) + 2 * CONTACT_BRACKET + 1e-7 if max(ts) < 2 * math.pi - 1e-3 else math.inf
+    contacts = []
+    for (t, idx), v, p in found:
+        if t <= cut:
+            rot, prm = polish_contact(segs[idx], p, axis, t)
+            contacts.append((_rotation_angle_about(rot, axis), rot, idx, prm, v))
+    contacts.sort(key=lambda c: c[0])
+    return contacts
 
 
 def _rotation_angle_about(rot: Rotation, axis) -> float:

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from spherecover.arrangement import (
     CURVE,
     SCAFFOLD,
+    ArrangementError,
     CurveInput,
     OverlappingInput,
     ScaffoldBlocked,
@@ -20,9 +23,13 @@ from spherecover.arrangement import (
 )
 from spherecover.geometry import (
     GeodesicSegment,
+    GeometryError,
     Rotation,
+    add,
     angle_between,
     cross,
+    dot,
+    neg,
     sphere_point,
     unit,
 )
@@ -248,6 +255,76 @@ def test_locate_point_on_edge_and_vertex():
     assert loc[0] == "vertex"
     loc = bc.locate_point(sphere_point(0, 0, 1))
     assert loc[0] == "face"
+
+
+def ref_locate_point(bc, p):
+    """locate_point with the full nearest scan: nearest_point on every curve edge."""
+    p = unit(p)
+    v = bc.vertex_at(p)
+    if v is not None:
+        return ("vertex", v)
+    for e in bc.live_edges():
+        if bc.edges[e].kind != CURVE:
+            continue
+        t = bc.dart_segment(2 * e).param_of(p)
+        if t is not None:
+            return ("edge", e, t)
+    best = None
+    for e in bc.live_edges():
+        if bc.edges[e].kind != CURVE:
+            continue
+        seg = bc.dart_segment(2 * e)
+        d_ang, x = seg.nearest_point(p)
+        if best is None or d_ang < best[0]:
+            ed = bc.edges[e]
+            best = (d_ang, e, ed.a if x is seg.a else ed.b if x is seg.b else None)
+    if best is None:
+        raise ArrangementError("complex has no curve edges")
+    _, e, vtx = best
+    if vtx is None:
+        side = dot(p, bc.dart_segment(2 * e).pole)
+        d = 2 * e if side > 0 else 2 * e + 1
+        return ("face", bc.left_face(d))
+    return ("face", bc._face_of_wedge(vtx, p))
+
+
+def _turned(v, t, ang):
+    """The point ang from v in the direction of the unit tangent t at v."""
+    return unit(add(tuple(math.cos(ang) * x for x in v), tuple(math.sin(ang) * x for x in t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_locate_point_matches_the_full_nearest_scan(seed):
+    # a random star polygon (crossing itself at times), and points on the
+    # bisectors of the angles between curve darts at each vertex, where two
+    # edges are (nearly) equally near, as well as random points
+    rng = np.random.default_rng(seed)
+    c = unit(rng.standard_normal(3).tolist())
+    e1 = unit(cross(c, rng.standard_normal(3).tolist()))
+    e2 = cross(c, e1)
+    k = int(rng.integers(3, 8))
+    turns = np.sort(rng.uniform(0, 2 * math.pi, k))
+    pts = tuple(_turned(c, unit(add(tuple(math.cos(a) * x for x in e1),
+                                    tuple(math.sin(a) * x for x in e2))), r)
+                for a, r in zip(turns, rng.uniform(0.1, 1.4, k)))
+    try:
+        bc = build_arrangement(CurveInput(pts), SpecialSet(NORTH_SPECIALS))
+    except (ArrangementError, GeometryError):
+        return
+    probes = [unit(rng.standard_normal(3).tolist()) for _ in range(10)]
+    for v in bc.live_vertices():
+        pv = bc.vertices[v]
+        tangents = [unit(bc.dart_tangent(d)) for d in bc.fans[v] if bc.kind(d) == CURVE]
+        for t1, t2 in zip(tangents, tangents[1:] + tangents[:1]):
+            mid = add(t1, t2)
+            if dot(mid, mid) < 1e-6:
+                continue
+            for sign in (1, -1):
+                for ang in (2e-9, 1e-7, 1e-4, 0.05):
+                    probes.append(_turned(pv, unit(mid if sign > 0 else neg(mid)), ang))
+    for p in probes:
+        assert bc.locate_point(p) == ref_locate_point(bc, p)
 
 
 def test_rebuild_idempotent():

@@ -666,3 +666,184 @@ def test_point_registry_matches_linear_scan(tol, ops):
         if op != "tiny":
             seen.append(p)
     assert [repr(q) for q in reg.points] == [repr(q) for q in points]
+
+
+# -- the filtered searches against their full scans ------------------------------
+#
+# nearest_feature and segment_intersection's broad phase skip exact work on
+# candidates that cannot win; each is compared with the search that does it
+# all, written out here, on near-ties built to sit at the filters' edges.
+
+
+def full_nearest_scan(segs, p):
+    """nearest_feature without the filter: the exact nearest_point of every arc."""
+    best = None
+    for i, seg in enumerate(segs):
+        d, x = seg.nearest_point(p)
+        if best is None or d < best[1]:
+            best = (i, d, x)
+    return best
+
+
+def _arc(a, u, length):
+    return GeodesicSegment(a, _at_angle(a, u, length))
+
+
+def _toward(v, p):
+    """Unit tangent at v pointing along the arc toward p."""
+    return unit(cross(cross(v, p), v))
+
+
+# short, ordinary, long and almost half-circle arcs: the twin is untrusted
+# below 1e-5 and above pi - 1e-5
+LENGTHS = [1e-8, 2e-6, 1e-5 * (1 - 2.0 ** -40), 1e-4, 0.01, 0.3, 1.0, 2.0,
+           math.pi - 1e-5 * (1 + 2.0 ** -40), math.pi - 2e-5, math.pi - 5e-6]
+
+
+def _nearest_case(rng, kind):
+    """(arcs, point): the point at a (near-)tie of its nearest arcs."""
+    a, u = _frame(rng)
+    lengths = [LENGTHS[i] for i in rng.integers(0, len(LENGTHS), 3)]
+    if kind == "shared_vertex":
+        # two arcs meeting at v; p on the bisector of the angle between them
+        # (feet at equal distance) or of its outside (both nearest points v)
+        v, b = a, _at_angle(a, u, lengths[0])
+        c = _at_angle(v, unit(_at_angle(u, cross(v, u), rng.uniform(0.2, 3.0))), lengths[1])
+        segs = [GeodesicSegment(b, v), GeodesicSegment(v, c)]
+        mid = unit(geometry.add(_toward(v, b), _toward(v, c)))
+        if rng.integers(0, 2):
+            mid = neg(mid)
+        p = _at_angle(v, mid, [1e-9, 1e-7, 1e-4, 0.3][rng.integers(0, 4)])
+    elif kind == "mirror":
+        # an arc and its mirror image across a plane through p
+        p = a
+        seg = _arc(*_frame(rng), lengths[0])
+        m = unit(cross(p, rng.standard_normal(3).tolist()))
+        k = lambda q: unit(tuple(x - 2 * dot(q, m) * y for x, y in zip(q, m)))
+        segs = [seg, GeodesicSegment(k(seg.b), k(seg.a))]
+    elif kind == "on_arc":
+        # p on an arc's circle just past its end by e, so that the exact
+        # angle (the foot passes the 1e-9 end test) is 0 or (nearly) that of a
+        # second arc starting about e away, which the twin puts the other way
+        seg = _arc(a, u, lengths[0])
+        e = rng.choice([0.0, 2e-10, 4e-10, 5e-10, 6e-10]) * (1 + NUDGES[rng.integers(0, len(NUDGES))])
+        p = _at_angle(_at_angle(a, u, lengths[0] + e), seg.pole, rng.choice([0.0, 1e-10, 1e-9]))
+        w = unit(cross(p, rng.standard_normal(3).tolist()))
+        s0 = rng.choice([0.5, 0.9, 1.0, 1.1, 2.0]) * max(e, 1e-10)
+        segs = [seg, GeodesicSegment(_at_angle(p, w, s0), _at_angle(p, w, s0 + 0.2))]
+    elif kind == "near_pole":
+        # p within 1e-4 of an arc's pole, all arcs near pi/2 away
+        seg = _arc(a, u, lengths[0])
+        p = _at_angle(seg.pole, u, rng.choice([0.0, 1e-9, 1e-6, 1e-4 * (1 + 2.0 ** -40), 2e-4]))
+        segs = [seg, _arc(_at_angle(a, u, 1.0), u, 0.5)]
+    else:
+        p = unit(rng.standard_normal(3).tolist())
+        segs = []
+    extra = [] if kind != "random" and rng.integers(0, 2) else lengths[2:]
+    for length in extra + [rng.uniform(1e-3, 3.0) for _ in range(rng.integers(0, 3))]:
+        b, w = _frame(rng)
+        segs.append(_arc(b, w, length))
+    order = rng.permutation(len(segs))
+    return [segs[i] for i in order], p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from(["shared_vertex", "mirror", "on_arc", "near_pole", "random"]))
+def test_nearest_feature_picks_as_the_full_scan(seed, kind):
+    rng = np.random.default_rng(seed)
+    segs, p = _nearest_case(rng, kind)
+    # the arcs in both orders, so that a tie is won by either arc
+    for arcs in (segs, segs[::-1]):
+        got, want = geometry.nearest_feature(arcs, p), full_nearest_scan(arcs, p)
+        assert got[0] == want[0] and got[1].hex() == want[1].hex()
+        seg = arcs[got[0]]
+        assert _hex(got[2]) == _hex(want[2])
+        # an endpoint comes back as the arc's own tuple (locate_point tests that)
+        assert (got[2] is seg.a, got[2] is seg.b) == (want[2] is seg.a, want[2] is seg.b)
+    # the twin errs by far less than the margin wherever it is trusted
+    for seg in segs:
+        w = geometry._fnearest(seg, p)
+        if w is not None:
+            assert abs(w - seg.nearest_point(p)[0]) < 1e-9
+
+
+def test_nearest_feature_on_exact_ties_keeps_the_first_arc():
+    # p beyond the shared vertex of two arcs: both give that vertex at the
+    # same angle, and the scan keeps the first arc
+    v = sphere_point(0.2, 0.3, 0.9)
+    b, c = _at_angle(v, _toward(v, E1), 0.5), _at_angle(v, _toward(v, E2), 0.5)
+    p = _at_angle(v, neg(unit(geometry.add(_toward(v, b), _toward(v, c)))), 0.1)
+    s1, s2 = GeodesicSegment(b, v), GeodesicSegment(v, c)
+    assert s1.nearest_point(p)[0] == s2.nearest_point(p)[0]
+    assert geometry.nearest_feature([s1, s2], p)[0] == 0
+    assert geometry.nearest_feature([s2, s1], p)[0] == 0
+
+
+def _mid(seg):
+    return unit(geometry.add(seg.a, seg.b))
+
+
+def _pair_case(rng, kind, tol):
+    """Two arcs whose reach bounds nearly touch, or arcs near pi long."""
+    a, u = _frame(rng)
+    L1, L2 = (LENGTHS[i] for i in rng.integers(2, len(LENGTHS), 2))
+    s1 = _arc(a, u, L1)
+    nudge = NUDGES[rng.integers(0, len(NUDGES))]
+    if kind == "end_to_end":
+        # s2 on s1's circle, tilted out of it, a gap g past s1's end (or
+        # before its start): the midpoints are L1/2 + g + L2/2 apart
+        g = rng.choice([-1e-6, -tol, -tol / 2, 0.0, tol / 2, tol, 2 * tol, 3 * tol,
+                        3 * tol + 1e-7, 1e-6, 2e-6]) * (1 + nudge)
+        w = unit(_at_angle(u, s1.pole, rng.choice([0.0, 1e-12, tol / 2, tol, 1e-6])))
+        t0 = L1 + g if rng.integers(0, 2) else -g - L2
+        s2 = GeodesicSegment(_at_angle(a, w, t0), _at_angle(a, w, t0 + L2))
+    elif kind == "crossing_end":
+        # s2 crosses s1's circle about tol / 2 (or 1e-6) beyond s1's end
+        e = rng.choice([0.0, tol / 2, -tol / 2, 1e-6, -1e-6]) * (1 + nudge)
+        x = _at_angle(a, u, L1 + e)
+        w = unit(cross(s1.pole, x))  # along s1's circle at x
+        v = unit(_at_angle(w, cross(x, w), rng.choice([1e-6, 0.3, 1.5])))
+        k = rng.uniform(0, 1)
+        s2 = GeodesicSegment(_at_angle(x, v, -k * L2), _at_angle(x, v, (1 - k) * L2))
+    else:
+        b, w = _frame(rng)
+        s2 = _arc(b, w, L2)
+    return s1, (s2 if rng.integers(0, 2) else s2.reversed())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(["end_to_end", "crossing_end", "random"]),
+       st.sampled_from([EPS_SEP, 10 * EPS_SEP, 1e-8, 1e-6, 1e-5, 0.1]))
+def test_segment_intersection_broad_phase_intersects_as_the_full_test(seed, kind, tol):
+    rng = np.random.default_rng(seed)
+    s1, s2 = _pair_case(rng, kind, tol)
+    for x, y in ((s1, s2), (s2, s1)):
+        # a piece shorter than EPS_SEP raises DegenerateSegment, on both sides
+        got = _outcome(lambda: segment_intersection(x, y, tol))
+        want = _outcome(lambda: exact_intersection(x, y, tol))
+        assert (got if isinstance(got, str) else _hits(got)) == \
+            (want if isinstance(want, str) else _hits(want))
+        # the bound the broad phase rests on, for each point it could lose
+        bound = (x.length + y.length) / 2 + 3 * tol + 5e-10
+        for h in ([] if isinstance(got, str) else got):
+            for q in ((h.a, h.b) if isinstance(h, GeodesicSegment) else (h,)):
+                if tol <= 1e-6:
+                    assert angle_between(q, _mid(x)) + angle_between(q, _mid(y)) <= bound
+
+
+def test_far_pair_and_far_arc_skip_the_exact_kernel(monkeypatch):
+    s1 = GeodesicSegment(E1, sphere_point(1, 0.2, 0))
+    far = GeodesicSegment(sphere_point(-1, 0, 0.3), sphere_point(-1, 0.2, 0.3))
+    near = GeodesicSegment(sphere_point(1, 0.1, -0.1), sphere_point(1, 0.1, 0.1))
+    p = sphere_point(1, 0.05, 0.01)
+    dots, nearest = [], []
+    exact_dot, exact_nearest = geometry.dot, GeodesicSegment.nearest_point
+    monkeypatch.setattr(geometry, "dot", lambda a, b: dots.append(1) or exact_dot(a, b))
+    monkeypatch.setattr(GeodesicSegment, "nearest_point",
+                        lambda seg, q: nearest.append(seg) or exact_nearest(seg, q))
+    assert segment_intersection(s1, far) == [] and segment_intersection(far, s1) == []
+    assert not dots and "pole" not in vars(far)
+    assert len(segment_intersection(s1, near)) == 1 and dots
+    assert geometry.nearest_feature([far, s1, near], p)[0] == 1
+    assert far not in nearest and s1 in nearest
