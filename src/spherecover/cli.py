@@ -48,13 +48,17 @@ def _report_dict(rep):
 def cmd_gen(args):
     meta = {"seed": args.seed, "jitter": 1e-6,
             "tolerances": {"eps_unit": 1e-12, "eps_sep": 1e-9}}
-    if args.closed_degree:
-        s = generators.generate_closed_cyclic_cover(
-            args.closed_degree, q=args.q, branch_special=not args.nonspecial_branch)
-    else:
-        s = generators.generate_disk_covering(
-            args.seed, max_sheets=args.max_sheets, q=args.q,
-            branch_budget=args.branch_budget)
+    try:
+        if args.closed_degree:
+            s = generators.generate_closed_cyclic_cover(
+                args.closed_degree, q=args.q, branch_special=not args.nonspecial_branch)
+        else:
+            s = generators.generate_disk_covering(
+                args.seed, max_sheets=args.max_sheets, q=args.q,
+                branch_budget=args.branch_budget)
+    except generators.GenerationStuck as err:
+        print("gen failed: %s" % err, file=sys.stderr)
+        return EXIT_FAIL
     bad = validate(s)
     if bad:
         print("generated surface invalid: %s" % "; ".join(bad), file=sys.stderr)
@@ -219,6 +223,19 @@ def cmd_net(args):
     return EXIT_OK
 
 
+def _int_at_least(lo):
+    """argparse type: an integer no less than ``lo``."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if n < lo:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (lo, n))
+        return n
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="spherecover",
@@ -228,10 +245,10 @@ def build_parser():
 
     g = sub.add_parser("gen", help="generate a surface file")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--q", type=int, default=3)
-    g.add_argument("--max-sheets", type=int, default=8)
-    g.add_argument("--branch-budget", type=int, default=6)
-    g.add_argument("--closed-degree", type=int, default=0,
+    g.add_argument("--q", type=_int_at_least(3), default=3)
+    g.add_argument("--max-sheets", type=_int_at_least(1), default=8)
+    g.add_argument("--branch-budget", type=_int_at_least(0), default=6)
+    g.add_argument("--closed-degree", type=_int_at_least(0), default=0,
                    help="generate a closed cyclic cover of this degree instead")
     g.add_argument("--nonspecial-branch", action="store_true")
     g.add_argument("--out", required=True)

@@ -4,9 +4,9 @@ All points live on the unit sphere in R^3 and are immutable ``(x, y, z)``
 tuples of floats; the kernel owns its arithmetic.  ``dot`` is the FMA chain
 ``fma(a2, b2, fma(a1, b1, a0*b0))``, each ``fma`` rounded once (Dekker's
 exact product, then one ``math.fsum``), so every length, area and incidence
-test rounds the same on every host and Python version.  ``Rotation`` rounds
-its products the same way, and ``float_sum`` adds floats strictly left to
-right.  Incidence decisions use two tolerances:
+test rounds the same on every host and Python version.  ``Rotation`` takes
+each product of a row as a ``dot``, and ``float_sum`` adds floats strictly
+left to right.  Incidence decisions use two tolerances:
 
 * ``EPS_UNIT`` (1e-12) for algebraic identities (unit norm, orthogonality),
 * ``EPS_SEP`` (1e-9 rad) for deciding whether two points coincide.
@@ -19,7 +19,7 @@ twin can be off; otherwise it evaluates its exact-kernel formula.  So every
 decision is the exact kernel's, and every value that is returned or stored
 (lengths, parameters, points, areas) comes from the exact kernel.
 
-Three searches run the exact kernel only on candidates that can win; each
+Two searches run the exact kernel only on candidates that can win; each
 skips a candidate only where a sound plain-float bound puts it more than
 ``_PRUNE`` (1e-7 rad) behind.  An arc is well conditioned when its length
 lies in [1e-5, pi - 1e-5].
@@ -31,10 +31,10 @@ lies in [1e-5, pi - 1e-5].
   midpoints lie more than (L1 + L2)/2 + 3*tol + ``_PRUNE`` apart (tol <=
   1e-6): a point it returns lies within (L1 + L2)/2 + 3*tol + 5e-10 of the
   two together.
-* ``polish_contact`` moves ``contact_angle``'s closed-form angle by at most
-  ``CONTACT_BRACKET`` (1e-4), so of several targets' first contacts only
-  those within 2e-4 + 1e-7 of the least need polishing to find the first
-  two (all of them when one lies within 1e-3 of 2*pi).
+
+A rotation's first contact with a curve (``contact_angle``) is the least
+closed-form root of the target's circle against an arc's great circle that
+lies on the arc, so the contact lies on that great circle up to rounding.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from math import fsum
 
 EPS_UNIT = 1e-12
 EPS_SEP = 1e-9
-CONTACT_TOL = 1e-10  # rotation angle to which a first contact is bisected
-CONTACT_BRACKET = 1e-4  # half-width of that bisection around the closed form
+CONTACT_TOL = 1e-10  # least rotation angle taken as a first contact
 
 # Veltkamp's splitter 2**27 + 1: x == hi + lo with both halves 26 bits wide,
 # so the four partial products of two split floats are exact.
@@ -585,14 +584,12 @@ def _axis_angle_matrix(kx, kk, angle) -> tuple:
 class Rotation:
     """Orientation-preserving isometry of the sphere (det +1 orthogonal matrix).
 
-    ``matrix`` holds the three rows as float tuples.  ``inverse`` transposes
-    them and flips ``transposed``, which picks the order in which ``apply``
-    rounds a row times a point, the orders of numpy's gemv: ``dot`` for a
-    transposed matrix, ``fma(r2, x2, fma(r0, x0, r1*x1))`` for a stored one.
+    ``matrix`` holds the three rows as float tuples.  ``apply`` takes the
+    ``dot`` of each row with the point, ``compose`` of each row with each
+    column, and ``inverse`` is the transpose.
     """
 
     matrix: tuple = _IDENTITY
-    transposed: bool = False
 
     def __post_init__(self):
         m = tuple(tuple(float(x) for x in row) for row in self.matrix)
@@ -618,11 +615,7 @@ class Rotation:
 
     def _times(self, x) -> tuple:
         m0, m1, m2 = self.matrix
-        if self.transposed:
-            return (dot(m0, x), dot(m1, x), dot(m2, x))
-        x0, x1, x2 = x
-        x = (x1, x0, x2)
-        return tuple(dot((r1, r0, r2), x) for r0, r1, r2 in (m0, m1, m2))
+        return (dot(m0, x), dot(m1, x), dot(m2, x))
 
     def apply(self, x):
         if isinstance(x, GeodesicSegment):
@@ -634,7 +627,7 @@ class Rotation:
         return Rotation(_matmul(self.matrix, other.matrix))
 
     def inverse(self) -> "Rotation":
-        return Rotation(tuple(zip(*self.matrix)), not self.transposed)
+        return Rotation(tuple(zip(*self.matrix)))
 
     def is_identity(self, tol=EPS_UNIT) -> bool:
         return all(abs(self.matrix[i][j] - _IDENTITY[i][j]) <= 10 * tol
@@ -706,37 +699,17 @@ def contact_angle(curve, target, axis):
     return best
 
 
-def polish_contact(seg, target, axis, t):
-    """Bisection step of ``first_contact_rotation``: (Rotation, parameter) at
-    the angle where the preimage reaches ``seg`` (within 10 * EPS_SEP),
-    bisected to ``CONTACT_TOL`` within ``CONTACT_BRACKET`` of the
-    closed-form angle t.  So the rotation's angle differs from t by at most
-    ``CONTACT_BRACKET``.  The parameter is None if the preimage is off the
-    arc by more than 1e-6."""
-    _, pre = _preimages(target, axis)
-    lo, hi = max(0.0, t - CONTACT_BRACKET), t + CONTACT_BRACKET
-    for _ in range(200):
-        if hi - lo <= CONTACT_TOL:
-            break
-        mid = (lo + hi) / 2
-        if seg.param_of(pre(mid), tol=10 * EPS_SEP) is None:
-            lo = mid
-        else:
-            hi = mid
-    return Rotation.from_axis_angle(axis, hi), seg.param_of(pre(hi), tol=1e-6)
-
-
 def first_contact_rotation(curve, target, axis):
-    """Smallest t* > 0 with R(axis, t*)^-1(target) on the curve.
+    """Smallest t* > ``CONTACT_TOL`` with R(axis, t*)^-1(target) on the curve.
 
     ``curve`` is a list of GeodesicSegments.  The preimage of the target
     travels along the circle {R(axis,-t) target}; contacts against each arc's
     great circle are found in closed form and verified on the arc
-    (``contact_angle``), then the first one is polished by bisection on the
-    on/off predicate to ``CONTACT_TOL`` (``polish_contact``).
+    (``contact_angle``), and the least is the first contact.
 
-    Returns (Rotation, segment_index, parameter_on_segment).
+    Returns (Rotation, segment_index, parameter_on_segment), the parameter
+    that of the preimage at t*, None if it is off the arc by more than 1e-6.
     """
     t, idx = contact_angle(curve, target, axis)
-    rot, prm = polish_contact(curve[idx], target, axis, t)
-    return rot, idx, prm
+    rot = Rotation.from_axis_angle(axis, t)
+    return rot, idx, curve[idx].param_of(rot.inverse().apply(target), tol=1e-6)

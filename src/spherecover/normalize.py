@@ -18,25 +18,18 @@ surface along the way is strictly "better than" its predecessor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .arrangement import CURVE, SCAFFOLD
 from .geometry import (
-    CONTACT_BRACKET,
     NoContact,
     Rotation,
     angle_between,
     contact_angle,
     cross,
-    dot,
     nearest_feature,
     neg,
     points_coincide,
-    polish_contact,
-    scale,
-    sub,
-    tangent_frame,
     unit,
 )
 from .surface import (
@@ -599,67 +592,38 @@ def rotate_to_touch_special(s: SurfaceComplex):
         if not contacts:
             last_err = NoContact("no special reaches the boundary under this axis")
             continue
-        t_star, rot, seg_idx, prm, v_c = contacts[0]
+        t_star, seg_idx, v_c, p_c = contacts[0]
         if len(contacts) > 1 and contacts[1][0] - t_star < 1e-9:
             last_err = PipelineError("two specials touch simultaneously")
             continue
         seg = segs[seg_idx]
+        rho = Rotation.from_axis_angle(axis, t_star)
+        prm = seg.param_of(rho.apply(p_c), tol=1e-6)
         margin = 1e-7 / max(seg.length, 1e-9)
         if prm is None or prm < margin or prm > 1 - margin:
             last_err = PipelineError("contact at an arc endpoint")
             continue
-        rho = Rotation.from_axis_angle(axis, t_star)
-        return _apply_rotation_contact(s, rho, v_c, edge_ids[seg_idx], prm), rho
+        return _apply_rotation_contact(s, rho, v_c, edge_ids[seg_idx]), rho
     raise last_err if last_err is not None else NoContact("rotation search failed")
 
 
 def _ordered_contacts(segs, specials, axis):
-    """First contacts of the specials turned about ``axis``, sorted by angle
-    (stably, so in the order of ``specials`` on a tie), as (angle, Rotation,
-    segment index, parameter, special), with the angle read back from the
-    polished rotation by ``_rotation_angle_about``.
-
-    Every special's closed-form step (``contact_angle``) runs, in order, so
-    a GeometryError is raised as before.  Only the contacts whose
-    closed-form angle is within 2 * CONTACT_BRACKET + 1e-7 of the least are
-    polished (all of them if one lies within 1e-3 of 2*pi, where the read
-    angle would wrap), and the list holds only those.  That leaves its
-    first entry, and whether a second one lies within 1e-9 of it, as with
-    every contact polished: polishing moves an angle by at most
-    CONTACT_BRACKET, and reading it back by far less than 1e-9, so each
-    skipped contact's angle exceeds the least polished one by more than
-    1e-9."""
-    found = []
+    """Closed-form first contacts of the specials turned about ``axis``
+    (``contact_angle``), as (angle, segment index, special, point), sorted by
+    angle stably, so in the order of ``specials`` on a tie."""
+    contacts = []
     for v, p in specials:
         try:
-            found.append((contact_angle(segs, p, axis), v, p))
+            t, idx = contact_angle(segs, p, axis)
         except NoContact:
             continue
-    if not found:
-        return []
-    ts = [t for (t, _), _, _ in found]
-    cut = min(ts) + 2 * CONTACT_BRACKET + 1e-7 if max(ts) < 2 * math.pi - 1e-3 else math.inf
-    contacts = []
-    for (t, idx), v, p in found:
-        if t <= cut:
-            rot, prm = polish_contact(segs[idx], p, axis, t)
-            contacts.append((_rotation_angle_about(rot, axis), rot, idx, prm, v))
+        contacts.append((t, idx, v, p))
     contacts.sort(key=lambda c: c[0])
     return contacts
 
 
-def _rotation_angle_about(rot: Rotation, axis) -> float:
-    """Rotation angle of rot about the given axis, in [0, 2*pi)."""
-    k = unit(axis)
-    ref, _ = tangent_frame(k)
-    w = rot.apply(ref)
-    w = unit(sub(w, scale(dot(w, k), k)))
-    ang = math.atan2(dot(cross(ref, w), k), dot(ref, w))
-    return ang % (2 * math.pi)
-
-
 def _apply_rotation_contact(s: SurfaceComplex, rho: Rotation, special_v: int,
-                            edge: int, prm: float) -> SurfaceComplex:
+                            edge: int) -> SurfaceComplex:
     bc = s.base
     x_point = rho.apply(bc.vertices[special_v])
     tip_face = bc.face_of_dart(bc.fans[special_v][0])
@@ -694,7 +658,6 @@ def _apply_rotation_contact(s: SurfaceComplex, rho: Rotation, special_v: int,
     out.base.vertices[x_vertex] = x_point
     out = absorb_tip_into_vertex(out, special_v, x_vertex)
     _assert_rotation_invariants(functionals(s), functionals(out))
-    require_valid(out, "rotation contact")
     return out
 
 

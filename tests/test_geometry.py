@@ -159,9 +159,10 @@ def test_dot_is_the_fma_chain(a, b):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_rotation_rounds_like_gemv_and_gemm(seed):
-    """A stored matrix times x rounds each row as fma(r2, x2, fma(r0, x0,
-    r1*x1)), a transposed one (from ``inverse``) as ``dot``; every entry of a
-    product of matrices, and of kx @ kx in ``from_axis_angle``, as ``dot``."""
+    """``apply`` rounds each row times x as ``dot``, for a stored matrix and
+    for its transpose from ``inverse`` alike; every entry of a product of
+    matrices, and of kx @ kx in ``from_axis_angle``, is the ``dot`` of a row
+    and a column."""
     rng = np.random.default_rng(seed)
     axis, angle = rng.standard_normal(3), rng.uniform(0, 2 * math.pi)
     r, r2 = Rotation.from_axis_angle(axis, angle), rand_rotation(rng)
@@ -172,16 +173,14 @@ def test_rotation_rounds_like_gemv_and_gemm(seed):
     want = [[(float(i == j) + s * kx[i][j]) + c * exact_dot(kx[i], [row[j] for row in kx])
              for j in range(3)] for i in range(3)]
     assert [_hex(row) for row in r.matrix] == [_hex(row) for row in want]
-    stored = [exact_fma(m[2], x[2], exact_fma(m[0], x[0], m[1] * x[1])) for m in want]
-    assert _hex(r.apply(x)) == _hex(unit(stored))
-    cols = list(zip(*want))
+    assert _hex(r.apply(x)) == _hex(unit([exact_dot(row, x) for row in want]))
     inv = r.inverse()
-    assert inv.transposed and not inv.inverse().transposed
+    cols = list(zip(*want))
+    assert [_hex(row) for row in inv.matrix] == [_hex(col) for col in cols]
     assert _hex(inv.apply(x)) == _hex(unit([exact_dot(col, x) for col in cols]))
     for left, right in ((r, r2), (inv, r2), (r2, inv)):
         prod = left.compose(right)
         want = [[exact_dot(row, col) for col in zip(*right.matrix)] for row in left.matrix]
-        assert not prod.transposed
         assert [_hex(row) for row in prod.matrix] == [_hex(row) for row in want]
 
 
@@ -430,6 +429,31 @@ def test_first_contact_bisection_cap_boundary():
     assert cap[idx].contains(pre, tol=1e-6)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_first_contact_lies_on_the_arcs_circle(seed):
+    # the first contact is the closed-form root itself: its preimage lies on
+    # the contacted arc's great circle up to rounding, and on the arc
+    rng = np.random.default_rng(seed)
+    curve = []
+    while len(curve) < rng.integers(1, 5):
+        try:
+            curve.append(GeodesicSegment(rng.standard_normal(3).tolist(),
+                                         rng.standard_normal(3).tolist()))
+        except DegenerateSegment:
+            continue
+    axis = unit(rng.standard_normal(3).tolist())
+    x = curve[rng.integers(0, len(curve))].point_at(rng.uniform(0.05, 0.95))
+    target = Rotation.from_axis_angle(axis, rng.uniform(0.01, 2 * math.pi - 0.01)).apply(x)
+    try:
+        rot, idx, prm = first_contact_rotation(curve, target, axis)
+    except GeometryError:  # the target lies on another arc
+        return
+    pre = rot.inverse().apply(target)
+    assert abs(dot(pre, curve[idx].pole)) <= 1e-12
+    assert prm is not None and prm == curve[idx].param_of(pre, tol=1e-6)
+
+
 # The filtered predicates against their exact formulas, written out here as
 # the oracles: a decision may come from the plain-float twin only where it
 # is the exact kernel's, and every returned value is the exact kernel's.
@@ -591,8 +615,8 @@ def test_filter_skips_the_exact_dot_only_when_clear(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(0, 2 * math.pi))
 def test_contact_preimage_is_the_transposed_rotation(seed, t):
-    # first_contact_rotation's bisection takes the preimage from the matrix
-    # entries, without building Rotations
+    # contact_angle takes the preimage from the matrix entries, without
+    # building Rotations
     rng = np.random.default_rng(seed)
     axis, p = rng.standard_normal(3).tolist(), unit(rng.standard_normal(3).tolist())
     cols = zip(*geometry._axis_angle_matrix(*geometry._axis_terms(axis), t))

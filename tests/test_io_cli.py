@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from spherecover import io
 from spherecover.cli import EXIT_FAIL, main as cli_main
 from spherecover.generators import generate_disk_covering, GenerationStuck
-from spherecover.surface import functionals, validate
+from spherecover.normalize import normalize
+from spherecover.surface import functionals, geometric_walk, validate
 from spherecover.surgery import isomorphic
 
 from conftest import f4_double_cover
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
 
 
 def test_round_trip_fixture(tmp_path, f4):
@@ -195,6 +199,44 @@ def test_cli_verify_against_closed_surface_fails_in_one_line(tmp_path, capsys):
         assert cli_main(["verify", str(a), "--against", str(b)]) == EXIT_FAIL
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "surfaces with boundary" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--q", "2"], ["--q", "three"], ["--closed-degree", "-1"], ["--max-sheets", "0"],
+    ["--branch-budget", "-1"],
+])
+def test_cli_gen_out_of_range_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "gen.json"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["gen", *args, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument %s:" % args[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_gen_stuck_is_one_line(tmp_path, capsys):
+    # valid arguments whose one generator attempt gets stuck
+    out = tmp_path / "gen.json"
+    assert cli_main(["gen", "--seed", "2", "--max-sheets", "1", "--out", str(out)]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("gen failed: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_trace_rotation_turns_the_walk_as_certify():
+    # verify --trace rebuilds the composed rotation from the trace file; it
+    # must turn the input walk as certify's rotation does, bit for bit
+    rotated = 0
+    for line in (CORPUS / "batch.jsonl").read_text().splitlines():
+        s = io.surface_from_dict(json.loads(line))
+        out, trace = normalize(s)
+        if not trace.rotations:
+            continue
+        doc = json.loads(json.dumps(io.trace_to_dict(trace, True)))
+        want = geometric_walk(s, trace.composed_rotation())
+        assert geometric_walk(s, io.rotation_from_dict(doc["rotation"])) == want
+        rotated += 1
+    assert rotated == 14
 
 
 def test_cli_normalize_and_certificate(tmp_path):

@@ -8,8 +8,6 @@ import numpy as np
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
-
 from spherecover.generators import generate_disk_covering_filtered, GenerationStuck
 from spherecover import io
 from spherecover.geometry import (
@@ -18,6 +16,7 @@ from spherecover.geometry import (
     NoContact,
     Rotation,
     angle_between,
+    contact_angle,
     cross,
     first_contact_rotation,
     neg,
@@ -508,25 +507,13 @@ def test_subarc_check_matches_reference_on_mirrored_cut_points():
         assert_subarc_as_reference(steps2, steps1)
 
 
-# -- the filtered first-contact search against the all-polish loop ------------------
-
-
-def ref_contacts(segs, specials, axis, contact=first_contact_rotation):
-    """rotate_to_touch_special's contacts before the filter: every special's
-    contact polished, sorted (stably) by the angle read from its rotation."""
-    contacts = []
-    for v, p in specials:
-        try:
-            rot, seg_idx, prm = contact(segs, p, axis)
-        except NoContact:
-            continue
-        contacts.append((nm._rotation_angle_about(rot, axis), rot, seg_idx, prm, v))
-    contacts.sort(key=lambda c: c[0])
-    return contacts
+# -- the rotation step against the reference scan ------------------------------
 
 
 def ref_rotate_to_touch_special(s):
-    """rotate_to_touch_special with the full nearest scan and every contact polished."""
+    """rotate_to_touch_special with the full nearest scan, each special's
+    closed-form first contact, and the contacted one's rotation and
+    parameter from ``first_contact_rotation``."""
     segs, edge_ids = nm._walk_segments(s)
     specials = [(v, s.base.vertices[v]) for v in s.base.specials]
     best = None
@@ -541,21 +528,29 @@ def ref_rotate_to_touch_special(s):
         axis = base_axis
         if jt:
             axis = Rotation.from_axis_angle(p1, jt).apply(base_axis)
-        contacts = ref_contacts(segs, specials, neg(axis))
+        contacts = []
+        for v, p in specials:
+            try:
+                contacts.append((contact_angle(segs, p, neg(axis))[0], v, p))
+            except NoContact:
+                continue
+        contacts.sort(key=lambda c: c[0])
         if not contacts:
             last_err = NoContact("no special reaches the boundary under this axis")
             continue
-        t_star, rot, seg_idx, prm, v_c = contacts[0]
+        t_star, v_c, p_c = contacts[0]
         if len(contacts) > 1 and contacts[1][0] - t_star < 1e-9:
             last_err = PipelineError("two specials touch simultaneously")
             continue
+        # R(-axis, t)^-1 is R(axis, t) bit for bit: its transpose
+        rot, seg_idx, prm = first_contact_rotation(segs, p_c, neg(axis))
         seg = segs[seg_idx]
         margin = 1e-7 / max(seg.length, 1e-9)
         if prm is None or prm < margin or prm > 1 - margin:
             last_err = PipelineError("contact at an arc endpoint")
             continue
-        rho = Rotation.from_axis_angle(axis, t_star)
-        return nm._apply_rotation_contact(s, rho, v_c, edge_ids[seg_idx], prm), rho
+        rho = rot.inverse()
+        return nm._apply_rotation_contact(s, rho, v_c, edge_ids[seg_idx]), rho
     raise last_err if last_err is not None else NoContact("rotation search failed")
 
 
@@ -570,113 +565,6 @@ def _outcome(fn):
 
 def _hex(xs):
     return tuple(x.hex() if isinstance(x, float) else _hex(x) for x in xs)
-
-
-def _contact_key(c):
-    angle, rot, idx, prm, v = c
-    return angle.hex(), _hex(rot.matrix), idx, None if prm is None else prm.hex(), v
-
-
-def _first_two(contacts):
-    """What rotate_to_touch_special takes from the list: its first entry and
-    whether a second one lies within 1e-9 of it."""
-    if isinstance(contacts, str) or not contacts:
-        return contacts
-    tie = len(contacts) > 1 and contacts[1][0] - contacts[0][0] < 1e-9
-    return _contact_key(contacts[0]), tie
-
-
-# closed-form angles of the specials after the first: the first's plus these
-# (1e-5 apart, at and about the 2e-4 + 1e-7 cut), or 2*pi less these
-AFTER = [0.0, 5e-10, 2e-9, 1e-5, 1.5e-4, 2e-4, 2e-4 + 5e-10, 2e-4 + 1e-7 - 1e-9,
-         2e-4 + 2e-7, 3e-4, 0.5]
-BEFORE_2PI = [1e-5, 5e-5, 1e-4, 2e-4, 9e-4, 1e-3, 1.1e-3]
-
-
-def _contact_case(rng):
-    """(arcs, specials, axis): each special placed to meet a chosen arc point
-    X after turning by a chosen angle, p = R(axis, t) X, so that its
-    closed-form angle is t unless another arc comes first."""
-    segs, k = [], int(rng.integers(1, 5))
-    while len(segs) < k:
-        try:
-            segs.append(GeodesicSegment(rng.standard_normal(3).tolist(),
-                                        rng.standard_normal(3).tolist()))
-        except GeometryError:
-            continue
-    axis = unit(rng.standard_normal(3).tolist())
-    specials, t0 = [], rng.uniform(0.01, 1.0)
-    for v in range(int(rng.integers(2, 6))):
-        t = t0
-        if v:
-            t = (t0 + AFTER[rng.integers(0, len(AFTER))] if rng.integers(0, 3) else
-                 2 * math.pi - BEFORE_2PI[rng.integers(0, len(BEFORE_2PI))])
-        x = segs[rng.integers(0, len(segs))].point_at(rng.uniform(0.05, 0.95))
-        specials.append((v, Rotation.from_axis_angle(axis, t).apply(x)))
-    if rng.integers(0, 8) == 0:
-        specials.append((9, segs[0].point_at(0.5)))  # on the curve: GeometryError
-    return segs, specials, axis
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_ordered_contacts_take_first_contacts_as_the_all_polish_loop(seed):
-    segs, specials, axis = _contact_case(np.random.default_rng(seed))
-    got = _outcome(lambda: nm._ordered_contacts(segs, specials, axis))
-    want = _outcome(lambda: ref_contacts(segs, specials, axis))
-    assert _first_two(got) == _first_two(want)
-    if not isinstance(got, str):
-        assert {_contact_key(c) for c in got} <= {_contact_key(c) for c in want}
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 10 ** 6), st.lists(st.sampled_from(
-    [-1e-4, -1e-4 * (1 - 2.0 ** -30), 0.0, 1e-4 * (1 - 2.0 ** -30), 1e-4]),
-    min_size=6, max_size=6))
-def test_ordered_contacts_hold_for_any_polish_within_the_bracket(seed, moves):
-    # The skip rule rests on one property of the polish: it moves an angle by
-    # at most CONTACT_BRACKET.  So a polish that moves each special's angle by
-    # a drawn amount in that range, wrapping past 2*pi too, must leave the
-    # first contact and the tie test as the all-polish loop has them.
-    segs, specials, axis = _contact_case(np.random.default_rng(seed))
-    got, want = _with_moved_polish(segs, specials, axis, moves)
-    assert _first_two(got) == _first_two(want)
-
-
-def _with_moved_polish(segs, specials, axis, moves):
-    """(_ordered_contacts, all-polish loop) under a polish that moves each
-    special's angle by its entry of ``moves``."""
-    move = {p: m for (_, p), m in zip(specials, moves)}
-
-    def polish(seg, p, axis, t):
-        return Rotation.from_axis_angle(axis, t + move.get(p, 0.0)), 0.5
-
-    def contact(segs, p, axis):
-        t, idx = nm.contact_angle(segs, p, axis)
-        return polish(segs[idx], p, axis, t)[0], idx, 0.5
-    want = _outcome(lambda: ref_contacts(segs, specials, axis, contact))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nm, "polish_contact", polish)
-        got = _outcome(lambda: nm._ordered_contacts(segs, specials, axis))
-    return got, want
-
-
-@pytest.mark.parametrize("ts, moves, first, tie", [
-    ([0.3, 0.3 + 1.5e-4], [1e-4, -1e-4], 1, False),        # the second overtakes
-    ([0.3, 0.3 + 2e-4 + 5e-10], [1e-4, -1e-4], 0, True),   # a tie after the polish
-    ([0.3, 2 * math.pi - 5e-5], [0.0, 1e-4], 1, False),    # past 2*pi, read as 5e-5
-])
-def test_ordered_contacts_at_the_edges_of_the_skip_rule(ts, moves, first, tie):
-    arc = GeodesicSegment((1.0, 0.0, 0.0), (0.6, 0.8, 0.0))
-    axis = unit((0.3, -0.2, 1.0))
-    specials = [(v, Rotation.from_axis_angle(axis, t).apply(arc.point_at(0.3 + 0.4 * v)))
-                for v, t in enumerate(ts)]
-    # each special's closed-form angle is the one it was placed at
-    for (v, p), t in zip(specials, ts):
-        assert nm.contact_angle([arc], p, axis)[0] == pytest.approx(t, abs=1e-12)
-    got, want = _with_moved_polish([arc], specials, axis, moves)
-    assert _first_two(got) == _first_two(want)
-    assert (want[0][-1], _first_two(want)[1]) == (first, tie)
 
 
 @pytest.mark.parametrize("name, steps", [("batch", 14), ("stress", 50)])

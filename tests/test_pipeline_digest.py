@@ -21,9 +21,9 @@ from spherecover.surface import SurfaceError
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
 
 PINNED = {
-    "batch": ("ac622f8ebffbaa15f8265c92a84c9e70ccd8dd7736171c17ca01130c8c457352",
+    "batch": ("a4e809ead7a111f42590874bb10121785ee39a9e988ce6eaf4321c20eb177857",
               {"ok": 100}),
-    "stress": ("5f3b5231d2fc075283feeb82f45c61079fa80121bfdeccf20aa6b39db3a552d2",
+    "stress": ("55e166c08ea37f8f20875917f2afc0b8551c8b562f92e0d41c8683fc52b60459",
                {"ok": 61, "NoSuchPath": 14, "InvalidSurface": 4, "PipelineError": 1}),
 }
 

@@ -1,6 +1,6 @@
 """Hunt sweep: seeded coverings through normalize and certify, one line each.
 
-    python tools/hunt.py --seeds 1024 --out hunt.jsonl
+    PYTHONPATH=src python tools/hunt.py --seeds 1024 --out hunt.jsonl
 
 Seed n (from 100001 on) generates ``generate_disk_covering_filtered(("hunt",
 n), max_sum=20, max_degree=8, max_sheets=10, max_faces=48)`` and runs
@@ -16,15 +16,12 @@ for 1024 seeds.
 
 import argparse
 import json
-import pathlib
 import sys
 from collections import Counter
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
-from spherecover.generators import generate_disk_covering_filtered  # noqa: E402
-from spherecover.normalize import certify, normalize  # noqa: E402
-from spherecover.surface import SurfaceError  # noqa: E402
+from spherecover.generators import generate_disk_covering_filtered
+from spherecover.normalize import certify, normalize
+from spherecover.surface import SurfaceError
 
 FIRST_SEED = 100001
 FILTERS = dict(max_sum=20, max_degree=8, max_sheets=10, max_faces=48)
