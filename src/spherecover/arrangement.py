@@ -710,16 +710,16 @@ def locate_pending(bc: BaseComplex) -> list:
     the earlier point: a point within EPS_SEP of an earlier one is refused
     here, as ``vertex_at`` refused it there.
     """
-    pending = bc.meta.get("pending_interior_points", [])
-    faces = []
-    for k, (p, _lab) in enumerate(pending):
+    faces, earlier = [], []  # the unit vectors of the points located so far
+    for p, _lab in bc.meta.get("pending_interior_points", []):
         loc = bc.locate_point(p)
         u = unit(p)
-        if loc[0] != "face" or any(points_coincide(unit(q), u) for q, _ in pending[:k]):
+        if loc[0] != "face" or any(points_coincide(q, u) for q in earlier):
             raise ScaffoldBlocked("interior point is not strictly inside a face")
         if not _attachable(bc, bc.faces[loc[1]].cycle):
             raise ScaffoldBlocked("face has no attachable vertex")
         faces.append(loc[1])
+        earlier.append(u)
     return faces
 
 

@@ -5,8 +5,9 @@ tuples of floats; the kernel owns its arithmetic.  ``dot`` is the FMA chain
 ``fma(a2, b2, fma(a1, b1, a0*b0))``, each ``fma`` rounded once (Dekker's
 exact product, then one ``math.fsum``), so every length, area and incidence
 test rounds the same on every host and Python version.  ``Rotation`` takes
-each product of a row as a ``dot``, and ``float_sum`` adds floats strictly
-left to right.  Incidence decisions use two tolerances:
+each product of a row as a ``dot`` (the identity's ``apply`` skips the row
+dots where they would give back the point's own coordinates), and
+``float_sum`` adds floats strictly left to right.  Incidence decisions use two tolerances:
 
 * ``EPS_UNIT`` (1e-12) for algebraic identities (unit norm, orthogonality),
 * ``EPS_SEP`` (1e-9 rad) for deciding whether two points coincide.
@@ -18,6 +19,8 @@ the twin is more than ``_FILTER`` from the threshold, far more than the
 twin can be off; otherwise it evaluates its exact-kernel formula.  So every
 decision is the exact kernel's, and every value that is returned or stored
 (lengths, parameters, points, areas) comes from the exact kernel.
+``GeodesicSegment.contains`` runs ``param_of``'s two tests and computes no
+parameter.
 
 Two searches run the exact kernel only on candidates that can win; each
 skips a candidate only where a sound plain-float bound puts it more than
@@ -34,7 +37,8 @@ lies in [1e-5, pi - 1e-5].
 
 A rotation's first contact with a curve (``contact_angle``) is the least
 closed-form root of the target's circle against an arc's great circle that
-lies on the arc, so the contact lies on that great circle up to rounding.
+lies on the arc (a root no less than the best so far is not checked), so
+the contact lies on that great circle up to rounding.
 """
 
 from __future__ import annotations
@@ -299,11 +303,17 @@ class GeodesicSegment:
         return unit(cross(self.pole, p))
 
     def param_of(self, p, tol=EPS_SEP):
-        """Parameter of p on the arc, or None if p is not on it.
+        """Parameter of p on the arc, or None if p is not on it (``contains``);
+        the parameter is from the exact angle ta from ``a``."""
+        if not self.contains(p, tol):
+            return None
+        return min(max(angle_between(self.a, p) / self.length, 0.0), 1.0)
 
-        Two filtered tests: p off the arc's plane, |p . pole| > sin(tol) +
-        1e-11, and p beyond its ends, ta + tb > length + tol (ta, tb the
-        angles from a and b).  The returned parameter is from the exact ta."""
+    def contains(self, p, tol=EPS_SEP) -> bool:
+        """Whether p lies on the arc, by two filtered tests: p off the arc's
+        plane, |p . pole| > sin(tol) + 1e-11, and p beyond its ends, ta + tb >
+        length + tol (ta, tb the angles from a and b).  No parameter is
+        computed."""
         pole = self.pole
         lim = math.sin(tol) + EPS_UNIT * 10
         # the pole is a unit vector: m bounds sum |p_i*pole_i| (see _fdot)
@@ -312,17 +322,12 @@ class GeodesicSegment:
         if not (_FILTER_LO <= m * m <= _FILTER_HI and abs(abs(w) - lim) > _FILTER * m):
             w = dot(p, pole)
         if abs(w) > lim:
-            return None
+            return False
         ang = self.length
         wa, wb = _fangle(self.a, p), _fangle(self.b, p)
         if wa is None or wb is None or abs(wa + wb - (ang + tol)) <= _FILTER:
             wa, wb = angle_between(self.a, p), angle_between(self.b, p)
-        if wa + wb > ang + tol:
-            return None
-        return min(max(angle_between(self.a, p) / ang, 0.0), 1.0)
-
-    def contains(self, p, tol=EPS_SEP) -> bool:
-        return self.param_of(p, tol) is not None
+        return not wa + wb > ang + tol
 
     def nearest_point(self, p):
         """(angle, point) of the arc point nearest to p: the foot of the
@@ -596,6 +601,8 @@ class Rotation:
         if len(m) != 3 or any(len(row) != 3 for row in m):
             raise GeometryError("matrix is not 3 x 3")
         object.__setattr__(self, "matrix", m)
+        # the identity, zeros of either sign (see ``apply``)
+        object.__setattr__(self, "_identity", m == _IDENTITY)
         # tolerance and sign tests only, so plain float sums suffice
         err = max(abs(m[i][0] * m[j][0] + m[i][1] * m[j][1] + m[i][2] * m[j][2]
                       - _IDENTITY[i][j]) for i in range(3) for j in range(3))
@@ -607,7 +614,7 @@ class Rotation:
 
     @staticmethod
     def identity() -> "Rotation":
-        return Rotation()
+        return _IDENTITY_ROTATION
 
     @staticmethod
     def from_axis_angle(axis, angle: float) -> "Rotation":
@@ -620,6 +627,10 @@ class Rotation:
     def apply(self, x):
         if isinstance(x, GeodesicSegment):
             return GeodesicSegment(self._times(x.a), self._times(x.b))
+        if self._identity and type(x) is tuple and x[0] and x[1] and x[2]:
+            # each row's dot adds exact +-0 products to its one nonzero x_i,
+            # so returns x_i itself; a zero x_i could come back as -0.0 or 0.0
+            return unit(x)
         return unit(self._times(x))
 
     def compose(self, other: "Rotation") -> "Rotation":
@@ -632,6 +643,9 @@ class Rotation:
     def is_identity(self, tol=EPS_UNIT) -> bool:
         return all(abs(self.matrix[i][j] - _IDENTITY[i][j]) <= 10 * tol
                    for i in range(3) for j in range(3))
+
+
+_IDENTITY_ROTATION = Rotation()
 
 
 def rotate(r: Rotation, x):
@@ -688,11 +702,10 @@ def contact_angle(curve, target, axis):
             raise GeometryError("target already lies on the curve")
         for t in _circle_plane_roots(p0, back, seg.pole):
             t %= 2 * math.pi
-            if t <= CONTACT_TOL:
+            # a root that cannot beat the best needs no preimage
+            if t <= CONTACT_TOL or (best is not None and t >= best[0]):
                 continue
-            if seg.param_of(pre(t), tol=10 * EPS_SEP) is None:
-                continue
-            if best is None or t < best[0]:
+            if seg.contains(pre(t), tol=10 * EPS_SEP):
                 best = (t, idx)
     if best is None:
         raise NoContact("rotation family never meets the curve")

@@ -734,6 +734,10 @@ def normalize(s: SurfaceComplex):
 
     phi = trace.composed_rotation()
     out = SurfaceComplex(cur.base.rotated(phi), cur.copies, cur.pairing)
+    # The rotation moves vertex positions only, and ``BaseComplex.copy`` keeps
+    # every cycle, fan, edge kind, length and area, so each cached table of
+    # ``cur`` is the one ``out`` would compute.
+    out._cache = dict(cur._cache)
     require_valid(out, "normalize output", strict_scaffold=False)
     # the composed rotation returns the specials to their input positions
     in_pos = {lab: s.base.vertices[v] for v, lab in s.base.specials.items()}

@@ -2,8 +2,10 @@
 
 Everything here walks the complex with code paths distinct from
 ``surface.functionals``: counterclockwise corner orbits, per-copy tallies,
-and the length/area identities from the boundary multiplicities.  Any
-mismatch is reported with a witness.
+and the length/area identities from the boundary multiplicities.  The
+tallies (copies per face, free sides, multiplicities) are recounted from
+``copies`` and ``pairing``, never read from the surface's cached tables,
+which are checked against them.  Any mismatch is reported with a witness.
 """
 
 from __future__ import annotations
@@ -79,31 +81,41 @@ def oracle_verify(s: SurfaceComplex) -> list:
     if abs(area_comp - rep.area) > 1e-9:
         bad.append("area by components %r vs %r" % (area_comp, rep.area))
 
-    length_sides = float_sum(s.base.length(s.dart_of(side)) for side in s.free_sides())
+    free = [side for side in s.sides() if side not in s.pairing]
+    if s.free_sides() != free:
+        bad.append("free sides: surface %r, recount %r" % (s.free_sides(), free))
+    mult = {e: [0, 0] for e in s.base.live_edges()}
+    for side in free:
+        d = s.dart_of(side)
+        mult[d >> 1][d & 1] += 1
+    mult = {e: tuple(m) for e, m in mult.items()}
+    if s.multiplicities() != mult:
+        bad.append("multiplicities: surface %r, recount %r" % (s.multiplicities(), mult))
+
+    length_sides = float_sum(s.base.length(s.dart_of(side)) for side in free)
     if abs(length_sides - rep.boundary_length) > 1e-9:
         bad.append("boundary length %r vs %r" % (length_sides, rep.boundary_length))
-    mult = s.multiplicities()
     length_mult = float_sum((mp + mm) * s.base.edges[e].length
                             for e, (mp, mm) in mult.items()
                             if s.base.edges[e].kind == CURVE)
     if abs(length_mult - rep.boundary_length) > 1e-9:
         bad.append("L by multiplicities %r vs %r" % (length_mult, rep.boundary_length))
 
-    n_edges = len(s.pairing) // 2 + len(s.free_sides())
+    n_edges = len(s.pairing) // 2 + len(free)
     chi = len(orbits) - n_edges + len(s.live_copy_ids())
     expect = {"disk": 1, "annulus": 0, "closed": 2}[rep.topology]
     if chi != expect:
         bad.append("chi by ccw orbits %d, expected %d" % (chi, expect))
 
     for e, (mp, mm) in mult.items():
+        if s.base.edges[e].kind == SCAFFOLD and mp + mm:
+            bad.append("scaffold arc %d on the boundary" % e)
         if s.base.edges[e].kind != CURVE:
             continue
         lhs = n_face[s.base.face_of_dart(2 * e)] - mp
         rhs = n_face[s.base.face_of_dart(2 * e + 1)] - mm
         if lhs != rhs:
             bad.append("edge relation at arc %d: %d != %d" % (e, lhs, rhs))
-        if s.base.edges[e].kind == SCAFFOLD and mp + mm:
-            bad.append("scaffold arc %d on the boundary" % e)
 
     if rep.topology == "closed":
         identity = -8 * math.pi - FOUR_PI * rep.b_nonspecial

@@ -99,10 +99,14 @@ class FunctionalReport:
 class SurfaceComplex:
     """Face copies over a base with an orientation-reversing side pairing.
 
-    ``_cache`` holds the derived sheets, walks, multiplicities and functional
-    report; a cached value is shared by every caller, who must not modify it.
-    ``add_copy``, ``pair`` and ``unpair`` invalidate it; a direct write to
-    ``.pairing``, ``.copies`` or the base must be followed by
+    ``_cache`` holds the tables derived from the copies, the pairing and the
+    base's combinatorics (cycles, fans, edge kinds, lengths and areas): the
+    free sides, ``sheets``, ``walks``, ``multiplicities``, ``n_face``,
+    ``components`` and the ``functionals`` report.  Each is computed once per
+    state; a cached value is shared by every caller, who must not modify it.
+    ``free_sides`` alone returns a fresh list each call, which a caller may
+    reorder.  ``add_copy``, ``pair`` and ``unpair`` invalidate the cache; a
+    direct write to ``.pairing``, ``.copies`` or the base must be followed by
     ``surgery._remap_pairing`` or ``invalidate()`` before the next read."""
 
     def __init__(self, base: BaseComplex, copies, pairing):
@@ -135,7 +139,11 @@ class SurfaceComplex:
                 yield (c, p)
 
     def free_sides(self):
-        return [s for s in self.sides() if s not in self.pairing]
+        """The unpaired sides in ``sides()`` order, as a new list."""
+        free = self._cache.get("free")
+        if free is None:
+            free = self._cache["free"] = [s for s in self.sides() if s not in self.pairing]
+        return list(free)
 
     def add_copy(self, face_id: int) -> int:
         self.copies.append(face_id)
@@ -322,14 +330,20 @@ class SurfaceComplex:
         return self._cache["mult"]
 
     def n_face(self):
+        """Per live base face: the number of copies over it (cached)."""
+        if "n_face" in self._cache:
+            return self._cache["n_face"]
         out = {f: 0 for f in self.base.live_faces()}
         for c in self.live_copy_ids():
             out[self.copies[c]] += 1
+        self._cache["n_face"] = out
         return out
 
     def components(self):
         """Components of (sphere minus boundary image): faces unioned across
-        scaffold edges and zero-multiplicity curve edges."""
+        scaffold edges and zero-multiplicity curve edges (cached)."""
+        if "components" in self._cache:
+            return self._cache["components"]
         parent = {f: f for f in self.base.live_faces()}
 
         def find(x):
@@ -348,7 +362,8 @@ class SurfaceComplex:
         comps = {}
         for f in self.base.live_faces():
             comps.setdefault(find(f), []).append(f)
-        return {root: tuple(sorted(fs)) for root, fs in comps.items()}
+        self._cache["components"] = {root: tuple(sorted(fs)) for root, fs in comps.items()}
+        return self._cache["components"]
 
     # -- connectivity -----------------------------------------------------------------
 

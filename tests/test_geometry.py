@@ -184,6 +184,40 @@ def test_rotation_rounds_like_gemv_and_gemm(seed):
         assert [_hex(row) for row in prod.matrix] == [_hex(row) for row in want]
 
 
+# every float, and signed zeros, subnormals and magnitudes whose squares
+# underflow or overflow among them more often than a draw of floats() gives
+COORD = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1e-160, -1e-200, 1e160, 1e300, -1e300]))
+
+
+def _rows_outcome(matrix, p):
+    """``Rotation.apply``'s general path: the unit vector of the rows' dots."""
+    return _outcome(lambda: _hex(unit(tuple(dot(row, p) for row in matrix))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(COORD, COORD, COORD), st.floats(1e-3, 1e3))
+def test_identity_apply_is_the_row_dots_bit_for_bit(p, s):
+    assert Rotation.identity() is Rotation.identity()
+    # zeros of either sign in the matrix take the same path
+    signed = ((1.0, -0.0, -0.0), (-0.0, 1.0, 0.0), (0.0, -0.0, 1.0))
+    for q in (p, _scaled(s, p), list(p)):
+        for r, m in ((Rotation.identity(), geometry._IDENTITY), (Rotation(signed), signed)):
+            assert _outcome(lambda: _hex(r.apply(q))) == _rows_outcome(m, q)
+
+
+def test_identity_apply_skips_the_row_dots(monkeypatch):
+    p = unit((0.3, -0.5, 0.8))
+    calls = []
+    exact = geometry.dot
+    monkeypatch.setattr(geometry, "dot", lambda a, b: calls.append(1) or exact(a, b))
+    Rotation.identity().apply(p)
+    assert len(calls) == 1  # the norm in ``unit``
+    del calls[:]
+    Rotation.identity().apply((0.6, -0.0, 0.8))  # a zero: the rows' dots
+    assert len(calls) == 4
+
+
 def test_unit_of_near_zero_vector_raises():
     for v in ([0, 0, 0], [1e-17, 0, -1e-17]):
         with pytest.raises(GeometryError):
@@ -574,6 +608,28 @@ def test_filtered_param_of_decides_and_measures_as_the_exact_kernel(seed, kind, 
         p = _scaled(sp, p)
         got, want = seg.param_of(p, tol), exact_param_of(seg, p, tol)
         assert got == want and (got is None or got.hex() == want.hex())
+        assert seg.contains(p, tol) == (want is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6), st.tuples(COORD, COORD, COORD), st.sampled_from(TOLS[:6]),
+       st.floats(1e-3, 1e3))
+def test_contains_is_param_of_without_the_parameter(seed, p, tol, sp):
+    rng = np.random.default_rng(seed)
+    a, u = _frame(rng)
+    seg = GeodesicSegment(a, _at_angle(a, u, rng.uniform(0.05, 3.0)))
+    # near the ends (on the circle, tol / 2 off either way) and the plane
+    v = unit(cross(seg.pole, seg.a))
+    ends = [_at_angle(seg.a, v, t) for t in (-tol / 2, tol / 2, seg.length - tol / 2,
+                                             seg.length + tol / 2)]
+    lim = math.sin(tol) + 1e-11
+    q = seg.point_at(rng.uniform(0, 1))
+    planes = [tuple(math.sqrt(1 - d * d) * x + d * n for x, n in zip(q, seg.pole))
+              for d in (lim * (1 - 2.0 ** -50), lim, lim * (1 + 2.0 ** -50), -lim)]
+    for x in [p, seg.a, seg.b, q] + ends + planes:
+        for y in (x, _scaled(sp, x)):
+            want = exact_param_of(seg, y, tol) is not None
+            assert seg.contains(y, tol) == want and (seg.param_of(y, tol) is not None) == want
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spherecover.generators import generate_disk_covering_filtered, GenerationStuck
-from spherecover import io
+from spherecover import geometry, io
 from spherecover.geometry import (
     GeodesicSegment,
     GeometryError,
@@ -510,6 +510,27 @@ def test_subarc_check_matches_reference_on_mirrored_cut_points():
 # -- the rotation step against the reference scan ------------------------------
 
 
+def ref_contact_angle(curve, target, axis):
+    """contact_angle building the preimage and its parameter at every root."""
+    p0, pre = geometry._preimages(target, axis)
+    back = neg(unit(axis))
+    best = None
+    for idx, seg in enumerate(curve):
+        if seg.contains(p0):
+            raise GeometryError("target already lies on the curve")
+        for t in geometry._circle_plane_roots(p0, back, seg.pole):
+            t %= 2 * math.pi
+            if t <= geometry.CONTACT_TOL:
+                continue
+            if seg.param_of(pre(t), tol=10 * geometry.EPS_SEP) is None:
+                continue
+            if best is None or t < best[0]:
+                best = (t, idx)
+    if best is None:
+        raise NoContact("rotation family never meets the curve")
+    return best
+
+
 def ref_rotate_to_touch_special(s):
     """rotate_to_touch_special with the full nearest scan, each special's
     closed-form first contact, and the contacted one's rotation and
@@ -531,7 +552,7 @@ def ref_rotate_to_touch_special(s):
         contacts = []
         for v, p in specials:
             try:
-                contacts.append((contact_angle(segs, p, neg(axis))[0], v, p))
+                contacts.append((ref_contact_angle(segs, p, neg(axis))[0], v, p))
             except NoContact:
                 continue
         contacts.sort(key=lambda c: c[0])
@@ -569,7 +590,16 @@ def _hex(xs):
 
 @pytest.mark.parametrize("name, steps", [("batch", 14), ("stress", 50)])
 def test_rotation_matches_reference_on_corpus(name, steps, monkeypatch):
-    # every rotation step normalize takes on the stored corpora, rerun
+    # every rotation step normalize takes on the stored corpora, rerun; each
+    # closed-form contact on the way is checked against the reference
+    contacts = []
+
+    def checked_contact_angle(curve, target, axis):
+        got = _outcome(lambda: contact_angle(curve, target, axis))
+        assert got == _outcome(lambda: ref_contact_angle(curve, target, axis))
+        contacts.append(got)
+        return contact_angle(curve, target, axis)
+    monkeypatch.setattr(nm, "contact_angle", checked_contact_angle)
     inputs = []
     rotate = nm.rotate_to_touch_special
     monkeypatch.setattr(nm, "rotate_to_touch_special", lambda s: inputs.append(s) or rotate(s))
@@ -585,3 +615,4 @@ def test_rotation_matches_reference_on_corpus(name, steps, monkeypatch):
         return json.dumps(io.surface_to_dict(out, {}), sort_keys=True), _hex(rho.matrix)
     for s in inputs:
         assert _outcome(lambda: run(rotate, s)) == _outcome(lambda: run(ref_rotate_to_touch_special, s))
+    assert len(contacts) >= 2 * steps

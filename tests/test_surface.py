@@ -296,6 +296,24 @@ def test_oracle_on_fixtures(hemisphere, f4):
     assert oracle_verify(generate_closed_cyclic_cover(3)) == []
 
 
+def test_oracle_recounts_the_tables_instead_of_reading_the_cache(f4):
+    # planted after the report: a boundary side over a scaffold arc in the
+    # cached multiplicities, which no length or edge-relation check sees
+    functionals(f4)
+    mult = f4.multiplicities()
+    e = next(e for e in mult if f4.base.edges[e].kind == "scaffold")
+    f4._cache["mult"] = {**mult, e: (1, 0)}
+    assert [m.split(":")[0] for m in oracle_verify(f4)] == ["multiplicities"]
+    f4._cache["mult"] = mult
+    f4._cache["free"] = f4._cache["free"][1:]
+    assert [m.split(":")[0] for m in oracle_verify(f4)] == ["free sides"]
+    f4.invalidate()
+    assert oracle_verify(f4) == []
+    side = next(x for x in sorted(f4.pairing) if f4.base.kind(f4.dart_of(x)) == "scaffold")
+    f4.unpair(side)
+    assert "scaffold arc %d on the boundary" % (f4.dart_of(side) >> 1) in oracle_verify(f4)
+
+
 def test_validate_flags_cross_wired_pairing():
     s = f4_with_north()
     curve_sides = [x for x in s.pairing
