@@ -689,6 +689,8 @@ def normalize(s: SurfaceComplex):
 
     The output has all branch values in the special set, no non-special
     folded points, and is better than the input under the composed rotation.
+    A ``SurfaceError`` raised after the input checks carries the trace of the
+    steps taken so far as its ``trace`` attribute.
     """
     require_valid(s, "normalize input", strict_scaffold=False)
     if s.topology_kind() != DISK:
@@ -699,6 +701,15 @@ def normalize(s: SurfaceComplex):
 
     trace = PipelineTrace()
     trace.iteration_bound = declared_iteration_bound(s)
+    try:
+        return _drive(s, trace), trace
+    except SurfaceError as err:
+        err.trace = trace
+        raise
+
+
+def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
+    """The pipeline's step loop and final rotation, recording into ``trace``."""
     cur = cleanup_unused_curve_edges(s)
 
     while True:
@@ -744,7 +755,7 @@ def normalize(s: SurfaceComplex):
     for v, lab in out.base.specials.items():
         if not points_coincide(out.base.vertices[v], in_pos[lab], 1e-8):
             raise PipelineError("composed rotation does not restore special %s" % lab)
-    return out, trace
+    return out
 
 
 def certify(out: SurfaceComplex, original: SurfaceComplex, trace: PipelineTrace):

@@ -7,7 +7,10 @@ n), max_sum=20, max_degree=8, max_sheets=10, max_faces=48)`` and runs
 ``normalize`` and ``certify`` on it.  Each seed writes one JSON line with
 sorted keys: the seed, the covering's live copies, the outcome ("ok",
 "certificate failed" or the error class), the trace's (op, case) steps and
-iteration count (null on an error) and the error text (null without one).
+iteration count and the error text (null without one).  On an error the
+steps and iterations are those of the partial trace the error carries, the
+steps taken before it; they are null when it carries none (an input the
+pipeline refuses before its first step).
 The lines pin decisions, not bytes: a change that keeps every outcome, step
 and error keeps them.  A summary of counts per outcome and per case label
 goes to stderr.  ``tests/data/hunt_1024.jsonl`` holds the expected lines
@@ -32,13 +35,16 @@ def hunt_line(n) -> dict:
     s = generate_disk_covering_filtered(("hunt", n), **FILTERS)
     rec = {"seed": n, "copies": len(s.live_copy_ids()), "steps": None,
            "iterations": None, "error": None}
+    trace = None
     try:
         out, trace = normalize(s)
         ok, _ = certify(out, s, trace)
     except SurfaceError as err:
+        trace = getattr(err, "trace", trace)
         rec["outcome"], rec["error"] = type(err).__name__, str(err)
     else:
         rec["outcome"] = "ok" if ok else "certificate failed"
+    if trace is not None:
         rec["steps"] = [[st.op, st.case] for st in trace.steps]
         rec["iterations"] = trace.iterations
     return rec
