@@ -508,6 +508,31 @@ class BaseComplex:
         self._invalidate()
         return f
 
+    def absorb_tip(self, tip: int, target: int, first=None) -> None:
+        """Delete the scaffold tip ``tip`` with its slit; ``target`` takes the
+        tip's special label.
+
+        The slit's face cycle loses the two slit darts and starts at dart
+        ``first`` when one is given, else keeps its order.
+        """
+        d_in = self.fans[tip][0]
+        e = d_in >> 1
+        face = self.face_of_dart(d_in)
+        cyc = [d for d in self.faces[face].cycle if d >> 1 != e]
+        if first is not None:
+            i = cyc.index(first)
+            cyc = cyc[i:] + cyc[:i]
+        self.faces[face].cycle = cyc
+        self.fans[self.head(d_in)].remove(d_in ^ 1)
+        self.fans[tip] = []
+        label = self.specials.pop(tip, None)
+        self.markers.discard(tip)
+        self.vertices[tip] = None
+        self.edges[e] = None
+        if label is not None:
+            self.specials[target] = label
+        self._invalidate()
+
     def rotated(self, r: Rotation) -> "BaseComplex":
         """Geometric image under a rotation (combinatorics untouched)."""
         out = self.copy()

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import CURVE, ArrangementError
-from .geometry import angle_between
 from .surface import (
     ANNULUS,
     CLOSED,
@@ -612,141 +611,66 @@ def cleanup_unused_curve_edges(s: SurfaceComplex) -> SurfaceComplex:
         out = delete_edge_surface(out, target)
 
 
-# -- slit transport and tip absorption ----------------------------------------
-
-
-def _slit_permutation(s, face, pos_out, pos_in):
-    """rho(c) for the slit pairing (c, pos_out) <-> (rho(c), pos_in)."""
-    rho = {}
-    for c in s.live_copy_ids():
-        if s.copies[c] != face:
-            continue
-        c2, p2 = s.pairing[(c, pos_out)]
-        if s.copies[c2] != face or p2 != pos_in:
-            raise InvalidSurface("slit pairing leaves the face")
-        rho[c] = c2
-    return rho
-
-
-def _recompose_swept_side(out, face, cyc, new_cyc, pos_out, context):
-    """Carry the pairing of the copies over ``face`` to its new cycle.
-
-    ``cyc`` is the old cycle with the slit at ``pos_out`` and ``pos_out + 1``;
-    the side after it is swept past the slit.  Its pairing is recomposed with
-    the slit monodromy rho: (c, swept) takes the old partner of
-    (rho(c), swept), which re-cuts the branch cut past that edge germ.  Darts
-    missing from ``new_cyc`` (a dropped slit) lose their sides.  Every swept
-    side must be paired.
-    """
-    n = len(cyc)
-    pos_swept = (pos_out + 2) % n
-    rho = _slit_permutation(out, face, pos_out, (pos_out + 1) % n)
-    affected = [c for c in out.live_copy_ids() if out.copies[c] == face]
-    old_partner = {c: out.pairing.get((c, pos_swept)) for c in affected}
-    if any(v is None for v in old_partner.values()):
-        raise PreconditionViolated("%s would cross a free side" % context)
-
-    new_pos = {d: i for i, d in enumerate(new_cyc)}
-    maps = {c: {p: [(c, new_pos[d])] if d in new_pos else [] for p, d in enumerate(cyc)}
-            for c in affected}
-    for c in affected:
-        out.pairing.pop((c, pos_swept))
-    for c in affected:
-        out.pairing.pop(old_partner[c], None)
-    _remap_pairing(out, maps)
-    for c in affected:
-        mate = old_partner[rho[c]]
-        if mate[0] in affected:
-            mate = maps[mate[0]][mate[1]][0]
-        out.pair((c, new_pos[cyc[pos_swept]]), mate)
-
-
-def _slide_slit_step(s: SurfaceComplex, e_slit: int) -> SurfaceComplex:
-    """Move one slit (dangling scaffold edge) one dart forward in its face cycle.
-
-    Cycle [..., s_out, s_in, eps, ...] becomes [..., eps, s_out, s_in, ...];
-    the pairing of the swept eps-occurrence is recomposed with the slit
-    monodromy rho (re-cutting the branch cut past that edge germ).  Every
-    swept side must be paired.
-    """
-    out = s.copy()
-    bc = out.base
-    s_out = 2 * e_slit if len(bc.fans[bc.edges[e_slit].b]) == 1 else 2 * e_slit + 1
-    s_in = s_out ^ 1
-    face = bc.face_of_dart(s_out)
-    cyc = list(bc.faces[face].cycle)
-    n = len(cyc)
-    k = cyc.index(s_out)
-    if cyc[(k + 1) % n] != s_in:
-        raise InvalidSurface("slit darts are not adjacent in the face cycle")
-    eps = cyc[(k + 2) % n]
-
-    # base update: splice the cycle, move the attachment vertex of the slit
-    y = bc.tail(s_out)
-    w = bc.head(eps)
-    rest = [cyc[(k + 3 + i) % n] for i in range(n - 3)]
-    new_cyc = [eps, s_out, s_in] + rest
-    bc.faces[face].cycle = new_cyc
-    bc.fans[y].remove(s_out)
-    bc.edges[e_slit].a = w
-    tip = bc.edges[e_slit].b
-    bc.edges[e_slit].length = angle_between(bc.vertices[w], bc.vertices[tip])
-    nxt = rest[0]
-    bc.fans[w].insert(bc.fans[w].index(nxt) + 1, s_out)
-    bc._invalidate()
-
-    _recompose_swept_side(out, face, cyc, new_cyc, k, "slit slide")
-    require_valid(out, "slit slide")
-    return out
+# -- tip absorption -----------------------------------------------------------
 
 
 def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceComplex:
     """Merge a special scaffold tip into an on-curve vertex at the same point.
 
-    Slides the tip's slit around its face until it sits at the target's
-    corner, then drops the slit, recomposing the next dart occurrence's
-    pairing with the slit monodromy; the tip's interior sheets become
-    interior sheets over the target with the same multiplicities.
+    One re-cut of the branch cut.  The tip's slit is carried forward along
+    its face cycle until it hangs from the target's corner, then dropped.
+    The slit monodromy rho pairs (c, s_out) with (rho(c), s_in).  Every side
+    the slit sweeps past, then the side after it, is recomposed with rho in
+    cycle order: (c, swept) takes the partner that (rho(c), swept) has at
+    that point, so a later side reads the pairing an earlier one left.  Each
+    of those sides must be paired.  The tip's interior sheets become interior
+    sheets over the target with the same multiplicities.
     """
     out = s.copy()
     bc = out.base
     if len(bc.fans[tip]) != 1:
         raise PreconditionViolated("vertex %d is not a scaffold tip" % tip)
-    d_in_tip = bc.fans[tip][0]  # tip -> attachment
-    e_slit = d_in_tip >> 1
-    face = bc.face_of_dart(d_in_tip)
-    guard = 0
-    while True:
-        cyc = bc.faces[face].cycle
-        k = cyc.index(d_in_tip ^ 1)  # position of s_out
-        nxt = cyc[(k + 2) % len(cyc)]
-        if bc.tail(nxt) == target:
-            break
-        out = _slide_slit_step(out, e_slit)
-        bc = out.base
-        guard += 1
-        if guard > 4 * len(cyc) + 8:
-            raise InvalidSurface("slit slide did not reach the target corner")
-    # now cycle reads [..., s_out, s_in, nxt ...] with tail(nxt) == target
+    s_out = bc.fans[tip][0] ^ 1
+    face = bc.face_of_dart(s_out)
     cyc = list(bc.faces[face].cycle)
-    k = cyc.index(d_in_tip ^ 1)
+    n = len(cyc)
+    k = cyc.index(s_out)
+    if cyc[(k + 1) % n] != s_out ^ 1:
+        raise InvalidSurface("slit darts are not adjacent in the face cycle")
+    affected = [c for c in out.live_copy_ids() if out.copies[c] == face]
+    rho = {}
+    for c in affected:
+        c2, p2 = out.pairing[(c, k)]
+        if out.copies[c2] != face or p2 != (k + 1) % n:
+            raise InvalidSurface("slit pairing leaves the face")
+        rho[c] = c2
 
-    # base: drop the slit edge and the tip
-    new_cyc = [d for d in cyc if (d >> 1) != e_slit]
-    bc.faces[face].cycle = new_cyc
-    y = bc.edges[e_slit].a
-    bc.fans[y].remove(d_in_tip ^ 1)
-    bc.fans[tip] = []
-    label = bc.specials.pop(tip, None)
-    if tip in bc.markers:
-        bc.markers.discard(tip)
-    bc.vertices[tip] = None
-    bc.edges[e_slit] = None
-    if label is not None:
-        bc.specials[target] = label
-    bc._invalidate()
+    # the slit hangs from tail(cycle[k + 2]); it slides past swept[:-1]
+    swept = [(k + i) % n for i in range(2, n)]
+    reach = next((j for j, p in enumerate(swept) if bc.tail(cyc[p]) == target), None)
+    if reach is not None:
+        swept = swept[:reach + 1]
+    for j, p in enumerate(swept):
+        if any((c, p) not in out.pairing for c in affected):
+            context = "tip absorption" if j == reach else "slit slide"
+            raise PreconditionViolated("%s would cross a free side" % context)
+    if reach is None:
+        raise InvalidSurface("slit slide did not reach the target corner")
 
-    _recompose_swept_side(out, face, cyc, new_cyc, k, "tip absorption")
+    pairing = out.pairing
+    for p in swept:
+        old = {c: pairing.pop((c, p)) for c in affected}
+        for c in affected:
+            pairing.pop(old[c])
+        for c in affected:
+            mate = old[rho[c]]
+            pairing[(c, p)] = mate
+            pairing[mate] = (c, p)
+    bc.absorb_tip(tip, target, cyc[swept[-2]] if reach else None)
+    new_pos = {d: i for i, d in enumerate(bc.faces[face].cycle)}
+    maps = {c: {p: [(c, new_pos[d])] if d in new_pos else [] for p, d in enumerate(cyc)}
+            for c in affected}
+    _remap_pairing(out, maps)
     require_valid(out, "absorb_tip")
     return out
 
