@@ -597,8 +597,6 @@ def build_curve_graph(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
         for j in range(i + 1, len(segs)):
             for h in segment_intersection(segs[i], segs[j]):
                 if isinstance(h, GeodesicSegment):
-                    ki = segs[i].param_of(h.a), segs[i].param_of(h.b)
-                    kj = segs[j].param_of(h.a), segs[j].param_of(h.b)
                     same = points_coincide(segs[i].a, segs[j].a) and points_coincide(segs[i].b, segs[j].b)
                     antv = points_coincide(segs[i].a, segs[j].b) and points_coincide(segs[i].b, segs[j].a)
                     if not (same or antv):

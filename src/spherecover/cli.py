@@ -147,7 +147,7 @@ def cmd_normalize(args):
     s = io.load_surface(args.file)
     try:
         out, trace = run_pipeline(s)
-        ok, report = pipeline_certify(out, s, trace)
+        ok, _ = pipeline_certify(out, s, trace)
     except SurfaceError as err:
         print("normalize failed: %s" % err, file=sys.stderr)
         return EXIT_FAIL

@@ -393,8 +393,6 @@ def generate_closed_cyclic_cover(d, q=3, branch_special=True) -> SurfaceComplex:
     else:
         specials = [_sph(1.0 + 0.8 * k, 1.1) for k in range(q)]
     bc = make_base([a, b, c], specials)
-    va = bc.vertex_at(a)
-    vb = bc.vertex_at(b)
     faces = bc.live_faces()
     if len(faces) != 2:
         raise GenerationStuck("triangle arrangement should have two faces")
@@ -412,7 +410,7 @@ def generate_closed_cyclic_cover(d, q=3, branch_special=True) -> SurfaceComplex:
                 return e
         raise GenerationStuck("edge not found")
 
-    vc = [v for v in (bc.vertex_at(a), bc.vertex_at(b), bc.vertex_at(c))]
+    vc = [bc.vertex_at(a), bc.vertex_at(b), bc.vertex_at(c)]
     e_ab = edge_between(vc[0], vc[1])
     e_bc = edge_between(vc[1], vc[2])
     e_ca = edge_between(vc[2], vc[0])

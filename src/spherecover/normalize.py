@@ -153,7 +153,6 @@ def remove_one_fold(s: SurfaceComplex) -> SurfaceComplex:
     n = len(walk)
     run_a = [sh.in_side]
     run_b = [sh.out_side]
-    sheets, corner_sheet = s.sheets()
     while True:
         prev = walk[(idx[run_a[0]] - 1) % n]
         nxt = walk[(idx[run_b[-1]] + 1) % n]
@@ -492,7 +491,7 @@ def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, trace):
         raise PipelineError("parked branch lost after the chord refinement")
     chord_dart = 2 * chord_e if work.base.edges[chord_e].a == sigma.vertex else 2 * chord_e + 1
     result = lift_path(work, [chord_dart], sigma2.index, FROM_BOUNDARY_LEFT)
-    ends, coincident, on_boundary = _classify_lift_ends(work, result)
+    _, coincident, on_boundary = _classify_lift_ends(work, result)
     if on_boundary:
         raise PipelineError("lift into the left component touched the boundary")
     if coincident is not None:
@@ -579,7 +578,7 @@ def rotate_to_touch_special(s: SurfaceComplex):
         _, dmin, x0 = nearest_feature(segs, p)
         if best is None or dmin < best[0]:
             best = (dmin, v, p, x0)
-    _, v1, p1, x0 = best
+    _, _, p1, x0 = best
     base_axis = unit(cross(p1, x0))
 
     jitters = [0.0, 1e-6, -1e-6, 2e-6, -2e-6, 5e-6]
@@ -637,7 +636,7 @@ def _apply_rotation_contact(s: SurfaceComplex, rho: Rotation, special_v: int,
     if s.base.face_of_dart(d_g ^ 1) != tip_face:
         raise PipelineError("contacted special does not sit in the face right of the arc")
 
-    out, x_vertex, (e1, e2) = split_edge_surface(s, edge, x_point)
+    out, x_vertex, _ = split_edge_surface(s, edge, x_point)
     # move every special tip rigidly; bridges keep their attachment
     for v in list(out.base.specials):
         if v == special_v:
@@ -721,7 +720,7 @@ def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
             cur = remove_nonspecial_folds(cur, trace)
             continue
         if _interior_nonspecial_branches(cur):
-            cur, status = clear_interior_branches(cur, trace)
+            cur, _ = clear_interior_branches(cur, trace)
             cur = cleanup_unused_curve_edges(cur)
             continue
         if not _boundary_nonspecial_branches(cur):
@@ -730,11 +729,11 @@ def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
             cur.base.tail(d) in cur.base.specials or cur.base.head(d) in cur.base.specials
             for d in cur.boundary_walk().darts)
         if walk_special:
-            cur, status = sweep_boundary_branches(cur, trace)
+            cur, _ = sweep_boundary_branches(cur, trace)
             cur = cleanup_unused_curve_edges(cur)
             continue
         if _sinkable_arc(cur) is not None:
-            cur, status = sink_branch_to_special(cur, trace)
+            cur, _ = sink_branch_to_special(cur, trace)
             cur = cleanup_unused_curve_edges(cur)
             continue
         out, rho = rotate_to_touch_special(cur)
@@ -744,11 +743,7 @@ def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
         cur = out
 
     phi = trace.composed_rotation()
-    out = SurfaceComplex(cur.base.rotated(phi), cur.copies, cur.pairing)
-    # The rotation moves vertex positions only, and ``BaseComplex.copy`` keeps
-    # every cycle, fan, edge kind, length and area, so each cached table of
-    # ``cur`` is the one ``out`` would compute.
-    out._cache = dict(cur._cache)
+    out = cur.rotated(phi)
     require_valid(out, "normalize output", strict_scaffold=False)
     # the composed rotation returns the specials to their input positions
     in_pos = {lab: s.base.vertices[v] for v, lab in s.base.specials.items()}

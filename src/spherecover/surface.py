@@ -105,9 +105,10 @@ class SurfaceComplex:
     ``components`` and the ``functionals`` report.  Each is computed once per
     state; a cached value is shared by every caller, who must not modify it.
     ``free_sides`` alone returns a fresh list each call, which a caller may
-    reorder.  ``add_copy``, ``pair`` and ``unpair`` invalidate the cache; a
-    direct write to ``.pairing``, ``.copies`` or the base must be followed by
-    ``surgery._remap_pairing`` or ``invalidate()`` before the next read."""
+    reorder.  ``add_copy``, ``pair`` and ``unpair`` invalidate the cache,
+    and ``rotated`` hands it on; a direct write to ``.pairing``, ``.copies``
+    or the base must be followed by ``surgery._remap_pairing`` or
+    ``invalidate()`` before the next read."""
 
     def __init__(self, base: BaseComplex, copies, pairing):
         self.base = base
@@ -119,6 +120,16 @@ class SurfaceComplex:
 
     def copy(self) -> "SurfaceComplex":
         return SurfaceComplex(self.base.copy(), list(self.copies), dict(self.pairing))
+
+    def rotated(self, r: Rotation) -> "SurfaceComplex":
+        """This surface over ``base.rotated(r)``, keeping its cached tables.
+
+        A rotation moves vertex positions only, and ``BaseComplex.copy``
+        keeps every cycle, fan, edge kind, length and area, so each cached
+        table is the one the image would compute."""
+        out = SurfaceComplex(self.base.rotated(r), self.copies, self.pairing)
+        out._cache = dict(self._cache)
+        return out
 
     def invalidate(self):
         self._cache = {}

@@ -623,8 +623,9 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
     the slit sweeps past, then the side after it, is recomposed with rho in
     cycle order: (c, swept) takes the partner that (rho(c), swept) has at
     that point, so a later side reads the pairing an earlier one left.  Each
-    of those sides must be paired.  The tip's interior sheets become interior
-    sheets over the target with the same multiplicities.
+    of those sides must be paired.  For an unbranched tip (rho the identity)
+    the label keeps its n-bar; a branched tip's branching does not yet land
+    on the target.
     """
     out = s.copy()
     bc = out.base
@@ -645,7 +646,7 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
             raise InvalidSurface("slit pairing leaves the face")
         rho[c] = c2
 
-    # the slit hangs from tail(cycle[k + 2]); it slides past swept[:-1]
+    # the slit hangs from tail(cyc[k + 2]) and slides past swept[:-1]
     swept = [(k + i) % n for i in range(2, n)]
     reach = next((j for j, p in enumerate(swept) if bc.tail(cyc[p]) == target), None)
     if reach is not None:

@@ -1,9 +1,14 @@
+import importlib
+import json
 import math
+import pathlib
 import random
 
 import pytest
 
+from spherecover import io
 from spherecover.generators import generate_disk_covering, GenerationStuck
+from spherecover.normalize import normalize
 from spherecover.surface import (
     ANNULUS,
     CLOSED,
@@ -19,7 +24,9 @@ from spherecover.surgery import (
     FROM_INTERIOR,
     ImagesMismatch,
     NotSimple,
+    PreconditionViolated,
     SurfacePath,
+    absorb_tip_into_vertex,
     canonical_form,
     cut_interior,
     cut_to_boundary,
@@ -38,6 +45,11 @@ from conftest import (
     south_face,
     sph,
 )
+
+# the module (the package's ``normalize`` attribute is the function)
+nm = importlib.import_module("spherecover.normalize")
+
+CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
 
 
 def _sheet_of(s, corner):
@@ -270,3 +282,42 @@ def test_split_components_in_root_order():
     assert [p.copies for p in pieces] == [[f_s, f_n], [f_n], [f_s]]
     assert [len(p.pairing) for p in pieces] == [2, 0, 0]
     assert all(p.connected() for p in pieces)
+
+
+def _absorb_calls(monkeypatch):
+    """(input, tip, target, output) of every ``absorb_tip_into_vertex`` call
+    while ``normalize`` runs on the stored batch corpus."""
+    calls = []
+
+    def recording(s, tip, target):
+        out = absorb_tip_into_vertex(s, tip, target)
+        calls.append((s, tip, target, out))
+        return out
+    monkeypatch.setattr(nm, "absorb_tip_into_vertex", recording)
+    for line in (CORPUS / "batch.jsonl").read_text().splitlines():
+        normalize(io.surface_from_dict(json.loads(line)))
+    return calls
+
+
+def _cyclic_equal(a, b):
+    return len(a) == len(b) and any(a[i:] + a[:i] == b for i in range(len(a)))
+
+
+def test_absorb_tip_keeps_the_functionals_and_the_walk(monkeypatch):
+    calls = _absorb_calls(monkeypatch)
+    assert len(calls) == 14
+    for s, tip, target, out in calls:
+        label = s.base.specials[tip]
+        # the slit hangs off another vertex: at least one dart is swept
+        assert s.base.head(s.base.fans[tip][0]) != target
+        assert out.base.vertices[tip] is None and out.base.fans[tip] == []
+        assert tip not in out.base.specials and out.base.specials[target] == label
+        pre, post = functionals(s), functionals(out)
+        assert post.area == pytest.approx(pre.area, abs=1e-9)
+        assert post.boundary_length == pytest.approx(pre.boundary_length, abs=1e-9)
+        assert post.covering_sum == pre.covering_sum
+        assert post.n_bar == pre.n_bar
+        assert _cyclic_equal(out.boundary_walk().darts, s.boundary_walk().darts)
+    s, tip, target, _ = calls[0]
+    with pytest.raises(PreconditionViolated, match="not a scaffold tip"):
+        absorb_tip_into_vertex(s, target, tip)
