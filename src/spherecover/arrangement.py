@@ -21,6 +21,7 @@ from .geometry import (
     GeodesicSegment,
     PointRegistry,
     Rotation,
+    _fangle,
     _fdot,
     add,
     angle_between,
@@ -28,6 +29,7 @@ from .geometry import (
     cross,
     dot,
     float_sum,
+    meet_only_at_shared_end,
     nearest_feature,
     neg,
     points_coincide,
@@ -593,8 +595,20 @@ def build_curve_graph(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
     for i, s in enumerate(segs):
         seg_pts[i][0.0] = register(s.a)
         seg_pts[i][1.0] = register(s.b)
+    # Where the curve's distinct vertices lie pairwise more than 1e-6 apart,
+    # each is stored as itself (up to rounding) under an id that comes before
+    # every crossing's, and no other stored point lies within 2 EPS_SEP of it.
+    # So the point that segment_intersection returns for two arcs meeting only
+    # at a shared end, within 3e-12 of it, registers nothing and gets that
+    # end's id, and any parameter key it adds next to 0 or 1 carries the same
+    # id: the edges between distinct consecutive ids do not change.
+    ends = list(dict.fromkeys(s.a for s in segs))
+    separated = all((_fangle(ends[i], ends[j]) or 0.0) > 1e-6
+                    for i in range(len(ends)) for j in range(i + 1, len(ends)))
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
+            if separated and meet_only_at_shared_end(segs[i], segs[j]):
+                continue
             for h in segment_intersection(segs[i], segs[j]):
                 if isinstance(h, GeodesicSegment):
                     same = points_coincide(segs[i].a, segs[j].a) and points_coincide(segs[i].b, segs[j].b)
@@ -806,8 +820,12 @@ def _segment_clear(bc: BaseComplex, p, v) -> bool:
     if antipodal(p, pv):
         return False
     probe = GeodesicSegment(p, pv)
+    end = probe.b
     for e in bc.live_edges():
         seg = bc.dart_segment(2 * e)
+        # an edge met only at the probe's own end passes the test below
+        if (seg.a == end or seg.b == end) and meet_only_at_shared_end(probe, seg):
+            continue
         for h in segment_intersection(probe, seg):
             if isinstance(h, GeodesicSegment):
                 return False

@@ -35,6 +35,11 @@ lies in [1e-5, pi - 1e-5].
   1e-6): a point it returns lies within (L1 + L2)/2 + 3*tol + 5e-10 of the
   two together.
 
+``meet_only_at_shared_end`` tells a caller where ``segment_intersection``
+would return only the one endpoint two arcs share (up to 3e-12): the arcs
+share exactly one endpoint by value, both lengths lie in [0.1, pi - 0.1],
+and their poles' plain-float cross product has norm at least 0.01.
+
 A rotation's first contact with a curve (``contact_angle``) is the least
 closed-form root of the target's circle against an arc's great circle that
 lies on the arc (a root no less than the best so far is not checked), so
@@ -487,6 +492,35 @@ def segment_intersection(s1: GeodesicSegment, s2: GeodesicSegment, tol=EPS_SEP):
         if s1.contains(cand, tol) and s2.contains(cand, tol):
             out.append(cand)
     return out
+
+
+def meet_only_at_shared_end(s1: GeodesicSegment, s2: GeodesicSegment) -> bool:
+    """True only where ``segment_intersection(s1, s2)`` (tol = EPS_SEP) is
+    one point within 3e-12 of the one endpoint the arcs share.
+
+    The guards: exactly one endpoint of s1 equals one of s2 by value; both
+    lengths lie in [0.1, pi - 0.1]; and r, the plain-float norm of
+    cross(s1.pole, s2.pole), is at least 0.01.  r is what
+    ``segment_intersection`` compares with sin(tol), so it takes the
+    transversal branch, and the broad phase, being sound, returns [] only
+    where that branch would.  Each pole is unit(a x b), whose cross product
+    errs by < 1e-15 against |a x b| = sin L >= 0.0998, so the shared end P
+    lies within 1e-14 of both great circles.  These cross at an angle whose
+    sine is r (up to 1e-15), so P lies within 2e-14/0.01 of u or -u, and u
+    = unit(cr) errs by < 1e-13: the candidate next to P is within 3e-12 of
+    it and passes both ``contains`` tests (|u . pole| < 1e-13 against sin(tol),
+    and ta + tb <= L + 6e-12).  The other candidate lies at least pi - 3e-12
+    from P, an end of both arcs, so its ta + tb exceeds L + tol by more
+    than 0.099 rad.
+    """
+    a1, b1, a2, b2 = s1.a, s1.b, s2.a, s2.b
+    if (a1 == a2) + (a1 == b2) + (b1 == a2) + (b1 == b2) != 1:
+        return False
+    lo, hi = 0.1, math.pi - 0.1
+    if not (lo <= s1.length <= hi and lo <= s2.length <= hi):
+        return False
+    c = cross(s1.pole, s2.pole)
+    return math.sqrt(_fdot(c, c)) >= 0.01
 
 
 def _collinear_overlap(s1, s2, tol):

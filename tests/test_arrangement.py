@@ -1,10 +1,13 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from spherecover import arrangement, generators
 from spherecover.arrangement import (
     CURVE,
     SCAFFOLD,
@@ -18,10 +21,13 @@ from spherecover.arrangement import (
     attach_scaffold,
     bridges_cannot_fail,
     build_arrangement,
+    build_curve_graph,
+    build_faces,
     left_right_faces,
     locate_pending,
 )
 from spherecover.geometry import (
+    EPS_SEP,
     GeodesicSegment,
     GeometryError,
     Rotation,
@@ -29,6 +35,7 @@ from spherecover.geometry import (
     angle_between,
     cross,
     dot,
+    meet_only_at_shared_end,
     neg,
     sphere_point,
     unit,
@@ -400,3 +407,133 @@ def test_dart_segment_and_tangent_cache():
     bc.split_edge(e, bc.dart_segment(2 * e).point_at(0.5))
     for d in live_darts():
         assert_fresh(d)
+
+
+# -- arcs that meet only at a shared end -----------------------------------------
+# build_curve_graph and _segment_clear skip segment_intersection on a pair that
+# geometry.meet_only_at_shared_end vouches for.  Each test builds the same
+# input with the predicate as shipped and with it patched to refuse every
+# pair, and requires the same result.
+
+
+def _refusing(monkeypatch):
+    monkeypatch.setattr(arrangement, "meet_only_at_shared_end", lambda s1, s2: False)
+
+
+def _graph_record(bc):
+    return (bc.vertices, [(e.a, e.b, e.kind, e.length) for e in bc.edges],
+            bc.traversal, bc.meta["pending_interior_points"])
+
+
+def _bridged_record(bc):
+    """The bridged complex, or the error that refused it."""
+    try:
+        attach_bridges(bc, locate_pending(build_faces(bc)))
+    except (ArrangementError, GeometryError) as err:
+        return type(err).__name__, str(err)
+    return (bc.vertices, [(e.a, e.b, e.kind, e.length) for e in bc.edges], bc.fans,
+            [f.cycle for f in bc.faces], bc.specials, bc.markers)
+
+
+def _both_ways(monkeypatch, inputs):
+    """(graph, bridged) records of each input, as shipped and with the
+    predicate refusing every pair."""
+    def records():
+        out = []
+        for curve, special, markers in inputs:
+            g = build_curve_graph(curve, special, markers)
+            out.append((_graph_record(g), _bridged_record(g)))
+        return out
+
+    shipped = records()
+    with monkeypatch.context() as m:
+        _refusing(m)
+        return shipped, records()
+
+
+def _hunt_base_inputs(n_seeds):
+    """Every (curve, special, markers) that the generator hands
+    build_curve_graph while the first n_seeds hunt seeds generate."""
+    hunt = _load_hunt()
+    inputs, real = [], generators.build_curve_graph
+
+    def record(curve, special, markers=()):
+        inputs.append((curve, special, tuple(markers)))
+        return real(curve, special, markers=markers)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(generators, "build_curve_graph", record)
+        for n in range(hunt.FIRST_SEED, hunt.FIRST_SEED + n_seeds):
+            generators.generate_disk_covering_filtered(("hunt", n), **hunt.FILTERS)
+    return inputs
+
+
+def _load_hunt():
+    spec = importlib.util.spec_from_file_location(
+        "hunt", pathlib.Path(__file__).resolve().parents[1] / "tools" / "hunt.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_shared_end_shortcut_keeps_the_hunt_bases(monkeypatch):
+    """Over the bases of the first 64 hunt seeds, the graph (vertices, edges,
+    traversal, pending points) and the bridges attach_bridges picks are the
+    same with the shortcut as without it, and the shortcut is taken."""
+    inputs = _hunt_base_inputs(64)
+    taken = []
+    real = arrangement.meet_only_at_shared_end
+
+    def counting(s1, s2):
+        ok = real(s1, s2)
+        taken.append(ok)
+        return ok
+
+    monkeypatch.setattr(arrangement, "meet_only_at_shared_end", counting)
+    shipped, refused = _both_ways(monkeypatch, inputs)
+    assert len(inputs) > 64 and sum(taken) > len(inputs)
+    assert shipped == refused
+
+
+def _pair(curve, i, j):
+    segs = curve.segments
+    return segs[i], segs[j]
+
+
+@pytest.mark.parametrize("name, pts, pair", [
+    # the arcs 0 and 1 meet at an angle of 0.005 rad
+    ("sharp turn", (sph(0.0, 0.0), sph(1.0, 0.0), sph(2.0, 0.005), sph(1.0, 0.8)), (0, 1)),
+    ("collinear", (sph(0.0, 0.0), sph(1.0, 0.0), sph(2.0, 0.0), sph(1.0, 0.8)), (0, 1)),
+    ("short arc", (sph(0.0, 0.0), sph(0.05, 0.0), sph(1.0, 0.8)), (0, 1)),
+    ("arc near pi", (sph(0.0, 0.0), sph(3.1, 0.0), sph(1.5, 0.8)), (0, 1)),
+    # the two arcs share both ends
+    ("doubled arc", (sph(0.0, 0.0), sph(1.0, 0.3)), (0, 1)),
+])
+def test_shared_end_shortcut_refuses_near_degenerate_pairs(monkeypatch, name, pts, pair):
+    curve = CurveInput(pts)
+    s1, s2 = _pair(curve, *pair)
+    assert not meet_only_at_shared_end(s1, s2) and not meet_only_at_shared_end(s2, s1)
+    shipped, refused = _both_ways(monkeypatch, [(curve, SpecialSet(NORTH_SPECIALS), ())])
+    assert shipped == refused
+
+
+def test_shared_end_shortcut_off_for_close_curve_vertices(monkeypatch):
+    """Two curve vertices within 1e-6 of each other turn the shortcut off
+    for the whole graph, though the predicate vouches for some pair."""
+    # a figure eight whose pinch is two vertices 5e-7 apart
+    pts = (sph(0.0, 0.0), sph(-0.7, 0.7), sph(0.7, 0.72),
+           sph(0.0, 5e-7), sph(0.7, -0.7), sph(-0.7, -0.72))
+    curve = CurveInput(pts)
+    assert meet_only_at_shared_end(*_pair(curve, 0, 1))
+    calls = []
+    real = arrangement.segment_intersection
+
+    def counting(s1, s2, tol=EPS_SEP):
+        calls.append(1)
+        return real(s1, s2, tol)
+
+    monkeypatch.setattr(arrangement, "segment_intersection", counting)
+    build_curve_graph(curve, SpecialSet(NORTH_SPECIALS))
+    assert len(calls) == 6 * 5 // 2
+    shipped, refused = _both_ways(monkeypatch, [(curve, SpecialSet(NORTH_SPECIALS), ())])
+    assert shipped == refused
