@@ -620,12 +620,12 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
     One re-cut of the branch cut.  The tip's slit is carried forward along
     its face cycle until it hangs from the target's corner, then dropped.
     The slit monodromy rho pairs (c, s_out) with (rho(c), s_in).  Every side
-    the slit sweeps past, then the side after it, is recomposed with rho in
-    cycle order: (c, swept) takes the partner that (rho(c), swept) has at
-    that point, so a later side reads the pairing an earlier one left.  Each
-    of those sides must be paired.  For an unbranched tip (rho the identity)
-    the label keeps its n-bar; a branched tip's branching does not yet land
-    on the target.
+    the slit sweeps past is recomposed with rho in cycle order: (c, swept)
+    takes the partner that (rho(c), swept) has at that point, so a later
+    side reads the pairing an earlier one left.  Each of those sides must be
+    paired.  The side that leaves the target's corner is not crossed by the
+    cut and keeps its partner, so the branching lands on the target and the
+    label keeps its n-bar.
     """
     out = s.copy()
     bc = out.base
@@ -646,15 +646,14 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
             raise InvalidSurface("slit pairing leaves the face")
         rho[c] = c2
 
-    # the slit hangs from tail(cyc[k + 2]) and slides past swept[:-1]
+    # the slit hangs from tail(cyc[k + 2]) and slides past the sides before
+    # the one that leaves the target
     swept = [(k + i) % n for i in range(2, n)]
     reach = next((j for j, p in enumerate(swept) if bc.tail(cyc[p]) == target), None)
     if reach is not None:
-        swept = swept[:reach + 1]
-    for j, p in enumerate(swept):
-        if any((c, p) not in out.pairing for c in affected):
-            context = "tip absorption" if j == reach else "slit slide"
-            raise PreconditionViolated("%s would cross a free side" % context)
+        swept = swept[:reach]
+    if any((c, p) not in out.pairing for p in swept for c in affected):
+        raise PreconditionViolated("slit slide would cross a free side")
     if reach is None:
         raise InvalidSurface("slit slide did not reach the target corner")
 
@@ -667,7 +666,7 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
             mate = old[rho[c]]
             pairing[(c, p)] = mate
             pairing[mate] = (c, p)
-    bc.absorb_tip(tip, target, cyc[swept[-2]] if reach else None)
+    bc.absorb_tip(tip, target, cyc[swept[-1]] if reach else None)
     new_pos = {d: i for i, d in enumerate(bc.faces[face].cycle)}
     maps = {c: {p: [(c, new_pos[d])] if d in new_pos else [] for p, d in enumerate(cyc)}
             for c in affected}

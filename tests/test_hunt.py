@@ -1,5 +1,5 @@
-"""The hunt sweep's decisions: a prefix of ``tools/hunt.py``'s seeds, and two
-failing seeds, against the expected lines in ``tests/data/hunt_1024.jsonl``
+"""The hunt sweep's decisions: a prefix of ``tools/hunt.py``'s seeds, and three
+chosen seeds, against the expected lines in ``tests/data/hunt_1024.jsonl``
 (CI reruns all 1024)."""
 
 import importlib.util
@@ -30,11 +30,11 @@ def test_hunt_prefix_matches_the_expected_lines():
     assert got == want
 
 
-# 100093 fails in the tip absorption of a rotation, 100884 in the rotation's
-# n-bar check; each line keeps the steps taken before the error.
-@pytest.mark.parametrize("seed, outcome", [(100093, "InvalidSurface"),
-                                           (100884, "PipelineError")])
-def test_hunt_failing_seed_matches_its_expected_line(seed, outcome):
+# 100093 and 100884 absorb a branched tip in a rotation, whose branching
+# lands on the target; 100160 fails after four steps, and its line keeps them.
+@pytest.mark.parametrize("seed, outcome", [(100093, "ok"), (100884, "ok"),
+                                           (100160, "NoSuchPath")])
+def test_hunt_seed_matches_its_expected_line(seed, outcome):
     hunt = _hunt()
     rec = hunt.hunt_line(seed)
     assert rec["outcome"] == outcome and rec["steps"]

@@ -23,8 +23,8 @@ CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / 
 PINNED = {
     "batch": ("a4e809ead7a111f42590874bb10121785ee39a9e988ce6eaf4321c20eb177857",
               {"ok": 100}),
-    "stress": ("55e166c08ea37f8f20875917f2afc0b8551c8b562f92e0d41c8683fc52b60459",
-               {"ok": 61, "NoSuchPath": 14, "InvalidSurface": 4, "PipelineError": 1}),
+    "stress": ("80c1ef08f594fa40f4b56926e53ee1b7c183892b48349254c799e78bb4c3502e",
+               {"ok": 66, "NoSuchPath": 14}),
 }
 
 

@@ -11,8 +11,7 @@ CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / 
 
 # Generator seeds whose coverings normalize cannot handle yet (ROADMAP item 3):
 # they may fail with a typed error, but every other covering must pass.
-KNOWN_FAILING = {12, 15, 24, 33, 48, 56, 87, 113, 130, 135, 161, 176, 182, 234,
-                 252, 260, 264, 306, 309}
+KNOWN_FAILING = {12, 15, 33, 48, 56, 87, 135, 161, 176, 182, 260, 264, 306, 309}
 
 
 def test_stress_corpus_normalizes_and_certifies():

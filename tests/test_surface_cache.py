@@ -77,7 +77,7 @@ def test_cached_tables_match_a_fresh_surface_through_normalize(name, monkeypatch
         # nothing changed a state after its tables were cached
         for s in seen:
             assert_coherent(s, keys=list(s._cache))
-    assert outputs == {"batch": 100, "stress": 61}[name]
+    assert outputs == {"batch": 100, "stress": 66}[name]
 
 
 @pytest.mark.parametrize("seed, kw", [(0, {}), (1, {}), (2, {"with_marker": True, "fan_m": 3}),

@@ -321,3 +321,32 @@ def test_absorb_tip_keeps_the_functionals_and_the_walk(monkeypatch):
     s, tip, target, _ = calls[0]
     with pytest.raises(PreconditionViolated, match="not a scaffold tip"):
         absorb_tip_into_vertex(s, target, tip)
+
+
+def test_absorb_branched_tip_lands_its_branching_on_the_target(monkeypatch):
+    """Stress seed 130 absorbs a special tip whose sheet has multiplicity 2:
+    the branching moves onto the target's sheet, and no other vertex's
+    sheets change."""
+    calls = []
+
+    def recording(s, tip, target):
+        out = absorb_tip_into_vertex(s, tip, target)
+        calls.append((s, tip, target, out))
+        return out
+    monkeypatch.setattr(nm, "absorb_tip_into_vertex", recording)
+    seeds = json.loads((CORPUS / "manifest.json").read_text())["corpora"]["stress"]["seeds"]
+    line = (CORPUS / "stress.jsonl").read_text().splitlines()[seeds.index(130)]
+    normalize(io.surface_from_dict(json.loads(line)))
+    assert len(calls) == 1
+    s, tip, target, out = calls[0]
+
+    def sheets(x, v):
+        return sorted((sh.multiplicity, sh.interior) for sh in x.sheet_list() if sh.vertex == v)
+
+    assert sheets(s, tip) == [(2, True)]
+    assert sheets(s, target).count((1, True)) == 2
+    assert sheets(out, target) == [(1, False)] * 3 + [(2, True)]
+    assert all(sheets(out, v) == sheets(s, v)
+               for v in s.base.live_vertices() if v not in (tip, target))
+    pre, post = functionals(s), functionals(out)
+    assert post.n_bar == pre.n_bar and post.covering_sum == pre.covering_sum
