@@ -223,8 +223,9 @@ def cmd_net(args):
     return EXIT_OK
 
 
-def _int_at_least(lo):
-    """argparse type: an integer no less than ``lo``."""
+def _int_at_least(lo, hi=None):
+    """argparse type: an integer no less than ``lo`` (and, if given, no more
+    than ``hi``)."""
     def parse(text):
         try:
             n = int(text)
@@ -232,8 +233,16 @@ def _int_at_least(lo):
             raise argparse.ArgumentTypeError("invalid int value: %r" % text)
         if n < lo:
             raise argparse.ArgumentTypeError("must be at least %d, got %d" % (lo, n))
+        if hi is not None and n > hi:
+            raise argparse.ArgumentTypeError("must be at most %d, got %d" % (hi, n))
         return n
     return parse
+
+
+# The most special points ``gen`` draws.  q = 30 generated on every seed
+# tried; at q = 60 the random bases leave no room for the specials, and every
+# one of a base's 400 attempts fails, seconds later.
+MAX_Q = 30
 
 
 def build_parser():
@@ -245,7 +254,7 @@ def build_parser():
 
     g = sub.add_parser("gen", help="generate a surface file")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--q", type=_int_at_least(3), default=3)
+    g.add_argument("--q", type=_int_at_least(3, MAX_Q), default=3)
     g.add_argument("--max-sheets", type=_int_at_least(1), default=8)
     g.add_argument("--branch-budget", type=_int_at_least(0), default=6)
     g.add_argument("--closed-degree", type=_int_at_least(0), default=0,

@@ -237,7 +237,6 @@ def test_criterion_4_surgery_deltas():
                     if closed.base.edges[closed.dart_of(x) >> 1].kind == "curve")
         disk = closed.copy()
         disk.unpair(side)
-        disk.invalidate()
         pre = functionals(disk)
         walk = disk.boundary_walk()
         sewn, case = sew(disk, [walk.sides[0]], [walk.sides[1]])

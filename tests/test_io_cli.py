@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spherecover import io
-from spherecover.cli import EXIT_FAIL, main as cli_main
+from spherecover.cli import EXIT_FAIL, MAX_Q, main as cli_main
 from spherecover.generators import generate_disk_covering, GenerationStuck
 from spherecover.normalize import normalize
 from spherecover.surface import functionals, geometric_walk, validate
@@ -212,6 +212,19 @@ def test_cli_gen_out_of_range_is_usage_error(tmp_path, capsys, args):
     assert exc.value.code == 2
     assert "argument %s:" % args[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_gen_refuses_q_above_its_bound(tmp_path, capsys):
+    # a q past MAX_Q is refused as it is parsed, not after the generator's
+    # 400 attempts; MAX_Q itself generates
+    out = tmp_path / "gen.json"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["gen", "--q", str(MAX_Q + 1), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be at most %d, got %d" % (MAX_Q, MAX_Q + 1) in capsys.readouterr().err
+    assert not out.exists()
+    assert cli_main(["gen", "--q", str(MAX_Q), "--seed", "1", "--out", str(out)]) == 0
+    assert len(io.load_surface(out).base.specials) == MAX_Q
 
 
 def test_cli_gen_stuck_is_one_line(tmp_path, capsys):

@@ -197,7 +197,6 @@ def test_sew_case_b_closes():
                 if closed.base.edges[closed.dart_of(x) >> 1].kind == "curve")
     disk = closed.copy()
     disk.unpair(side)
-    disk.invalidate()
     assert disk.topology_kind() == DISK
     walk = disk.boundary_walk()
     assert len(walk) == 2
