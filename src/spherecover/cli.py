@@ -239,9 +239,9 @@ def _int_at_least(lo, hi=None):
     return parse
 
 
-# The most special points ``gen`` draws.  q = 30 generated on every seed
-# tried; at q = 60 the random bases leave no room for the specials, and every
-# one of a base's 400 attempts fails, seconds later.
+# The most special points ``gen`` takes.  q = 30 generated on every seed
+# tried; at q = 60 and 200 none did, each failing only after random_base's
+# 400 draws, seconds later.
 MAX_Q = 30
 
 

@@ -1,6 +1,8 @@
 """Shared fixture builders for the test suite."""
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +15,15 @@ from spherecover.arrangement import (
 )
 from spherecover.generators import _close_scaffold_sides, _sph
 from spherecover.surface import SurfaceComplex
+
+
+def hunt_module():
+    """``tools/hunt.py``, loaded as a module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "hunt.py"
+    spec = importlib.util.spec_from_file_location("hunt", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def sph(lon, lat):

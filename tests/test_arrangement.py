@@ -1,6 +1,4 @@
-import importlib.util
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -41,7 +39,7 @@ from spherecover.geometry import (
     unit,
 )
 
-from conftest import sph
+from conftest import hunt_module, sph
 
 NORTH_SPECIALS = (sph(2.4, 1.25), sph(3.3, 1.25), sph(4.2, 1.25))
 
@@ -416,10 +414,6 @@ def test_dart_segment_and_tangent_cache():
 # pair, and requires the same result.
 
 
-def _refusing(monkeypatch):
-    monkeypatch.setattr(arrangement, "meet_only_at_shared_end", lambda s1, s2: False)
-
-
 def _graph_record(bc):
     return (bc.vertices, [(e.a, e.b, e.kind, e.length) for e in bc.edges],
             bc.traversal, bc.meta["pending_interior_points"])
@@ -447,14 +441,14 @@ def _both_ways(monkeypatch, inputs):
 
     shipped = records()
     with monkeypatch.context() as m:
-        _refusing(m)
+        m.setattr(arrangement, "meet_only_at_shared_end", lambda s1, s2: False)
         return shipped, records()
 
 
 def _hunt_base_inputs(n_seeds):
     """Every (curve, special, markers) that the generator hands
     build_curve_graph while the first n_seeds hunt seeds generate."""
-    hunt = _load_hunt()
+    hunt = hunt_module()
     inputs, real = [], generators.build_curve_graph
 
     def record(curve, special, markers=()):
@@ -466,14 +460,6 @@ def _hunt_base_inputs(n_seeds):
         for n in range(hunt.FIRST_SEED, hunt.FIRST_SEED + n_seeds):
             generators.generate_disk_covering_filtered(("hunt", n), **hunt.FILTERS)
     return inputs
-
-
-def _load_hunt():
-    spec = importlib.util.spec_from_file_location(
-        "hunt", pathlib.Path(__file__).resolve().parents[1] / "tools" / "hunt.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def test_shared_end_shortcut_keeps_the_hunt_bases(monkeypatch):
@@ -495,23 +481,18 @@ def test_shared_end_shortcut_keeps_the_hunt_bases(monkeypatch):
     assert shipped == refused
 
 
-def _pair(curve, i, j):
-    segs = curve.segments
-    return segs[i], segs[j]
-
-
-@pytest.mark.parametrize("name, pts, pair", [
-    # the arcs 0 and 1 meet at an angle of 0.005 rad
-    ("sharp turn", (sph(0.0, 0.0), sph(1.0, 0.0), sph(2.0, 0.005), sph(1.0, 0.8)), (0, 1)),
-    ("collinear", (sph(0.0, 0.0), sph(1.0, 0.0), sph(2.0, 0.0), sph(1.0, 0.8)), (0, 1)),
-    ("short arc", (sph(0.0, 0.0), sph(0.05, 0.0), sph(1.0, 0.8)), (0, 1)),
-    ("arc near pi", (sph(0.0, 0.0), sph(3.1, 0.0), sph(1.5, 0.8)), (0, 1)),
-    # the two arcs share both ends
-    ("doubled arc", (sph(0.0, 0.0), sph(1.0, 0.3)), (0, 1)),
+# each curve's arcs 0 and 1 share an end
+@pytest.mark.parametrize("name, pts", [
+    # the arcs meet at an angle of about 0.005 rad
+    ("sharp turn", (sph(0.0, 0.0), sph(1.0, 0.0), sph(2.0, 0.005), sph(1.0, 0.8))),
+    ("collinear", (sph(0.0, 0.0), sph(1.0, 0.0), sph(2.0, 0.0), sph(1.0, 0.8))),
+    ("short arc", (sph(0.0, 0.0), sph(0.05, 0.0), sph(1.0, 0.8))),
+    ("arc near pi", (sph(0.0, 0.0), sph(3.1, 0.0), sph(1.5, 0.8))),
+    ("doubled arc", (sph(0.0, 0.0), sph(1.0, 0.3))),  # both ends shared
 ])
-def test_shared_end_shortcut_refuses_near_degenerate_pairs(monkeypatch, name, pts, pair):
+def test_shared_end_shortcut_refuses_near_degenerate_pairs(monkeypatch, name, pts):
     curve = CurveInput(pts)
-    s1, s2 = _pair(curve, *pair)
+    s1, s2 = curve.segments[:2]
     assert not meet_only_at_shared_end(s1, s2) and not meet_only_at_shared_end(s2, s1)
     shipped, refused = _both_ways(monkeypatch, [(curve, SpecialSet(NORTH_SPECIALS), ())])
     assert shipped == refused
@@ -524,7 +505,7 @@ def test_shared_end_shortcut_off_for_close_curve_vertices(monkeypatch):
     pts = (sph(0.0, 0.0), sph(-0.7, 0.7), sph(0.7, 0.72),
            sph(0.0, 5e-7), sph(0.7, -0.7), sph(-0.7, -0.72))
     curve = CurveInput(pts)
-    assert meet_only_at_shared_end(*_pair(curve, 0, 1))
+    assert meet_only_at_shared_end(curve.segments[0], curve.segments[1])
     calls = []
     real = arrangement.segment_intersection
 

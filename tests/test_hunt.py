@@ -2,21 +2,14 @@
 chosen seeds, against the expected lines in ``tests/data/hunt_1024.jsonl``
 (CI reruns all 1024)."""
 
-import importlib.util
 import json
 import pathlib
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-EXPECTED = ROOT / "tests" / "data" / "hunt_1024.jsonl"
+from conftest import hunt_module as _hunt
 
-
-def _hunt():
-    spec = importlib.util.spec_from_file_location("hunt", ROOT / "tools" / "hunt.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "hunt_1024.jsonl"
 
 
 def _expected(hunt, seed):
