@@ -409,10 +409,10 @@ class BaseComplex:
         return len(self.faces) - 1
 
     def split_edge(self, e: int, p) -> tuple:
-        """Split edge e at point p into (e1 at the tail side, e2 at the head side).
+        """Split edge e at point p into e1 (tail side) and e2 (head side).
 
-        Face cycles and fans are rewired; per-dart side mapping is returned as
-        {old dart: [replacement darts in cycle order]}.
+        Face cycles and fans are rewired.  Returns the new vertex and the
+        replacement darts in cycle order, as {old dart: [new darts]}.
         """
         ed = self.edges[e]
         x = self.new_vertex(p)
@@ -433,7 +433,7 @@ class BaseComplex:
         self.fans[x] = [2 * e2, 2 * e1 + 1]
         self.edges[e] = None
         self._invalidate()
-        return x, e1, e2, rep
+        return x, rep
 
     def add_bridge(self, face: int, attach_vertex: int, corner_pos: int, tip_point) -> tuple:
         """Attach a dangling SCAFFOLD edge from a boundary corner into the face.
@@ -463,8 +463,9 @@ class BaseComplex:
         cycle[pos_b].
 
         Splits ``face`` into two; returns (edge id, face id containing old
-        cycle[pos_a] tail side, other face id).  The parent area splits evenly
-        (functionals only consume counts times total area).
+        cycle[pos_a] tail side, other face id).  The edge's forward dart runs
+        from tail(cycle[pos_a]) to tail(cycle[pos_b]).  The parent area splits
+        evenly (functionals only consume counts times total area).
         """
         cyc = self.faces[face].cycle
         if pos_a == pos_b:

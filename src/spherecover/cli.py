@@ -76,8 +76,7 @@ def cmd_inspect(args):
         return EXIT_FAIL
     rep = functionals(s)
     if args.format == "json":
-        json.dump(_report_dict(rep), sys.stdout, indent=1, sort_keys=True)
-        print()
+        sys.stdout.write(io.dumps(_report_dict(rep)))
     else:
         d = _report_dict(rep)
         for k in ("topology", "A", "L", "R", "H", "sum", "degree"):
@@ -154,8 +153,7 @@ def cmd_normalize(args):
     io.save_surface(out, args.out, metadata={"normalized": True})
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
-            json.dump(io.trace_to_dict(trace, ok), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(io.dumps(io.trace_to_dict(trace, ok)))
     print("wrote %s (%d steps, certificate %s)"
           % (args.out, len(trace.steps), "ok" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_FAIL

@@ -20,8 +20,9 @@ from .arrangement import (
     build_faces,
     locate_pending,
 )
-from .geometry import GeometryError, points_coincide, sphere_point
-from .surface import SurfaceComplex, SurfaceError, functionals, require_valid
+from .geometry import GeodesicSegment, GeometryError, norm, points_coincide, sphere_point, sub
+from .surface import SurfaceComplex, SurfaceError, functionals, geometric_walk, require_valid
+from .surgery import SurfacePath, cut_to_boundary
 
 
 FILTER_TRIES = 300  # seeded variants generate_disk_covering_filtered draws
@@ -290,9 +291,6 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
 
 def polygonal_family_membership(s: SurfaceComplex, length_cap, nbar_cap, segment_cap):
     """Membership report for the polygonal family with caps (L, M, N)."""
-    from .geometry import GeodesicSegment, norm, sub
-    from .surface import functionals, geometric_walk
-
     rep = functionals(s)
     steps = geometric_walk(s)
     poles = [GeodesicSegment(a, b).pole for a, b in steps]
@@ -314,8 +312,6 @@ def polygonal_family_membership(s: SurfaceComplex, length_cap, nbar_cap, segment
 
 def _random_slit(s: SurfaceComplex, rng):
     """Cut one interior edge open from the boundary: plants a folded point."""
-    from .surgery import SurfacePath, cut_to_boundary
-
     sheets, corner_sheet = s.sheets()
     cands = []
     for side in s.sides():

@@ -118,10 +118,14 @@ def surface_from_dict(d: dict) -> SurfaceComplex:
     return SurfaceComplex(base, copies, pairing)
 
 
+def dumps(doc) -> str:
+    """The text of an indented JSON document: a surface file, a trace, a report."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 def save_surface(s: SurfaceComplex, path, metadata=None):
     with open(path, "w") as fh:
-        json.dump(surface_to_dict(s, metadata), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps(surface_to_dict(s, metadata)))
 
 
 def load_surface(path) -> SurfaceComplex:

@@ -315,12 +315,11 @@ def _chord_refine_for_push(s: SurfaceComplex, X):
                 continue
         cyc = bc.faces[face].cycle
         pos_a = next(p for p, d in enumerate(cyc) if bc.tail(d) == X.vertex)
-        work, chord_e, _fab, side_map = insert_chord_surface(s, face, pos_a, tip_pos)
-        corner = side_map.get(X.corners[0], X.corners[0])
-        sheets2, corner_sheet2 = work.sheets()
-        idx2 = corner_sheet2[corner]
-        chord_dart = 2 * chord_e if work.base.edges[chord_e].a == X.vertex else 2 * chord_e + 1
-        return work, chord_e, idx2, [chord_dart] + tail
+        work, chord_e, side_map = insert_chord_surface(s, face, pos_a, tip_pos)
+        [corner] = side_map.get(X.corners[0], [X.corners[0]])
+        _, corner_sheet2 = work.sheets()
+        # the chord leaves the branch value: its forward dart
+        return work, chord_e, corner_sheet2[corner], [2 * chord_e] + tail
     raise NoSuchPath("no admissible base path even after chord refinement")
 
 
@@ -481,16 +480,15 @@ def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, trace):
     lab = s.base.specials[tip]
     d_sink = sigma.multiplicity
 
-    work, chord_e, _fab, side_map = insert_chord_surface(s, face, pos_a, pos_b)
-    new_in_side = side_map.get(sigma.in_side, sigma.in_side)
-    c2, p2 = new_in_side
+    work, chord_e, side_map = insert_chord_surface(s, face, pos_a, pos_b)
+    [(c2, p2)] = side_map.get(sigma.in_side, [sigma.in_side])
     corner2 = (c2, (p2 + 1) % len(work.cycle_of(c2)))
     sheets2, corner_sheet2 = work.sheets()
     sigma2 = sheets2[corner_sheet2[corner2]]
     if not sigma2.is_branch or sigma2.vertex != sigma.vertex:
         raise PipelineError("parked branch lost after the chord refinement")
-    chord_dart = 2 * chord_e if work.base.edges[chord_e].a == sigma.vertex else 2 * chord_e + 1
-    result = lift_path(work, [chord_dart], sigma2.index, FROM_BOUNDARY_LEFT)
+    # the chord leaves the parked branch: its forward dart
+    result = lift_path(work, [2 * chord_e], sigma2.index, FROM_BOUNDARY_LEFT)
     _, coincident, on_boundary = _classify_lift_ends(work, result)
     if on_boundary:
         raise PipelineError("lift into the left component touched the boundary")
@@ -636,7 +634,7 @@ def _apply_rotation_contact(s: SurfaceComplex, rho: Rotation, special_v: int,
     if s.base.face_of_dart(d_g ^ 1) != tip_face:
         raise PipelineError("contacted special does not sit in the face right of the arc")
 
-    out, x_vertex, _ = split_edge_surface(s, edge, x_point)
+    out, x_vertex = split_edge_surface(s, edge, x_point)
     # move every special tip rigidly; bridges keep their attachment
     for v in list(out.base.specials):
         if v == special_v:

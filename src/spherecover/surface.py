@@ -108,7 +108,9 @@ class SurfaceComplex:
     reorder.  ``add_copy``, ``pair`` and ``unpair`` invalidate the cache,
     and ``rotated`` hands it on; a direct write to ``.pairing``, ``.copies``
     or the base must be followed by ``surgery._remap_pairing`` or
-    ``invalidate()`` before the next read."""
+    ``invalidate()`` before the next read.  Across a base edit a side
+    follows its dart into the face that now holds it; ``_remap_pairing`` is
+    the one place that applies this rule."""
 
     def __init__(self, base: BaseComplex, copies, pairing):
         self.base = base

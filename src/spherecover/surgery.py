@@ -3,7 +3,10 @@
 Every public operation copies its input surface and returns fresh values;
 the homeomorphisms of the underlying lemmas are realized as relabelings of
 the side pairing.  Bookkeeping deltas are asserted against the lemma
-clauses by the callers (pipeline and tests).
+clauses by the callers (pipeline and tests).  The base-editing surgeries
+(split an edge, insert or delete an edge, absorb a tip) carry the gluing
+across by one rule: a side follows its dart into the face that now holds
+it, and ``_remap_pairing`` is the one place that applies it.
 """
 
 from __future__ import annotations
@@ -469,76 +472,64 @@ def reroute_boundary_split(s: SurfaceComplex, boundary_run, lift: Lift):
 # -- base refinement at the surface level -------------------------------------
 
 
-def _remap_pairing(s, position_maps):
-    """Rewrite pairing keys after face cycles changed.
+def _remap_pairing(s, old_cycles, home=None, rep=None):
+    """Carry the pairing across a base edit, the one place that re-addresses
+    sides: a side follows its dart into the face that now holds it.
 
-    position_maps: copy -> (dict old_pos -> list of new (copy,pos) sides in
-    order).  Sides over a split dart expand to several; expanded partners are
-    matched by edge id."""
+    ``old_cycles`` maps each copy whose sides moved to its face cycle before
+    the edit.  The side over dart d of copy c moves to the sides over
+    ``rep[d]`` in order (over d itself when d has no entry, to none when no
+    face holds d any more), each at its dart's position in the face f that
+    holds it, in copy ``home[c][f]`` (c when there is no entry).  Expanded
+    partners pair in reverse order.  Returns {old side: [new sides]} for the
+    sides of those copies."""
+    home, rep = home or {}, rep or {}
+    at = {d: (f, i) for f in s.base.live_faces() for i, d in enumerate(s.base.faces[f].cycle)}
+    moves = {}
+    for c, cycle in old_cycles.items():
+        for p, d in enumerate(cycle):
+            moves[c, p] = [(home.get(c, {}).get(at[n][0], c), at[n][1])
+                           for n in rep.get(d, [d]) if n in at]
     new_pairing = {}
     for side, partner in s.pairing.items():
-        c, p = side
-        imgs = position_maps[c][p] if c in position_maps else [side]
-        c2, p2 = partner
-        imgs2 = position_maps[c2][p2] if c2 in position_maps else [partner]
+        imgs, imgs2 = moves.get(side, [side]), moves.get(partner, [partner])
         if len(imgs) != len(imgs2):
             raise InvalidSurface("pairing expansion mismatch")
         for a, b in zip(imgs, reversed(imgs2)):
             new_pairing[a] = b
     s.pairing = new_pairing
     s.invalidate()
+    return moves
 
 
 def split_edge_surface(s: SurfaceComplex, e: int, point):
-    """Split base edge e at a point; all sides over it split compatibly."""
+    """Split base edge e at a point, and every side over it; returns (surface, new vertex)."""
     out = s.copy()
     old_cycles = {c: list(out.cycle_of(c)) for c in out.live_copy_ids()}
-    x, e1, e2, rep = out.base.split_edge(e, point)
-    maps = {}
-    for c, cyc in old_cycles.items():
-        m = {}
-        newpos = 0
-        for p, d in enumerate(cyc):
-            n = len(rep.get(d, [d]))
-            m[p] = [(c, newpos + i) for i in range(n)]
-            newpos += n
-        maps[c] = m
-    _remap_pairing(out, maps)
+    x, rep = out.base.split_edge(e, point)
+    _remap_pairing(out, old_cycles, rep=rep)
     require_valid(out, "split_edge_surface")
-    return out, x, (e1, e2)
+    return out, x
 
 
 def insert_chord_surface(s: SurfaceComplex, face: int, pos_a: int, pos_b: int):
     """Insert a scaffold chord into a face; every copy over it splits in two.
 
-    Returns (surface, chord edge, (face a, face b), side map for old sides of
-    the affected copies)."""
+    Returns (surface, chord edge, side map): the side map sends each old side
+    of the affected copies to its list of one new side."""
     out = s.copy()
     affected = [c for c in out.live_copy_ids() if out.copies[c] == face]
     old_cycle = list(out.base.faces[face].cycle)
     e, fa, fb = out.base.insert_chord(face, pos_a, pos_b)
-    cyc_a = out.base.faces[fa].cycle
-    cyc_b = out.base.faces[fb].cycle
-    maps = {}
-    chord_pairs = []
+    home = {}
     for c in affected:
-        ca = out.add_copy(fa)
-        cb = out.add_copy(fb)
-        m = {}
-        for p, d in enumerate(old_cycle):
-            if d in cyc_a:
-                m[p] = [(ca, cyc_a.index(d))]
-            else:
-                m[p] = [(cb, cyc_b.index(d))]
-        maps[c] = m
+        home[c] = {fa: out.add_copy(fa), fb: out.add_copy(fb)}
         out.copies[c] = None
-        chord_pairs.append(((ca, 0), (cb, 0)))  # both chord darts sit at position 0
-    _remap_pairing(out, maps)
-    for a, b in chord_pairs:
-        out.pair(a, b)
+    side_map = _remap_pairing(out, dict.fromkeys(affected, old_cycle), home)
+    for c in affected:
+        out.pair((home[c][fa], 0), (home[c][fb], 0))  # both chord darts sit at position 0
     require_valid(out, "insert_chord_surface")
-    side_map = {(c, p): maps[c][p][0] for c in maps for p in maps[c]}
-    return out, e, (fa, fb), side_map
+    return out, e, side_map
 
 
 def delete_edge_surface(s: SurfaceComplex, e: int) -> SurfaceComplex:
@@ -566,30 +557,13 @@ def delete_edge_surface(s: SurfaceComplex, e: int) -> SurfaceComplex:
     if set(mates.values()) != set(copies_b):
         raise InvalidSurface("pairing over edge %d is not a bijection" % e)
     f = out.base.delete_edge_merge(e)
-    merged_cycle = out.base.faces[f].cycle
-    maps = {}
-    for c in copies_a:
-        z = out.add_copy(f)
-        m_a, m_b = {}, {}
-        for p, dd in enumerate(cyc_a):
-            if dd != d:
-                m_a[p] = [(z, merged_cycle.index(dd))]
-            else:
-                m_a[p] = []
-        for p, dd in enumerate(cyc_b):
-            if dd != dr:
-                m_b[p] = [(z, merged_cycle.index(dd))]
-            else:
-                m_b[p] = []
-        maps[c] = m_a
-        maps[mates[c]] = m_b
-        out.copies[c] = None
-        out.copies[mates[c]] = None
-    # drop the pairings over e before remapping (they expand to nothing)
-    for c in copies_a:
-        out.pairing.pop((c, ia))
-        out.pairing.pop((mates[c], ib))
-    _remap_pairing(out, maps)
+    old_cycles, home = {}, {}
+    for c, c2 in mates.items():
+        old_cycles[c], old_cycles[c2] = cyc_a, cyc_b
+        home[c] = home[c2] = {f: out.add_copy(f)}
+        out.copies[c] = out.copies[c2] = None
+    # the pairings over e follow their darts to no side and drop out
+    _remap_pairing(out, old_cycles, home)
     require_valid(out, "delete_edge_surface")
     return out
 
@@ -667,10 +641,7 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
             pairing[(c, p)] = mate
             pairing[mate] = (c, p)
     bc.absorb_tip(tip, target, cyc[swept[-1]] if reach else None)
-    new_pos = {d: i for i, d in enumerate(bc.faces[face].cycle)}
-    maps = {c: {p: [(c, new_pos[d])] if d in new_pos else [] for p, d in enumerate(cyc)}
-            for c in affected}
-    _remap_pairing(out, maps)
+    _remap_pairing(out, dict.fromkeys(affected, cyc))
     require_valid(out, "absorb_tip")
     return out
 

@@ -1,9 +1,9 @@
 """Byte-identity gate: normalize + certify over the stored corpora.
 
-Per corpus line the hash takes the normalized surface file as
-``save_surface`` writes it, the trace document ``spherecover normalize
---trace-out`` writes, and the certificate report; a typed failure is hashed
-as its class and message instead.  A change that must keep behaviour keeps
+Per corpus line the hash takes the ``io.dumps`` text of the normalized
+surface file, as ``save_surface`` writes it, and of the trace document, as
+``spherecover normalize --trace-out`` writes it, and the certificate report;
+a typed failure is hashed as its class and message instead.  A change that must keep behaviour keeps
 both digests.  The library rounds every product and sum itself (see
 README), so the pins hold on every host and Python version;
 ``test_host_independence.py`` reruns them under another BLAS kernel."""
@@ -29,11 +29,10 @@ PINNED = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_pipeline_digest(tmp_path, name):
+def test_pipeline_digest(name):
     digest, outcomes = PINNED[name]
     h = hashlib.sha256()
     counts = {}
-    surf = tmp_path / "out.json"
     for line in (CORPUS / (name + ".jsonl")).read_text().splitlines():
         s = io.surface_from_dict(json.loads(line))
         try:
@@ -44,10 +43,8 @@ def test_pipeline_digest(tmp_path, name):
             h.update(("ERR %s: %s\n" % (outcome, err)).encode())
         else:
             outcome = "ok" if ok else "certificate failed"
-            io.save_surface(out, surf, metadata={"normalized": True})
-            h.update(surf.read_bytes())
-            doc = json.dumps(io.trace_to_dict(trace, ok), indent=1, sort_keys=True) + "\n"
-            h.update(doc.encode())
+            h.update(io.dumps(io.surface_to_dict(out, {"normalized": True})).encode())
+            h.update(io.dumps(io.trace_to_dict(trace, ok)).encode())
             h.update(json.dumps(report, sort_keys=True, default=repr).encode())
         counts[outcome] = counts.get(outcome, 0) + 1
     assert counts == outcomes

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from spherecover import io
+from spherecover.arrangement import CURVE
 from spherecover.generators import generate_disk_covering, GenerationStuck
 from spherecover.normalize import normalize
 from spherecover.surface import (
@@ -30,10 +31,13 @@ from spherecover.surgery import (
     canonical_form,
     cut_interior,
     cut_to_boundary,
+    delete_edge_surface,
+    insert_chord_surface,
     isomorphic,
     lift_path,
     sew,
     sew_annulus,
+    split_edge_surface,
     _split_components,
 )
 
@@ -349,3 +353,72 @@ def test_absorb_branched_tip_lands_its_branching_on_the_target(monkeypatch):
                for v in s.base.live_vertices() if v not in (tip, target))
     pre, post = functionals(s), functionals(out)
     assert post.n_bar == pre.n_bar and post.covering_sum == pre.covering_sum
+
+
+def _batch_line(i):
+    return io.surface_from_dict(json.loads((CORPUS / "batch.jsonl").read_text().splitlines()[i]))
+
+
+# the f4 double cover, and batch line 8, whose north face carries three of
+# its four copies
+BASE_EDIT_CASES = {"f4": f4_double_cover, "batch8": lambda: _batch_line(8)}
+
+
+def _sheet_multiset(s):
+    return sorted((sh.vertex, sh.multiplicity, sh.interior) for sh in s.sheet_list())
+
+
+@pytest.mark.parametrize("case", sorted(BASE_EDIT_CASES))
+def test_chord_in_then_out_restores_the_surface(case):
+    s = BASE_EDIT_CASES[case]()
+    bc = s.base
+    face = max(bc.live_faces(), key=s.n_face().get)
+    cyc = bc.faces[face].cycle
+    pos_b = next(p for p in range(2, len(cyc)) if bc.tail(cyc[p]) != bc.tail(cyc[0]))
+    work, e, side_map = insert_chord_surface(s, face, 0, pos_b)
+    affected = [c for c in s.live_copy_ids() if s.copies[c] == face]
+    assert sorted(side_map) == [(c, p) for c in affected for p in range(len(cyc))]
+    for old, new in side_map.items():
+        assert [work.dart_of(x) for x in new] == [s.dart_of(old)]
+    out = delete_edge_surface(work, e)
+    pre, post = functionals(s), functionals(out)
+    assert (post.n_bar, post.covering_sum) == (pre.n_bar, pre.covering_sum)
+    assert _sheet_multiset(out) == _sheet_multiset(s)
+    assert _cyclic_equal(out.boundary_walk().darts, s.boundary_walk().darts)
+    assert abs(post.area - pre.area) <= 1e-12
+    assert abs(post.boundary_length - pre.boundary_length) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(BASE_EDIT_CASES))
+def test_split_edge_halves_carry_the_old_edge(case):
+    s = BASE_EDIT_CASES[case]()
+    mult = s.multiplicities()
+    e = next(e for e in s.base.live_edges() if s.base.edges[e].kind == CURVE and sum(mult[e]))
+    old = s.base.edges[e]
+    out, x = split_edge_surface(s, e, s.base.dart_segment(2 * e).point_at(0.5))
+    e1, e2 = sorted(set(out.base.live_edges()) - set(s.base.live_edges()))
+    assert (out.base.edges[e1].a, out.base.edges[e1].b) == (old.a, x)
+    assert (out.base.edges[e2].a, out.base.edges[e2].b) == (x, old.b)
+    assert out.multiplicities()[e1] == out.multiplicities()[e2] == mult[e]
+    pre, post = functionals(s), functionals(out)
+    assert (post.n_bar, post.covering_sum, post.b_special, post.b_nonspecial) == \
+        (pre.n_bar, pre.covering_sum, pre.b_special, pre.b_nonspecial)
+    assert abs(post.area - pre.area) <= 1e-12
+    assert abs(post.boundary_length - pre.boundary_length) <= 1e-12
+    halves = {2 * e: [2 * e1, 2 * e2], 2 * e + 1: [2 * e2 + 1, 2 * e1 + 1]}
+    word = tuple(h for d in s.boundary_walk().darts for h in halves.get(d, [d]))
+    assert _cyclic_equal(out.boundary_walk().darts, word)
+
+
+def test_delete_edge_with_a_free_side_is_refused():
+    # a boundary arc of batch line 8
+    s = _batch_line(8)
+    e = next(e for e, (m_plus, _) in s.multiplicities().items() if m_plus)
+    with pytest.raises(PreconditionViolated, match="free side over edge %d;" % e):
+        delete_edge_surface(s, e)
+    # a transient chord of f4 with one of its two pairings undone
+    s = f4_double_cover()
+    work, e, _ = insert_chord_surface(s, s.copies[0], 0, 3)
+    work.unpair((len(s.copies), 0))
+    with pytest.raises(PreconditionViolated, match="free side over edge %d;" % e):
+        delete_edge_surface(work, e)
