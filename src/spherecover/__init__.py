@@ -66,14 +66,12 @@ from .normalize import (
     NoSuchPath,
     PipelineTrace,
     certify,
-    clear_interior_branches,
     normalize,
     push_interior_branch,
-    remove_nonspecial_folds,
+    remove_one_fold,
     rotate_to_touch_special,
     sink_branch_to_special,
     slide_boundary_branch,
-    sweep_boundary_branches,
 )
 from .generators import (
     generate_closed_cyclic_cover,

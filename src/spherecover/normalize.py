@@ -1,8 +1,8 @@
 """Normalization pipeline: remove all branch values outside the special set.
 
-The driver repeats four kinds of certified improvement steps on a disk
-covering until every branch value is special and no non-special folded
-point remains:
+``_drive`` is the one loop.  Each pass applies the first certified
+improvement step that fits a disk covering, until every branch value is
+special and no non-special folded point remains:
 
 * sew away maximal non-special fold pairs,
 * transport interior non-special branch points along lifted paths
@@ -13,7 +13,8 @@ point remains:
   the special set onto the boundary first.
 
 Each step is checked against the exact bookkeeping of its lemma, and every
-surface along the way is strictly "better than" its predecessor.
+surface along the way is strictly "better than" its predecessor.  Every pass
+counts against ``declared_iteration_bound``, so the bound covers every step.
 """
 
 from __future__ import annotations
@@ -119,13 +120,11 @@ def _walk_word_unchanged(s_new, s_old) -> bool:
 
 
 def _record_step(trace, op, case, old, new, check_walk=True, note=""):
-    """Append the certified step from ``old`` to ``new`` to the trace, if any.
+    """Append the certified step from ``old`` to ``new`` to the trace.
 
     ``check_walk`` asks for the closed-subarc check of the new walk word in
     the old one; a step that refines the base (the rotation) has no common
     dart alphabet and skips it."""
-    if trace is None:
-        return
     pre, post = functionals(old), functionals(new)
     cert = {k: v[0] for k, v in better_than_clauses(post, pre).items()}
     cert["boundary"] = _word_subarc(new, old) if check_walk else True
@@ -142,11 +141,13 @@ def _nonspecial_folds(s: SurfaceComplex):
             if (not sh.interior) and sh.folded and not sh.special]
 
 
-def remove_one_fold(s: SurfaceComplex) -> SurfaceComplex:
-    """Sew one maximal matched fold pair at a non-special folded point."""
+def remove_one_fold(s: SurfaceComplex):
+    """Sew one maximal matched fold pair at a non-special folded point.
+
+    Returns (surface, case label, None)."""
     folds = _nonspecial_folds(s)
     if not folds:
-        return s
+        raise PreconditionViolated("no non-special folded point")
     sh = folds[0]
     walk = s.boundary_walk().sides
     idx = {side: i for i, side in enumerate(walk)}
@@ -171,26 +172,7 @@ def remove_one_fold(s: SurfaceComplex) -> SurfaceComplex:
     out, case = sew(s, run_a, run_b)
     if case != "A":
         raise PipelineError("fold sew closed the surface under H >= 0")
-    return cleanup_unused_curve_edges(out)
-
-
-def remove_nonspecial_folds(s: SurfaceComplex, trace: PipelineTrace = None) -> SurfaceComplex:
-    """Iterate fold sews until no non-special folded point remains."""
-    ratio = functionals(s).ratio
-    if ratio is None or ratio < 0:
-        raise NegativeH("fold removal requires H >= 0, got %r" % ratio)
-    cur = s
-    while True:
-        folds = _nonspecial_folds(cur)
-        if not folds:
-            return cur
-        nxt = remove_one_fold(cur)
-        if len(_nonspecial_folds(nxt)) >= len(folds):
-            raise PipelineError("fold count did not decrease")
-        if functionals(nxt).boundary_length >= functionals(cur).boundary_length - 1e-12:
-            raise PipelineError("fold sew did not shorten the boundary")
-        _record_step(trace, "remove_fold", "glue-A", cur, nxt)
-        cur = nxt
+    return cleanup_unused_curve_edges(out), "glue-A", None
 
 
 # -- interior branch transport (Prop in-to-bd) -----------------------------------
@@ -365,25 +347,6 @@ def push_interior_branch(s: SurfaceComplex, sheet_index: int):
     return out, case, None
 
 
-def clear_interior_branches(s: SurfaceComplex, trace: PipelineTrace = None):
-    """Push interior non-special branch points until none remain or a split.
-
-    Returns (surface, 'CLEARED' | 'SPLIT')."""
-    cur = s
-    while True:
-        branches = _interior_nonspecial_branches(cur)
-        if not branches:
-            return cur, "CLEARED"
-        out, case, other = push_interior_branch(cur, branches[0].index)
-        _record_step(trace, "push_interior_branch", case, cur, out,
-                     note="" if other is None else "split off %s" % other.topology_kind())
-        if other is not None:
-            return out, "SPLIT"
-        if len(_interior_nonspecial_branches(out)) >= len(branches):
-            raise PipelineError("interior branch count did not decrease")
-        cur = out
-
-
 # -- boundary branch transport (Prop bd-bd) ----------------------------------------
 
 
@@ -434,26 +397,6 @@ def slide_boundary_branch(s: SurfaceComplex, sheet_index: int):
     return out, "4", None
 
 
-def sweep_boundary_branches(s: SurfaceComplex, trace: PipelineTrace = None):
-    """Slide every non-special boundary branch point forward until absorbed
-    into a special junction of the boundary.  Returns (surface, 'DONE'|'SPLIT').
-
-    Every slide advances one branch by one arc, so the total forward distance
-    from the branches to the next special junction strictly decreases.
-    """
-    cur = s
-    while True:
-        branches = _boundary_nonspecial_branches(cur)
-        if not branches:
-            return cur, "DONE"
-        out, case, other = slide_boundary_branch(cur, branches[0].index)
-        _record_step(trace, "slide_boundary_branch", case, cur, out,
-                     note="" if other is None else "split off %s" % other.topology_kind())
-        if other is not None:
-            return out, "SPLIT"
-        cur = out
-
-
 # -- sinking into a left-component special (Prop bd-in) -------------------------------
 
 
@@ -467,9 +410,11 @@ def _sinkable_arc(s: SurfaceComplex):
     return None
 
 
-def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, trace):
+def sink_branch_to_special(s: SurfaceComplex, sheet_index: int, tip: int):
     """The parked branch sits at the head junction of a walk passage over an
-    arc with ``tip`` on its left; pull the branching into the tip."""
+    arc with ``tip`` on its left; pull the branching into the tip.
+
+    Returns (surface, case label, discarded piece or None)."""
     sheets, _ = s.sheets()
     sigma = sheets[sheet_index]
     g_dart = s.dart_of(sigma.in_side)
@@ -495,12 +440,10 @@ def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, trace):
     if coincident is not None:
         i, j = coincident
         pieces = split_on_lifts(work, result.lifts[i], result.lifts[j])
-        keep, _ = _keep_best_disk(
+        keep, other = _keep_best_disk(
             pieces, CLOSED, "coincident sink lifts must split off a closed surface")
         keep = delete_edge_surface(keep, chord_e)
-        keep = cleanup_unused_curve_edges(keep)
-        _record_step(trace, "sink_branch_to_special", "1", s, keep, note="split off closed")
-        return keep, "SPLIT"
+        return cleanup_unused_curve_edges(keep), "1", other
     out = star_rewire(work, result.lifts, sigma2.index)
     out = delete_edge_surface(out, chord_e)
     got = functionals(out).n_bar[lab]
@@ -510,39 +453,7 @@ def _sink_one(s: SurfaceComplex, sheet_index: int, tip: int, trace):
                             % (lab, got, expected))
     if not _walk_word_unchanged(out, s):
         raise PipelineError("sink changed the boundary word")
-    _record_step(trace, "sink_branch_to_special", "2", s, out)
-    return out, "DONE"
-
-
-def sink_branch_to_special(s: SurfaceComplex, trace: PipelineTrace = None):
-    """Slide each boundary branch forward to a junction over an arc with a
-    special tip on its left and pull its branching into the tip.
-
-    Returns (surface, 'DONE' | 'SPLIT')."""
-    if _sinkable_arc(s) is None:
-        raise PreconditionViolated("no boundary arc has a special point on its left")
-    cur = s
-    while True:
-        branches = _boundary_nonspecial_branches(cur)
-        if not branches:
-            return cur, "DONE"
-        tips = cur.base.special_tips_by_face()
-        B = branches[0]
-        if B.folded:
-            raise PipelineError("boundary branch is folded after fold removal")
-        in_dart = cur.dart_of(B.in_side)
-        f_left = cur.base.left_face(in_dart)
-        if f_left in tips:
-            cur, status = _sink_one(cur, B.index, tips[f_left][0], trace)
-            if status == "SPLIT":
-                return cur, "SPLIT"
-            continue
-        out, case, other = slide_boundary_branch(cur, B.index)
-        _record_step(trace, "slide_boundary_branch", case, cur, out,
-                     note="parking" if other is None else "split off %s" % other.topology_kind())
-        if other is not None:
-            return out, "SPLIT"
-        cur = out
+    return out, "2", None
 
 
 # -- rotation onto the special set (Prop rotation) --------------------------------
@@ -653,6 +564,7 @@ def _apply_rotation_contact(s: SurfaceComplex, rho: Rotation, special_v: int,
         other = ed.a if ed.b == v else ed.b
         ed.length = angle_between(out.base.vertices[other], p_new)
     out.base.vertices[x_vertex] = x_point
+    out.base.vertices[special_v] = x_point  # the contacted tip meets its target
     out = absorb_tip_into_vertex(out, special_v, x_vertex)
     _assert_rotation_invariants(functionals(s), functionals(out))
     return out
@@ -706,7 +618,11 @@ def normalize(s: SurfaceComplex):
 
 
 def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
-    """The pipeline's step loop and final rotation, recording into ``trace``."""
+    """The pipeline's one loop, then the rotation back to the input frame.
+
+    Each pass applies the first lemma step that fits, records it in
+    ``trace``, checks its progress and drops unused curve edges; a pass
+    that finds no step ends the loop."""
     cur = cleanup_unused_curve_edges(s)
 
     while True:
@@ -714,31 +630,50 @@ def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
         if trace.iterations > trace.iteration_bound:
             raise PipelineError("iteration bound %d exceeded" % trace.iteration_bound)
 
-        if _nonspecial_folds(cur):
-            cur = remove_nonspecial_folds(cur, trace)
-            continue
-        if _interior_nonspecial_branches(cur):
-            cur, _ = clear_interior_branches(cur, trace)
-            cur = cleanup_unused_curve_edges(cur)
-            continue
-        if not _boundary_nonspecial_branches(cur):
+        folds = _nonspecial_folds(cur)
+        interior = [] if folds else _interior_nonspecial_branches(cur)
+        boundary = [] if folds or interior else _boundary_nonspecial_branches(cur)
+        note, check_walk = "", True
+        if folds:
+            op = "remove_fold"
+            out, case, other = remove_one_fold(cur)
+        elif interior:
+            op = "push_interior_branch"
+            out, case, other = push_interior_branch(cur, interior[0].index)
+        elif not boundary:
             break  # no fold, no non-special branch: clean
-        walk_special = any(
-            cur.base.tail(d) in cur.base.specials or cur.base.head(d) in cur.base.specials
-            for d in cur.boundary_walk().darts)
-        if walk_special:
-            cur, _ = sweep_boundary_branches(cur, trace)
-            cur = cleanup_unused_curve_edges(cur)
-            continue
-        if _sinkable_arc(cur) is not None:
-            cur, _ = sink_branch_to_special(cur, trace)
-            cur = cleanup_unused_curve_edges(cur)
-            continue
-        out, rho = rotate_to_touch_special(cur)
-        trace.rotations.append(rho)
-        _record_step(trace, "rotate_to_touch_special", "rotation", cur, out,
-                     check_walk=False)
-        cur = out
+        elif any(cur.base.tail(d) in cur.base.specials or cur.base.head(d) in cur.base.specials
+                 for d in cur.boundary_walk().darts):
+            op = "slide_boundary_branch"
+            out, case, other = slide_boundary_branch(cur, boundary[0].index)
+        elif _sinkable_arc(cur) is not None:
+            B = boundary[0]
+            if B.folded:
+                raise PipelineError("boundary branch is folded after fold removal")
+            tips = cur.base.special_tips_by_face()
+            f_left = cur.base.left_face(cur.dart_of(B.in_side))
+            if f_left in tips:
+                op = "sink_branch_to_special"
+                out, case, other = sink_branch_to_special(cur, B.index, tips[f_left][0])
+            else:
+                op, note = "slide_boundary_branch", "parking"
+                out, case, other = slide_boundary_branch(cur, B.index)
+        else:
+            op, case, other, check_walk = "rotate_to_touch_special", "rotation", None, False
+            out, rho = rotate_to_touch_special(cur)
+            trace.rotations.append(rho)
+        if other is not None:
+            note = "split off %s" % other.topology_kind()
+        _record_step(trace, op, case, cur, out, check_walk=check_walk, note=note)
+
+        if folds:
+            if len(_nonspecial_folds(out)) >= len(folds):
+                raise PipelineError("fold count did not decrease")
+            if functionals(out).boundary_length >= functionals(cur).boundary_length - 1e-12:
+                raise PipelineError("fold sew did not shorten the boundary")
+        if interior and other is None and len(_interior_nonspecial_branches(out)) >= len(interior):
+            raise PipelineError("interior branch count did not decrease")
+        cur = cleanup_unused_curve_edges(out)
 
     phi = trace.composed_rotation()
     out = cur.rotated(phi)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import CURVE, ArrangementError
+from .geometry import points_coincide
 from .surface import (
     ANNULUS,
     CLOSED,
@@ -605,6 +606,8 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
     bc = out.base
     if len(bc.fans[tip]) != 1:
         raise PreconditionViolated("vertex %d is not a scaffold tip" % tip)
+    if not points_coincide(bc.vertices[tip], bc.vertices[target]):
+        raise PreconditionViolated("tip %d and target %d do not coincide" % (tip, target))
     s_out = bc.fans[tip][0] ^ 1
     face = bc.face_of_dart(s_out)
     cyc = list(bc.faces[face].cycle)

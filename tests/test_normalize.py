@@ -35,18 +35,18 @@ from spherecover.surface import (
     is_closed_subarc_geometric,
     validate,
 )
-from spherecover.surgery import SurfacePath, cut_to_boundary
+from spherecover.surgery import PreconditionViolated, SurfacePath, cut_to_boundary
 from spherecover.normalize import (
     NegativeH,
+    PipelineTrace,
     certify,
-    clear_interior_branches,
+    declared_iteration_bound,
     normalize,
     push_interior_branch,
-    remove_nonspecial_folds,
+    remove_one_fold,
     rotate_to_touch_special,
     sink_branch_to_special,
     slide_boundary_branch,
-    sweep_boundary_branches,
     _boundary_nonspecial_branches,
     _interior_nonspecial_branches,
     _nonspecial_folds,
@@ -75,6 +75,17 @@ def _clean(s):
                for sh in s.sheet_list())
 
 
+def _driven(s):
+    """The pipeline's loop on ``s`` without ``normalize``'s H >= 0 gate:
+    (output, trace)."""
+    trace = PipelineTrace(iteration_bound=declared_iteration_bound(s))
+    return nm._drive(s, trace), trace
+
+
+def _ops(trace, op):
+    return [st for st in trace.steps if st.op == op]
+
+
 # -- fold removal ---------------------------------------------------------------
 
 
@@ -97,7 +108,8 @@ def test_remove_fold_restores_surface(f4):
     slit, ell = _plant_fold(f4)
     assert len(_nonspecial_folds(slit)) >= 1
     pre = functionals(slit)
-    out = remove_nonspecial_folds(slit)
+    out, case, other = remove_one_fold(slit)
+    assert (case, other) == ("glue-A", None)
     post = functionals(out)
     assert not _nonspecial_folds(out)
     # fold of length ell: L drops by 2*ell, area and coverings unchanged
@@ -109,15 +121,22 @@ def test_remove_fold_restores_surface(f4):
 
 
 def test_remove_fold_identity_when_clean(f4):
-    assert remove_nonspecial_folds(f4) is f4
+    # no fold, no fold step: the pipeline never sews f4, and the step refuses
+    assert not _nonspecial_folds(f4)
+    _, trace = normalize(f4)
+    assert trace.steps and not _ops(trace, "remove_fold")
+    with pytest.raises(PreconditionViolated):
+        remove_one_fold(f4)
 
 
 def test_remove_fold_needs_nonnegative_h():
-    worse = f4_with_north(a1_south=True)
+    # a fold on a surface with H < 0: normalize refuses it before any step
+    worse, _ = _plant_fold(f4_with_north(a1_south=True))
     rep = functionals(worse)
-    assert rep.ratio < 0
-    with pytest.raises(NegativeH):
-        remove_nonspecial_folds(worse)
+    assert rep.ratio < 0 and _nonspecial_folds(worse)
+    with pytest.raises(NegativeH) as err:
+        normalize(worse)
+    assert getattr(err.value, "trace", None) is None
 
 
 # -- interior pushes ------------------------------------------------------------
@@ -189,10 +208,15 @@ def test_clear_interior_branches_terminates():
     s = double_cover_cut(
         [("marker", (0.7, -0.7)), ("marker", (1.2, -0.6)), ("a4", (0.95, -0.75))],
         {"marker"}, cut_edge_idx=1)
-    out, status = clear_interior_branches(s)
-    assert status in ("CLEARED", "SPLIT")
-    if status == "CLEARED":
-        assert not _interior_nonspecial_branches(out)
+    branches = _interior_nonspecial_branches(s)
+    out, case, other = push_interior_branch(s, branches[0].index)
+    assert other is not None or len(_interior_nonspecial_branches(out)) < len(branches)
+    # the driver pushes until none is left, one pass per push
+    s = f4_with_north(a1_south=False)
+    out, trace = _driven(s)
+    assert _ops(trace, "push_interior_branch")
+    assert trace.iterations == len(trace.steps) + 1 <= trace.iteration_bound
+    assert not _interior_nonspecial_branches(out)
 
 
 # -- boundary slides -------------------------------------------------------------
@@ -221,10 +245,35 @@ def test_slide_preserves_walk_or_splits():
 
 def test_sweep_terminates():
     s = _boundary_branch_state()
-    out, status = sweep_boundary_branches(s)
-    assert status in ("DONE", "SPLIT")
-    if status == "DONE":
-        assert not _boundary_nonspecial_branches(out)
+    out, trace = _driven(s)
+    slides = _ops(trace, "slide_boundary_branch")
+    assert slides
+    for st in slides:
+        assert st.certificate["ok"]
+        if st.case == "4":
+            assert st.post["L"] == pytest.approx(st.pre["L"], abs=1e-9)
+    assert trace.iterations == len(trace.steps) + 1 <= trace.iteration_bound
+    assert not _boundary_nonspecial_branches(out)
+
+
+def test_iteration_bound_stops_a_slide_that_makes_no_progress(monkeypatch):
+    """Every step is one driver pass: a slide that returns its input runs
+    into the iteration bound instead of spinning."""
+    line = (CORPUS / "stress.jsonl").read_text().splitlines()[0]
+    s = io.surface_from_dict(json.loads(line))
+    _, trace = normalize(s)
+    assert _ops(trace, "slide_boundary_branch")
+    bound = declared_iteration_bound(s)
+    calls = []
+
+    def stalled(cur, sheet_index):
+        calls.append(sheet_index)
+        assert len(calls) < 10 * bound, "slides are not bounded"
+        return cur, "4", None
+    monkeypatch.setattr(nm, "slide_boundary_branch", stalled)
+    with pytest.raises(PipelineError, match="iteration bound %d exceeded" % bound) as err:
+        normalize(s)
+    assert err.value.trace.iterations == bound + 1
 
 
 # -- sinking ----------------------------------------------------------------------
@@ -232,32 +281,27 @@ def test_sweep_terminates():
 
 def test_sink_star_rewire_route():
     s = f4_with_north(a1_south=True)  # boundary branch present by construction
-    assert _boundary_nonspecial_branches(s)
+    [b] = _boundary_nonspecial_branches(s)
     assert _sinkable_arc(s) is not None
+    tips = s.base.special_tips_by_face()
+    face = s.base.left_face(s.dart_of(b.in_side))
     pre = functionals(s)
-    out, status = sink_branch_to_special(s)
+    out, case, other = sink_branch_to_special(s, b.index, tips[face][0])
     post = functionals(out)
-    assert status in ("DONE", "SPLIT")
-    assert not _boundary_nonspecial_branches(out) or status == "SPLIT"
-    assert post.n_bar["a1"] <= pre.n_bar["a1"]
+    assert (case, other) == ("2", None)
+    assert not _boundary_nonspecial_branches(out)
+    assert post.n_bar["a1"] == pre.n_bar["a1"] - (b.multiplicity - 1) < pre.n_bar["a1"]
     assert validate(out) == []
 
 
 def test_sink_handles_chord_refined_push_first():
     s = f4_with_north(marker_at=0, a1_south=True)
-    cur = s
-    for _ in range(6):
-        ib = _interior_nonspecial_branches(cur)
-        if ib:
-            cur, case, other = push_interior_branch(cur, ib[0].index)
-            continue
-        bb = _boundary_nonspecial_branches(cur)
-        if bb and _sinkable_arc(cur) is not None:
-            cur, status = sink_branch_to_special(cur)
-            continue
-        break
-    assert _clean(cur)
-    assert validate(cur) == []
+    out, trace = _driven(s)
+    assert [st.op for st in trace.steps] == ["push_interior_branch", "sink_branch_to_special"]
+    for st in trace.steps:
+        assert st.post["n_bar"]["a1"] <= st.pre["n_bar"]["a1"]
+    assert _clean(out)
+    assert validate(out) == []
 
 
 # -- rotation ----------------------------------------------------------------------

@@ -21,9 +21,9 @@ from spherecover.surface import SurfaceError
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
 
 PINNED = {
-    "batch": ("a4e809ead7a111f42590874bb10121785ee39a9e988ce6eaf4321c20eb177857",
+    "batch": ("19ea8a5114799092e30c9aaba8c19d6c6e33a73685757f5ec4506cd46b1436dc",
               {"ok": 100}),
-    "stress": ("80c1ef08f594fa40f4b56926e53ee1b7c183892b48349254c799e78bb4c3502e",
+    "stress": ("e86026e63310e3a4741355ab9899330201b1c72f312eb04f99551e478888f0ab",
                {"ok": 66, "NoSuchPath": 14}),
 }
 

@@ -8,6 +8,7 @@ import pytest
 
 from spherecover import io
 from spherecover.arrangement import CURVE
+from spherecover.geometry import angle_between
 from spherecover.generators import generate_disk_covering, GenerationStuck
 from spherecover.normalize import normalize
 from spherecover.surface import (
@@ -357,6 +358,18 @@ def test_absorb_branched_tip_lands_its_branching_on_the_target(monkeypatch):
 
 def _batch_line(i):
     return io.surface_from_dict(json.loads((CORPUS / "batch.jsonl").read_text().splitlines()[i]))
+
+
+def test_absorb_tip_refuses_a_target_away_from_the_tip():
+    s = _batch_line(0)
+    bc = s.base
+    tip = next(v for v in sorted(bc.specials) if len(bc.fans[v]) == 1)
+    cyc = bc.faces[bc.face_of_dart(bc.fans[tip][0])].cycle
+    target = max((bc.tail(d) for d in cyc if bc.tail(d) != tip),
+                 key=lambda v: angle_between(bc.vertices[tip], bc.vertices[v]))
+    assert angle_between(bc.vertices[tip], bc.vertices[target]) > 1.0
+    with pytest.raises(PreconditionViolated, match="do not coincide"):
+        absorb_tip_into_vertex(s, tip, target)
 
 
 # the f4 double cover, and batch line 8, whose north face carries three of

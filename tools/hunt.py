@@ -7,7 +7,9 @@ n), max_sum=20, max_degree=8, max_sheets=10, max_faces=48)`` and runs
 ``normalize`` and ``certify`` on it.  Each seed writes one JSON line with
 sorted keys: the seed, the covering's live copies, the outcome ("ok",
 "certificate failed" or the error class), the trace's (op, case) steps and
-iteration count and the error text (null without one).  On an error the
+iteration count and the error text (null without one).  Iterations count
+driver passes: one per step taken, plus the last pass, which finds no step
+or fails.  On an error the
 steps and iterations are those of the partial trace the error carries, the
 steps taken before it; they are null when it carries none (an input the
 pipeline refuses before its first step).
