@@ -218,7 +218,7 @@ def branched_fan(bc: BaseComplex, face: int, marker: int, m: int) -> SurfaceComp
 
 def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
                            branch_budget=6, sew_prob=0.35, special_face_cap=None,
-                           with_marker=False, fan_m=0, slits=0) -> SurfaceComplex:
+                           with_marker=False, fan_m=0, slits=0, max_n_face=None) -> SurfaceComplex:
     """Random disk covering by seeded accretion.
 
     Two always-safe moves keep the surface a connected disk with one
@@ -227,6 +227,14 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
     sides are closed at the end by successor sews around the tips.
     ``special_face_cap`` limits the copies over faces holding special tips
     (low interior covering numbers of the special set keep H large).
+
+    A glue that would put more than ``max_n_face`` copies over one base face
+    raises GenerationStuck, the earliest point where that refusal is exact: no
+    later step removes a copy (sews, scaffold closure and slits only pair
+    and cut), and on a valid covering the largest ``n_component`` is the
+    largest ``n_face``, so the covering would exceed the bound too.  The
+    covering sum gets no such bound: during accretion it can exceed its
+    final value.
     """
     rng = random.Random(repr(seed))
     clean = 2 if special_face_cap == 0 else 0
@@ -268,14 +276,14 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
                     branch_budget = 0
                 continue
         # glue a fresh copy
-        counts = {}
-        for c in s.live_copy_ids():
-            counts[s.copies[c]] = counts.get(s.copies[c], 0) + 1
+        n_face = s.n_face()
         rng.shuffle(free)
         for side in free:
             f_new = s.base.face_of_dart(s.dart_of(side) ^ 1)
-            if counts.get(f_new, 0) >= caps[f_new] or len(s.live_copy_ids()) >= max_faces:
+            if n_face[f_new] >= caps[f_new] or len(s.live_copy_ids()) >= max_faces:
                 continue
+            if max_n_face is not None and n_face[f_new] >= max_n_face:
+                raise GenerationStuck("more than %d copies over one face" % max_n_face)
             c_new = s.add_copy(f_new)
             pos = s.base.faces[f_new].cycle.index(s.dart_of(side) ^ 1)
             s.pair(side, (c_new, pos))
@@ -342,10 +350,16 @@ def generate_disk_covering_filtered(seed, max_sum=None, max_degree=None, **kw):
 
     Variants cycle through the number of special points, the cap on copies
     over special faces, marker presence, and the sew rate, so the accepted
-    population exercises every pipeline path."""
+    population exercises every pipeline path.
+
+    Each attempt gets ``max_n_face``, the smaller bound, as the covering sum
+    is at least the largest ``n_component``.  An attempt draws from its own
+    rng and no draw here depends on an outcome, so a stopped attempt is one
+    the filter refuses anyway, and every accepted covering stays the same."""
     rng = random.Random(repr(("filter", seed)))
+    bound = min((b for b in (max_sum, max_degree) if b is not None), default=None)
     for k in range(FILTER_TRIES):
-        params = dict(kw)
+        params = dict(kw, max_n_face=bound)
         if "q" not in kw:
             params["q"] = rng.choice([3, 3, 4, 5])
         if "special_face_cap" not in kw:

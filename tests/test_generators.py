@@ -18,7 +18,9 @@ from spherecover.generators import (
     random_base,
 )
 from spherecover.geometry import GeometryError, Rotation, points_coincide
-from spherecover.surface import SurfaceComplex, require_valid
+from spherecover.surface import SurfaceComplex, functionals, require_valid
+
+from conftest import hunt_module
 
 SEEDS = range(24)
 
@@ -278,3 +280,66 @@ def test_random_base_propagates_unexpected_errors(monkeypatch):
     with pytest.raises(TypeError, match="broken arrangement builder"):
         random_base(random.Random(0))
     assert len(calls) == 1
+
+
+def _filtered_attempts():
+    """Every attempt (seed, params) that generate_disk_covering_filtered
+    makes for the first 12 batch seeds and 6 hunt seeds, with its filters."""
+    hunt = hunt_module()
+    runs = [(("c5", n), dict(max_sum=6, max_degree=4)) for n in range(1, 13)]
+    runs += [(("hunt", n), hunt.FILTERS)
+             for n in range(hunt.FIRST_SEED, hunt.FIRST_SEED + 6)]
+    attempts, real = [], generators.generate_disk_covering
+
+    def record(seed, **params):
+        attempts.append((seed, params, filters))
+        return real(seed, **params)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(generators, "generate_disk_covering", record)
+        for seed, filters in runs:
+            generators.generate_disk_covering_filtered(seed, **filters)
+    return attempts
+
+
+def _run(seed, **params):
+    """(GenerationStuck text or None, surface or None) of one attempt."""
+    try:
+        return None, generate_disk_covering(seed, **params)
+    except GenerationStuck as err:
+        return str(err), None
+
+
+def test_face_bound_stops_only_attempts_the_filter_refuses():
+    """Each attempt gives the same bytes with the bound the filter passes as
+    without it, or the bounded run stops on the bound and the unbounded one
+    is stuck too or builds a covering with more copies over a face than the
+    smaller of max_sum and max_degree."""
+    stopped = 0
+    for seed, params, filters in _filtered_attempts():
+        k = params["max_n_face"]
+        assert k == min(filters["max_sum"], filters["max_degree"])
+        bounded, s_bounded = _run(seed, **params)
+        unbounded, s = _run(seed, **dict(params, max_n_face=None))
+        if bounded == "more than %d copies over one face" % k:
+            stopped += 1
+            assert unbounded is not None or max(functionals(s).n_component.values()) > k, seed
+        else:
+            assert bounded == unbounded, seed
+            if s is not None:
+                assert io.dumps(io.surface_to_dict(s_bounded)) == io.dumps(io.surface_to_dict(s)), seed
+    assert stopped == 19  # 18 of the batch attempts and 1 of the hunt ones
+
+
+def test_largest_covering_number_is_largest_face_count():
+    """On a valid disk covering the largest n_component is the largest
+    n_face, which is why the face bound serves the degree and the sum."""
+    built = 0
+    for seed, params, _filters in _filtered_attempts():
+        _err, s = _run(seed, **dict(params, max_n_face=None))
+        if s is not None:
+            require_valid(s)
+            rep = functionals(s)
+            assert max(rep.n_component.values()) == max(rep.n_face.values()), seed
+            built += 1
+    assert built == 50
