@@ -1,6 +1,7 @@
-"""The hunt sweep's decisions: a prefix of ``tools/hunt.py``'s seeds, and three
-chosen seeds, against the expected lines in ``tests/data/hunt_1024.jsonl``
-(CI reruns all 1024)."""
+"""The hunt sweep's decisions: a prefix of ``tools/hunt.py``'s seeds in each
+regime, and three chosen seeds, against the expected lines in
+``tests/data/hunt_1024.jsonl`` and ``tests/data/hunt_big_512.jsonl`` (CI
+reruns all of them)."""
 
 import json
 import pathlib
@@ -9,18 +10,28 @@ import pytest
 
 from conftest import hunt_module as _hunt
 
-EXPECTED = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "hunt_1024.jsonl"
+DATA = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data"
+EXPECTED = DATA / "hunt_1024.jsonl"
+EXPECTED_BIG = DATA / "hunt_big_512.jsonl"
 
 
 def _expected(hunt, seed):
     return EXPECTED.read_text().splitlines()[seed - hunt.FIRST_SEED]
 
 
+def _prefix(hunt, regime, n=16):
+    first = hunt.REGIMES[regime][0]
+    return [json.dumps(hunt.hunt_line(first + i, regime), sort_keys=True) for i in range(n)]
+
+
 def test_hunt_prefix_matches_the_expected_lines():
     hunt = _hunt()
-    want = EXPECTED.read_text().splitlines()[:16]
-    got = [json.dumps(hunt.hunt_line(hunt.FIRST_SEED + i), sort_keys=True) for i in range(16)]
-    assert got == want
+    assert _prefix(hunt, "hunt") == EXPECTED.read_text().splitlines()[:16]
+
+
+def test_big_regime_prefix_matches_the_expected_lines():
+    hunt = _hunt()
+    assert _prefix(hunt, "big") == EXPECTED_BIG.read_text().splitlines()[:16]
 
 
 # 100093 and 100884 absorb a branched tip in a rotation, whose branching
