@@ -41,8 +41,10 @@ from .surface import (
     SurfaceError,
     better_than_clauses,
     functionals,
+    geometric_walk,
     is_better_than,
     is_closed_subarc,
+    is_closed_subarc_geometric,
     require_valid,
 )
 from .surgery import (
@@ -109,8 +111,13 @@ def _summary(rep: FunctionalReport) -> dict:
 
 
 def _word_subarc(s_new, s_old) -> bool:
-    """Closed-subarc check of the new walk in the old one (same base)."""
-    return is_closed_subarc(s_new.boundary_walk(), s_old.boundary_walk(), s_old.base)[0]
+    """Closed-subarc check of the new walk in the old one: on the dart words,
+    or on the geometric walks when the new walk runs over an edge the old
+    base lacks (a transport route split an arc of the walk)."""
+    walk, edges = s_new.boundary_walk(), s_old.base.edges
+    if all(d >> 1 < len(edges) and edges[d >> 1] is not None for d in walk.darts):
+        return is_closed_subarc(walk, s_old.boundary_walk(), s_old.base)[0]
+    return is_closed_subarc_geometric(geometric_walk(s_new), geometric_walk(s_old))[0]
 
 
 def _walk_word_unchanged(s_new, s_old) -> bool:
@@ -232,16 +239,12 @@ def _plan_path_to_special(s: SurfaceComplex, start_vertex: int):
 
 
 def _classify_lift_ends(s, result):
+    """Lift end sheets, the first coincident pair (i, j), i < j, or None, and
+    the lifts that end on the boundary."""
     sheets, _ = s.sheets()
     ends = [lf.end_sheet for lf in result.lifts]
-    coincident = None
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            if ends[i] == ends[j]:
-                coincident = (i, j)
-                break
-        if coincident:
-            break
+    coincident = next(((i, j) for i in range(len(ends)) for j in range(i + 1, len(ends))
+                       if ends[i] == ends[j]), None)
     on_boundary = [i for i, e in enumerate(ends) if not sheets[e].interior]
     return ends, coincident, on_boundary
 
@@ -265,44 +268,61 @@ def _keep_best_disk(pieces, want, why):
     return pieces[i], pieces[1 - i]
 
 
-def _chord_refine_for_push(s: SurfaceComplex, X):
-    """Insert a transient chord that re-opens a route from the branch value.
-
-    The chord runs from the branch value across one of its faces, either
-    straight to a special tip on the same face cycle, or to an unblocked
-    cycle vertex from which an ordinary edge path to the special set exists
-    (the spec's refine-first convention for paths that are not edge paths).
-    """
+def _lay_route(s: SurfaceComplex, sheet, faces, goal=None):
+    """Lay a transient transport route from a vertex sheet, the one routine
+    that does: a breadth-first search over faces from ``faces``, each face's
+    neighbours in cycle order, to the first face whose cycle holds ``goal``
+    (any special vertex when None).  Each crossed edge is split at its
+    midpoint, and one chord per face joins the sheet's corner, the split
+    points and the goal in turn, so the route meets no old vertex but its
+    ends.  Returns (surface, chord edges, the sheet's index in it, darts)."""
     bc = s.base
-    blocked = set(bc.specials) | _branch_values(s)
-    candidates = []
-    for d0 in bc.fans[X.vertex]:
-        face = bc.face_of_dart(d0)
-        cyc = bc.faces[face].cycle
-        for p, d in enumerate(cyc):
-            v = bc.tail(d)
-            if v == X.vertex:
-                continue
-            if v in bc.specials and len(bc.fans[v]) == 1:
-                candidates.append((0, face, p, v, True))
-            elif v not in blocked:
-                candidates.append((1, face, p, v, False))
-    candidates.sort()
-    for _rank, face, tip_pos, w, direct in candidates:
-        tail = []
-        if not direct:
-            try:
-                tail = _plan_path_to_special(s, w)
-            except NoSuchPath:
-                continue
-        cyc = bc.faces[face].cycle
-        pos_a = next(p for p, d in enumerate(cyc) if bc.tail(d) == X.vertex)
-        work, chord_e, side_map = insert_chord_surface(s, face, pos_a, tip_pos)
-        [corner] = side_map.get(X.corners[0], [X.corners[0]])
-        _, corner_sheet2 = work.sheets()
-        # the chord leaves the branch value: its forward dart
-        return work, chord_e, corner_sheet2[corner], [2 * chord_e] + tail
-    raise NoSuchPath("no admissible base path even after chord refinement")
+    parent = dict.fromkeys(faces)
+    queue = list(parent)
+    for f in queue:
+        cyc = bc.faces[f].cycle
+        hit = [v for v in map(bc.tail, cyc) if v == goal or goal is None and v in bc.specials]
+        if hit:
+            break
+        for d in cyc:
+            g = bc.face_of_dart(d ^ 1)
+            if g not in parent:
+                parent[g] = d
+                queue.append(g)
+    else:
+        raise NoSuchPath("no face holds a special vertex")
+    hops = []
+    while parent[f] is not None:
+        hops.insert(0, parent[f])
+        f = bc.face_of_dart(parent[f])
+    crossed = [d >> 1 for d in hops]
+    # the sheet's corner in the first face, where it sits once the edges are split
+    c, p = next(cp for cp in sheet.corners if s.copies[cp[0]] == f)
+    corner = (c, p + sum(1 for d in s.cycle_of(c)[:p] if d >> 1 in crossed))
+    work, stops = s, []
+    for e in crossed:
+        work, x = split_edge_surface(work, e, bc.dart_segment(2 * e).point_at(0.5))
+        stops.append(x)
+    chords, a = [], corner[1]
+    for f, x in zip([f] + [bc.face_of_dart(d ^ 1) for d in hops], stops + hit[:1]):
+        at = [work.base.tail(d) for d in work.base.faces[f].cycle]
+        if chords:
+            a = at.index(work.base.head(2 * chords[-1]))
+        work, e, side_map = insert_chord_surface(work, f, a, at.index(x))
+        [corner] = side_map.get(corner, [corner])
+        chords.append(e)
+    # each chord's forward dart runs from its first stop to its second
+    return work, chords, work.sheets()[1][corner], [2 * e for e in chords]
+
+
+def _route_to_special(s: SurfaceComplex, X):
+    """The transport route of the interior branch point X: an admissible base
+    edge path when one exists, else a face route from the faces at X's vertex
+    in its fan order.  Returns (surface, chord edges, X's sheet in it, darts)."""
+    try:
+        return s, [], X.index, _plan_path_to_special(s, X.vertex)
+    except NoSuchPath:
+        return _lay_route(s, X, [s.base.face_of_dart(d) for d in s.base.fans[X.vertex]])
 
 
 def push_interior_branch(s: SurfaceComplex, sheet_index: int):
@@ -310,17 +330,11 @@ def push_interior_branch(s: SurfaceComplex, sheet_index: int):
 
     Returns (surface, case label, discarded piece or None)."""
     sheets, _ = s.sheets()
-    X = sheets[sheet_index]
-    chord_e = None
-    try:
-        darts = _plan_path_to_special(s, X.vertex)
-        work, idx = s, sheet_index
-    except NoSuchPath:
-        work, chord_e, idx, darts = _chord_refine_for_push(s, X)
+    work, chords, idx, darts = _route_to_special(s, sheets[sheet_index])
 
     def finish(surface):
-        if chord_e is not None:
-            surface = delete_edge_surface(surface, chord_e)
+        for e in chords:
+            surface = delete_edge_surface(surface, e)
         return cleanup_unused_curve_edges(surface)
 
     sheets_w, _ = work.sheets()
@@ -342,7 +356,7 @@ def push_interior_branch(s: SurfaceComplex, sheet_index: int):
     out = star_rewire(work, result.lifts, idx)
     case = "3" if len(on_boundary) == 1 else "4"
     out = finish(out)
-    if not _walk_word_unchanged(out, s):
+    if not _walk_word_unchanged(out, work):  # a route may split an arc of the walk
         raise PipelineError("interior push changed the boundary word")
     return out, case, None
 
@@ -364,34 +378,29 @@ def slide_boundary_branch(s: SurfaceComplex, sheet_index: int):
     if X.folded:
         raise PreconditionViolated("cannot slide a folded point")
     run = [X.out_side]
-    d0 = s.dart_of(X.out_side)
-    result = lift_path(s, [d0], sheet_index, ALONG_BOUNDARY)
-    boundary_lift = result.lifts[0]
-    interior = result.lifts[1:]
-    p1 = boundary_lift.end_sheet
-    hit_p1 = [lf for lf in interior if lf.end_sheet == p1]
-    if hit_p1:
-        pieces = reroute_boundary_split(s, run, hit_p1[0])
+    result = lift_path(s, [s.dart_of(X.out_side)], sheet_index, ALONG_BOUNDARY)
+    lifts = result.lifts
+    # lift 0 runs along the boundary to p1, a boundary sheet; a first
+    # coincident pair (0, j) lands interior lift j on p1
+    _, coincident, on_boundary = _classify_lift_ends(s, result)
+    if coincident is not None and coincident[0] == 0:
+        pieces = reroute_boundary_split(s, run, lifts[coincident[1]])
         keep, other = _keep_best_disk(
             pieces, CLOSED, "lift landing on p1 must split off a closed surface")
         return cleanup_unused_curve_edges(keep), "1", other
-    coincident = None
-    for i in range(len(interior)):
-        for j in range(i + 1, len(interior)):
-            if interior[i].end_sheet == interior[j].end_sheet:
-                coincident = (i, j)
     if coincident is not None:
-        pieces = split_on_lifts(s, interior[coincident[0]], interior[coincident[1]])
+        i, j = coincident
+        pieces = split_on_lifts(s, lifts[i], lifts[j])
         keep, other = _keep_best_disk(
             pieces, CLOSED, "coincident interior lifts must split off a closed surface")
         return cleanup_unused_curve_edges(keep), "2", other
-    on_bd = [lf for lf in interior if not sheets[lf.end_sheet].interior]
+    on_bd = [i for i in on_boundary if i]
     if on_bd:
-        pieces = reroute_boundary_split(s, run, on_bd[0])
+        pieces = reroute_boundary_split(s, run, lifts[on_bd[0]])
         keep, other = _keep_best_disk(
             pieces, DISK, "lift landing elsewhere on the boundary must split two disks")
         return cleanup_unused_curve_edges(keep), "3", other
-    out = star_rewire(s, interior, sheet_index, boundary_run=run)
+    out = star_rewire(s, lifts[1:], sheet_index, boundary_run=run)
     if not _walk_word_unchanged(out, s):
         raise PipelineError("boundary slide changed the boundary word")
     return out, "4", None
@@ -417,23 +426,16 @@ def sink_branch_to_special(s: SurfaceComplex, sheet_index: int, tip: int):
     Returns (surface, case label, discarded piece or None)."""
     sheets, _ = s.sheets()
     sigma = sheets[sheet_index]
-    g_dart = s.dart_of(sigma.in_side)
-    face = s.base.left_face(g_dart)
-    cyc = s.base.faces[face].cycle
-    pos_a = (cyc.index(g_dart) + 1) % len(cyc)
-    pos_b = next(p for p, d in enumerate(cyc) if s.base.tail(d) == tip)
+    face = s.base.left_face(s.dart_of(sigma.in_side))
     lab = s.base.specials[tip]
     d_sink = sigma.multiplicity
 
-    work, chord_e, side_map = insert_chord_surface(s, face, pos_a, pos_b)
-    [(c2, p2)] = side_map.get(sigma.in_side, [sigma.in_side])
-    corner2 = (c2, (p2 + 1) % len(work.cycle_of(c2)))
-    sheets2, corner_sheet2 = work.sheets()
-    sigma2 = sheets2[corner_sheet2[corner2]]
+    # the chord leaves sigma's first corner, the one after its in-side
+    work, [chord_e], idx, darts = _lay_route(s, sigma, [face], tip)
+    sigma2 = work.sheets()[0][idx]
     if not sigma2.is_branch or sigma2.vertex != sigma.vertex:
         raise PipelineError("parked branch lost after the chord refinement")
-    # the chord leaves the parked branch: its forward dart
-    result = lift_path(work, [2 * chord_e], sigma2.index, FROM_BOUNDARY_LEFT)
+    result = lift_path(work, darts, sigma2.index, FROM_BOUNDARY_LEFT)
     _, coincident, on_boundary = _classify_lift_ends(work, result)
     if on_boundary:
         raise PipelineError("lift into the left component touched the boundary")

@@ -245,6 +245,21 @@ def _check_path(s, path, want_start_boundary):
     return pairs, ids
 
 
+def _cut(s, path, name, want_start_boundary, want_kind):
+    """Unpair the sides along the path of a disk; the result must be a
+    ``want_kind`` surface."""
+    if s.topology_kind() != DISK:
+        raise PreconditionViolated("%s needs a disk" % name)
+    out = s.copy()
+    pairs, _ = _check_path(out, path, want_start_boundary)
+    for side, _partner in pairs:
+        out.unpair(side)
+    require_valid(out, name, strict_scaffold=False)
+    if out.topology_kind() != want_kind:
+        raise InvalidSurface("%s did not return a surface of type %s" % (name, want_kind))
+    return out
+
+
 def cut_to_boundary(s: SurfaceComplex, path: SurfacePath) -> SurfaceComplex:
     """Cut a disk along a simple arc from a boundary point into the interior.
 
@@ -252,30 +267,12 @@ def cut_to_boundary(s: SurfaceComplex, path: SurfacePath) -> SurfaceComplex:
     arc, the area is unchanged, and an interior preimage over the far
     endpoint moves to the boundary.
     """
-    if s.topology_kind() != DISK:
-        raise PreconditionViolated("cut_to_boundary needs a disk")
-    out = s.copy()
-    pairs, _ = _check_path(out, path, want_start_boundary=True)
-    for side, _partner in pairs:
-        out.unpair(side)
-    require_valid(out, "cut_to_boundary", strict_scaffold=False)
-    if out.topology_kind() != DISK:
-        raise InvalidSurface("cut did not preserve the disk type")
-    return out
+    return _cut(s, path, "cut_to_boundary", True, DISK)
 
 
 def cut_interior(s: SurfaceComplex, path: SurfacePath) -> SurfaceComplex:
     """Cut a disk along a simple interior arc, producing an annulus."""
-    if s.topology_kind() != DISK:
-        raise PreconditionViolated("cut_interior needs a disk")
-    out = s.copy()
-    pairs, _ = _check_path(out, path, want_start_boundary=False)
-    for side, _partner in pairs:
-        out.unpair(side)
-    require_valid(out, "cut_interior", strict_scaffold=False)
-    if out.topology_kind() != ANNULUS:
-        raise InvalidSurface("interior cut did not produce an annulus")
-    return out
+    return _cut(s, path, "cut_interior", False, ANNULUS)
 
 
 def _check_runs_match(s, run_a, run_b):

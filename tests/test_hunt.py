@@ -35,9 +35,10 @@ def test_big_regime_prefix_matches_the_expected_lines():
 
 
 # 100093 and 100884 absorb a branched tip in a rotation, whose branching
-# lands on the target; 100160 fails after four steps, and its line keeps them.
+# lands on the target; 100160 pushes its branch point along a face route after
+# four fold removals.
 @pytest.mark.parametrize("seed, outcome", [(100093, "ok"), (100884, "ok"),
-                                           (100160, "NoSuchPath")])
+                                           (100160, "ok")])
 def test_hunt_seed_matches_its_expected_line(seed, outcome):
     hunt = _hunt()
     rec = hunt.hunt_line(seed)

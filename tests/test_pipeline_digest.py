@@ -23,8 +23,8 @@ CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / 
 PINNED = {
     "batch": ("19ea8a5114799092e30c9aaba8c19d6c6e33a73685757f5ec4506cd46b1436dc",
               {"ok": 100}),
-    "stress": ("e86026e63310e3a4741355ab9899330201b1c72f312eb04f99551e478888f0ab",
-               {"ok": 66, "NoSuchPath": 14}),
+    "stress": ("99dc8f5e86dc95de7434ba91104a3407e30894d8312c412d62943a0718ff8b8f",
+               {"ok": 80}),
 }
 
 

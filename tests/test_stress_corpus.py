@@ -1,4 +1,4 @@
-"""No-regression gate on the multi-copy stress coverings of the benchmark corpus."""
+"""Every multi-copy stress covering of the benchmark corpus normalizes and certifies."""
 
 import json
 import pathlib
@@ -8,10 +8,6 @@ from spherecover.normalize import certify, normalize
 from spherecover.surface import SurfaceError
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
-
-# Generator seeds whose coverings normalize cannot handle yet (ROADMAP item 3):
-# they may fail with a typed error, but every other covering must pass.
-KNOWN_FAILING = {12, 15, 33, 48, 56, 87, 135, 161, 176, 182, 260, 264, 306, 309}
 
 
 def test_stress_corpus_normalizes_and_certifies():
@@ -26,8 +22,7 @@ def test_stress_corpus_normalizes_and_certifies():
             out, trace = normalize(s)
             ok, _ = certify(out, s, trace)
         except SurfaceError as err:
-            if seed not in KNOWN_FAILING:
-                bad.append((seed, "%s: %s" % (type(err).__name__, err)))
+            bad.append((seed, "%s: %s" % (type(err).__name__, err)))
             continue
         if not ok:
             bad.append((seed, "certificate failed"))
