@@ -281,7 +281,7 @@ def _lay_route(s: SurfaceComplex, sheet, faces, goal=None):
     queue = list(parent)
     for f in queue:
         cyc = bc.faces[f].cycle
-        hit = [v for v in map(bc.tail, cyc) if v == goal or goal is None and v in bc.specials]
+        hit = [v for v in map(bc.tail, cyc) if v == goal or (goal is None and v in bc.specials)]
         if hit:
             break
         for d in cyc:
