@@ -185,57 +185,9 @@ def remove_one_fold(s: SurfaceComplex):
 # -- interior branch transport (Prop in-to-bd) -----------------------------------
 
 
-def _branch_values(s: SurfaceComplex):
-    out = set()
-    for sh in s.sheet_list():
-        if sh.is_branch:
-            out.add(sh.vertex)
-    return out
-
-
 def _interior_nonspecial_branches(s: SurfaceComplex):
     return [sh for sh in s.sheet_list()
             if sh.interior and sh.is_branch and not sh.special]
-
-
-def _plan_path_to_special(s: SurfaceComplex, start_vertex: int):
-    """Shortest base edge path from the branch value to a special vertex whose
-    interior avoids the special set and every branch value."""
-    bc = s.base
-    blocked = set(bc.specials) | _branch_values(s)
-    blocked.discard(start_vertex)
-    dist = {start_vertex: 0}
-    parent = {}
-    frontier = [start_vertex]
-    goal = None
-    while frontier and goal is None:
-        nxt = []
-        for v in sorted(frontier):
-            for d in sorted(bc.fans[v]):
-                w = bc.head(d)
-                if w in dist:
-                    continue
-                dist[w] = dist[v] + 1
-                parent[w] = (v, d)
-                if w in bc.specials:
-                    goal = w
-                    break
-                if w not in blocked:
-                    nxt.append(w)
-            if goal is not None:
-                break
-        frontier = nxt
-    if goal is None:
-        raise NoSuchPath("no admissible base path from vertex %d to the special set"
-                         % start_vertex)
-    darts = []
-    v = goal
-    while v != start_vertex:
-        pv, d = parent[v]
-        darts.append(d)
-        v = pv
-    darts.reverse()
-    return darts
 
 
 def _classify_lift_ends(s, result):
@@ -269,11 +221,11 @@ def _keep_best_disk(pieces, want, why):
 
 
 def _lay_route(s: SurfaceComplex, sheet, faces, goal=None):
-    """Lay a transient transport route from a vertex sheet, the one routine
-    that does: a breadth-first search over faces from ``faces``, each face's
-    neighbours in cycle order, to the first face whose cycle holds ``goal``
-    (any special vertex when None).  Each crossed edge is split at its
-    midpoint, and one chord per face joins the sheet's corner, the split
+    """Plan and lay a transient transport route from a vertex sheet, the one
+    routine that does: a breadth-first search over faces from ``faces``, each
+    face's neighbours in cycle order, to the first face whose cycle holds
+    ``goal`` (any special vertex when None).  Each crossed edge is split at
+    its midpoint, and one chord per face joins the sheet's corner, the split
     points and the goal in turn, so the route meets no old vertex but its
     ends.  Returns (surface, chord edges, the sheet's index in it, darts)."""
     bc = s.base
@@ -315,22 +267,15 @@ def _lay_route(s: SurfaceComplex, sheet, faces, goal=None):
     return work, chords, work.sheets()[1][corner], [2 * e for e in chords]
 
 
-def _route_to_special(s: SurfaceComplex, X):
-    """The transport route of the interior branch point X: an admissible base
-    edge path when one exists, else a face route from the faces at X's vertex
-    in its fan order.  Returns (surface, chord edges, X's sheet in it, darts)."""
-    try:
-        return s, [], X.index, _plan_path_to_special(s, X.vertex)
-    except NoSuchPath:
-        return _lay_route(s, X, [s.base.face_of_dart(d) for d in s.base.fans[X.vertex]])
-
-
 def push_interior_branch(s: SurfaceComplex, sheet_index: int):
-    """Move one interior non-special branch point per Prop in-to-bd.
+    """Move one interior non-special branch point per Prop in-to-bd, along a
+    face route from the faces at its vertex, in fan order, to the first face
+    that holds a special vertex.
 
     Returns (surface, case label, discarded piece or None)."""
-    sheets, _ = s.sheets()
-    work, chords, idx, darts = _route_to_special(s, sheets[sheet_index])
+    X = s.sheets()[0][sheet_index]
+    work, chords, idx, darts = _lay_route(
+        s, X, [s.base.face_of_dart(d) for d in s.base.fans[X.vertex]])
 
     def finish(surface):
         for e in chords:

@@ -225,8 +225,9 @@ def _stress_covering(seed):
     return io.surface_from_dict(json.loads((CORPUS / "stress.jsonl").read_text().splitlines()[i]))
 
 
-# On these stress coverings every other vertex of the branch tip's face is a
-# branch value, so no admissible edge path leaves the tip.
+# On these stress coverings every other vertex of the branch tip's face
+# carries a branching sheet, so no base edge from the tip avoids the other
+# branch values; the face route crosses one edge instead.
 @pytest.mark.parametrize("seed", [15, 56, 182])
 def test_push_routes_across_one_edge_when_no_edge_path_exists(seed, monkeypatch):
     routes, pushes = [], []
@@ -237,10 +238,8 @@ def test_push_routes_across_one_edge_when_no_edge_path_exists(seed, monkeypatch)
         return routes[-1]
 
     def pushed(s, sheet_index):
-        n = len(routes)
         out = push(s, sheet_index)
-        if len(routes) > n:
-            pushes.append((s, s.sheets()[0][sheet_index], out[0]))
+        pushes.append((s, s.sheets()[0][sheet_index], out[0], routes[-1]))
         return out
     monkeypatch.setattr(nm, "_lay_route", laid)
     monkeypatch.setattr(nm, "push_interior_branch", pushed)
@@ -248,22 +247,22 @@ def test_push_routes_across_one_edge_when_no_edge_path_exists(seed, monkeypatch)
     out, trace = normalize(s)
     assert certify(out, s, trace)[0]
 
-    pre, X, post = pushes[0]
-    tip_face = pre.base.face_of_dart(pre.base.fans[X.vertex][0])
-    cycle = {pre.base.tail(d) for d in pre.base.faces[tip_face].cycle} - {X.vertex}
-    assert cycle <= nm._branch_values(pre)
-    with pytest.raises(nm.NoSuchPath):
-        nm._plan_path_to_special(pre, X.vertex)
-    # one chord on each side of the one crossed edge, split at vertex x
-    work, chords, _, darts = routes[0]
-    assert len(chords) == 2 and len(work.base.vertices) == len(pre.base.vertices) + 1
-    x = work.base.head(darts[0])
-    assert work.base.tail(darts[1]) == x == len(pre.base.vertices)
-    # no chord is left after the step
-    assert all(post.base.edges[e] is None for e in chords)
-    # the route meets no branch value: it passes the split vertex on regular sheets
-    over_x = [sh.multiplicity for sh in work.sheet_list() if sh.vertex == x]
-    assert over_x and set(over_x) == {1}
+    def boxed_in(pre, X):
+        tip_face = pre.base.face_of_dart(pre.base.fans[X.vertex][0])
+        cycle = {pre.base.tail(d) for d in pre.base.faces[tip_face].cycle} - {X.vertex}
+        return cycle <= {sh.vertex for sh in pre.sheet_list() if sh.is_branch}
+    boxed = [p for p in pushes if boxed_in(p[0], p[1])]
+    assert boxed
+    for pre, X, post, (work, chords, _, darts) in boxed:
+        # one chord on each side of the one crossed edge, split at vertex x
+        assert len(chords) == 2 and len(work.base.vertices) == len(pre.base.vertices) + 1
+        x = work.base.head(darts[0])
+        assert work.base.tail(darts[1]) == x == len(pre.base.vertices)
+        # no chord is left after the step
+        assert all(post.base.edges[e] is None for e in chords)
+        # the route meets no branch value: it passes the split vertex on regular sheets
+        over_x = [sh.multiplicity for sh in work.sheet_list() if sh.vertex == x]
+        assert over_x and set(over_x) == {1}
 
 
 # -- boundary slides -------------------------------------------------------------

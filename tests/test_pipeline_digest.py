@@ -21,9 +21,9 @@ from spherecover.surface import SurfaceError
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
 
 PINNED = {
-    "batch": ("19ea8a5114799092e30c9aaba8c19d6c6e33a73685757f5ec4506cd46b1436dc",
+    "batch": ("7c68a3084e003f3a05f4029a73a1e6acc3e3df5ca402a6430dd849d7bc34a6db",
               {"ok": 100}),
-    "stress": ("99dc8f5e86dc95de7434ba91104a3407e30894d8312c412d62943a0718ff8b8f",
+    "stress": ("d6032954da2deae9d5e8d6a156c0195af61b6ed09d51076077f288ffea042bf2",
                {"ok": 80}),
 }
 
