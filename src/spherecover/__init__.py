@@ -12,15 +12,9 @@ from .geometry import (
     DegenerateSegment,
     GeodesicSegment,
     NoContact,
-    NotClosed,
     Rotation,
-    SelfIntersecting,
-    first_contact_rotation,
-    geodesic_length,
-    rotate,
     segment_intersection,
     sphere_point,
-    spherical_polygon_area,
 )
 from .arrangement import (
     BaseComplex,
@@ -31,7 +25,6 @@ from .arrangement import (
     TooManySegments,
     attach_scaffold,
     build_arrangement,
-    left_right_faces,
 )
 from .surface import (
     ANNULUS,
@@ -41,12 +34,9 @@ from .surface import (
     FunctionalReport,
     SurfaceComplex,
     VertexSheet,
-    boundary_multiplicities,
-    classify_vertices,
     functionals,
     is_better_than,
     is_closed_subarc,
-    riemann_hurwitz_check,
     validate,
 )
 from .surgery import (

@@ -217,9 +217,6 @@ class BaseComplex:
     def left_face(self, d: int) -> int:
         return self.face_of_dart(d)
 
-    def right_face(self, d: int) -> int:
-        return self.face_of_dart(d ^ 1)
-
     def special_tips_by_face(self):
         """{face: [special scaffold tips hanging inside it]}."""
         tips = {}
@@ -559,11 +556,6 @@ class BaseComplex:
 def _tangent_at_tail(v, w) -> tuple:
     """Unit tangent at v of the great-circle arc from v toward w."""
     return unit(cross(cross(v, w), v))
-
-
-def left_right_faces(bc: BaseComplex, dart: int):
-    """(left face, right face) of a directed admissible arc."""
-    return bc.left_face(dart), bc.right_face(dart)
 
 
 def build_arrangement(curve: CurveInput, special: SpecialSet, markers=()) -> BaseComplex:

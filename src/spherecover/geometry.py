@@ -1,4 +1,4 @@
-"""Spherical geometry kernel: points, geodesic arcs, areas, rotations.
+"""Spherical geometry kernel: points, geodesic arcs, turning angles, rotations.
 
 All points live on the unit sphere in R^3 and are immutable ``(x, y, z)``
 tuples of floats; the kernel owns its arithmetic.  ``dot`` is the FMA chain
@@ -44,6 +44,9 @@ A rotation's first contact with a curve (``contact_angle``) is the least
 closed-form root of the target's circle against an arc's great circle that
 lies on the arc (a root no less than the best so far is not checked), so
 the contact lies on that great circle up to rounding.
+
+Face areas are not computed here: ``arrangement.build_faces`` takes each
+from its cycle's ``turning_angle`` sum by Gauss-Bonnet.
 """
 
 from __future__ import annotations
@@ -87,14 +90,6 @@ class GeometryError(ValueError):
 
 class DegenerateSegment(GeometryError):
     """Segment endpoints coincide or are antipodal."""
-
-
-class NotClosed(GeometryError):
-    """Polygon boundary does not close up."""
-
-
-class SelfIntersecting(GeometryError):
-    """Polygon boundary crosses itself."""
 
 
 class NoContact(GeometryError):
@@ -303,10 +298,6 @@ class GeodesicSegment:
         return unit(add(scale(math.sin((1 - t) * ang) / s, self.a),
                         scale(math.sin(t * ang) / s, self.b)))
 
-    def tangent_at(self, t: float) -> tuple:
-        p = self.point_at(t)
-        return unit(cross(self.pole, p))
-
     def param_of(self, p, tol=EPS_SEP):
         """Parameter of p on the arc, or None if p is not on it (``contains``);
         the parameter is from the exact angle ta from ``a``."""
@@ -446,11 +437,6 @@ class PointRegistry:
         return i
 
 
-def geodesic_length(seg: GeodesicSegment) -> float:
-    """Spherical length of a geodesic arc (= angle between its endpoints)."""
-    return seg.length
-
-
 def segment_intersection(s1: GeodesicSegment, s2: GeodesicSegment, tol=EPS_SEP):
     """Intersection of two geodesic arcs.
 
@@ -557,44 +543,6 @@ def turning_angle(t_in, t_out, at) -> float:
     return math.atan2(dot(cross(t_in, t_out), at), dot(t_in, t_out))
 
 
-def spherical_polygon_area(boundary, check_simple=True) -> float:
-    """Area enclosed on the left of a closed geodesic polygon.
-
-    The boundary is a cyclic list of GeodesicSegments, each ending where the
-    next begins.  Area = 2*pi - sum of exterior turning angles (Gauss-Bonnet
-    for geodesic boundaries); the result lies in (0, 4*pi).
-    """
-    k = len(boundary)
-    if k == 0:
-        raise NotClosed("empty boundary")
-    for i, seg in enumerate(boundary):
-        nxt = boundary[(i + 1) % k]
-        if not points_coincide(seg.b, nxt.a):
-            raise NotClosed("segment %d does not end where segment %d starts" % (i, (i + 1) % k))
-    if check_simple:
-        for i in range(k):
-            for j in range(i + 1, k):
-                hits = segment_intersection(boundary[i], boundary[j])
-                for h in hits:
-                    if isinstance(h, GeodesicSegment):
-                        raise SelfIntersecting("segments %d and %d overlap" % (i, j))
-                    endpoint = (
-                        points_coincide(h, boundary[i].a) or points_coincide(h, boundary[i].b)
-                    ) and (points_coincide(h, boundary[j].a) or points_coincide(h, boundary[j].b))
-                    adjacent = j == i + 1 or (i == 0 and j == k - 1)
-                    if not (endpoint and adjacent):
-                        raise SelfIntersecting("segments %d and %d cross" % (i, j))
-    total_turn = 0.0
-    for i, seg in enumerate(boundary):
-        nxt = boundary[(i + 1) % k]
-        total_turn += turning_angle(seg.tangent_at(1.0), nxt.tangent_at(0.0), seg.b)
-    area = 2 * math.pi - total_turn
-    area %= 4 * math.pi
-    if area <= 0 or area >= 4 * math.pi:
-        raise GeometryError("polygon area %g outside (0, 4pi)" % area)
-    return area
-
-
 _IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
@@ -674,19 +622,7 @@ class Rotation:
     def inverse(self) -> "Rotation":
         return Rotation(tuple(zip(*self.matrix)))
 
-    def is_identity(self, tol=EPS_UNIT) -> bool:
-        return all(abs(self.matrix[i][j] - _IDENTITY[i][j]) <= 10 * tol
-                   for i in range(3) for j in range(3))
-
-
 _IDENTITY_ROTATION = Rotation()
-
-
-def rotate(r: Rotation, x):
-    """Apply a rotation to a point, segment, or anything with a .rotated(r)."""
-    if hasattr(x, "rotated"):
-        return x.rotated(r)
-    return r.apply(x)
 
 
 def _circle_plane_roots(p0, axis, pole):
@@ -721,10 +657,11 @@ def _preimages(target, axis):
 
 
 def contact_angle(curve, target, axis):
-    """Closed-form step of ``first_contact_rotation``: (t, segment_index) of
-    the least t > ``CONTACT_TOL`` (the first arc on a tie) at which
-    R(axis, t)^-1(target) meets the great circle of an arc and lies on the
-    arc within 10 * EPS_SEP.
+    """First contact of the rotation family R(axis, t) with ``curve``, a list
+    of GeodesicSegments: (t, segment_index) of the least t > ``CONTACT_TOL``
+    (the first arc on a tie) at which R(axis, t)^-1(target) meets the great
+    circle of an arc and lies on the arc within 10 * EPS_SEP.  The contact
+    rotation is ``Rotation.from_axis_angle(axis, t)``.
 
     Raises GeometryError if the target lies on the curve, NoContact if it
     never meets it."""
@@ -744,19 +681,3 @@ def contact_angle(curve, target, axis):
     if best is None:
         raise NoContact("rotation family never meets the curve")
     return best
-
-
-def first_contact_rotation(curve, target, axis):
-    """Smallest t* > ``CONTACT_TOL`` with R(axis, t*)^-1(target) on the curve.
-
-    ``curve`` is a list of GeodesicSegments.  The preimage of the target
-    travels along the circle {R(axis,-t) target}; contacts against each arc's
-    great circle are found in closed form and verified on the arc
-    (``contact_angle``), and the least is the first contact.
-
-    Returns (Rotation, segment_index, parameter_on_segment), the parameter
-    that of the preimage at t*, None if it is off the arc by more than 1e-6.
-    """
-    t, idx = contact_angle(curve, target, axis)
-    rot = Rotation.from_axis_angle(axis, t)
-    return rot, idx, curve[idx].param_of(rot.inverse().apply(target), tol=1e-6)

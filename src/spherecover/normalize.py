@@ -131,13 +131,18 @@ def _record_step(trace, op, case, old, new, check_walk=True, note=""):
 
     ``check_walk`` asks for the closed-subarc check of the new walk word in
     the old one; a step that refines the base (the rotation) has no common
-    dart alphabet and skips it."""
+    dart alphabet and skips it.  A step that fails a clause raises
+    ``PipelineError`` once it is recorded, so the trace ends with it."""
     pre, post = functionals(old), functionals(new)
     cert = {k: v[0] for k, v in better_than_clauses(post, pre).items()}
     cert["boundary"] = _word_subarc(new, old) if check_walk else True
-    cert["ok"] = all(cert.values())
+    failed = [k for k, ok in cert.items() if not ok]
+    cert["ok"] = not failed
     trace.steps.append(TraceStep(op=op, case=case, pre=_summary(pre), post=_summary(post),
                                  note=note, certificate=cert))
+    if failed:
+        raise PipelineError("%s case %s fails the step certificate: %s"
+                            % (op, case, ", ".join(failed)))
 
 
 # -- fold removal (Prop no-folded) ---------------------------------------------

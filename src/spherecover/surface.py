@@ -476,26 +476,6 @@ def require_valid(s: SurfaceComplex, context="", strict_scaffold=True):
         raise InvalidSurface((context + ": " if context else "") + "; ".join(bad))
 
 
-def classify_vertices(s: SurfaceComplex):
-    """All vertex sheets with local degree, multiplicity, branch and fold data."""
-    return list(s.sheet_list())
-
-
-def boundary_multiplicities(s: SurfaceComplex):
-    """Per curve edge: (m+, m-); satisfies the edge relation and the length sum."""
-    return {e: mm for e, mm in s.multiplicities().items()
-            if s.base.edges[e].kind == CURVE}
-
-
-def riemann_hurwitz_check(s: SurfaceComplex):
-    """(degree, total branch index, residual of B - (2d-2)); closed surfaces only."""
-    if s.topology_kind() != CLOSED:
-        raise SurfaceError("Riemann-Hurwitz check needs a closed surface")
-    d = set(s.n_face().values()).pop()
-    b_total = sum(sh.branch_index for sh in s.sheet_list())
-    return d, b_total, b_total - (2 * d - 2)
-
-
 def functionals(s: SurfaceComplex) -> FunctionalReport:
     """All the surface functionals: A, L, n-bar, B, R, H, covering sum (cached)."""
     if "functionals" in s._cache:

@@ -21,7 +21,6 @@ from spherecover.geometry import (
     GeodesicSegment,
     Rotation,
     sphere_point,
-    spherical_polygon_area,
 )
 from spherecover.normalize import certify, normalize
 from spherecover.oracle import oracle_verify
@@ -30,7 +29,6 @@ from spherecover.surface import (
     DISK,
     functionals,
     geometric_walk,
-    riemann_hurwitz_check,
     validate,
 )
 from spherecover.surgery import (
@@ -85,8 +83,9 @@ def test_criterion_1_closed_reduced_area_identity():
 def test_criterion_2_riemann_hurwitz():
     bad = 0
     for d, q, bs, s in _closed_sweep():
-        deg, b_total, residual = riemann_hurwitz_check(s)
-        if deg != d or residual != 0:
+        rep = functionals(s)
+        residual = rep.b_special + rep.b_nonspecial - (2 * rep.degree - 2)
+        if rep.degree != d or residual != 0:
             bad += 1
     _report("criterion 2 (Riemann-Hurwitz residual 0 on the sweep)", bad == 0,
             "%d failures" % bad)
@@ -346,29 +345,33 @@ def test_criterion_6_polygonal_closure():
 
 
 def test_criterion_7_geometry_kernel():
+    # every area is an arrangement face's: build_faces's Gauss-Bonnet sum
+    # over the face cycle, the one routine behind the functional A
+    from spherecover.arrangement import CurveInput, SpecialSet, build_arrangement
+    from conftest import sph
+    specials = SpecialSet((sph(1, 1.2), sph(3, 1.2), sph(5, 1.2)))
+
+    def left_area(pts):
+        bc = build_arrangement(CurveInput(tuple(pts)), specials)
+        return bc.faces[bc.left_face(bc.traversal[0])].area
+
     n = sphere_point(0, 0, 1)
     e1, e2 = sphere_point(1, 0, 0), sphere_point(0, 1, 0)
-    octant = abs(spherical_polygon_area(
-        [GeodesicSegment(e1, e2), GeodesicSegment(e2, n), GeodesicSegment(n, e1)])
-        - math.pi / 2)
+    octant = abs(left_area((e1, e2, n)) - math.pi / 2)
     ok = octant <= TOL_OCTANT
 
     # arrangement areas sum to 4 pi
-    from spherecover.arrangement import CurveInput, SpecialSet, build_arrangement
-    from conftest import sph
     for pts in [
         tuple(sph(t, 0.0) for t in (0.0, 2.1, 4.2)),
         (sphere_point(1, 0, 0.3), sphere_point(0, 1, -0.3),
          sphere_point(0, 1, 0.3), sphere_point(1, 0, -0.3)),
     ]:
-        bc = build_arrangement(CurveInput(pts),
-                               SpecialSet((sph(1, 1.2), sph(3, 1.2), sph(5, 1.2))))
+        bc = build_arrangement(CurveInput(pts), specials)
         total = sum(bc.faces[f].area for f in bc.live_faces())
         ok = ok and abs(total - FOUR_PI) <= TOL_AREA
 
     rng = np.random.default_rng(7)
     worst_len, worst_area = 0.0, 0.0
-    tri = [GeodesicSegment(e1, e2), GeodesicSegment(e2, n), GeodesicSegment(n, e1)]
     for _ in range(1000):
         r = Rotation.from_axis_angle(rng.standard_normal(3),
                                      rng.uniform(0, 2 * math.pi))
@@ -379,9 +382,8 @@ def test_criterion_7_geometry_kernel():
         except Exception:
             continue
         worst_len = max(worst_len, abs(r.apply(seg).length - seg.length))
-        rot_tri = [r.apply(x) for x in tri]
         worst_area = max(worst_area, abs(
-            spherical_polygon_area(rot_tri, check_simple=False) - math.pi / 2))
+            left_area([r.apply(p) for p in (e1, e2, n)]) - math.pi / 2))
     ok = ok and worst_len <= TOL_ROT and worst_area <= TOL_ROT
     _report("criterion 7 (geometry kernel)", ok,
             "octant %.1e, rot len %.1e, rot area %.1e" % (octant, worst_len, worst_area))

@@ -21,7 +21,6 @@ from spherecover.arrangement import (
     build_arrangement,
     build_curve_graph,
     build_faces,
-    left_right_faces,
     locate_pending,
 )
 from spherecover.geometry import (
@@ -179,8 +178,9 @@ def test_left_right_faces_antisymmetric():
     for e in bc.live_edges():
         if bc.edges[e].kind != CURVE:
             continue
-        l, r = left_right_faces(bc, 2 * e)
-        l2, r2 = left_right_faces(bc, 2 * e + 1)
+        # (left, right) face of each dart; the right face is the twin's left
+        l, r = bc.left_face(2 * e), bc.left_face((2 * e) ^ 1)
+        l2, r2 = bc.left_face(2 * e + 1), bc.left_face((2 * e + 1) ^ 1)
         assert (l, r) == (r2, l2)
 
 
@@ -351,18 +351,18 @@ def test_doubled_arc_slit_same_face_both_sides():
     bc = build_arrangement(CurveInput(pts), SpecialSet(NORTH_SPECIALS))
     bc.check()
     slits = [e for e in bc.live_edges()
-             if left_right_faces(bc, 2 * e)[0] == left_right_faces(bc, 2 * e)[1]]
+             if bc.left_face(2 * e) == bc.left_face(2 * e + 1)]
     assert len(slits) == 1
     assert abs(sum(bc.faces[f].area for f in bc.live_faces()) - 4 * math.pi) < 1e-9
 
 
 def test_rotate_base_complex_preserves_structure():
-    from spherecover.geometry import Rotation, rotate
+    from spherecover.geometry import Rotation
     bc = attach_scaffold(build_arrangement(CurveInput(equator_points()),
                                            SpecialSet(NORTH_SPECIALS)))
     r = Rotation.from_axis_angle([0.3, -0.5, 0.8], 1.1)
-    rbc = rotate(r, bc)
-    assert rotate(Rotation.identity(), bc).faces[0].cycle == bc.faces[0].cycle
+    rbc = bc.rotated(r)
+    assert bc.rotated(Rotation.identity()).faces[0].cycle == bc.faces[0].cycle
     for e in bc.live_edges():
         seg = bc.dart_segment(2 * e)
         seg2 = rbc.dart_segment(2 * e)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from spherecover import geometry
+from spherecover.arrangement import CurveInput, SpecialSet, build_arrangement
 from spherecover.geometry import (
     EPS_SEP,
     DegenerateSegment,
@@ -13,19 +14,16 @@ from spherecover.geometry import (
     GeometryError,
     NoContact,
     Rotation,
-    SelfIntersecting,
     angle_between,
     antipodal,
+    contact_angle,
     cross,
     dot,
-    first_contact_rotation,
-    geodesic_length,
     neg,
     norm,
     points_coincide,
     segment_intersection,
     sphere_point,
-    spherical_polygon_area,
     unit,
 )
 
@@ -38,6 +36,18 @@ E2 = sphere_point(0, 1, 0)
 def rand_rotation(rng):
     axis = rng.standard_normal(3)
     return Rotation.from_axis_angle(axis, rng.uniform(0, 2 * math.pi))
+
+
+# off every polygon whose area is taken below
+AREA_SPECIALS = SpecialSet((sphere_point(-1, -2, -3), sphere_point(-3, -1, -2),
+                            sphere_point(-2, -3, -1)))
+
+
+def left_area(pts):
+    """Area of the face on the left of the closed polygon through ``pts``,
+    as ``build_arrangement`` computes it (Gauss-Bonnet on the face cycle)."""
+    bc = build_arrangement(CurveInput(tuple(pts)), AREA_SPECIALS)
+    return bc.faces[bc.left_face(bc.traversal[0])].area
 
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -294,7 +304,7 @@ def test_nearest_point_of_arc(seed):
 
 
 def test_quarter_great_circle():
-    assert geodesic_length(GeodesicSegment(N, E1)) == pytest.approx(math.pi / 2, abs=1e-14)
+    assert GeodesicSegment(N, E1).length == pytest.approx(math.pi / 2, abs=1e-14)
 
 
 def test_degenerate_endpoints():
@@ -306,7 +316,7 @@ def test_degenerate_endpoints():
 
 def test_length_from_dot_product():
     b = sphere_point(math.cos(0.3), math.sin(0.3), 0)
-    assert geodesic_length(GeodesicSegment(E1, b)) == pytest.approx(0.3, abs=1e-12)
+    assert GeodesicSegment(E1, b).length == pytest.approx(0.3, abs=1e-12)
 
 
 def test_intersection_at_pole():
@@ -336,34 +346,21 @@ def test_intersection_overlap_quarter_arc():
 
 
 def test_octant_triangle_area():
-    tri = [GeodesicSegment(E1, E2), GeodesicSegment(E2, N), GeodesicSegment(N, E1)]
-    assert spherical_polygon_area(tri) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert left_area((E1, E2, N)) == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_hemisphere_area_no_turning():
     thirds = [sphere_point(math.cos(t), math.sin(t), 0)
               for t in (0, 2 * math.pi / 3, 4 * math.pi / 3)]
-    segs = [GeodesicSegment(thirds[i], thirds[(i + 1) % 3]) for i in range(3)]
-    assert spherical_polygon_area(segs) == pytest.approx(2 * math.pi, abs=1e-12)
+    assert left_area(thirds) == pytest.approx(2 * math.pi, abs=1e-12)
 
 
 def test_octant_complement_area():
-    tri = [GeodesicSegment(E2, E1), GeodesicSegment(E1, N), GeodesicSegment(N, E2)]
-    assert spherical_polygon_area(tri) == pytest.approx(4 * math.pi - math.pi / 2, abs=1e-12)
-
-
-def test_self_intersecting_polygon_rejected():
-    # bowtie: the two diagonal sides cross between longitudes 0 and 90
-    a, b = sphere_point(1, 0, 0.3), sphere_point(0, 1, -0.3)
-    c, d = sphere_point(0, 1, 0.3), sphere_point(1, 0, -0.3)
-    with pytest.raises(SelfIntersecting):
-        spherical_polygon_area([
-            GeodesicSegment(a, b), GeodesicSegment(b, c),
-            GeodesicSegment(c, d), GeodesicSegment(d, a)])
+    assert left_area((E2, E1, N)) == pytest.approx(4 * math.pi - math.pi / 2, abs=1e-12)
 
 
 def test_rotation_identity_and_quarter_turn():
-    assert Rotation.identity().is_identity()
+    assert np.array_equal(Rotation.identity().matrix, np.eye(3))
     r = Rotation.from_axis_angle([0, 0, 1], math.pi / 2)
     assert np.allclose(r.apply(E1), E2, atol=1e-12)
 
@@ -379,7 +376,7 @@ def test_rotation_preserves_length(seed):
         seg = GeodesicSegment(a, b)
     except DegenerateSegment:
         return
-    assert abs(geodesic_length(r.apply(seg)) - geodesic_length(seg)) < 1e-12
+    assert abs(r.apply(seg).length - seg.length) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,10 +384,7 @@ def test_rotation_preserves_length(seed):
 def test_rotation_preserves_area(seed):
     rng = np.random.default_rng(seed)
     r = rand_rotation(rng)
-    tri = [GeodesicSegment(E1, E2), GeodesicSegment(E2, N), GeodesicSegment(N, E1)]
-    rot_tri = [r.apply(seg) for seg in tri]
-    assert abs(spherical_polygon_area(rot_tri, check_simple=False)
-               - math.pi / 2) < 1e-10
+    assert abs(left_area([r.apply(p) for p in (E1, E2, N)]) - math.pi / 2) < 1e-10
 
 
 @settings(max_examples=100, deadline=None)
@@ -433,7 +427,8 @@ def test_first_contact_toward_equator():
                                           math.sin(t + 2 * math.pi / 3), 0))
              for t in (0, 2 * math.pi / 3, 4 * math.pi / 3)]
     target = sphere_point(math.cos(0.3), 0, math.sin(0.3))
-    rot, idx, prm = first_contact_rotation(curve, target, [0, -1, 0])
+    t, idx = contact_angle(curve, target, [0, -1, 0])
+    rot = Rotation.from_axis_angle([0, -1, 0], t)
     pre = rot.inverse().apply(target)
     assert abs(pre[2]) < 1e-7
     t_star = math.acos(max(-1, min(1, (np.trace(rot.matrix) - 1) / 2)))
@@ -446,7 +441,7 @@ def test_first_contact_no_contact():
              for t in (0.0,)]
     # rotating about the z axis keeps the target at constant latitude
     with pytest.raises(NoContact):
-        first_contact_rotation(curve, sphere_point(1, 1, 1), [0, 0, 1])
+        contact_angle(curve, sphere_point(1, 1, 1), [0, 0, 1])
 
 
 def test_first_contact_bisection_cap_boundary():
@@ -458,8 +453,8 @@ def test_first_contact_bisection_cap_boundary():
         sphere_point(r0 * math.cos(t + 2 * math.pi / 3),
                      r0 * math.sin(t + 2 * math.pi / 3), z0))
         for t in (0, 2 * math.pi / 3, 4 * math.pi / 3)]
-    rot, idx, prm = first_contact_rotation(cap, S, [0, 1, 0])
-    pre = rot.inverse().apply(S)
+    t, idx = contact_angle(cap, S, [0, 1, 0])
+    pre = Rotation.from_axis_angle([0, 1, 0], t).inverse().apply(S)
     assert cap[idx].contains(pre, tol=1e-6)
 
 
@@ -480,12 +475,12 @@ def test_first_contact_lies_on_the_arcs_circle(seed):
     x = curve[rng.integers(0, len(curve))].point_at(rng.uniform(0.05, 0.95))
     target = Rotation.from_axis_angle(axis, rng.uniform(0.01, 2 * math.pi - 0.01)).apply(x)
     try:
-        rot, idx, prm = first_contact_rotation(curve, target, axis)
+        t, idx = contact_angle(curve, target, axis)
     except GeometryError:  # the target lies on another arc
         return
-    pre = rot.inverse().apply(target)
+    pre = Rotation.from_axis_angle(axis, t).inverse().apply(target)
     assert abs(dot(pre, curve[idx].pole)) <= 1e-12
-    assert prm is not None and prm == curve[idx].param_of(pre, tol=1e-6)
+    assert curve[idx].param_of(pre, tol=1e-6) is not None
 
 
 # The filtered predicates against their exact formulas, written out here as

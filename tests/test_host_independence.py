@@ -23,7 +23,7 @@ def test_digest_pins_hold_under_the_haswell_blas_kernel():
          str(ROOT / "tests" / "test_pipeline_digest.py")],
         cwd=ROOT, env=_child_env(OPENBLAS_CORETYPE="Haswell"), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    assert "2 passed" in proc.stdout
+    assert "3 passed" in proc.stdout
 
 
 def test_import_loads_no_numpy():

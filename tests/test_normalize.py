@@ -18,7 +18,6 @@ from spherecover.geometry import (
     angle_between,
     contact_angle,
     cross,
-    first_contact_rotation,
     neg,
     points_coincide,
     unit,
@@ -361,7 +360,7 @@ def test_rotation_preserves_functionals(f4):
     assert post.boundary_length == pytest.approx(pre.boundary_length, abs=1e-9)
     assert post.covering_sum == pre.covering_sum
     assert post.n_bar == pre.n_bar
-    assert not rho.is_identity()
+    assert not np.allclose(rho.matrix, np.eye(3), rtol=0, atol=1e-11)
     # boundary now passes through a special vertex
     walk_vs = {out.base.tail(d) for d in out.boundary_walk().darts}
     assert any(v in out.base.specials for v in walk_vs)
@@ -428,6 +427,23 @@ def test_normalize_monotone_trace(f4):
         assert b <= a
     for st in trace.steps:
         assert st.certificate["ok"], (st.op, st.case, st.certificate)
+
+
+def test_a_step_that_fails_its_certificate_stops_the_pipeline(monkeypatch):
+    clauses = nm.better_than_clauses
+
+    def h_falls(new, old):
+        report = clauses(new, old)
+        report["H"] = (False,) + report["H"][1:]
+        return report
+
+    monkeypatch.setattr(nm, "better_than_clauses", h_falls)
+    with pytest.raises(PipelineError, match="certificate: H$") as err:
+        normalize(f4_double_cover())
+    steps = err.value.trace.steps
+    assert len(steps) == 1
+    assert steps[-1].certificate == {"H": False, "sum": True, "n_bar": True,
+                                     "boundary": True, "ok": False}
 
 
 def test_normalize_batch_small():
@@ -624,7 +640,8 @@ def ref_contact_angle(curve, target, axis):
 def ref_rotate_to_touch_special(s):
     """rotate_to_touch_special with the full nearest scan, each special's
     closed-form first contact, and the contacted one's rotation and
-    parameter from ``first_contact_rotation``."""
+    parameter from ``contact_angle``, ``Rotation.from_axis_angle`` and
+    ``param_of``."""
     segs, edge_ids = nm._walk_segments(s)
     specials = [(v, s.base.vertices[v]) for v in s.base.specials]
     best = None
@@ -654,8 +671,10 @@ def ref_rotate_to_touch_special(s):
             last_err = PipelineError("two specials touch simultaneously")
             continue
         # R(-axis, t)^-1 is R(axis, t) bit for bit: its transpose
-        rot, seg_idx, prm = first_contact_rotation(segs, p_c, neg(axis))
+        t_c, seg_idx = contact_angle(segs, p_c, neg(axis))
+        rot = Rotation.from_axis_angle(neg(axis), t_c)
         seg = segs[seg_idx]
+        prm = seg.param_of(rot.inverse().apply(p_c), tol=1e-6)
         margin = 1e-7 / max(seg.length, 1e-9)
         if prm is None or prm < margin or prm > 1 - margin:
             last_err = PipelineError("contact at an arc endpoint")

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spherecover.arrangement import CURVE
 from spherecover.generators import generate_closed_cyclic_cover, generate_disk_covering
 from spherecover.surface import (
     BoundaryWalk,
@@ -11,13 +12,10 @@ from spherecover.surface import (
     DISK,
     InvalidSurface,
     SurfaceComplex,
-    boundary_multiplicities,
-    classify_vertices,
     closed_subarc_match,
     functionals,
     is_better_than,
     is_closed_subarc,
-    riemann_hurwitz_check,
     validate,
 )
 from spherecover.geometry import Rotation
@@ -51,7 +49,7 @@ def test_double_cover_closed_chi_two():
 
 
 def test_classify_interior_branch(f4):
-    sheets = classify_vertices(f4)
+    sheets = f4.sheet_list()
     branch = [sh for sh in sheets if sh.is_branch]
     assert len(branch) == 1
     sh = branch[0]
@@ -60,7 +58,7 @@ def test_classify_interior_branch(f4):
 
 
 def test_classify_regular_boundary_vertex(hemisphere):
-    sheets = classify_vertices(hemisphere)
+    sheets = hemisphere.sheet_list()
     boundary = [sh for sh in sheets if not sh.interior]
     assert boundary
     for sh in boundary:
@@ -85,7 +83,7 @@ def test_classify_folded_slit():
             break
     assert side is not None
     cut = cut_to_boundary(s, SurfacePath([side]))
-    folded = [sh for sh in classify_vertices(cut)
+    folded = [sh for sh in cut.sheet_list()
               if (not sh.interior) and sh.folded]
     assert folded
     tip = folded[0]
@@ -140,15 +138,18 @@ def test_functionals_report_cached_until_the_surface_changes():
 
 
 def test_boundary_multiplicities_identity(hemisphere):
-    mult = boundary_multiplicities(hemisphere)
-    curve = {e: v for e, v in mult.items()}
+    curve = {e: mm for e, mm in hemisphere.multiplicities().items()
+             if hemisphere.base.edges[e].kind == CURVE}
     assert sorted(curve.values()) == [(0, 1), (0, 1), (0, 1)] or \
         sorted(curve.values()) == [(1, 0), (1, 0), (1, 0)]
 
 
 def test_boundary_multiplicities_f4(f4):
     nf = f4.n_face()
-    for e, (mp, mm) in boundary_multiplicities(f4).items():
+    curve = {e: mm for e, mm in f4.multiplicities().items()
+             if f4.base.edges[e].kind == CURVE}
+    assert curve
+    for e, (mp, mm) in curve.items():
         assert mp + mm == 2
         assert min(mp, mm) == 0
         lhs = nf[f4.base.face_of_dart(2 * e)] - mp
@@ -159,10 +160,9 @@ def test_boundary_multiplicities_f4(f4):
 def test_riemann_hurwitz_sweep():
     for d in (1, 2, 3, 4):
         s = generate_closed_cyclic_cover(d)
-        deg, b_total, residual = riemann_hurwitz_check(s)
-        assert deg == d
-        assert residual == 0
-        assert b_total == 2 * d - 2
+        rep = functionals(s)
+        assert rep.degree == d
+        assert rep.b_special + rep.b_nonspecial - (2 * rep.degree - 2) == 0
 
 
 def _word_walk(darts):
