@@ -95,7 +95,11 @@ class PipelineTrace:
     iterations: int = 0
 
     def composed_rotation(self) -> Rotation:
-        """The paper-frame rotation: inverse of the specials' total motion."""
+        """The paper-frame rotation: inverse of the specials' total motion.
+        Without rotations that is the identity itself: the transpose of its
+        matrix is the same matrix."""
+        if not self.rotations:
+            return Rotation.identity()
         total = Rotation.identity()
         for r in self.rotations:
             total = r.compose(total)

@@ -641,8 +641,18 @@ def is_closed_subarc_geometric(steps2, steps1):
     exact: a segment, its parameters and pieces are functions of the point
     values, and the registry gives a value-equal point the id it gave before
     and stores nothing new for it, so the ids handed out in order are the
-    same."""
-    reg = PointRegistry(SUBARC_TOL)
+    same.
+
+    Own-end rule: a cut point equal by value to its own step's ``seg.a`` or
+    ``seg.b`` is skipped without a parameter.  Its parameter would be the
+    angle from ``seg.a`` over the length, 0 or exactly ``length / length ==
+    1``, so it never lies inside the step.
+
+    Equal-walk rule: when ``steps2 == steps1`` by value, the reuse rule gives
+    both walks one word, which the match takes at rotation 0.  So the
+    witness is ``{"rotation": 0, "kept_runs": [(0, n)]}`` for the n pieces
+    of ``steps1``, counted by the same cut rule without piece segments,
+    midpoints or point ids; with no piece (n == 0) there is no match."""
     segs = {}  # step (a, b) -> its segment, built in the order of the steps
     for a, b in (*steps1, *steps2):
         if (a, b) not in segs:
@@ -653,9 +663,13 @@ def is_closed_subarc_geometric(steps2, steps1):
     cuts = [g.a for g in segs1] + [g.b for g in segs1] + [g.a for g in segs2] + [g.b for g in segs2]
     distinct = list(dict.fromkeys(cuts))
 
-    def symbols(seg):
+    def pieces(seg):
+        """The (tail, head) point pairs of seg's pieces: seg cut at the cut
+        points inside it, less the pieces whose ends coincide."""
         t_of = {}
         for p in distinct:
+            if p == seg.a or p == seg.b:  # own end: never inside
+                continue
             t = seg.param_of(p, SUBARC_TOL)
             if t is not None and SUBARC_TOL < t * seg.length and (1 - t) * seg.length > SUBARC_TOL:
                 t_of[p] = t
@@ -663,14 +677,23 @@ def is_closed_subarc_geometric(steps2, steps1):
         inside = [(t_of[p], p) for p in cuts if p in t_of]
         inside.sort(key=lambda x: x[0])
         pts = [seg.a] + [p for _, p in inside] + [seg.b]
+        return [(a, b) for a, b in zip(pts, pts[1:]) if not points_coincide(a, b, SUBARC_TOL)]
+
+    if steps2 == steps1:
+        counts = {step: len(pieces(segs[step])) for step in dict.fromkeys(steps1)}
+        n = sum(counts[step] for step in steps1)
+        return (True, {"rotation": 0, "kept_runs": [(0, n)]}) if n else (False, None)
+
+    reg = PointRegistry(SUBARC_TOL)
+
+    def symbols(seg):
         out = []
-        for a, b in zip(pts, pts[1:]):
-            if not points_coincide(a, b, SUBARC_TOL):
-                piece = GeodesicSegment(a, b)
-                # ids go out in the order tail, head, midpoint
-                ka = reg.key(piece.a)
-                kb = reg.key(piece.b)
-                out.append((ka, reg.key(piece.point_at(0.5)), kb))
+        for a, b in pieces(seg):
+            piece = GeodesicSegment(a, b)
+            # ids go out in the order tail, head, midpoint
+            ka = reg.key(piece.a)
+            kb = reg.key(piece.b)
+            out.append((ka, reg.key(piece.point_at(0.5)), kb))
         return out
 
     syms = {}  # step (a, b) -> the symbols of its pieces

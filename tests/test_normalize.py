@@ -7,6 +7,7 @@ import random
 import numpy as np
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from spherecover.generators import generate_disk_covering_filtered, GenerationStuck
 from spherecover import geometry, io
@@ -611,6 +612,57 @@ def test_subarc_check_matches_reference_on_mirrored_cut_points():
     walk = [(A, B), (B, p), (p, N), (N, q), (q, A)]
     for steps2, steps1 in [(walk, walk), ([(A, B), (B, N), (N, A)], walk)]:
         assert_subarc_as_reference(steps2, steps1)
+
+
+def test_equal_walks_count_pieces_not_steps():
+    m = unit((1.0, 1.0, 0.0))
+    # m, the end of two steps, lies inside A -> B, which is cut there
+    cut = [(A, B), (B, N), (N, m), (m, A)]
+    assert assert_subarc_as_reference(cut, cut) == (True, {"rotation": 0, "kept_runs": [(0, 5)]})
+    walk1 = [(A, m), (m, B), (B, C), (C, B), (B, N), (N, A)]
+    slit = [(A, B), (B, D), (D, B), (B, N), (N, A)]
+    for walk in (walk1, slit):
+        # a value-equal copy, not the same list
+        ok, witness = assert_subarc_as_reference([tuple(step) for step in walk], walk)
+        assert ok and witness == {"rotation": 0, "kept_runs": [(0, len(walk))]}
+
+
+def test_equal_walks_of_steps_shorter_than_the_tolerance_do_not_match():
+    p, q = unit((1.0, 3e-8, 0.0)), unit((1.0, 0.0, 3e-8))
+    tiny = [(A, p), (p, q), (q, A)]
+    assert all(1e-9 < angle_between(a, b) < SUBARC_TOL for a, b in tiny)
+    assert assert_subarc_as_reference(tiny, tiny) == (False, None)
+
+
+# Random closed walks over five points in general position, with up to three
+# points placed on the walk's own arcs and visited as extra vertices, so that
+# some vertices lie inside other steps.
+POOL = (A, B, N, C, D)
+
+
+def _steps(vs):
+    return list(zip(vs, vs[1:] + vs[:1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=6),
+       st.lists(st.tuples(st.integers(0, 5), st.sampled_from([0.25, 0.5, 0.75]),
+                          st.integers(0, 8)), max_size=3),
+       st.integers(0, 8), st.integers(1, 8))
+def test_subarc_check_matches_reference_on_random_walks(idx, arcs, i, k):
+    vs = [POOL[j] for j in idx]
+    base = _steps(vs)
+    for s, t, at in arcs:
+        a, b = base[s % len(base)]
+        if a != b:
+            vs.insert(at % (len(vs) + 1), GeodesicSegment(a, b).point_at(t))
+    walk = _steps(vs)
+    assume(all(1e-6 < angle_between(a, b) < math.pi - 1e-6 for a, b in walk + base))
+    assert_subarc_as_reference(walk, walk)
+    i %= len(walk)
+    for steps2 in (walk[i:i + k], walk[i:] + walk[:i], base):
+        assert_subarc_as_reference(steps2, walk)
+    assert_subarc_as_reference(walk, base)
 
 
 # -- the rotation step against the reference scan ------------------------------

@@ -19,8 +19,9 @@ steps and iterations are those of the partial trace the error carries, the
 steps taken before it; they are null when it carries none (an input the
 pipeline refuses before its first step).
 The lines pin decisions, not bytes: a change that keeps every outcome, step
-and error keeps them.  A summary of counts per outcome and per case label
-goes to stderr.  ``tests/data/hunt_1024.jsonl`` holds the expected lines
+and error keeps them.  A summary of counts per outcome and per case label,
+and of the seconds spent in generate, ``normalize`` and ``certify``, goes to
+stderr.  ``tests/data/hunt_1024.jsonl`` holds the expected lines
 for 1024 hunt seeds, ``tests/data/hunt_big_512.jsonl`` those for 512 big
 seeds.
 """
@@ -28,6 +29,7 @@ seeds.
 import argparse
 import json
 import sys
+import time
 from collections import Counter
 
 from spherecover.generators import generate_disk_covering_filtered
@@ -44,15 +46,25 @@ REGIMES = {
 }
 
 
-def hunt_line(n, regime="hunt") -> dict:
-    """The sweep's record of seed n in the regime."""
-    s = generate_disk_covering_filtered((regime, n), **REGIMES[regime][1])
+def hunt_line(n, regime="hunt", seconds=None) -> dict:
+    """The sweep's record of seed n in the regime.  The seconds spent in
+    generate, normalize and certify are added to the Counter ``seconds``."""
+    seconds = Counter() if seconds is None else seconds
+
+    def timed(phase, f, *args, **kw):
+        t = time.perf_counter()
+        try:
+            return f(*args, **kw)
+        finally:
+            seconds[phase] += time.perf_counter() - t
+
+    s = timed("generate", generate_disk_covering_filtered, (regime, n), **REGIMES[regime][1])
     rec = {"seed": n, "copies": len(s.live_copy_ids()), "steps": None,
            "iterations": None, "error": None}
     trace = None
     try:
-        out, trace = normalize(s)
-        ok, _ = certify(out, s, trace)
+        out, trace = timed("normalize", normalize, s)
+        ok, _ = timed("certify", certify, out, s, trace)
     except SurfaceError as err:
         trace = getattr(err, "trace", trace)
         rec["outcome"], rec["error"] = type(err).__name__, str(err)
@@ -72,12 +84,12 @@ def main(argv=None):
                     help="number of seeds, from the regime's first seed")
     ap.add_argument("--out", help="file for the JSON lines (default: stdout)")
     args = ap.parse_args(argv)
-    outcomes, cases = Counter(), Counter()
+    outcomes, cases, seconds = Counter(), Counter(), Counter()
     fh = open(args.out, "w") if args.out else sys.stdout
     try:
         first = REGIMES[args.regime][0]
         for n in range(first, first + args.seeds):
-            rec = hunt_line(n, args.regime)
+            rec = hunt_line(n, args.regime, seconds)
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
             outcomes[rec["outcome"]] += 1
             cases.update("%s.%s" % tuple(step) for step in rec["steps"] or ())
@@ -86,6 +98,8 @@ def main(argv=None):
             fh.close()
     print("outcomes: %s" % json.dumps(dict(sorted(outcomes.items()))), file=sys.stderr)
     print("cases: %s" % json.dumps(dict(sorted(cases.items()))), file=sys.stderr)
+    print("seconds: %s" % json.dumps({phase: round(seconds[phase], 3) for phase in
+                                      ("generate", "normalize", "certify")}), file=sys.stderr)
 
 
 if __name__ == "__main__":
