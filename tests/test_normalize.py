@@ -622,8 +622,10 @@ def test_equal_walks_count_pieces_not_steps():
     walk1 = [(A, m), (m, B), (B, C), (C, B), (B, N), (N, A)]
     slit = [(A, B), (B, D), (D, B), (B, N), (N, A)]
     for walk in (walk1, slit):
-        # a value-equal copy, not the same list
-        ok, witness = assert_subarc_as_reference([tuple(step) for step in walk], walk)
+        # equal by value, with new point tuples
+        copy = [tuple(tuple(list(p)) for p in step) for step in walk]
+        assert copy == walk and copy[0][0] is not walk[0][0]
+        ok, witness = assert_subarc_as_reference(copy, walk)
         assert ok and witness == {"rotation": 0, "kept_runs": [(0, len(walk))]}
 
 
