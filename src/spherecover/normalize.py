@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .arrangement import CURVE, SCAFFOLD
 from .geometry import (
+    GeometryError,
     NoContact,
     Rotation,
     angle_between,
@@ -188,7 +189,7 @@ def remove_one_fold(s: SurfaceComplex):
     out, case = sew(s, run_a, run_b)
     if case != "A":
         raise PipelineError("fold sew closed the surface under H >= 0")
-    return cleanup_unused_curve_edges(out), "glue-A", None
+    return out, "glue-A", None
 
 
 # -- interior branch transport (Prop in-to-bd) -----------------------------------
@@ -197,17 +198,6 @@ def remove_one_fold(s: SurfaceComplex):
 def _interior_nonspecial_branches(s: SurfaceComplex):
     return [sh for sh in s.sheet_list()
             if sh.interior and sh.is_branch and not sh.special]
-
-
-def _classify_lift_ends(s, result):
-    """Lift end sheets, the first coincident pair (i, j), i < j, or None, and
-    the lifts that end on the boundary."""
-    sheets, _ = s.sheets()
-    ends = [lf.end_sheet for lf in result.lifts]
-    coincident = next(((i, j) for i in range(len(ends)) for j in range(i + 1, len(ends))
-                       if ends[i] == ends[j]), None)
-    on_boundary = [i for i, e in enumerate(ends) if not sheets[e].interior]
-    return ends, coincident, on_boundary
 
 
 def _keep_best_disk(pieces, want, why):
@@ -289,25 +279,22 @@ def push_interior_branch(s: SurfaceComplex, sheet_index: int):
     def finish(surface):
         for e in chords:
             surface = delete_edge_surface(surface, e)
-        return cleanup_unused_curve_edges(surface)
+        return surface
 
-    sheets_w, _ = work.sheets()
-    result = lift_path(work, darts, idx, FROM_INTERIOR)
-    ends, coincident, on_boundary = _classify_lift_ends(work, result)
+    lifts, coincident, on_boundary = lift_path(work, darts, idx, FROM_INTERIOR)
     if coincident is not None:
         i, j = coincident
-        pieces = split_on_lifts(work, result.lifts[i], result.lifts[j])
+        pieces = split_on_lifts(work, lifts[i], lifts[j])
         keep, other = _keep_best_disk(
             pieces, CLOSED, "coincident lift endpoints must split off a closed surface")
-        case = "1" if not sheets_w[ends[i]].interior else "2"
-        return finish(keep), case, other
+        return finish(keep), "1" if i in on_boundary else "2", other
     if len(on_boundary) >= 2:
         i, j = on_boundary[0], on_boundary[1]
-        pieces = split_on_lifts(work, result.lifts[i], result.lifts[j])
+        pieces = split_on_lifts(work, lifts[i], lifts[j])
         keep, other = _keep_best_disk(
             pieces, DISK, "distinct boundary endpoints must split into two disks")
         return finish(keep), "5", other
-    out = star_rewire(work, result.lifts, idx)
+    out = star_rewire(work, lifts, idx)
     case = "3" if len(on_boundary) == 1 else "4"
     out = finish(out)
     if not _walk_word_unchanged(out, work):  # a route may split an arc of the walk
@@ -332,28 +319,27 @@ def slide_boundary_branch(s: SurfaceComplex, sheet_index: int):
     if X.folded:
         raise PreconditionViolated("cannot slide a folded point")
     run = [X.out_side]
-    result = lift_path(s, [s.dart_of(X.out_side)], sheet_index, ALONG_BOUNDARY)
-    lifts = result.lifts
     # lift 0 runs along the boundary to p1, a boundary sheet; a first
     # coincident pair (0, j) lands interior lift j on p1
-    _, coincident, on_boundary = _classify_lift_ends(s, result)
+    lifts, coincident, on_boundary = lift_path(
+        s, [s.dart_of(X.out_side)], sheet_index, ALONG_BOUNDARY)
     if coincident is not None and coincident[0] == 0:
         pieces = reroute_boundary_split(s, run, lifts[coincident[1]])
         keep, other = _keep_best_disk(
             pieces, CLOSED, "lift landing on p1 must split off a closed surface")
-        return cleanup_unused_curve_edges(keep), "1", other
+        return keep, "1", other
     if coincident is not None:
         i, j = coincident
         pieces = split_on_lifts(s, lifts[i], lifts[j])
         keep, other = _keep_best_disk(
             pieces, CLOSED, "coincident interior lifts must split off a closed surface")
-        return cleanup_unused_curve_edges(keep), "2", other
+        return keep, "2", other
     on_bd = [i for i in on_boundary if i]
     if on_bd:
         pieces = reroute_boundary_split(s, run, lifts[on_bd[0]])
         keep, other = _keep_best_disk(
             pieces, DISK, "lift landing elsewhere on the boundary must split two disks")
-        return cleanup_unused_curve_edges(keep), "3", other
+        return keep, "3", other
     out = star_rewire(s, lifts[1:], sheet_index, boundary_run=run)
     if not _walk_word_unchanged(out, s):
         raise PipelineError("boundary slide changed the boundary word")
@@ -361,16 +347,6 @@ def slide_boundary_branch(s: SurfaceComplex, sheet_index: int):
 
 
 # -- sinking into a left-component special (Prop bd-in) -------------------------------
-
-
-def _sinkable_arc(s: SurfaceComplex):
-    """A walk dart whose left face holds a special tip, plus that tip."""
-    tips = s.base.special_tips_by_face()
-    for d in s.boundary_walk().darts:
-        f = s.base.left_face(d)
-        if f in tips:
-            return d, tips[f][0]
-    return None
 
 
 def sink_branch_to_special(s: SurfaceComplex, sheet_index: int, tip: int):
@@ -389,18 +365,16 @@ def sink_branch_to_special(s: SurfaceComplex, sheet_index: int, tip: int):
     sigma2 = work.sheets()[0][idx]
     if not sigma2.is_branch or sigma2.vertex != sigma.vertex:
         raise PipelineError("parked branch lost after the chord refinement")
-    result = lift_path(work, darts, sigma2.index, FROM_BOUNDARY_LEFT)
-    _, coincident, on_boundary = _classify_lift_ends(work, result)
+    lifts, coincident, on_boundary = lift_path(work, darts, sigma2.index, FROM_BOUNDARY_LEFT)
     if on_boundary:
         raise PipelineError("lift into the left component touched the boundary")
     if coincident is not None:
         i, j = coincident
-        pieces = split_on_lifts(work, result.lifts[i], result.lifts[j])
+        pieces = split_on_lifts(work, lifts[i], lifts[j])
         keep, other = _keep_best_disk(
             pieces, CLOSED, "coincident sink lifts must split off a closed surface")
-        keep = delete_edge_surface(keep, chord_e)
-        return cleanup_unused_curve_edges(keep), "1", other
-    out = star_rewire(work, result.lifts, sigma2.index)
+        return delete_edge_surface(keep, chord_e), "1", other
+    out = star_rewire(work, lifts, sigma2.index)
     out = delete_edge_surface(out, chord_e)
     got = functionals(out).n_bar[lab]
     expected = functionals(s).n_bar[lab] - (d_sink - 1)
@@ -444,31 +418,36 @@ def rotate_to_touch_special(s: SurfaceComplex):
         if best is None or dmin < best[0]:
             best = (dmin, v, p, x0)
     _, _, p1, x0 = best
-    base_axis = unit(cross(p1, x0))
-
     jitters = [0.0, 1e-6, -1e-6, 2e-6, -2e-6, 5e-6]
-    last_err = None
-    for jt in jitters:
-        axis = base_axis
-        if jt:
-            axis = Rotation.from_axis_angle(p1, jt).apply(base_axis)
-        contacts = _ordered_contacts(segs, specials, neg(axis))
-        if not contacts:
-            last_err = NoContact("no special reaches the boundary under this axis")
-            continue
-        t_star, seg_idx, v_c, p_c = contacts[0]
-        if len(contacts) > 1 and contacts[1][0] - t_star < 1e-9:
-            last_err = PipelineError("two specials touch simultaneously")
-            continue
-        seg = segs[seg_idx]
-        rho = Rotation.from_axis_angle(axis, t_star)
-        prm = seg.param_of(rho.apply(p_c), tol=1e-6)
-        margin = 1e-7 / max(seg.length, 1e-9)
-        if prm is None or prm < margin or prm > 1 - margin:
-            last_err = PipelineError("contact at an arc endpoint")
-            continue
-        return _apply_rotation_contact(s, rho, v_c, edge_ids[seg_idx]), rho
-    raise last_err if last_err is not None else NoContact("rotation search failed")
+    # a GeometryError (a degenerate axis, NoContact under every jitter) is
+    # a failed search: it leaves as a PipelineError
+    try:
+        base_axis = unit(cross(p1, x0))
+        for jt in jitters:
+            axis = base_axis
+            if jt:
+                axis = Rotation.from_axis_angle(p1, jt).apply(base_axis)
+            contacts = _ordered_contacts(segs, specials, neg(axis))
+            if not contacts:
+                last_err = NoContact("no special reaches the boundary under this axis")
+                continue
+            t_star, seg_idx, v_c, p_c = contacts[0]
+            if len(contacts) > 1 and contacts[1][0] - t_star < 1e-9:
+                last_err = PipelineError("two specials touch simultaneously")
+                continue
+            seg = segs[seg_idx]
+            rho = Rotation.from_axis_angle(axis, t_star)
+            prm = seg.param_of(rho.apply(p_c), tol=1e-6)
+            margin = 1e-7 / max(seg.length, 1e-9)
+            if prm is None or prm < margin or prm > 1 - margin:
+                last_err = PipelineError("contact at an arc endpoint")
+                continue
+            break
+        else:
+            raise last_err
+    except GeometryError as err:
+        raise PipelineError("rotation search failed: %s" % err) from err
+    return _apply_rotation_contact(s, rho, v_c, edge_ids[seg_idx]), rho
 
 
 def _ordered_contacts(segs, specials, axis):
@@ -577,8 +556,8 @@ def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
     """The pipeline's one loop, then the rotation back to the input frame.
 
     Each pass applies the first lemma step that fits, records it in
-    ``trace``, checks its progress and drops unused curve edges; a pass
-    that finds no step ends the loop."""
+    ``trace``, checks its progress and drops unused curve edges (here only,
+    as on the input); a pass that finds no step ends the loop."""
     cur = cleanup_unused_curve_edges(s)
 
     while True:
@@ -602,11 +581,11 @@ def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
                  for d in cur.boundary_walk().darts):
             op = "slide_boundary_branch"
             out, case, other = slide_boundary_branch(cur, boundary[0].index)
-        elif _sinkable_arc(cur) is not None:
+        elif (tips := cur.base.special_tips_by_face()) and any(
+                cur.base.left_face(d) in tips for d in cur.boundary_walk().darts):
             B = boundary[0]
             if B.folded:
                 raise PipelineError("boundary branch is folded after fold removal")
-            tips = cur.base.special_tips_by_face()
             f_left = cur.base.left_face(cur.dart_of(B.in_side))
             if f_left in tips:
                 op = "sink_branch_to_special"

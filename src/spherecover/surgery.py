@@ -12,6 +12,7 @@ it, and ``_remap_pairing`` is the one place that applies it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arrangement import CURVE, ArrangementError
 from .geometry import points_coincide
@@ -28,10 +29,6 @@ from .surface import (
 FROM_INTERIOR = "from_interior"
 FROM_BOUNDARY_LEFT = "from_boundary_left"
 ALONG_BOUNDARY = "along_boundary"
-
-STOP_FULL = "full"
-STOP_HIT_BOUNDARY = "hit_boundary"
-STOP_HIT_SPECIAL = "hit_special"
 
 
 class PreconditionViolated(SurfaceError):
@@ -72,10 +69,13 @@ class Lift:
         return self.steps and self.steps[0][0] == "boundary"
 
 
-@dataclass
-class LiftResult:
+class LiftResult(NamedTuple):
+    """The lifts and where they end: the first pair i < j of lifts with one
+    end sheet (or None), and the lifts that end on a boundary sheet."""
+
     lifts: list
-    stop: str
+    coincident: tuple
+    on_boundary: list
 
 
 @dataclass
@@ -104,7 +104,8 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
 
     The path is extended step by step on all lifts simultaneously and
     truncated as soon as any lift (other than the boundary lift in
-    ALONG_BOUNDARY mode) reaches a boundary sheet.
+    ALONG_BOUNDARY mode, which ``on_boundary`` lists too) reaches a boundary
+    sheet.
     """
     sheets, corner_sheet = s.sheets()
     X = sheets[start_sheet]
@@ -166,17 +167,12 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
         for lift in lifts:
             lift.end_sheet = end_sheet_of(lift)
         t += 1
-        stop = None
-        hit = [j for j, lift in enumerate(lifts)
-               if (not sheets[lift.end_sheet].interior)
-               and not (mode == ALONG_BOUNDARY and j == 0)]
-        if hit:
-            stop = STOP_HIT_BOUNDARY
-        elif t == len(darts):
-            end_v = s.base.head(darts[-1])
-            stop = STOP_HIT_SPECIAL if end_v in s.base.specials else STOP_FULL
-        if stop:
-            return LiftResult(lifts=lifts, stop=stop)
+        on_boundary = [j for j, lift in enumerate(lifts) if not sheets[lift.end_sheet].interior]
+        if t == len(darts) or any(j or mode != ALONG_BOUNDARY for j in on_boundary):
+            ends = [lift.end_sheet for lift in lifts]
+            coincident = next(((i, j) for i in range(len(ends)) for j in range(i + 1, len(ends))
+                               if ends[i] == ends[j]), None)
+            return LiftResult(lifts, coincident, on_boundary)
         dn = darts[t]
         for j, lift in enumerate(lifts):
             sh = sheets[lift.end_sheet]

@@ -35,6 +35,7 @@ from spherecover.surface import (
     is_closed_subarc_geometric,
     validate,
 )
+from spherecover.cli import EXIT_FAIL, main as cli_main
 from spherecover.surgery import PreconditionViolated, SurfacePath, cut_to_boundary
 from spherecover.normalize import (
     NegativeH,
@@ -50,7 +51,6 @@ from spherecover.normalize import (
     _boundary_nonspecial_branches,
     _interior_nonspecial_branches,
     _nonspecial_folds,
-    _sinkable_arc,
     PipelineError,
 )
 
@@ -60,6 +60,7 @@ from conftest import (
     equator_triangle_base,
     f4_double_cover,
     f4_with_north,
+    hunt_module,
     identity_hemisphere,
     sph,
     south_face,
@@ -328,8 +329,11 @@ def test_iteration_bound_stops_a_slide_that_makes_no_progress(monkeypatch):
 def test_sink_star_rewire_route():
     s = f4_with_north(a1_south=True)  # boundary branch present by construction
     [b] = _boundary_nonspecial_branches(s)
-    assert _sinkable_arc(s) is not None
+    # the driver's sink test: no special on the walk, and a walk arc with a
+    # special tip in its left face
     tips = s.base.special_tips_by_face()
+    assert not any(s.base.tail(d) in s.base.specials for d in s.boundary_walk().darts)
+    assert any(s.base.left_face(d) in tips for d in s.boundary_walk().darts)
     face = s.base.left_face(s.dart_of(b.in_side))
     pre = functionals(s)
     out, case, other = sink_branch_to_special(s, b.index, tips[face][0])
@@ -385,7 +389,9 @@ def test_rotation_rejected_when_special_on_left():
     from spherecover.geometry import NoContact
     # hypothesis fails: a boundary arc has a special on its left; the driver
     # never calls rotation here, and sink is the applicable move
-    assert _sinkable_arc(s) is not None
+    tips = s.base.special_tips_by_face()
+    assert not any(s.base.tail(d) in s.base.specials for d in s.boundary_walk().darts)
+    assert any(s.base.left_face(d) in tips for d in s.boundary_walk().darts)
 
 
 # -- the full pipeline ---------------------------------------------------------------
@@ -461,6 +467,31 @@ def test_normalize_batch_small():
         assert ok and _clean(out), (seed, report)
         done += 1
     assert done >= 12
+
+
+@pytest.mark.parametrize("name, err", [("contact_angle", NoContact("never meets")),
+                                       ("unit", GeometryError("zero vector"))])
+def test_a_failed_rotation_search_is_a_pipeline_error(name, err, tmp_path, capsys, monkeypatch):
+    # batch line 8 takes a rotation first (then slide 3); when the search
+    # fails, normalize, the CLI and the hunt sweep each see one typed error
+    def fail(*args):
+        raise err
+    monkeypatch.setattr(nm, name, fail)
+    s = io.surface_from_dict(json.loads((CORPUS / "batch.jsonl").read_text().splitlines()[8]))
+    with pytest.raises(PipelineError, match="^rotation search failed: ") as got:
+        normalize(s)
+    assert isinstance(got.value.__cause__, type(err))
+    assert (got.value.trace.steps, got.value.trace.iterations) == ([], 1)
+
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    io.save_surface(s, src)
+    assert cli_main(["normalize", str(src), "--out", str(out)]) == EXIT_FAIL
+    assert capsys.readouterr().err.splitlines() == ["normalize failed: " + str(got.value)]
+    assert not out.exists()
+
+    # hunt seed 100011 also starts with a rotation
+    rec = hunt_module().hunt_line(100011)
+    assert (rec["outcome"], rec["steps"], rec["iterations"]) == ("PipelineError", [], 1)
 
 
 def test_rotation_vertex_contact_jittered():

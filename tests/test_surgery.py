@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,6 +24,7 @@ from spherecover.surface import (
 )
 from spherecover.surgery import (
     ALONG_BOUNDARY,
+    FROM_BOUNDARY_LEFT,
     FROM_INTERIOR,
     ImagesMismatch,
     NotSimple,
@@ -103,12 +105,46 @@ def test_lift_path_branch_has_d_lifts(f4):
     res = lift_path(f4, [d0], branch.index, FROM_INTERIOR)
     assert len(res.lifts) == branch.multiplicity == 2
     # both lifts stop on the boundary at the far end of the bridge
-    assert res.stop == "hit_boundary"
+    assert (res.coincident, res.on_boundary) == (None, [0, 1])
     ends = {lf.end_sheet for lf in res.lifts}
     assert len(ends) == 2
     # lifts have pairwise disjoint interiors (edge sets disjoint)
     edges = [frozenset(lf.steps[t][1] for t in range(len(lf.steps))) for lf in res.lifts]
     assert edges[0].isdisjoint(edges[1])
+
+
+def ref_classify_lift_ends(s, result):
+    """The first coincident pair (i, j), i < j, or None, and the lifts that
+    end on the boundary, from the end sheets alone."""
+    sheets, _ = s.sheets()
+    ends = [lf.end_sheet for lf in result.lifts]
+    coincident = next(((i, j) for i in range(len(ends)) for j in range(i + 1, len(ends))
+                       if ends[i] == ends[j]), None)
+    on_boundary = [i for i, e in enumerate(ends) if not sheets[e].interior]
+    return coincident, on_boundary
+
+
+def test_lift_ends_match_reference_on_corpus(monkeypatch):
+    # every lift the pipeline takes on the stored corpora (pushes and
+    # slides) and on the two sink fixtures reports its ends as the reference
+    seen = Counter()
+
+    def checked(s, darts, start_sheet, mode):
+        res = lift_path(s, darts, start_sheet, mode)
+        assert (res.coincident, res.on_boundary) == ref_classify_lift_ends(s, res)
+        seen[mode] += 1
+        seen["coincident"] += res.coincident is not None
+        seen["two on boundary"] += len(res.on_boundary) >= 2
+        return res
+    monkeypatch.setattr(nm, "lift_path", checked)
+    for name in ("batch", "stress"):
+        for line in (CORPUS / (name + ".jsonl")).read_text().splitlines():
+            normalize(io.surface_from_dict(json.loads(line)))
+    for marker_at in (0, 1):  # H < 0: the pipeline's loop without normalize's gate
+        s = f4_with_north(marker_at=marker_at, a1_south=True)
+        nm._drive(s, nm.PipelineTrace(iteration_bound=nm.declared_iteration_bound(s)))
+    assert all(seen[k] for k in (FROM_INTERIOR, FROM_BOUNDARY_LEFT, ALONG_BOUNDARY,
+                                 "coincident", "two on boundary")), seen
 
 
 def test_lift_along_boundary_runs():
