@@ -12,8 +12,9 @@ special and no non-special folded point remains:
   branching into a special point visible in a left component, or rotate
   the special set onto the boundary first.
 
-Each step is checked against the exact bookkeeping of its lemma, and every
-surface along the way is strictly "better than" its predecessor.  Every pass
+Each step's output is validated once, by the driver, and checked against
+the exact bookkeeping of its lemma, and every surface along the way is
+strictly "better than" its predecessor.  Every pass
 counts against ``declared_iteration_bound``, so the bound covers every step.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arrangement import CURVE, SCAFFOLD
+from .arrangement import CURVE, SCAFFOLD, ArrangementError
 from .geometry import (
     GeometryError,
     NoContact,
@@ -534,7 +535,9 @@ def normalize(s: SurfaceComplex):
     The output has all branch values in the special set, no non-special
     folded points, and is better than the input under the composed rotation.
     A ``SurfaceError`` raised after the input checks carries the trace of the
-    steps taken so far as its ``trace`` attribute.
+    steps taken so far as its ``trace`` attribute; an ``ArrangementError`` or
+    ``GeometryError`` from a base edit leaves as such a ``PipelineError``,
+    chained from it.
     """
     require_valid(s, "normalize input", strict_scaffold=False)
     if s.topology_kind() != DISK:
@@ -550,12 +553,18 @@ def normalize(s: SurfaceComplex):
     except SurfaceError as err:
         err.trace = trace
         raise
+    except (ArrangementError, GeometryError) as err:
+        # a base edit or point test that fails inside a step
+        failed = PipelineError("%s: %s" % (type(err).__name__, err))
+        failed.trace = trace
+        raise failed from err
 
 
 def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
     """The pipeline's one loop, then the rotation back to the input frame.
 
-    Each pass applies the first lemma step that fits, records it in
+    Each pass applies the first lemma step that fits, checks its output
+    once (the transient base edits inside a step do not), records it in
     ``trace``, checks its progress and drops unused curve edges (here only,
     as on the input); a pass that finds no step ends the loop."""
     cur = cleanup_unused_curve_edges(s)
@@ -599,6 +608,7 @@ def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
             trace.rotations.append(rho)
         if other is not None:
             note = "split off %s" % other.topology_kind()
+        require_valid(out, op)
         _record_step(trace, op, case, cur, out, check_walk=check_walk, note=note)
 
         if folds:

@@ -6,7 +6,11 @@ the side pairing.  Bookkeeping deltas are asserted against the lemma
 clauses by the callers (pipeline and tests).  The base-editing surgeries
 (split an edge, insert or delete an edge, absorb a tip) carry the gluing
 across by one rule: a side follows its dart into the face that now holds
-it, and ``_remap_pairing`` is the one place that applies it.
+it, and ``_remap_pairing`` is the one place that applies it.  Those edits
+and ``star_rewire`` serve ``normalize`` alone and do not validate their
+output: its driver checks each lemma step's output once.  The cuts, the
+sews and the lift splits (``split_on_lifts``, ``reroute_boundary_split``)
+validate theirs.
 """
 
 from __future__ import annotations
@@ -380,7 +384,6 @@ def star_rewire(s: SurfaceComplex, lifts, start_sheet: int,
         for t in range(T):
             out.pair(last.steps[t][2], boundary_run[t])
         # order[0]'s forward run stays free: the new boundary run.
-    require_valid(out, "star_rewire")
     return out
 
 
@@ -502,7 +505,6 @@ def split_edge_surface(s: SurfaceComplex, e: int, point):
     old_cycles = {c: list(out.cycle_of(c)) for c in out.live_copy_ids()}
     x, rep = out.base.split_edge(e, point)
     _remap_pairing(out, old_cycles, rep=rep)
-    require_valid(out, "split_edge_surface")
     return out, x
 
 
@@ -522,13 +524,18 @@ def insert_chord_surface(s: SurfaceComplex, face: int, pos_a: int, pos_b: int):
     side_map = _remap_pairing(out, dict.fromkeys(affected, old_cycle), home)
     for c in affected:
         out.pair((home[c][fa], 0), (home[c][fb], 0))  # both chord darts sit at position 0
-    require_valid(out, "insert_chord_surface")
     return out, e, side_map
 
 
 def delete_edge_surface(s: SurfaceComplex, e: int) -> SurfaceComplex:
     """Delete a base edge all of whose sides are paired; merge faces and copies."""
     out = s.copy()
+    _delete_edge(out, e)
+    return out
+
+
+def _delete_edge(out: SurfaceComplex, e: int):
+    """``delete_edge_surface`` in place on ``out``."""
     d, dr = 2 * e, 2 * e + 1
     fa = out.base.face_of_dart(d)
     fb = out.base.face_of_dart(dr)
@@ -558,12 +565,12 @@ def delete_edge_surface(s: SurfaceComplex, e: int) -> SurfaceComplex:
         out.copies[c] = out.copies[c2] = None
     # the pairings over e follow their darts to no side and drop out
     _remap_pairing(out, old_cycles, home)
-    require_valid(out, "delete_edge_surface")
-    return out
 
 
 def cleanup_unused_curve_edges(s: SurfaceComplex) -> SurfaceComplex:
-    """Drop CURVE edges no longer traversed by the boundary (two-face ones)."""
+    """Drop CURVE edges no longer traversed by the boundary (two-face ones).
+
+    The first deletion copies ``s``; the later ones edit that copy."""
     out = s
     while True:
         mult = out.multiplicities()
@@ -576,7 +583,9 @@ def cleanup_unused_curve_edges(s: SurfaceComplex) -> SurfaceComplex:
                 break
         if target is None:
             return out
-        out = delete_edge_surface(out, target)
+        if out is s:
+            out = s.copy()
+        _delete_edge(out, target)
 
 
 # -- tip absorption -----------------------------------------------------------
@@ -638,7 +647,6 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
             pairing[mate] = (c, p)
     bc.absorb_tip(tip, target, cyc[swept[-1]] if reach else None)
     _remap_pairing(out, dict.fromkeys(affected, cyc))
-    require_valid(out, "absorb_tip")
     return out
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from spherecover.arrangement import ArrangementError, BaseComplex
 from spherecover.generators import generate_disk_covering_filtered, GenerationStuck
 from spherecover import geometry, io
 from spherecover.geometry import (
@@ -27,6 +28,7 @@ from spherecover.surface import (
     CLOSED,
     DISK,
     SUBARC_TOL,
+    InvalidSurface,
     SurfaceError,
     closed_subarc_match,
     functionals,
@@ -492,6 +494,61 @@ def test_a_failed_rotation_search_is_a_pipeline_error(name, err, tmp_path, capsy
     # hunt seed 100011 also starts with a rotation
     rec = hunt_module().hunt_line(100011)
     assert (rec["outcome"], rec["steps"], rec["iterations"]) == ("PipelineError", [], 1)
+
+
+@pytest.mark.parametrize("err", [ArrangementError("edge 5 is gone"),
+                                 GeometryError("zero vector")])
+def test_a_failed_base_edit_is_a_pipeline_error(err, tmp_path, capsys, monkeypatch):
+    # stress line 2 sews a fold, then pushes along a face route, whose first
+    # edge split fails; normalize, the CLI and the hunt sweep each see one
+    # typed error
+    def fail(*args):
+        raise err
+    monkeypatch.setattr(BaseComplex, "split_edge", fail)
+    s = io.surface_from_dict(json.loads((CORPUS / "stress.jsonl").read_text().splitlines()[2]))
+    with pytest.raises(PipelineError, match="^%s: %s$" % (type(err).__name__, err)) as got:
+        normalize(s)
+    assert got.value.__cause__ is err
+    assert [(st.op, st.case) for st in got.value.trace.steps] == [("remove_fold", "glue-A")]
+    assert got.value.trace.iterations == 2
+
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    io.save_surface(s, src)
+    assert cli_main(["normalize", str(src), "--out", str(out)]) == EXIT_FAIL
+    assert capsys.readouterr().err.splitlines() == ["normalize failed: " + str(got.value)]
+    assert not out.exists()
+
+    # hunt seed 100012 starts with a push
+    rec = hunt_module().hunt_line(100012)
+    assert (rec["outcome"], rec["steps"], rec["iterations"]) == ("PipelineError", [], 1)
+
+
+@pytest.mark.parametrize("bad", ["one side unpaired", "a side of no copy"])
+def test_the_driver_refuses_an_invalid_step(bad, monkeypatch):
+    # stress line 21 rotates, then slides (case 4, by star_rewire); the
+    # rewire's output no longer validates itself, so the driver must refuse
+    # a bad one before it records the slide
+    orig = nm.star_rewire
+
+    def broken(s, lifts, start_sheet, boundary_run=None):
+        out = orig(s, lifts, start_sheet, boundary_run=boundary_run)
+        side = boundary_run[0]  # the run the rewire just paired
+        if bad == "one side unpaired":
+            del out.pairing[side]  # its partner still names it
+        else:
+            # an entry for a side of no copy: the walk does not see it
+            out.pairing[(len(out.copies), 0)] = side
+        out.invalidate()
+        return out
+    monkeypatch.setattr(nm, "star_rewire", broken)
+    if bad == "one side unpaired":
+        # the slide's own walk check would trip over the freed side first
+        monkeypatch.setattr(nm, "_walk_word_unchanged", lambda *args: True)
+    s = io.surface_from_dict(json.loads((CORPUS / "stress.jsonl").read_text().splitlines()[21]))
+    with pytest.raises(InvalidSurface, match="^slide_boundary_branch: ") as got:
+        normalize(s)
+    assert [(st.op, st.case) for st in got.value.trace.steps] == [
+        ("rotate_to_touch_special", "rotation")]
 
 
 def test_rotation_vertex_contact_jittered():

@@ -3,9 +3,11 @@ surface with the same copies and pairing over a copy of the base computes.
 
 Checked on every state ``require_valid`` sees while ``normalize`` runs on both
 stored corpora (the normalize output among them, whose tables are carried
-through the final rotation), again on each of those states once its
-``normalize`` call is over, and on the accretion states of generated
-coverings just before each change."""
+through the final rotation) and on every output of the edits that
+``normalize`` makes inside a step (which its driver validates only once per
+step), again on each of those states once its ``normalize`` call is over,
+and on the accretion states of generated coverings just before each
+change."""
 
 import importlib
 import json
@@ -47,8 +49,14 @@ def assert_coherent(s, keys=None):
         assert TABLES[key](s) == TABLES[key](fresh), key
 
 
+# the edits normalize makes inside a lemma step, unchecked until the step ends
+EDITS = ("split_edge_surface", "insert_chord_surface", "delete_edge_surface", "star_rewire",
+         "absorb_tip_into_vertex", "cleanup_unused_curve_edges")
+
+
 def _validated_states(monkeypatch):
-    """Check each state at its ``require_valid`` call; returns the list of them."""
+    """Check each state at its ``require_valid`` call and each surface one of
+    ``EDITS`` returns; returns the list of them."""
     seen = []
     orig = nm.require_valid
 
@@ -58,13 +66,21 @@ def _validated_states(monkeypatch):
         seen.append(s)
     for mod in (nm, sg, gen):
         monkeypatch.setattr(mod, "require_valid", checked)
+    for name in EDITS:
+        def edited(*args, _orig=getattr(nm, name), **kw):
+            res = _orig(*args, **kw)
+            s = res[0] if isinstance(res, tuple) else res
+            assert_coherent(s)
+            seen.append(s)
+            return res
+        monkeypatch.setattr(nm, name, edited)
     return seen
 
 
 @pytest.mark.parametrize("name", ["batch", "stress"])
 def test_cached_tables_match_a_fresh_surface_through_normalize(name, monkeypatch):
     seen = _validated_states(monkeypatch)
-    outputs = 0
+    outputs = states = 0
     for line in (CORPUS / (name + ".jsonl")).read_text().splitlines():
         del seen[:]
         try:
@@ -77,7 +93,10 @@ def test_cached_tables_match_a_fresh_surface_through_normalize(name, monkeypatch
         # nothing changed a state after its tables were cached
         for s in seen:
             assert_coherent(s, keys=list(s._cache))
+        states += len(seen)
     assert outputs == {"batch": 100, "stress": 80}[name]
+    # no fewer states than when every edit validated its own output
+    assert states >= {"batch": 357, "stress": 737}[name], states
 
 
 @pytest.mark.parametrize("seed, kw", [(0, {}), (1, {}), (2, {"with_marker": True, "fan_m": 3}),

@@ -147,6 +147,29 @@ def test_lift_ends_match_reference_on_corpus(monkeypatch):
                                  "coincident", "two on boundary")), seen
 
 
+def test_unchecked_edits_return_valid_surfaces(monkeypatch):
+    # the edits inside a lemma step no longer validate their output (the
+    # driver checks each step's output once); each one's output on the
+    # stored corpora and the two sink fixtures is still strictly valid
+    seen = Counter()
+    for name in ("split_edge_surface", "insert_chord_surface", "delete_edge_surface",
+                 "star_rewire", "absorb_tip_into_vertex", "cleanup_unused_curve_edges"):
+        def checked(*args, _name=name, _orig=getattr(nm, name), **kw):
+            res = _orig(*args, **kw)
+            out = res[0] if isinstance(res, tuple) else res
+            assert validate(out, strict_scaffold=True) == [], _name
+            seen[_name] += 1
+            return res
+        monkeypatch.setattr(nm, name, checked)
+    for name in ("batch", "stress"):
+        for line in (CORPUS / (name + ".jsonl")).read_text().splitlines():
+            normalize(io.surface_from_dict(json.loads(line)))
+    for marker_at in (0, 1):  # H < 0: the pipeline's loop without normalize's gate
+        s = f4_with_north(marker_at=marker_at, a1_south=True)
+        nm._drive(s, nm.PipelineTrace(iteration_bound=nm.declared_iteration_bound(s)))
+    assert len(seen) == 6 and all(seen.values()), seen
+
+
 def test_lift_along_boundary_runs():
     s = f4_with_north()
     sheets, _ = s.sheets()
