@@ -175,9 +175,16 @@ def cmd_verify(args):
         if args.trace:
             try:
                 with open(args.trace) as fh:
-                    rot = io.rotation_from_dict(json.load(fh)["rotation"])
+                    doc = json.load(fh)
+                rot = io.rotation_from_dict(doc["rotation"])
+                iterations, bound = doc["iterations"], doc["iteration_bound"]
+                past = iterations > bound
             except (ValueError, KeyError, TypeError) as err:
                 print("parse error: trace %s: %r" % (args.trace, err), file=sys.stderr)
+                return EXIT_FAIL
+            if past:
+                print("trace %s: %s iterations exceed the bound %s" % (args.trace, iterations, bound),
+                      file=sys.stderr)
                 return EXIT_FAIL
         try:
             ok, report = is_better_than(s, original, rot, h_tol=args.tol)
@@ -283,7 +290,8 @@ def build_parser():
     v = sub.add_parser("verify", help="oracle checks, optional better-than certificate")
     v.add_argument("file")
     v.add_argument("--against", help="earlier surface file to certify against")
-    v.add_argument("--trace", help="trace file holding the composed rotation")
+    v.add_argument("--trace", help="trace file holding the composed rotation; its"
+                   " iterations must not exceed its iteration_bound")
     v.add_argument("--tol", type=float, default=1e-9,
                    help="absolute tolerance for the ratio comparison")
     v.set_defaults(func=cmd_verify)

@@ -40,10 +40,13 @@ would return only the one endpoint two arcs share (up to 3e-12): the arcs
 share exactly one endpoint by value, both lengths lie in [0.1, pi - 0.1],
 and their poles' plain-float cross product has norm at least 0.01.
 
-A rotation's first contact with a curve (``contact_angle``) is the least
+A rotation's first contact with a curve (``contact_angles``) is the least
 closed-form root of the target's circle against an arc's great circle that
-lies on the arc (a root no less than the best so far is not checked), so
-the contact lies on that great circle up to rounding.
+lies on the arc, so the contact lies on that great circle up to rounding.
+One search takes every target about one axis: the axis terms and each
+arc's pole . axis are computed once, and each target's roots over all arcs
+are tried in (t, arc index) order, with a preimage built only up to the
+first root that lies on its arc.
 
 Face areas are not computed here: ``arrangement.build_faces`` takes each
 from its cycle's ``turning_angle`` sum by Gauss-Bonnet.
@@ -373,9 +376,10 @@ def _fnearest(seg, p):
     return min(_fangle(p, seg.a), _fangle(p, seg.b))
 
 
-def nearest_feature(segs, p):
+def nearest_feature(segs, p, twins=None):
     """(index, angle, point) of the first arc of ``segs`` whose
     ``nearest_point(p)`` angle is least, that angle and point; None for no arcs.
+    ``twins``, if given, is ``[_fnearest(seg, p) for seg in segs]``.
 
     Filtered: the exact ``nearest_point`` runs only on the arcs whose twin
     (``_fnearest``) is untrusted or within ``_PRUNE`` of the least trusted
@@ -389,7 +393,8 @@ def nearest_feature(segs, p):
     passes, as |n x p| >= 1e-4 keeps the foot within 1e-11 of the plane).
     So twin and exact angle differ by < 1e-9, and an arc whose twin exceeds
     another's by more than ``_PRUNE`` has the larger exact angle."""
-    twins = [_fnearest(seg, p) for seg in segs]
+    if twins is None:
+        twins = [_fnearest(seg, p) for seg in segs]
     cut = min((w for w in twins if w is not None), default=math.inf) + _PRUNE
     best = None
     for i, (seg, w) in enumerate(zip(segs, twins)):
@@ -625,59 +630,56 @@ class Rotation:
 _IDENTITY_ROTATION = Rotation()
 
 
-def _circle_plane_roots(p0, axis, pole):
-    """Angles t with pole . (R(axis,t) p0) = 0, as a sorted list in [0, 2pi)."""
-    k = unit(axis)
-    # R(k,t) p0 = cos t * p0 + sin t * (k x p0) + (1-cos t)(k.p0) k
-    c0 = dot(pole, p0)
-    c1 = dot(pole, cross(k, p0))
-    c2 = dot(pole, k) * dot(k, p0)
-    # equation: (c0 - c2) cos t + c1 sin t + c2 = 0
-    A, B, C = c0 - c2, c1, c2
-    r = math.hypot(A, B)
-    if r < 1e-15:
-        return [] if abs(C) > 1e-15 else [0.0]
-    if abs(C) > r + 1e-15:
-        return []
-    phi = math.atan2(B, A)
-    base = math.acos(max(-1.0, min(1.0, -C / r)))
-    return sorted({(phi + base) % (2 * math.pi), (phi - base) % (2 * math.pi)})
+def contact_angles(curve, targets, axis):
+    """First contacts of the rotation family R(axis, t) with ``curve``, a list
+    of GeodesicSegments, one per point of ``targets``: (t, segment_index) of
+    the least t > ``CONTACT_TOL`` (the first arc on a tie) at which
+    R(axis, t)^-1(target) meets the great circle of an arc and lies on the
+    arc within 10 * EPS_SEP, or None where it never meets the curve.  The
+    contact rotation is ``Rotation.from_axis_angle(axis, t)``.
 
+    One search per axis.  With k the unit of -axis, R(-axis, t) p0 is
+    cos t p0 + sin t (k x p0) + (1 - cos t)(k.p0) k, so its plane equation
+    against an arc's pole is (c0 - c2) cos t + c1 sin t + c2 = 0 with
+    c0 = pole.p0, c1 = pole.(k x p0) and c2 = (pole.k)(k.p0).  The axis
+    terms and each arc's pole.k are computed once per axis, k x p0 and k.p0
+    once per target.  A target's roots over all arcs are tried in
+    (t, arc index) order, and the first whose preimage lies on its arc is
+    its contact; the preimage's coordinates are the rotation matrix's
+    columns, each taken by ``dot`` with p0, as
+    ``Rotation.from_axis_angle(axis, t).inverse().apply`` takes them.
 
-def _preimages(target, axis):
-    """(p0, pre): the unit target p0 and t -> R(axis, t)^-1 p0.  The
-    inverse's rows are the rotation's columns, each taken by ``dot`` with
-    p0, as ``Rotation.from_axis_angle(axis, t).inverse().apply`` takes them."""
-    p0 = unit(target)
+    Raises GeometryError if a target lies on the curve (the first such
+    target in order)."""
     kx, kk = _axis_terms(axis)
-
-    def pre(t):
-        return unit(tuple(dot(col, p0) for col in zip(*_axis_angle_matrix(kx, kk, t))))
-    return p0, pre
-
-
-def contact_angle(curve, target, axis):
-    """First contact of the rotation family R(axis, t) with ``curve``, a list
-    of GeodesicSegments: (t, segment_index) of the least t > ``CONTACT_TOL``
-    (the first arc on a tie) at which R(axis, t)^-1(target) meets the great
-    circle of an arc and lies on the arc within 10 * EPS_SEP.  The contact
-    rotation is ``Rotation.from_axis_angle(axis, t)``.
-
-    Raises GeometryError if the target lies on the curve, NoContact if it
-    never meets it."""
-    p0, pre = _preimages(target, axis)
-    back = neg(unit(axis))
-    best = None
-    for idx, seg in enumerate(curve):
-        if seg.contains(p0):
+    k = unit(neg(unit(axis)))
+    poles = [(seg.pole, dot(seg.pole, k)) for seg in curve]
+    tau = 2 * math.pi
+    out = []
+    for target in targets:
+        p0 = unit(target)
+        if any(seg.contains(p0) for seg in curve):
             raise GeometryError("target already lies on the curve")
-        for t in _circle_plane_roots(p0, back, seg.pole):
-            t %= 2 * math.pi
-            # a root that cannot beat the best needs no preimage
-            if t <= CONTACT_TOL or (best is not None and t >= best[0]):
-                continue
-            if seg.contains(pre(t), tol=10 * EPS_SEP):
-                best = (t, idx)
-    if best is None:
-        raise NoContact("rotation family never meets the curve")
-    return best
+        kp, k_p0 = cross(k, p0), dot(k, p0)
+        roots = []
+        for idx, (pole, pole_k) in enumerate(poles):
+            c2 = pole_k * k_p0
+            A, B = dot(pole, p0) - c2, dot(pole, kp)
+            r = math.hypot(A, B)
+            if r < 1e-15 or abs(c2) > r + 1e-15:
+                continue  # no root, or the one root t = 0
+            phi = math.atan2(B, A)
+            base = math.acos(max(-1.0, min(1.0, -c2 / r)))
+            for t in {(phi + base) % tau, (phi - base) % tau}:
+                t %= tau
+                if t > CONTACT_TOL:
+                    roots.append((t, idx))
+        roots.sort()
+        for t, idx in roots:
+            pre = unit(tuple(dot(col, p0) for col in zip(*_axis_angle_matrix(kx, kk, t))))
+            if curve[idx].contains(pre, tol=10 * EPS_SEP):
+                out.append((t, idx))
+                break
+        else:
+            out.append(None)
+    return out

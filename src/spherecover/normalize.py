@@ -24,11 +24,13 @@ from dataclasses import dataclass, field
 
 from .arrangement import CURVE, SCAFFOLD, ArrangementError
 from .geometry import (
+    _PRUNE,
     GeometryError,
     NoContact,
     Rotation,
+    _fnearest,
     angle_between,
-    contact_angle,
+    contact_angles,
     cross,
     nearest_feature,
     neg,
@@ -95,17 +97,23 @@ class PipelineTrace:
     rotations: list = field(default_factory=list)
     iteration_bound: int = 0
     iterations: int = 0
+    # (the rotations composed, their composition), used while ``rotations``
+    # holds those same objects: appending a rotation invalidates it
+    _composed: tuple = field(default=((), Rotation.identity()), init=False, repr=False,
+                             compare=False)
 
     def composed_rotation(self) -> Rotation:
-        """The paper-frame rotation: inverse of the specials' total motion.
-        Without rotations that is the identity itself: the transpose of its
-        matrix is the same matrix."""
-        if not self.rotations:
-            return Rotation.identity()
-        total = Rotation.identity()
-        for r in self.rotations:
-            total = r.compose(total)
-        return total.inverse()
+        """The paper-frame rotation: inverse of the specials' total motion,
+        composed once per rotation list.  Without rotations that is the
+        identity itself: the transpose of its matrix is the same matrix."""
+        done, phi = self._composed
+        if len(done) != len(self.rotations) or any(a is not b for a, b in zip(done, self.rotations)):
+            total = Rotation.identity()
+            for r in self.rotations:
+                total = r.compose(total)
+            phi = total.inverse()
+            self._composed = (tuple(self.rotations), phi)
+        return phi
 
 
 def _summary(rep: FunctionalReport) -> dict:
@@ -413,12 +421,7 @@ def rotate_to_touch_special(s: SurfaceComplex):
     (surface, specials' rotation)."""
     segs, edge_ids = _walk_segments(s)
     specials = [(v, s.base.vertices[v]) for v in s.base.specials]
-    best = None
-    for v, p in specials:
-        _, dmin, x0 = nearest_feature(segs, p)
-        if best is None or dmin < best[0]:
-            best = (dmin, v, p, x0)
-    _, _, p1, x0 = best
+    _, _, p1, x0 = _nearest_special(segs, specials)
     jitters = [0.0, 1e-6, -1e-6, 2e-6, -2e-6, 5e-6]
     # a GeometryError (a degenerate axis, NoContact under every jitter) is
     # a failed search: it leaves as a PipelineError
@@ -451,17 +454,36 @@ def rotate_to_touch_special(s: SurfaceComplex):
     return _apply_rotation_contact(s, rho, v_c, edge_ids[seg_idx]), rho
 
 
-def _ordered_contacts(segs, specials, axis):
-    """Closed-form first contacts of the specials turned about ``axis``
-    (``contact_angle``), as (angle, segment index, special, point), sorted by
-    angle stably, so in the order of ``specials`` on a tie."""
-    contacts = []
-    for v, p in specials:
-        try:
-            t, idx = contact_angle(segs, p, axis)
-        except NoContact:
+def _nearest_special(segs, specials):
+    """(distance, special, point, nearest walk point) of the first of
+    ``specials`` whose exact distance to the arcs ``segs`` is least.
+
+    Each special's ``_fnearest`` twins are computed once.  When every twin
+    is trusted, a special's least twin lies within 1e-9 of its exact
+    distance (see ``nearest_feature``), so a special whose least twin is
+    more than 2 * ``_PRUNE`` beyond the least over all specials is farther
+    than that one, and its exact scan is skipped."""
+    twins = [[_fnearest(seg, p) for seg in segs] for _, p in specials]
+    cut = None
+    if all(None not in tw for tw in twins):
+        cut = min(min(tw) for tw in twins) + 2 * _PRUNE
+    best = None
+    for (v, p), tw in zip(specials, twins):
+        if cut is not None and min(tw) > cut:
             continue
-        contacts.append((t, idx, v, p))
+        _, dmin, x0 = nearest_feature(segs, p, tw)
+        if best is None or dmin < best[0]:
+            best = (dmin, v, p, x0)
+    return best
+
+
+def _ordered_contacts(segs, specials, axis):
+    """Closed-form first contacts of the specials turned about ``axis``, from
+    one ``contact_angles`` search over all of them, as (angle, segment index,
+    special, point) for each special that meets the walk, sorted by angle
+    stably, so in the order of ``specials`` on a tie."""
+    found = contact_angles(segs, [p for _, p in specials], axis)
+    contacts = [(c[0], c[1], v, p) for c, (v, p) in zip(found, specials) if c is not None]
     contacts.sort(key=lambda c: c[0])
     return contacts
 

@@ -212,6 +212,9 @@ class SurfaceComplex:
         corner_sheet = {}
         sheets = []
         all_corners = list(self.sides())
+        # each step crosses a paired side, so a chain or an orbit of an
+        # involutive pairing takes at most len(pairing) of them
+        bound = len(self.pairing) + 1
         # boundary chains start just after a free incoming side
         for corner in all_corners:
             if corner in corner_sheet:
@@ -221,6 +224,8 @@ class SurfaceComplex:
             chain = [corner]
             cur = self.step_cw(corner)
             while cur is not None:
+                if len(chain) > bound:
+                    raise InvalidSurface("chain from corner %r does not end" % (corner,))
                 chain.append(cur)
                 cur = self.step_cw(cur)
             idx = len(sheets)
@@ -237,6 +242,8 @@ class SurfaceComplex:
             while cur != corner:
                 if cur is None:
                     raise InvalidSurface("open chain without a free end")
+                if len(cyc) > bound:
+                    raise InvalidSurface("orbit of corner %r does not close" % (corner,))
                 cyc.append(cur)
                 cur = self.step_cw(cur)
             idx = len(sheets)
@@ -275,13 +282,16 @@ class SurfaceComplex:
     # -- boundary walks -----------------------------------------------------------
 
     def walk_successor(self, side):
+        """The free side after ``side`` around its head's sheet; each step
+        crosses a paired side, so more than len(pairing) of them raise."""
         c, p = side
         corner = (c, (p + 1) % len(self.cycle_of(c)))
-        while True:
+        for _ in range(len(self.pairing) + 1):
             s = self.corner_out_side(corner)
             if s not in self.pairing:
                 return s
             corner = self.step_cw(corner)
+        raise InvalidSurface("no boundary successor of side %r" % (side,))
 
     def walks(self):
         if "walks" in self._cache:

@@ -12,11 +12,10 @@ from spherecover.geometry import (
     DegenerateSegment,
     GeodesicSegment,
     GeometryError,
-    NoContact,
     Rotation,
     angle_between,
     antipodal,
-    contact_angle,
+    contact_angles,
     cross,
     dot,
     neg,
@@ -427,7 +426,7 @@ def test_first_contact_toward_equator():
                                           math.sin(t + 2 * math.pi / 3), 0))
              for t in (0, 2 * math.pi / 3, 4 * math.pi / 3)]
     target = sphere_point(math.cos(0.3), 0, math.sin(0.3))
-    t, idx = contact_angle(curve, target, [0, -1, 0])
+    [(t, idx)] = contact_angles(curve, [target], [0, -1, 0])
     rot = Rotation.from_axis_angle([0, -1, 0], t)
     pre = rot.inverse().apply(target)
     assert abs(pre[2]) < 1e-7
@@ -440,22 +439,56 @@ def test_first_contact_no_contact():
                              sphere_point(math.cos(t + 2.0), math.sin(t + 2.0), 0))
              for t in (0.0,)]
     # rotating about the z axis keeps the target at constant latitude
-    with pytest.raises(NoContact):
-        contact_angle(curve, sphere_point(1, 1, 1), [0, 0, 1])
+    assert contact_angles(curve, [sphere_point(1, 1, 1)], [0, 0, 1]) == [None]
 
 
-def test_first_contact_bisection_cap_boundary():
-    # curve = northern cap boundary at z = cos(0.4); target south pole moving north
-    z0 = math.cos(0.4)
-    r0 = math.sin(0.4)
-    cap = [GeodesicSegment(
+def cap_curve():
+    """The northern cap boundary: three arcs through points at z = cos(0.4)."""
+    z0, r0 = math.cos(0.4), math.sin(0.4)
+    return [GeodesicSegment(
         sphere_point(r0 * math.cos(t), r0 * math.sin(t), z0),
         sphere_point(r0 * math.cos(t + 2 * math.pi / 3),
                      r0 * math.sin(t + 2 * math.pi / 3), z0))
         for t in (0, 2 * math.pi / 3, 4 * math.pi / 3)]
-    t, idx = contact_angle(cap, S, [0, 1, 0])
+
+
+def test_first_contact_bisection_cap_boundary():
+    # target south pole moving north
+    cap = cap_curve()
+    [(t, idx)] = contact_angles(cap, [S], [0, 1, 0])
     pre = Rotation.from_axis_angle([0, 1, 0], t).inverse().apply(S)
     assert cap[idx].contains(pre, tol=1e-6)
+
+
+# turned about y, a point near -y circles at |z| <= 0.31, below the cap
+NEVER_MEETS_CAP = sphere_point(0, -0.95, 0.3)
+
+
+def test_contacts_of_several_targets_are_each_targets_own():
+    # the south pole and a point 1 rad from it meet the cap, the third never
+    cap = cap_curve()
+    targets = [S, NEVER_MEETS_CAP, sphere_point(math.sin(1.0), 0, -math.cos(1.0))]
+    got = contact_angles(cap, targets, [0, 1, 0])
+    assert got[1] is None
+    for p, (t, idx) in zip(targets[::2], got[::2]):
+        pre = Rotation.from_axis_angle([0, 1, 0], t).inverse().apply(p)
+        assert cap[idx].contains(pre, tol=1e-6)
+    assert got[0][0] != got[2][0]
+    # one target at a time gives the same answers, bit for bit
+    assert got == [contact_angles(cap, [p], [0, 1, 0])[0] for p in targets]
+    assert contact_angles(cap, [], [0, 1, 0]) == []
+
+
+@pytest.mark.parametrize("before, after", [([], [S]), ([NEVER_MEETS_CAP], []),
+                                           ([S, NEVER_MEETS_CAP], [S])])
+def test_a_target_on_the_curve_raises_in_target_order(before, after):
+    # a target on the curve raises GeometryError wherever it comes: after a
+    # target with no contact or one with a contact, and before either
+    cap = cap_curve()
+    on = cap[1].point_at(0.5)
+    with pytest.raises(GeometryError, match="already lies on the curve") as err:
+        contact_angles(cap, before + [on] + after, [0, 1, 0])
+    assert type(err.value) is GeometryError
 
 
 @settings(max_examples=300, deadline=None)
@@ -475,7 +508,7 @@ def test_first_contact_lies_on_the_arcs_circle(seed):
     x = curve[rng.integers(0, len(curve))].point_at(rng.uniform(0.05, 0.95))
     target = Rotation.from_axis_angle(axis, rng.uniform(0.01, 2 * math.pi - 0.01)).apply(x)
     try:
-        t, idx = contact_angle(curve, target, axis)
+        [(t, idx)] = contact_angles(curve, [target], axis)
     except GeometryError:  # the target lies on another arc
         return
     pre = Rotation.from_axis_angle(axis, t).inverse().apply(target)
@@ -666,7 +699,7 @@ def test_filter_skips_the_exact_dot_only_when_clear(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(0, 2 * math.pi))
 def test_contact_preimage_is_the_transposed_rotation(seed, t):
-    # contact_angle takes the preimage from the matrix entries, without
+    # contact_angles takes the preimage from the matrix entries, without
     # building Rotations
     rng = np.random.default_rng(seed)
     axis, p = rng.standard_normal(3).tolist(), unit(rng.standard_normal(3).tolist())

@@ -269,6 +269,28 @@ def test_cli_normalize_and_certificate(tmp_path):
     assert rc == 0
 
 
+def test_cli_verify_refuses_a_trace_past_its_iteration_bound(tmp_path, capsys):
+    src, out, trace = tmp_path / "f4.json", tmp_path / "norm.json", tmp_path / "trace.json"
+    io.save_surface(f4_double_cover(), src)
+    assert cli_main(["normalize", str(src), "--out", str(out), "--trace-out", str(trace)]) == 0
+    doc = json.loads(trace.read_text())
+    argv = ["verify", str(out), "--against", str(src), "--trace", str(trace)]
+    passed = ["better-than certificate: ok", "  H        ok", "  sum      ok",
+              "  n_bar    ok", "  boundary ok", "all checks passed"]
+    for iterations, rc in [(doc["iterations"], 0), (doc["iteration_bound"], 0),
+                           (doc["iteration_bound"] + 1, EXIT_FAIL)]:
+        trace.write_text(io.dumps(dict(doc, iterations=iterations)))
+        capsys.readouterr()
+        assert cli_main(argv) == rc
+        got = capsys.readouterr()
+        if rc == 0:
+            assert (got.out.splitlines(), got.err) == (passed, "")
+        else:
+            assert got.out == ""
+            assert got.err.splitlines() == ["trace %s: %d iterations exceed the bound %d"
+                                            % (trace, iterations, doc["iteration_bound"])]
+
+
 def test_cli_surgery_cut(tmp_path):
     s = f4_double_cover()
     side = next(x for x in s.pairing

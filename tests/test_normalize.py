@@ -10,7 +10,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spherecover.arrangement import ArrangementError, BaseComplex
-from spherecover.generators import generate_disk_covering_filtered, GenerationStuck
+from spherecover.generators import (
+    GenerationStuck,
+    _close_scaffold_sides,
+    generate_disk_covering_filtered,
+)
 from spherecover import geometry, io
 from spherecover.geometry import (
     GeodesicSegment,
@@ -18,7 +22,7 @@ from spherecover.geometry import (
     NoContact,
     Rotation,
     angle_between,
-    contact_angle,
+    contact_angles,
     cross,
     neg,
     points_coincide,
@@ -29,6 +33,7 @@ from spherecover.surface import (
     DISK,
     SUBARC_TOL,
     InvalidSurface,
+    SurfaceComplex,
     SurfaceError,
     closed_subarc_match,
     functionals,
@@ -471,7 +476,7 @@ def test_normalize_batch_small():
     assert done >= 12
 
 
-@pytest.mark.parametrize("name, err", [("contact_angle", NoContact("never meets")),
+@pytest.mark.parametrize("name, err", [("contact_angles", NoContact("never meets")),
                                        ("unit", GeometryError("zero vector"))])
 def test_a_failed_rotation_search_is_a_pipeline_error(name, err, tmp_path, capsys, monkeypatch):
     # batch line 8 takes a rotation first (then slide 3); when the search
@@ -551,13 +556,30 @@ def test_the_driver_refuses_an_invalid_step(bad, monkeypatch):
         ("rotate_to_touch_special", "rotation")]
 
 
+def test_a_rewire_with_a_dropped_partner_stops_the_slides_walk_check(monkeypatch):
+    # stress line 21's slide with the rewired run's first side still naming
+    # its partner and that partner unpaired: the slide's own walk check
+    # raises once walk_successor passes its step bound, where it looped
+    orig = nm.star_rewire
+
+    def broken(s, lifts, start_sheet, boundary_run=None):
+        out = orig(s, lifts, start_sheet, boundary_run=boundary_run)
+        out.pairing.pop(out.pairing[boundary_run[0]])
+        out.invalidate()
+        return out
+    monkeypatch.setattr(nm, "star_rewire", broken)
+    s = io.surface_from_dict(json.loads((CORPUS / "stress.jsonl").read_text().splitlines()[21]))
+    with pytest.raises(InvalidSurface, match="^no boundary successor of side ") as got:
+        normalize(s)
+    assert [(st.op, st.case) for st in got.value.trace.steps] == [
+        ("rotate_to_touch_special", "rotation")]
+
+
 def test_rotation_vertex_contact_jittered():
     # a special placed straight above a curve vertex: the unjittered axis
     # would make first contact at an arc endpoint; the retry loop must land
     # the contact strictly inside an arc
     bc, pts = equator_triangle_base([sph(0.0, 1.0), sph(3.3, 1.25), sph(4.2, 1.25)])
-    from spherecover.generators import _close_scaffold_sides
-    from spherecover.surface import SurfaceComplex
     s = SurfaceComplex(bc, [south_face(bc)], {})
     _close_scaffold_sides(s)
     out, rho = rotate_to_touch_special(s)
@@ -758,19 +780,40 @@ def test_subarc_check_matches_reference_on_random_walks(idx, arcs, i, k):
 # -- the rotation step against the reference scan ------------------------------
 
 
+def ref_plane_roots(p0, axis, pole):
+    """Angles t with pole . (R(axis, t) p0) = 0, as a sorted list in [0, 2pi)."""
+    k = unit(axis)
+    # R(k,t) p0 = cos t * p0 + sin t * (k x p0) + (1-cos t)(k.p0) k
+    c0 = geometry.dot(pole, p0)
+    c1 = geometry.dot(pole, cross(k, p0))
+    c2 = geometry.dot(pole, k) * geometry.dot(k, p0)
+    # equation: (c0 - c2) cos t + c1 sin t + c2 = 0
+    A, B, C = c0 - c2, c1, c2
+    r = math.hypot(A, B)
+    if r < 1e-15:
+        return [] if abs(C) > 1e-15 else [0.0]
+    if abs(C) > r + 1e-15:
+        return []
+    phi = math.atan2(B, A)
+    base = math.acos(max(-1.0, min(1.0, -C / r)))
+    return sorted({(phi + base) % (2 * math.pi), (phi - base) % (2 * math.pi)})
+
+
 def ref_contact_angle(curve, target, axis):
-    """contact_angle building the preimage and its parameter at every root."""
-    p0, pre = geometry._preimages(target, axis)
+    """One target's first contact, arc by arc, building the preimage (from
+    ``Rotation``) and its parameter at every root."""
+    p0 = unit(target)
     back = neg(unit(axis))
     best = None
     for idx, seg in enumerate(curve):
         if seg.contains(p0):
             raise GeometryError("target already lies on the curve")
-        for t in geometry._circle_plane_roots(p0, back, seg.pole):
+        for t in ref_plane_roots(p0, back, seg.pole):
             t %= 2 * math.pi
             if t <= geometry.CONTACT_TOL:
                 continue
-            if seg.param_of(pre(t), tol=10 * geometry.EPS_SEP) is None:
+            pre = Rotation.from_axis_angle(axis, t).inverse().apply(p0)
+            if seg.param_of(pre, tol=10 * geometry.EPS_SEP) is None:
                 continue
             if best is None or t < best[0]:
                 best = (t, idx)
@@ -779,19 +822,36 @@ def ref_contact_angle(curve, target, axis):
     return best
 
 
-def ref_rotate_to_touch_special(s):
-    """rotate_to_touch_special with the full nearest scan, each special's
-    closed-form first contact, and the contacted one's rotation and
-    parameter from ``contact_angle``, ``Rotation.from_axis_angle`` and
-    ``param_of``."""
-    segs, edge_ids = nm._walk_segments(s)
-    specials = [(v, s.base.vertices[v]) for v in s.base.specials]
+def ref_contact_angles(curve, targets, axis):
+    """``contact_angles`` by ``ref_contact_angle`` on each target in turn."""
+    out = []
+    for p in targets:
+        try:
+            out.append(ref_contact_angle(curve, p, axis))
+        except NoContact:
+            out.append(None)
+    return out
+
+
+def ref_nearest_special(segs, specials):
+    """(distance, special, point, nearest point) of the first special whose
+    exact distance to the arcs is least, by the full ``nearest_point`` scan."""
     best = None
     for v, p in specials:
         dmin, x0 = min((seg.nearest_point(p) for seg in segs), key=lambda x: x[0])
         if best is None or dmin < best[0]:
             best = (dmin, v, p, x0)
-    _, v1, p1, x0 = best
+    return best
+
+
+def ref_rotate_to_touch_special(s):
+    """rotate_to_touch_special with the full nearest scan, each special's
+    closed-form first contact from ``ref_contact_angle``, and the contacted
+    one's rotation and parameter from ``Rotation.from_axis_angle`` and
+    ``param_of``."""
+    segs, edge_ids = nm._walk_segments(s)
+    specials = [(v, s.base.vertices[v]) for v in s.base.specials]
+    _, v1, p1, x0 = ref_nearest_special(segs, specials)
     base_axis = unit(cross(p1, x0))
     last_err = None
     for jt in [0.0, 1e-6, -1e-6, 2e-6, -2e-6, 5e-6]:
@@ -801,19 +861,18 @@ def ref_rotate_to_touch_special(s):
         contacts = []
         for v, p in specials:
             try:
-                contacts.append((ref_contact_angle(segs, p, neg(axis))[0], v, p))
+                contacts.append(ref_contact_angle(segs, p, neg(axis)) + (v, p))
             except NoContact:
                 continue
         contacts.sort(key=lambda c: c[0])
         if not contacts:
             last_err = NoContact("no special reaches the boundary under this axis")
             continue
-        t_star, v_c, p_c = contacts[0]
-        if len(contacts) > 1 and contacts[1][0] - t_star < 1e-9:
+        t_c, seg_idx, v_c, p_c = contacts[0]
+        if len(contacts) > 1 and contacts[1][0] - t_c < 1e-9:
             last_err = PipelineError("two specials touch simultaneously")
             continue
         # R(-axis, t)^-1 is R(axis, t) bit for bit: its transpose
-        t_c, seg_idx = contact_angle(segs, p_c, neg(axis))
         rot = Rotation.from_axis_angle(neg(axis), t_c)
         seg = segs[seg_idx]
         prm = seg.param_of(rot.inverse().apply(p_c), tol=1e-6)
@@ -839,18 +898,24 @@ def _hex(xs):
     return tuple(x.hex() if isinstance(x, float) else _hex(x) for x in xs)
 
 
+def _run_rotation(fn, s):
+    """The surface bytes and matrix hex of a rotation step ``fn`` on s."""
+    out, rho = fn(s)
+    return json.dumps(io.surface_to_dict(out, {}), sort_keys=True), _hex(rho.matrix)
+
+
 @pytest.mark.parametrize("name, steps", [("batch", 14), ("stress", 51)])
 def test_rotation_matches_reference_on_corpus(name, steps, monkeypatch):
     # every rotation step normalize takes on the stored corpora, rerun; each
-    # closed-form contact on the way is checked against the reference
+    # special's closed-form contact on the way is checked against the reference
     contacts = []
 
-    def checked_contact_angle(curve, target, axis):
-        got = _outcome(lambda: contact_angle(curve, target, axis))
-        assert got == _outcome(lambda: ref_contact_angle(curve, target, axis))
-        contacts.append(got)
-        return contact_angle(curve, target, axis)
-    monkeypatch.setattr(nm, "contact_angle", checked_contact_angle)
+    def checked_contact_angles(curve, targets, axis):
+        got = _outcome(lambda: contact_angles(curve, targets, axis))
+        assert got == _outcome(lambda: ref_contact_angles(curve, targets, axis))
+        contacts.extend(got if isinstance(got, list) else [got])
+        return contact_angles(curve, targets, axis)
+    monkeypatch.setattr(nm, "contact_angles", checked_contact_angles)
     inputs = []
     rotate = nm.rotate_to_touch_special
     monkeypatch.setattr(nm, "rotate_to_touch_special", lambda s: inputs.append(s) or rotate(s))
@@ -860,10 +925,76 @@ def test_rotation_matches_reference_on_corpus(name, steps, monkeypatch):
         except SurfaceError:
             pass
     assert len(inputs) == steps
-
-    def run(fn, s):
-        out, rho = fn(s)
-        return json.dumps(io.surface_to_dict(out, {}), sort_keys=True), _hex(rho.matrix)
     for s in inputs:
-        assert _outcome(lambda: run(rotate, s)) == _outcome(lambda: run(ref_rotate_to_touch_special, s))
+        assert _outcome(lambda: _run_rotation(rotate, s)) == _outcome(
+            lambda: _run_rotation(ref_rotate_to_touch_special, s))
     assert len(contacts) >= 2 * steps
+
+
+def _north_specials(positions):
+    """The southern face of the equator triangle, with specials at the given
+    (lon, lat) positions in this order and none on its walk."""
+    bc, _ = equator_triangle_base([sph(*q) for q in positions])
+    s = SurfaceComplex(bc, [south_face(bc)], {})
+    _close_scaffold_sides(s)
+    return s
+
+
+def _specials(s):
+    return [(v, s.base.vertices[v]) for v in s.base.specials]
+
+
+def test_nearest_special_is_the_full_scans_pick(monkeypatch):
+    # Two specials at latitude 0.5 whose exact distances to the walk tie bit
+    # for bit, or differ by 3e-8 (less than _PRUNE), and a far one at
+    # latitude 1.2, in both orders: the twins pick as the full exact scan
+    # does, the first in order on a tie, and only the far one skips its scan.
+    far = (3.5, 1.2)
+
+    def distances(s):
+        segs = nm._walk_segments(s)[0]
+        return [min(seg.nearest_point(p)[0] for seg in segs) for _, p in _specials(s)]
+
+    def ties(lon):
+        d = distances(_north_specials([(0.7, 0.5), (lon, 0.5), far]))
+        return d[0] == d[1]
+    tie = next(lon for lon in (1.3 + k * 1e-3 for k in range(50)) if ties(lon))
+    cases = {"tie": [(0.7, 0.5), (tie, 0.5)], "near": [(0.7, 0.5), (1.3, 0.5 + 3e-8)]}
+    scanned = []
+    exact = nm.nearest_feature
+    monkeypatch.setattr(nm, "nearest_feature", lambda segs, p, tw: scanned.append(p) or exact(segs, p, tw))
+    for name, pair in cases.items():
+        for pos in (pair + [far], [far] + pair[::-1]):
+            s = _north_specials(pos)
+            dist = dict(zip(pos, distances(s)))
+            if name == "tie":
+                assert dist[pair[0]] == dist[pair[1]]
+            else:
+                assert 0 < dist[pair[1]] - dist[pair[0]] < geometry._PRUNE
+            segs, specials = nm._walk_segments(s)[0], _specials(s)
+            scanned.clear()
+            got, want = nm._nearest_special(segs, specials), ref_nearest_special(segs, specials)
+            assert got[1] == want[1]
+            assert _hex(got[:1] + got[2:]) == _hex(want[:1] + want[2:])
+            # the nearer of the pair, or on the tie the first in order
+            pick = pair[0] if name == "near" else min(pair, key=pos.index)
+            assert got[1] == specials[pos.index(pick)][0]
+            assert scanned == [p for q, (v, p) in zip(pos, specials) if q != far]
+            assert _outcome(lambda: _run_rotation(rotate_to_touch_special, s)) == _outcome(
+                lambda: _run_rotation(ref_rotate_to_touch_special, s))
+
+
+def test_composed_rotation_is_recomposed_after_an_append():
+    a = Rotation.from_axis_angle((0.3, -0.2, 0.9), 0.7)
+    b = Rotation.from_axis_angle((-0.5, 0.4, 0.1), 2.2)
+    trace = PipelineTrace()
+    assert trace.composed_rotation() is Rotation.identity()
+    trace.rotations.append(a)
+    once = trace.composed_rotation()
+    assert trace.composed_rotation() is once  # composed once per list
+    trace.rotations.append(b)
+    twice = trace.composed_rotation()
+    for got, rotations in ((once, [a]), (twice, [a, b])):
+        fresh = PipelineTrace(rotations=list(rotations)).composed_rotation()
+        assert _hex(got.matrix) == _hex(fresh.matrix)
+    assert _hex(twice.matrix) != _hex(once.matrix)

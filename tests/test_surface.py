@@ -1,9 +1,12 @@
+import json
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spherecover import io
 from spherecover.arrangement import CURVE
 from spherecover.generators import generate_closed_cyclic_cover, generate_disk_covering
 from spherecover.surface import (
@@ -337,3 +340,57 @@ def test_oracle_flags_unbalanced_multiplicity():
     s.copies[victim] = None
     s.invalidate()
     assert validate(s) != []
+
+
+# -- traversals of a pairing that is not an involution ------------------------
+
+STRESS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1" / "stress.jsonl"
+
+
+def _stress_lines(n):
+    """Stress corpus lines 1 to n as surfaces."""
+    return [io.surface_from_dict(json.loads(line)) for line in STRESS.read_text().splitlines()[:n]]
+
+
+def _partner_dropped(s, pick):
+    """A copy of s where a side keeps its partner b but b is unpaired: the
+    first paired side (pick 0) or the middle one (pick 1) in sorted order."""
+    out = SurfaceComplex(s.base, s.copies, s.pairing)
+    sides = sorted(out.pairing)
+    out.pairing.pop(out.pairing[sides[pick * len(sides) // 2]])
+    return out
+
+
+@pytest.mark.parametrize("traversal, bound_error", [("sheets", "does not end"),
+                                                    ("walks", "no boundary successor")])
+def test_a_dropped_partner_stops_the_traversal(traversal, bound_error):
+    # two drops on each of stress lines 1-12: every traversal raises, and on
+    # 8 of the 24 surfaces (a boundary chain of sheets(), walk_successor
+    # under walks()) only its step bound stops a loop round a cycle
+    errors = []
+    for s in _stress_lines(12):
+        for pick in (0, 1):
+            with pytest.raises(InvalidSurface) as err:
+                getattr(_partner_dropped(s, pick), traversal)()
+            errors.append(str(err.value))
+    assert sum(bound_error in e for e in errors) == 8
+
+
+def test_two_sides_with_one_partner_stop_the_orbit_walk():
+    # In an interior sheet's corner orbit, the corner c before the orbit's
+    # least corner f is given f's partner: c then steps past f, so the walk
+    # from f (the first corner sheets() takes there) enters a cycle without
+    # f.  Stress lines 11 and 12 have no such sheet.
+    stopped = 0
+    for s in _stress_lines(12):
+        inner = [sh for sh in s.sheet_list() if sh.interior and sh.ell >= 2]
+        if not inner:
+            continue
+        corners = inner[0].corners
+        i = corners.index(min(corners))
+        bad = SurfaceComplex(s.base, s.copies, s.pairing)
+        bad.pairing[corners[i - 1]] = bad.pairing[corners[i]]
+        with pytest.raises(InvalidSurface, match="^orbit of corner .* does not close$"):
+            bad.sheets()
+        stopped += 1
+    assert stopped == 10
