@@ -21,8 +21,14 @@ from .geometry import (
     GeodesicSegment,
     PointRegistry,
     Rotation,
+    _FILTER,
+    _PRUNE,
+    _box_apart,
+    _box_limit,
     _fangle,
     _fdot,
+    _fnearest,
+    _fnearest_end,
     add,
     angle_between,
     antipodal,
@@ -45,6 +51,13 @@ CURVE = "curve"
 SCAFFOLD = "scaffold"
 
 FULL_SPHERE = 4 * math.pi
+# ``locate_point`` runs ``param_of`` only on an arc whose nearest twin is
+# untrusted or at most this (rad); a point ``contains`` takes is nearer.
+_ON_ARC = 1e-8
+# ``_face_of_wedge_twin`` decides only where the plain-float azimuths of the
+# direction and of every curve dart lie this far (rad) apart on the circle;
+# each errs by < 1e-14 against ``_face_of_wedge``'s.
+_AZIMUTH = 1e-9
 
 
 class ArrangementError(ValueError):
@@ -296,8 +309,12 @@ class BaseComplex:
     # -- geometry-backed queries -------------------------------------------
 
     def vertex_at(self, p, tol=EPS_SEP):
-        for v in self.live_vertices():
-            if points_coincide(self.vertices[v], p, tol):
+        """The first live vertex within tol of p (``points_coincide``), or None.
+        A vertex that ``geometry._box_apart`` puts beyond tol is skipped
+        without its angle."""
+        lim = _box_limit(p, tol)
+        for v, q in enumerate(self.vertices):
+            if q is not None and not _box_apart(q, p, lim) and points_coincide(q, p, tol):
                 return v
         return None
 
@@ -318,26 +335,50 @@ class BaseComplex:
         give edge hits and decide the side; SCAFFOLD edges are always
         skipped, whether their embedding is honest or nominal, so a point on
         a bridge is located in the face the bridge hangs in.
+
+        The nearest curve feature decides the face.  Each arc's plain-float
+        nearest twin (``_fnearest``) is computed first, and the exact kernel
+        runs only where the twins leave the answer open; every answer is
+        the one of the full exact scan:
+
+        1. ``param_of`` runs only on the arcs whose twin is untrusted or at
+           most ``_ON_ARC`` (1e-8): a point that ``contains`` takes (tol =
+           EPS_SEP) lies within 1.5e-9 of the arc, where a trusted twin
+           errs by < 2e-9 (see ``nearest_feature``).
+        2. Where every twin is trusted, ``nearest_feature`` would run
+           ``nearest_point`` only on the candidates, the arcs whose twin is
+           within ``_PRUNE`` of the least.  If there is one and
+           ``_fnearest_end`` puts p's foot on it, the answer is that arc's
+           left or right face by the sign of p . pole, taken from ``_fdot``
+           where it is more than ``_FILTER`` from 0.
+        3. If ``_fnearest_end`` puts every candidate's nearest point at an
+           end that is one shared vertex v, the answer is v's wedge face,
+           from ``_face_of_wedge_twin`` where that decides.
+        4. Anywhere else ``nearest_feature`` and ``_face_of_wedge`` decide.
         """
         p = unit(p)
         v = self.vertex_at(p)
         if v is not None:
             return ("vertex", v)
-        edges, segs = [], []
+        edges, segs, twins = [], [], []
         for e in self.live_edges():
             if self.edges[e].kind != CURVE:
                 continue
             seg = self.dart_segment(2 * e)
-            t = seg.param_of(p)
-            if t is not None:
-                return ("edge", e, t)
+            w = _fnearest(seg, p)
+            if w is None or w <= _ON_ARC:
+                t = seg.param_of(p)
+                if t is not None:
+                    return ("edge", e, t)
             edges.append(e)
             segs.append(seg)
-        # Nearest curve feature decides the side.
-        best = nearest_feature(segs, p)
-        if best is None:
+            twins.append(w)
+        if not segs:
             raise ArrangementError("complex has no curve edges")
-        i, _, x = best
+        f = self._face_from_twins(edges, segs, twins, p)
+        if f is not None:
+            return ("face", f)
+        i, _, x = nearest_feature(segs, p, twins)
         e, seg = edges[i], segs[i]
         vtx = self.edges[e].a if x is seg.a else self.edges[e].b if x is seg.b else None
         if vtx is None:
@@ -345,6 +386,59 @@ class BaseComplex:
             d = 2 * e if side > 0 else 2 * e + 1
             return ("face", self.left_face(d))
         return ("face", self._face_of_wedge(vtx, p))
+
+    def _face_from_twins(self, edges, segs, twins, p):
+        """The face of p by ``locate_point``'s decisions 2 and 3, or None."""
+        if None in twins:
+            return None
+        cut = min(twins) + _PRUNE
+        near = [i for i, w in enumerate(twins) if w <= cut]
+        ends = set()
+        for i in near:
+            seg, e = segs[i], edges[i]
+            end = _fnearest_end(seg, p)
+            if end is None:
+                return None
+            if end == "foot":
+                if len(near) > 1:
+                    return None
+                side = _fdot(p, seg.pole)
+                if abs(side) <= _FILTER:
+                    side = dot(p, seg.pole)
+                return self.left_face(2 * e if side > 0 else 2 * e + 1)
+            ends.add(self.edges[e].a if end == "a" else self.edges[e].b)
+        if len(ends) != 1:
+            return None
+        return self._face_of_wedge_twin(ends.pop(), p)
+
+    def _face_of_wedge_twin(self, v: int, p):
+        """``_face_of_wedge(v, p)`` from plain-float azimuths, or None where it
+        is not decided: where the direction toward p and the curve darts'
+        tangents are not pairwise more than ``_AZIMUTH`` apart on the
+        circle, or the direction's plain-float vector has |t| <= 1e-12.
+
+        The frame and the direction are ``_face_of_wedge``'s vectors before
+        ``unit``, which does not turn them, and ``_fdot`` errs by < 1e-15
+        times their norms, so each azimuth lies within 1e-14 of the exact
+        one.  Points that far apart keep their cyclic order, so the
+        dart that precedes the direction is the same.  The exact path's
+        ``unit`` of the direction does not fail there (|t| > 1e-12)."""
+        pv = self.vertices[v]
+        fan = [d for d in self.fans[v] if self.kind(d) == CURVE]
+        t = cross(cross(pv, p), pv)
+        if not fan or _fdot(t, t) <= 1e-24:
+            return None
+        e1 = self.dart_tangent(fan[0])
+        e2 = cross(pv, e1)
+        tau = 2 * math.pi
+        angs = [math.atan2(_fdot(x, e2), _fdot(x, e1)) % tau
+                for x in [t] + [self.dart_tangent(d) for d in fan]]
+        ring = sorted(angs)
+        if min(b - a for a, b in zip(ring, ring[1:] + [ring[0] + tau])) <= _AZIMUTH:
+            return None
+        target = angs[0]
+        i = min(range(len(fan)), key=lambda i: (target - angs[i + 1]) % tau)
+        return self.left_face(fan[i])
 
     def _face_of_wedge(self, v: int, p) -> int:
         """Face of the fan wedge at v containing the direction toward p.

@@ -29,7 +29,9 @@ lies in [1e-5, pi - 1e-5].
 
 * ``nearest_feature`` runs ``nearest_point`` on the arcs whose twin angle
   is within ``_PRUNE`` of the least; the twin is within 1e-9 of it on a
-  well-conditioned arc, and any other arc always runs.
+  well-conditioned arc, and any other arc always runs.  ``_fnearest_end``
+  tells from plain floats, with margins (``_LUNE``, ``_FILTER``), which
+  point ``nearest_point`` returns: the foot or one end.
 * ``segment_intersection`` returns [] where two well-conditioned arcs'
   midpoints lie more than (L1 + L2)/2 + 3*tol + ``_PRUNE`` apart (tol <=
   1e-6): a point it returns lies within (L1 + L2)/2 + 3*tol + 5e-10 of the
@@ -47,6 +49,15 @@ One search takes every target about one axis: the axis terms and each
 arc's pole . axis are computed once, and each target's roots over all arcs
 are tried in (t, arc index) order, with a preimage built only up to the
 first root that lies on its arc.
+
+The point scans (``PointRegistry`` and ``BaseComplex.vertex_at``) skip a
+stored point whose coordinates differ from a unit query's by more than
+tol + ``_BOX`` (1e-11) without computing its angle (``_box_apart``).  Both
+points must be unit within 1e-12; the chord then bounds the angle.
+
+A contact search skips a root whose plain-float preimage lies clearly
+beyond its arc: the preimage's twin angles to the arc's two ends sum to
+more than length + 10 * EPS_SEP + 1e-9.
 
 Face areas are not computed here: ``arrangement.build_faces`` takes each
 from its cycle's ``turning_angle`` sum by Gauss-Bonnet.
@@ -81,6 +92,12 @@ _FILTER_LO, _FILTER_HI = 2.0 ** -800, 2.0 ** 800
 # A search skips a candidate only where a plain-float bound puts it more than
 # this (rad) behind what can win; those bounds err by less than 2e-9 rad.
 _PRUNE = 1e-7
+# ``_fnearest_end`` decides only where p's plain-float lune values clear 0 by
+# this; the lune values err by < 1e-15.
+_LUNE = 1e-8
+# ``_box_apart``: a coordinate gap beyond tol + _BOX puts two unit points
+# more than tol apart.
+_BOX = 1e-11
 # An arc is well conditioned when its length lies in [_WELL, pi - _WELL]:
 # then sin(length) > 0.99e-5, and since its pole comes from a cross product
 # rounded by < 6e-16, both endpoints lie within 1e-10 rad of the pole's circle.
@@ -239,6 +256,25 @@ def _fangle(a, b):
     return None
 
 
+def _box_limit(p, tol) -> float:
+    """The gap limit of ``_box_apart`` for the query p: tol + ``_BOX`` where p
+    is a unit vector within 1e-12 (|p|**2 in plain floats within 1e-12 of
+    1), and inf (nothing is apart) for any other p."""
+    return tol + _BOX if abs(_fdot(p, p) - 1.0) <= 1e-12 else math.inf
+
+
+def _box_apart(q, p, lim) -> bool:
+    """True only where ``points_coincide(p, q, tol)`` is False, for lim =
+    ``_box_limit(p, tol)``: some coordinate of q and p differs by more than
+    lim, and q too is a unit vector within 1e-12.
+
+    Then p and q lie within 5.1e-13 of their units, whose chord exceeds
+    tol + 1e-11 - 1.1e-12; the angle is at least the chord, and the exact
+    angle and its twin err by < 1e-14, so both decide it is above tol."""
+    return ((abs(q[0] - p[0]) > lim or abs(q[1] - p[1]) > lim or abs(q[2] - p[2]) > lim)
+            and abs(_fdot(q, q) - 1.0) <= 1e-12)
+
+
 def tangent_frame(p):
     """Orthonormal frame (e1, e2) of the tangent plane at p, with e1 x e2 = p.
 
@@ -345,6 +381,14 @@ class GeodesicSegment:
         return GeodesicSegment(self.b, self.a)
 
     @cached_property
+    def _lune(self):
+        """(n x a, b x n) for the pole n, in plain floats: p lies in the lune
+        of the circle's normals through the two ends where both its dots
+        with them are >= 0 (see ``_fnearest``)."""
+        n = self.pole
+        return cross(n, self.a), cross(self.b, n)
+
+    @cached_property
     def _reach(self):
         """(midpoint in plain floats, length / 2) of a well-conditioned arc,
         None for any other (see ``segment_intersection`` and ``_fnearest``)."""
@@ -371,9 +415,41 @@ def _fnearest(seg, p):
     qq, s = _fdot(q, q), _fdot(p, n)
     if not (qq >= 1e-8 and abs(qq + s * s - 1.0) <= 1e-9):
         return None
-    if _fdot(p, cross(n, seg.a)) >= 0 and _fdot(p, cross(seg.b, n)) >= 0:
+    na, nb = seg._lune
+    if _fdot(p, na) >= 0 and _fdot(p, nb) >= 0:
         return math.atan2(abs(s), math.sqrt(qq))
     return min(_fangle(p, seg.a), _fangle(p, seg.b))
+
+
+def _fnearest_end(seg, p):
+    """Plain-float twin of which point ``seg.nearest_point(p)`` returns, for a
+    p where ``_fnearest(seg, p)`` is not None: "foot" for the foot of the
+    perpendicular, "a" or "b" for that end, None where it is not decided.
+
+    With n the pole, the lune values sa = p.(n x a) and sb = p.(b x n) are
+    |n x p| cos(eta) sin of the angles about n from a's foot a' on the
+    circle to p's foot f and from f to b' (eta < 1e-10: the ends lie that
+    close to the circle), up to 1e-15.  Where both exceed ``_LUNE``, f lies
+    on the circle's arc a'b', of length at most L + 2*eta, so f's angles to
+    a and b sum to at most L + 4*eta; the computed foot errs by < 1e-11
+    (|n x p| >= 1e-4), so ``contains(foot, 1e-9)`` takes it: "foot".
+    Where one is below -``_LUNE``, f lies beyond that end by an angle psi in
+    (1e-8, pi - 1e-8), and the angles sum to at least L + min(2*psi,
+    2*pi - 2*L) - 4*eta > L + 1.5e-8: the foot is refused, and the nearer
+    end by exact angle is returned (a on a tie).  The twin angles err by
+    < 3e-15, so an end whose twin is more than ``_FILTER`` below the
+    other's is that one."""
+    na, nb = seg._lune
+    sa, sb = _fdot(p, na), _fdot(p, nb)
+    if sa > _LUNE and sb > _LUNE:
+        return "foot"
+    if sa < -_LUNE or sb < -_LUNE:
+        da, db = _fangle(p, seg.a), _fangle(p, seg.b)
+        if da < db - _FILTER:
+            return "a"
+        if db < da - _FILTER:
+            return "b"
+    return None
 
 
 def nearest_feature(segs, p, twins=None):
@@ -415,7 +491,8 @@ class PointRegistry:
     id without a scan.  That is the id the scan would give, since the
     registry only appends: the scan tests the same earlier points as before,
     none of which coincided with the point, and then stops at its stored
-    unit vector (it is recorded only if it coincides with that).  A point is
+    unit vector (it is recorded only if it coincides with that).  The scan
+    skips a point that ``_box_apart`` puts beyond tol.  A point is
     stored only if its norm is at least 1e-15 (``unit`` accepts it), so its
     cross product and dot with a unit vector are never both zero, and its
     coordinates of 0.0 and -0.0, equal by value, decide alike.  A point
@@ -431,8 +508,9 @@ class PointRegistry:
         i = self._ids.get(p)
         if i is not None:
             return i
+        lim = _box_limit(p, self.tol)
         for i, q in enumerate(self.points):
-            if points_coincide(p, q, self.tol):
+            if not _box_apart(q, p, lim) and points_coincide(p, q, self.tol):
                 return i
         q = unit(p)
         i = len(self.points)
@@ -648,6 +726,11 @@ def contact_angles(curve, targets, axis):
     its contact; the preimage's coordinates are the rotation matrix's
     columns, each taken by ``dot`` with p0, as
     ``Rotation.from_axis_angle(axis, t).inverse().apply`` takes them.
+    A root is skipped without that preimage where its plain-float twin
+    (the columns taken by ``_fdot``, within 2e-15 rad of the preimage's
+    direction) has twin angles to the arc's ends summing to more than
+    length + 10 * EPS_SEP + 1e-9: the exact sum then exceeds length +
+    10 * EPS_SEP, so ``contains`` refuses the preimage.
 
     Raises GeometryError if a target lies on the curve (the first such
     target in order)."""
@@ -676,8 +759,14 @@ def contact_angles(curve, targets, axis):
                     roots.append((t, idx))
         roots.sort()
         for t, idx in roots:
-            pre = unit(tuple(dot(col, p0) for col in zip(*_axis_angle_matrix(kx, kk, t))))
-            if curve[idx].contains(pre, tol=10 * EPS_SEP):
+            cols = tuple(zip(*_axis_angle_matrix(kx, kk, t)))
+            seg = curve[idx]
+            twin = tuple(_fdot(col, p0) for col in cols)
+            wa, wb = _fangle(seg.a, twin), _fangle(seg.b, twin)
+            if wa is not None and wb is not None and wa + wb > seg.length + 10 * EPS_SEP + 1e-9:
+                continue  # clearly beyond the arc's ends
+            pre = unit(tuple(dot(col, p0) for col in cols))
+            if seg.contains(pre, tol=10 * EPS_SEP):
                 out.append((t, idx))
                 break
         else:

@@ -34,6 +34,7 @@ from spherecover.geometry import (
     dot,
     meet_only_at_shared_end,
     neg,
+    points_coincide,
     sphere_point,
     unit,
 )
@@ -263,11 +264,13 @@ def test_locate_point_on_edge_and_vertex():
 
 
 def ref_locate_point(bc, p):
-    """locate_point with the full nearest scan: nearest_point on every curve edge."""
+    """locate_point with every test exact: the vertex scan by points_coincide,
+    param_of on every curve edge and the full nearest scan (nearest_point on
+    every curve edge)."""
     p = unit(p)
-    v = bc.vertex_at(p)
-    if v is not None:
-        return ("vertex", v)
+    for v in bc.live_vertices():
+        if points_coincide(bc.vertices[v], p):
+            return ("vertex", v)
     for e in bc.live_edges():
         if bc.edges[e].kind != CURVE:
             continue
@@ -298,6 +301,19 @@ def _turned(v, t, ang):
     return unit(add(tuple(math.cos(ang) * x for x in v), tuple(math.sin(ang) * x for x in t)))
 
 
+def _star_points(rng):
+    """A random star polygon (crossing itself at times): 3 to 7 vertices at
+    0.1 to 1.4 rad from a random centre, in order of their turn about it."""
+    c = unit(rng.standard_normal(3).tolist())
+    e1 = unit(cross(c, rng.standard_normal(3).tolist()))
+    e2 = cross(c, e1)
+    k = int(rng.integers(3, 8))
+    turns = np.sort(rng.uniform(0, 2 * math.pi, k))
+    return tuple(_turned(c, unit(add(tuple(math.cos(a) * x for x in e1),
+                                     tuple(math.sin(a) * x for x in e2))), r)
+                 for a, r in zip(turns, rng.uniform(0.1, 1.4, k)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_locate_point_matches_the_full_nearest_scan(seed):
@@ -305,16 +321,8 @@ def test_locate_point_matches_the_full_nearest_scan(seed):
     # bisectors of the angles between curve darts at each vertex, where two
     # edges are (nearly) equally near, as well as random points
     rng = np.random.default_rng(seed)
-    c = unit(rng.standard_normal(3).tolist())
-    e1 = unit(cross(c, rng.standard_normal(3).tolist()))
-    e2 = cross(c, e1)
-    k = int(rng.integers(3, 8))
-    turns = np.sort(rng.uniform(0, 2 * math.pi, k))
-    pts = tuple(_turned(c, unit(add(tuple(math.cos(a) * x for x in e1),
-                                    tuple(math.sin(a) * x for x in e2))), r)
-                for a, r in zip(turns, rng.uniform(0.1, 1.4, k)))
     try:
-        bc = build_arrangement(CurveInput(pts), SpecialSet(NORTH_SPECIALS))
+        bc = build_arrangement(CurveInput(_star_points(rng)), SpecialSet(NORTH_SPECIALS))
     except (ArrangementError, GeometryError):
         return
     probes = [unit(rng.standard_normal(3).tolist()) for _ in range(10)]
@@ -330,6 +338,174 @@ def test_locate_point_matches_the_full_nearest_scan(seed):
                     probes.append(_turned(pv, unit(mid if sign > 0 else neg(mid)), ang))
     for p in probes:
         assert bc.locate_point(p) == ref_locate_point(bc, p)
+
+
+def _star_base(seed):
+    """The star polygon of this seed with the north specials bridged in;
+    None where it is refused."""
+    try:
+        return attach_scaffold(build_arrangement(CurveInput(_star_points(np.random.default_rng(seed))),
+                                                 SpecialSet(NORTH_SPECIALS)))
+    except (ArrangementError, GeometryError):
+        return None
+
+
+def _nearest_feature_key(bc, p):
+    """The vertex or the curve edge whose point the full exact nearest scan picks."""
+    best = None
+    for e in bc.live_edges():
+        if bc.edges[e].kind == CURVE:
+            seg = bc.dart_segment(2 * e)
+            d, x = seg.nearest_point(p)
+            if best is None or d < best[0]:
+                ed = bc.edges[e]
+                best = (d, ed.a if x is seg.a else ed.b if x is seg.b else ("edge", e))
+    return best[1]
+
+
+def _locate_probes(bc, rng):
+    """Points where the twins of locate_point come near their thresholds: at
+    5e-10 (a vertex hit), 2e-9, 1e-8, 1e-6 and 1e-4 rad from each vertex
+    along each curve dart and inside each wedge; on each arc's circle just
+    past its ends; 5e-10 and 2e-9 rad off its midpoint; at its poles; and at
+    0, 5e-8 and 1.5e-7 rad (``_PRUNE`` is 1e-7) from where the nearest
+    feature switches on the arc between two random points: near-ties
+    between two arcs, two vertices, or an arc and a vertex."""
+    steps = (5e-10, 2e-9, 1e-8, 1e-6, 1e-4)
+    probes = []
+    for v in bc.live_vertices():
+        pv = bc.vertices[v]
+        tangents = [unit(bc.dart_tangent(d)) for d in bc.fans[v] if bc.kind(d) == CURVE]
+        for t1, t2 in zip(tangents, tangents[1:] + tangents[:1]):
+            mid = add(t1, t2)
+            inside = [] if dot(mid, mid) < 1e-6 else [unit(mid), neg(unit(mid))]
+            for t in [t1] + inside:
+                probes.extend(_turned(pv, t, ang) for ang in steps)
+    for e in bc.live_edges():
+        if bc.edges[e].kind != CURVE:
+            continue
+        seg = bc.dart_segment(2 * e)
+        t = unit(cross(seg.pole, seg.a))
+        for ang in steps[1:]:
+            probes += [_turned(seg.a, t, -ang), _turned(seg.a, t, seg.length + ang)]
+        mid = seg.point_at(0.5)
+        for ang in (5e-10, 2e-9):
+            probes += [_turned(mid, seg.pole, ang), _turned(mid, seg.pole, -ang)]
+        probes += [seg.pole, neg(seg.pole)]
+    for _ in range(12):
+        x, y = (unit(rng.standard_normal(3).tolist()) for _ in range(2))
+        kx = _nearest_feature_key(bc, x)
+        if angle_between(x, y) > 3.0 or kx == _nearest_feature_key(bc, y):
+            continue
+        path, lo, hi = GeodesicSegment(x, y), 0.0, 1.0
+        for _ in range(45):
+            mid = (lo + hi) / 2
+            if _nearest_feature_key(bc, path.point_at(mid)) == kx:
+                lo = mid
+            else:
+                hi = mid
+        tie = path.point_at(lo)
+        u = unit(cross(path.pole, tie))
+        probes += [_turned(tie, u, off) for off in (0.0, 5e-8, -5e-8, 1.5e-7, -1.5e-7)]
+    return probes
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ArrangementError, GeometryError) as err:
+        return "%s: %s" % (type(err).__name__, err)
+
+
+def test_locate_point_twins_decide_as_the_exact_scan(monkeypatch):
+    # probes at the twins' margins on star polygons (some crossing
+    # themselves) with bridged specials; each answer and each path is
+    # counted, and every one occurs
+    log = []
+    ends, nearest = arrangement._fnearest_end, arrangement.nearest_feature
+    monkeypatch.setattr(arrangement, "_fnearest_end", lambda seg, p: log.append(ends(seg, p)) or log[-1])
+    monkeypatch.setattr(arrangement, "nearest_feature", lambda *a: log.append("exact") or nearest(*a))
+    kinds, paths = {}, {}
+    for seed in range(24):
+        bc = _star_base(seed)
+        if bc is None:
+            continue
+        for p in _locate_probes(bc, np.random.default_rng(seed)):
+            log.clear()
+            got = _outcome(lambda: bc.locate_point(p))
+            assert got == _outcome(lambda: ref_locate_point(bc, p)), (seed, p)
+            kind = got[0] if isinstance(got, tuple) else "error"
+            kinds[kind] = kinds.get(kind, 0) + 1
+            if kind == "face":
+                # no exact scan: a foot decided the side, else an end the wedge
+                path = "exact" if "exact" in log else "side" if "foot" in log else "wedge"
+                paths[path] = paths.get(path, 0) + 1
+    assert set(kinds) == {"vertex", "edge", "face"}, kinds
+    assert set(paths) == {"exact", "side", "wedge"}, paths
+
+
+def test_wedge_twin_decides_only_clear_of_every_dart():
+    # directions at 0, 1e-12 and 1e-10 rad (below _AZIMUTH) and at 1e-6 rad
+    # from each curve dart at each vertex: the plain-float wedge answers only
+    # where clear, and then as _face_of_wedge
+    decided = 0
+    for seed in range(6):
+        bc = _star_base(seed)
+        if bc is None:
+            continue
+        for v in bc.live_vertices():
+            pv = bc.vertices[v]
+            for d in bc.fans[v]:
+                if bc.kind(d) != CURVE:
+                    continue
+                t = unit(bc.dart_tangent(d))
+                side = cross(pv, t)
+                for turn in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-6, -1e-6):
+                    u = unit(add(tuple(math.cos(turn) * x for x in t),
+                                 tuple(math.sin(turn) * x for x in side)))
+                    p = _turned(pv, u, 1e-4)
+                    got = bc._face_of_wedge_twin(v, p)
+                    if abs(turn) < arrangement._AZIMUTH:
+                        assert got is None
+                    elif got is not None:
+                        assert got == bc._face_of_wedge(v, p)
+                        decided += 1
+    assert decided > 50
+
+
+def test_every_locate_of_the_generator_and_the_pipeline_matches_the_reference(monkeypatch):
+    # every locate_point call made while generating 40 criterion-5 coverings
+    # and normalizing both stored corpora, against the exact reference
+    import importlib
+    import json
+    import pathlib
+
+    from spherecover import io
+    from spherecover.surface import SurfaceError
+
+    normalize = importlib.import_module("spherecover.normalize").normalize
+
+    locate, calls = arrangement.BaseComplex.locate_point, []
+
+    def checked(self, p):
+        want = _outcome(lambda: ref_locate_point(self, p))
+        got = _outcome(lambda: locate(self, p))
+        assert got == want
+        calls.append(got)
+        return locate(self, p)
+    monkeypatch.setattr(arrangement.BaseComplex, "locate_point", checked)
+    for n in range(1, 41):
+        generators.generate_disk_covering_filtered(("c5", n), max_sum=6, max_degree=4)
+    generated = len(calls)
+    corpus = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
+    for name in ("batch", "stress"):
+        for line in (corpus / (name + ".jsonl")).read_text().splitlines():
+            try:
+                normalize(io.surface_from_dict(json.loads(line)))
+            except SurfaceError:
+                pass
+    # 798 and 236 calls when this test was written, every one a face
+    assert generated > 700 and len(calls) - generated > 200
 
 
 def test_rebuild_idempotent():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from spherecover import geometry
+from spherecover import arrangement, geometry
 from spherecover.arrangement import CurveInput, SpecialSet, build_arrangement
 from spherecover.geometry import (
     EPS_SEP,
@@ -740,7 +740,20 @@ def _turned_from(p, ang, turn):
 
 _AXES = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),
          (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)]
-_OPS = ("new", "axis", "again", "zeros", "inside", "outside", "at_tol", "scaled", "tiny")
+_OPS = ("new", "axis", "again", "zeros", "inside", "outside", "at_tol", "scaled", "tiny",
+        "box_under", "box_over")
+
+
+def _at_box_gap(prev, tol, turn, over):
+    """A unit point in the tangent direction turn from the unit point prev
+    whose largest coordinate gap from prev is just over or just under the
+    box rule's tol + 1e-11 (by 1e-4 of it)."""
+    target = (tol + 1e-11) * (1 + 1e-4 if over else 1 - 1e-4)
+
+    def gap(ang):
+        p = _turned_from(prev, ang, turn)
+        return max(abs(x - y) for x, y in zip(p, prev))
+    return _turned_from(prev, target * tol / gap(tol), turn)
 
 
 @settings(max_examples=300, deadline=None)
@@ -749,7 +762,9 @@ _OPS = ("new", "axis", "again", "zeros", "inside", "outside", "at_tol", "scaled"
                           st.floats(0, 2 * math.pi)), min_size=1, max_size=40))
 def test_point_registry_matches_linear_scan(tol, ops):
     # streams of repeated values, points just inside and just outside tol of
-    # earlier ones, and coordinates of 0.0 and -0.0 (equal by value)
+    # earlier ones, coordinate gaps just under and just over the box rule's
+    # tol + 1e-11 (unit or scaled), and coordinates of 0.0 and -0.0 (equal
+    # by value)
     reg, points, seen = geometry.PointRegistry(tol), [], []
     for op, k, v, turn in ops:
         prev = seen[k % len(seen)] if seen else _AXES[k % 6]
@@ -765,6 +780,10 @@ def test_point_registry_matches_linear_scan(tol, ops):
             p = geometry.scale(3.0, prev)
         elif op == "tiny":
             p = _flip_zeros((0.0, 0.0, 0.0) if k & 1 else (5e-324, 0.0, 0.0), k >> 1)
+        elif op in ("box_under", "box_over"):
+            p = _at_box_gap(unit(prev), tol, turn, op == "box_over")
+            if k & 1:
+                p = geometry.scale(3.0, p)  # not a unit query: no box
         else:
             ang = tol * {"inside": 1 - 1e-4, "outside": 1 + 1e-4, "at_tol": 1.0}[op]
             p = _turned_from(prev, ang, turn)
@@ -774,6 +793,48 @@ def test_point_registry_matches_linear_scan(tol, ops):
         if op != "tiny":
             seen.append(p)
     assert [repr(q) for q in reg.points] == [repr(q) for q in points]
+
+
+def _box_cases(tol):
+    """(stored point, query, whether the query coincides, whether the box
+    rule must leave the stored point to ``points_coincide``): a unit query
+    whose only coordinate gap g from a unit point lies just inside tol, just
+    under tol + 1e-11 and just over it, and each query scaled by 3."""
+    for phi in (0.3, 2.0, -1.2):
+        q = (0.0, math.cos(phi), math.sin(phi))
+        for g in (tol * (1 - 1e-6), tol + 1e-11 - 1e-13, tol + 1e-11 + 1e-13):
+            for sign in (1.0, -1.0):
+                p = (sign * g, q[1], q[2])  # |p|**2 = 1 + g**2
+                hit = g < tol
+                yield q, p, hit, g < tol + 1e-11
+                yield q, geometry.scale(3.0, p), hit, True
+
+
+@pytest.mark.parametrize("tol", [2 * EPS_SEP, 1e-7])
+def test_box_rule_skips_only_beyond_tol_plus_1e_11(tol, monkeypatch):
+    # the registry and vertex_at call points_coincide on a stored point
+    # unless a unit query's coordinate gap exceeds tol + 1e-11, and answer
+    # as the linear scan
+    calls = []
+    exact = geometry.points_coincide
+
+    def counted(a, b, tol=EPS_SEP):
+        calls.append((a, b))
+        return exact(a, b, tol)
+    monkeypatch.setattr(geometry, "points_coincide", counted)
+    monkeypatch.setattr(arrangement, "points_coincide", counted)
+    for q, p, hit, scanned in _box_cases(tol):
+        assert exact(q, p, tol) == hit
+        reg = geometry.PointRegistry(tol)
+        reg.key(q)
+        calls.clear()
+        assert reg.key(p) == (0 if hit else 1)
+        assert any(reg.points[0] in (a, b) for a, b in calls) == scanned
+        bc = arrangement.BaseComplex()
+        bc.new_vertex(q)
+        calls.clear()
+        assert bc.vertex_at(p, tol) == (0 if hit else None)
+        assert bool(calls) == scanned
 
 
 # -- the filtered searches against their full scans ------------------------------

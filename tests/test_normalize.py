@@ -904,6 +904,46 @@ def _run_rotation(fn, s):
     return json.dumps(io.surface_to_dict(out, {}), sort_keys=True), _hex(rho.matrix)
 
 
+def _meridian(lat_a, lat_b):
+    """The arc of the meridian at longitude 0 between two latitudes."""
+    return GeodesicSegment(*((math.cos(x), 0.0, math.sin(x)) for x in (lat_a, lat_b)))
+
+
+@pytest.mark.parametrize("end", ["a", "b"])
+def test_contact_roots_at_an_arcs_ends_match_the_reference(end, monkeypatch):
+    # Targets at latitude 0.4 turned about the z axis meet the meridian at
+    # longitude 0 at X (latitude 0.4).  The arc's end lies just past X
+    # (X inside by d > 0) or stops short of it (X outside by -d), around
+    # both thresholds: contains refuses X beyond 5e-9 (ta + tb > length +
+    # 1e-8), and the twin skips its preimage beyond 5.5e-9 (length + 1e-8 +
+    # 1e-9).  Each search answers as the reference, builds the exact
+    # preimage wherever the twin is not clear, and skips the far root at
+    # longitude pi.
+    preimages = []
+    contains = GeodesicSegment.contains
+    monkeypatch.setattr(GeodesicSegment, "contains", lambda seg, p, tol=geometry.EPS_SEP: (
+        preimages.append(p) if tol == 10 * geometry.EPS_SEP else None) or contains(seg, p, tol))
+    lat = 0.4
+    targets = [(math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+               for lon in (0.7, -2.1)]
+    for d in (1e-6, 1e-9, 0.0, -1e-9, -4.9e-9, -5.1e-9, -5.4e-9, -5.6e-9, -6e-9, -1e-8, -1e-6):
+        seg = _meridian(lat - 0.5, lat + d) if end == "b" else _meridian(lat - d, lat + 0.5)
+        # a second arc with roots of its own, far from the first
+        curve = [seg, _meridian(-1.2, -0.9)]
+        for axis in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)):
+            preimages.clear()
+            got = contact_angles(curve, targets, axis)
+            built = list(preimages)
+            assert got == ref_contact_angles(curve, targets, axis), (d, axis)
+            on_arc = [c is not None and c[1] == 0 for c in got]
+            assert all(on_arc) == (d >= -5e-9 + 1e-12), (d, got)
+            # the far root (longitude pi) and the second arc's roots are
+            # always clear; X is built where it is not more than 5.5e-9 out
+            near_x = [p for p in built if abs(p[1]) < 1e-6 and p[0] > 0]
+            assert len(near_x) == (len(targets) if d > -5.5e-9 else 0), (d, built)
+            assert len(built) == len(near_x)
+
+
 @pytest.mark.parametrize("name, steps", [("batch", 14), ("stress", 51)])
 def test_rotation_matches_reference_on_corpus(name, steps, monkeypatch):
     # every rotation step normalize takes on the stored corpora, rerun; each
@@ -929,6 +969,35 @@ def test_rotation_matches_reference_on_corpus(name, steps, monkeypatch):
         assert _outcome(lambda: _run_rotation(rotate, s)) == _outcome(
             lambda: _run_rotation(ref_rotate_to_touch_special, s))
     assert len(contacts) >= 2 * steps
+
+
+@pytest.mark.parametrize("line", [8, 11, 20])
+def test_a_special_turned_past_its_contact_leaves_its_face(line, monkeypatch):
+    # Batch lines that take a rotation step, with the first contact dropped:
+    # the step turns by the next special's larger angle, which carries the
+    # first special across the walk arc it touched (or within EPS_SEP of a
+    # vertex), and the tip check refuses the step.
+    used = []
+    ordered = nm._ordered_contacts
+
+    def later(segs, specials, axis):
+        contacts = ordered(segs, specials, axis)
+        used.append((segs, axis, contacts))
+        return contacts[1:]
+    monkeypatch.setattr(nm, "_ordered_contacts", later)
+    s = io.surface_from_dict(json.loads((CORPUS / "batch.jsonl").read_text().splitlines()[line]))
+    with pytest.raises(PipelineError, match="rotated special left its face"):
+        normalize(s)
+    segs, axis, contacts = used[-1]
+    (t1, idx, _, p), (t2, _, _, _) = contacts[:2]
+    assert t1 < t2
+    touch = Rotation.from_axis_angle(neg(axis), t1).apply(p)
+    past = Rotation.from_axis_angle(neg(axis), t2).apply(p)
+    assert segs[idx].contains(touch, tol=10 * geometry.EPS_SEP)
+    pole = segs[idx].pole
+    crossed = (geometry.dot(p, pole) > 0) != (geometry.dot(past, pole) > 0)
+    at_vertex = any(points_coincide(past, v) for v in s.base.vertices if v is not None)
+    assert crossed or at_vertex
 
 
 def _north_specials(positions):
