@@ -152,7 +152,10 @@ class BaseComplex:
     it only while both are still the same objects.  Points are immutable
     tuples, so a vertex only moves by replacing its entry (``vertices[v] =
     p``), and a returned segment or tangent is shared.  ``copy`` shares the
-    vertex tuples and starts with empty caches.
+    vertex tuples and starts with empty caches.  ``build_curve_graph`` seeds
+    a curve edge's forward dart with the segment it measured the edge by,
+    where ``unit`` fixes both stored vertices bit for bit: that segment's
+    ends are those vertices, so it is the one ``dart_segment`` would build.
     """
 
     def __init__(self):
@@ -652,6 +655,13 @@ def _tangent_at_tail(v, w) -> tuple:
     return unit(cross(cross(v, w), v))
 
 
+def _same_bits(p, q) -> bool:
+    """p == q, with the sign of each zero coordinate equal too (``all(p)``:
+    p has no zero coordinate)."""
+    return p == q and (all(p) or all(math.copysign(1.0, x) == math.copysign(1.0, y)
+                                     for x, y in zip(p, q)))
+
+
 def build_arrangement(curve: CurveInput, special: SpecialSet, markers=()) -> BaseComplex:
     """Arrangement of the curve: split at mutual crossings and at special or
     marker points lying on it; faces traced with Gauss-Bonnet areas.
@@ -719,6 +729,12 @@ def build_curve_graph(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
     vid = {}
     for pid, p in enumerate(points):
         vid[pid] = bc.new_vertex(p)
+    # An edge's segment GeodesicSegment(points[pa], points[pb]) has the ends
+    # unit(points[pa]) and unit(points[pb]), the vertices new_vertex stored:
+    # where these are the input arc's ends bit for bit, it is that arc.
+    # Where unit fixes both vertices, ``dart_segment`` would build the same
+    # segment again, so it is seeded into the dart cache.
+    fixed = [_same_bits(unit(q), q) for q in bc.vertices]
 
     edge_lookup = {}  # frozenset(point ids) -> edge id (dedup of +- duplicates)
     traversal = []
@@ -733,8 +749,15 @@ def build_curve_graph(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
                 e = edge_lookup[key]
                 traversal.append(2 * e if bc.edges[e].a == vid[pa] else 2 * e + 1)
                 continue
-            seg = GeodesicSegment(points[pa], points[pb])
-            e = bc._new_edge(vid[pa], vid[pb], CURVE, seg.length)
+            va, vb = vid[pa], vid[pb]
+            tail, head = bc.vertices[va], bc.vertices[vb]
+            if _same_bits(tail, s.a) and _same_bits(head, s.b):
+                seg = s
+            else:
+                seg = GeodesicSegment(points[pa], points[pb])
+            e = bc._new_edge(va, vb, CURVE, seg.length)
+            if fixed[va] and fixed[vb]:
+                bc._segments[2 * e] = (tail, head, seg)
             edge_lookup[key] = e
             traversal.append(2 * e)
     bc.traversal = traversal
@@ -750,9 +773,13 @@ def build_faces(bc: BaseComplex) -> BaseComplex:
     summing to 4pi.  Pending points on the curve become special or marker
     vertices; the others stay pending for attach_scaffold.
     """
+    # each vertex's forward darts in edge order, then its reverse darts
+    fwd, rev = [[] for _ in bc.vertices], [[] for _ in bc.vertices]
+    for e in bc.live_edges():
+        fwd[bc.edges[e].a].append(2 * e)
+        rev[bc.edges[e].b].append(2 * e + 1)
     for v in bc.live_vertices():
-        darts = [2 * e for e in bc.live_edges() if bc.edges[e].a == v]
-        darts += [2 * e + 1 for e in bc.live_edges() if bc.edges[e].b == v]
+        darts = fwd[v] + rev[v]
         if not darts:
             raise ArrangementError("isolated curve vertex %d" % v)
         bc.fans[v] = bc.azimuth_order(v, darts)

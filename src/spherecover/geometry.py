@@ -4,7 +4,9 @@ All points live on the unit sphere in R^3 and are immutable ``(x, y, z)``
 tuples of floats; the kernel owns its arithmetic.  ``dot`` is the FMA chain
 ``fma(a2, b2, fma(a1, b1, a0*b0))``, each ``fma`` rounded once (Dekker's
 exact product, then one ``math.fsum``), so every length, area and incidence
-test rounds the same on every host and Python version.  ``Rotation`` takes
+test rounds the same on every host and Python version.  ``norm`` squares
+by ``_dot_self``, ``dot(v, v)`` bit for bit with one split per coordinate
+in place of two.  ``Rotation`` takes
 each product of a row as a ``dot`` (the identity's ``apply`` skips the row
 dots where they would give back the point's own coordinates), and
 ``float_sum`` adds floats strictly left to right.  Incidence decisions use two tolerances:
@@ -189,8 +191,35 @@ def cross(a, b) -> tuple:
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
+def _dot_self(v) -> float:
+    """``dot(v, v)`` bit for bit, with one Veltkamp split per coordinate.
+
+    For y == h + l split as in ``dot``, y*y is exactly h*h + 2*h*l + l*l, so
+    each fma step's fsum takes (h*l)*2.0 for ``dot``'s h*l + l*h: the
+    doubling is exact, also where h*l underflows, so the fsum's inputs sum to
+    the same exact value.  A sum outside [``_TINY``, ``_MAX``], and any error
+    that ``fsum`` raises, leaves the whole square to ``dot``."""
+    x0, x1, x2 = v
+    s = x0 * x0
+    try:
+        t = x1 * _SPLIT
+        h = t - (t - x1)
+        lo = x1 - h
+        s = fsum((h * h, (h * lo) * 2.0, lo * lo, s))
+        if _TINY <= s <= _MAX:
+            t = x2 * _SPLIT
+            h = t - (t - x2)
+            lo = x2 - h
+            r = fsum((h * h, (h * lo) * 2.0, lo * lo, s))
+            if _TINY <= r <= _MAX:
+                return r
+    except (OverflowError, ValueError):
+        pass
+    return dot(v, v)
+
+
 def norm(v) -> float:
-    return math.sqrt(dot(v, v))
+    return math.sqrt(_dot_self(v))
 
 
 def unit(v) -> tuple:

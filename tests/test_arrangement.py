@@ -605,9 +605,9 @@ def _bridged_record(bc):
             [f.cycle for f in bc.faces], bc.specials, bc.markers)
 
 
-def _both_ways(monkeypatch, inputs):
+def _both_ways(monkeypatch, inputs, predicate="meet_only_at_shared_end"):
     """(graph, bridged) records of each input, as shipped and with the
-    predicate refusing every pair."""
+    arrangement predicate ``predicate`` refusing every pair."""
     def records():
         out = []
         for curve, special, markers in inputs:
@@ -617,14 +617,13 @@ def _both_ways(monkeypatch, inputs):
 
     shipped = records()
     with monkeypatch.context() as m:
-        m.setattr(arrangement, "meet_only_at_shared_end", lambda s1, s2: False)
+        m.setattr(arrangement, predicate, lambda p, q: False)
         return shipped, records()
 
 
-def _hunt_base_inputs(n_seeds):
+def _base_inputs(seeds, **filters):
     """Every (curve, special, markers) that the generator hands
-    build_curve_graph while the first n_seeds hunt seeds generate."""
-    hunt = hunt_module()
+    build_curve_graph while the filtered coverings of ``seeds`` generate."""
     inputs, real = [], generators.build_curve_graph
 
     def record(curve, special, markers=()):
@@ -633,9 +632,16 @@ def _hunt_base_inputs(n_seeds):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(generators, "build_curve_graph", record)
-        for n in range(hunt.FIRST_SEED, hunt.FIRST_SEED + n_seeds):
-            generators.generate_disk_covering_filtered(("hunt", n), **hunt.FILTERS)
+        for seed in seeds:
+            generators.generate_disk_covering_filtered(seed, **filters)
     return inputs
+
+
+def _hunt_base_inputs(n_seeds):
+    """The base inputs of the first n_seeds hunt seeds."""
+    hunt = hunt_module()
+    return _base_inputs([("hunt", n) for n in range(hunt.FIRST_SEED, hunt.FIRST_SEED + n_seeds)],
+                        **hunt.FILTERS)
 
 
 def test_shared_end_shortcut_keeps_the_hunt_bases(monkeypatch):
@@ -694,3 +700,122 @@ def test_shared_end_shortcut_off_for_close_curve_vertices(monkeypatch):
     assert len(calls) == 6 * 5 // 2
     shipped, refused = _both_ways(monkeypatch, [(curve, SpecialSet(NORTH_SPECIALS), ())])
     assert shipped == refused
+
+
+# -- each curve arc measured once ------------------------------------------------
+# build_curve_graph measures an edge by its input arc where the edge's stored
+# vertices are that arc's ends bit for bit, and seeds the edge's forward dart
+# in the dart cache with the segment it measured it by where unit fixes both
+# stored vertices.
+
+
+def _seeded(bc):
+    """The segments build_curve_graph seeded into the dart cache, each checked
+    to be a fresh GeodesicSegment(tail, head) in a, b, pole and length bits."""
+    out = []
+    for d, (tail, head, seg) in bc._segments.items():
+        assert d % 2 == 0 and tail is bc.vertices[bc.tail(d)] and head is bc.vertices[bc.head(d)]
+        want = GeodesicSegment(tail, head)
+        assert (_hex(seg.a), _hex(seg.b), _hex(seg.pole), seg.length.hex()) == \
+            (_hex(want.a), _hex(want.b), _hex(want.pole), want.length.hex())
+        out.append(seg)
+    return out
+
+
+def _counted_builds(monkeypatch):
+    """A list that gains an entry for each GeodesicSegment arrangement.py builds."""
+    built = []
+
+    class Counted(GeodesicSegment):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(arrangement, "GeodesicSegment", Counted)
+    return built
+
+
+def test_curve_graph_measures_each_arc_once(monkeypatch):
+    """Over the bases of the 40 criterion-5 seeds (the first 12 are the
+    ``generate`` benchmark's items) and one crossing curve, every seeded
+    dart-cache entry is the fresh segment, and the graph and its bridges
+    are the same as with every edge segment built and none seeded
+    (``_same_bits`` refusing every pair).  All three ways run: an edge
+    measured by its input arc, a segment built for an edge (the crossing's
+    pieces), and an edge left unseeded at a vertex that ``unit`` moves."""
+    inputs = _base_inputs([("c5", n) for n in range(1, 41)], max_sum=6, max_degree=4)
+    # the generator's bases have no crossing; this one splits two arcs
+    crossing = (sphere_point(1, 0, 0.3), sphere_point(0, 1, -0.3),
+                sphere_point(0, 1, 0.3), sphere_point(1, 0, -0.3))
+    inputs.append((CurveInput(crossing), SpecialSet(NORTH_SPECIALS), ()))
+    inputs[-1][0].segments  # the input arcs, built before the count
+    shared = seeded_builds = unseeded = 0
+    with monkeypatch.context() as m:
+        built = _counted_builds(m)
+        for curve, special, markers in inputs:
+            bc = build_curve_graph(curve, special, markers)
+            seeded = _seeded(bc)
+            shared += sum(any(seg is s for s in curve.segments) for seg in seeded)
+            seeded_builds += sum(any(seg is b for b in built) for seg in seeded)
+            unseeded += len(bc.live_edges()) - len(seeded)
+    # 1776 shared, 4 built and 14 unseeded when this test was written
+    assert shared > 1000 and seeded_builds > 0 and unseeded > 0
+    shipped, refused = _both_ways(monkeypatch, inputs, "_same_bits")
+    assert shipped == refused
+
+
+def _unit_moved(near):
+    """A point u within 0.4 rad of the unit vector ``near`` that ``unit``
+    moves to another point and back, unit(u) != u and unit(unit(u)) == u:
+    an iterated unit vector, some 1 in 250 of which are such."""
+    rng = np.random.default_rng(5)
+    for _ in range(10 ** 5):
+        u = tuple(float(c + rng.uniform(-0.2, 0.2)) for c in near)
+        for _ in range(4):
+            u = unit(u)
+        if unit(u) != u and unit(unit(u)) == u:
+            return u
+    raise AssertionError("no point that unit moves and moves back")
+
+
+def test_curve_graph_seeds_no_dart_at_a_vertex_unit_moves(monkeypatch):
+    """A curve through a u that unit moves: the stored vertex is u itself,
+    so its two arcs are measured by the input arcs (no segment is built),
+    but neither is seeded, and their darts build their own segments; the
+    third arc is seeded."""
+    u = _unit_moved(sph(0.5, 0.3))
+    curve = CurveInput((u, sph(1.5, 0.3), sph(1.0, 1.0)))
+    curve.segments  # the input arcs, built before the count
+    built = _counted_builds(monkeypatch)
+    bc = build_curve_graph(curve, SpecialSet(NORTH_SPECIALS))
+    v = bc.vertex_at(u)
+    assert _hex(bc.vertices[v]) == _hex(u) and not built
+    at_v = [e for e in bc.live_edges() if v in (bc.edges[e].a, bc.edges[e].b)]
+    assert len(at_v) == 2 and not any(2 * e in bc._segments for e in at_v)
+    assert [seg is curve.segments[1] for seg in _seeded(bc)] == [True]
+    # the darts' own segments start or end at unit(u), not at the arc's u
+    for e, arc in zip(at_v, (curve.segments[0], curve.segments[2])):
+        seg = bc.dart_segment(2 * e)
+        want = GeodesicSegment(bc.vertices[bc.edges[e].a], bc.vertices[bc.edges[e].b])
+        assert (_hex(seg.a), _hex(seg.b), seg.length.hex()) == \
+            (_hex(want.a), _hex(want.b), want.length.hex())
+        assert (_hex(seg.a), _hex(seg.b)) != (_hex(arc.a), _hex(arc.b))
+
+
+def test_curve_graph_shares_no_arc_across_a_zero_sign(monkeypatch):
+    """A figure eight through (1, 0, 0) twice, the second time as
+    (1, -0.0, 0): the stored vertex is (1.0, 0.0, 0.0), equal by value to
+    the two arcs' ends at the second visit but not bit for bit, so each of
+    those two gets a segment of its own, and every seeded segment is the
+    fresh one."""
+    pts = ((1.0, 0.0, 0.0), sph(0.6, 0.5), sph(1.2, 0.4),
+           (1.0, -0.0, 0.0), sph(-0.6, -0.5), sph(-1.2, -0.4))
+    curve = CurveInput(pts)
+    curve.segments  # the input arcs, built before the count
+    built = _counted_builds(monkeypatch)
+    bc = build_curve_graph(curve, SpecialSet(NORTH_SPECIALS))
+    assert len(bc.live_edges()) == 6 and _hex(bc.vertices[0]) == _hex((1.0, 0.0, 0.0))
+    assert [(_hex(s.a), _hex(s.b)) for s in built] == [
+        (_hex(curve.segments[2].a), _hex(bc.vertices[0])),
+        (_hex(bc.vertices[0]), _hex(curve.segments[3].b))]
+    assert len(_seeded(bc)) == 6

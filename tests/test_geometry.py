@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -216,15 +217,26 @@ def test_identity_apply_is_the_row_dots_bit_for_bit(p, s):
 
 
 def test_identity_apply_skips_the_row_dots(monkeypatch):
+    # the row dots are ``dot`` calls; the norm in ``unit`` squares by
+    # ``_dot_self``
     p = unit((0.3, -0.5, 0.8))
-    calls = []
-    exact = geometry.dot
-    monkeypatch.setattr(geometry, "dot", lambda a, b: calls.append(1) or exact(a, b))
+    rows, norms = [], []
+    exact, exact_self = geometry.dot, geometry._dot_self
+    monkeypatch.setattr(geometry, "dot", lambda a, b: rows.append(1) or exact(a, b))
+    monkeypatch.setattr(geometry, "_dot_self", lambda v: norms.append(1) or exact_self(v))
     Rotation.identity().apply(p)
-    assert len(calls) == 1  # the norm in ``unit``
-    del calls[:]
+    assert (len(rows), len(norms)) == (0, 1)
+    del rows[:], norms[:]
     Rotation.identity().apply((0.6, -0.0, 0.8))  # a zero: the rows' dots
-    assert len(calls) == 4
+    assert (len(rows), len(norms)) == (3, 1)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.tuples(COORD, COORD, COORD))
+@example((1.0, float.fromhex("0x1.23456789abcdep-500"), 0.5))  # h*l underflows inexactly
+@example((0.3, -0.5, 0.8))
+def test_dot_self_is_dot_bit_for_bit(v):
+    assert struct.pack("<d", geometry._dot_self(v)) == struct.pack("<d", dot(v, v))
 
 
 def test_unit_of_near_zero_vector_raises():
