@@ -129,6 +129,45 @@ class CurveInput:
         k = len(self.points)
         return tuple(GeodesicSegment(self.points[i], self.points[(i + 1) % k]) for i in range(k))
 
+    @cached_property
+    def ends_apart(self) -> bool:
+        """Whether the arcs' distinct ends lie pairwise more than 1e-6 apart
+        (by plain-float angles, an untrusted one counting as 0)."""
+        ends = list(dict.fromkeys(s.a for s in self.segments))
+        return all((_fangle(ends[i], ends[j]) or 0.0) > 1e-6
+                   for i in range(len(ends)) for j in range(i + 1, len(ends)))
+
+    @cached_property
+    def meetings(self) -> tuple:
+        """(i, j, segment_intersection(arc i, arc j)) for each pair of arcs
+        i < j where that list is not empty, leaving out, where ``ends_apart``,
+        the pairs that ``meet_only_at_shared_end``: the meetings that
+        ``build_curve_graph`` registers beside the arcs' ends."""
+        segs = self.segments
+        out = []
+        for i in range(len(segs)):
+            for j in range(i + 1, len(segs)):
+                if self.ends_apart and meet_only_at_shared_end(segs[i], segs[j]):
+                    continue
+                hits = segment_intersection(segs[i], segs[j])
+                if hits:
+                    out.append((i, j, hits))
+        return tuple(out)
+
+    def face_count(self):
+        """The faces of the arrangement, E - V + 2 of ``build_curve_graph``'s
+        graph, for special and marker points that lie on no arc; or None
+        where that is not known exact.
+
+        Where ``ends_apart`` holds and the arcs have no ``meetings``, the
+        graph registers the distinct ends and nothing else, each under its
+        own id, and has one edge per distinct pair of ends of an arc."""
+        if not self.ends_apart or self.meetings:
+            return None
+        segs = self.segments
+        pairs = {frozenset((s.a, s.b)) for s in segs}
+        return len(pairs) - len({s.a for s in segs}) + 2
+
 
 @dataclass
 class Edge:
@@ -680,7 +719,9 @@ def build_curve_graph(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
     for ``build_faces``.  An arrangement that completes passes
     ``euler_check``, and ``build_faces`` adds no vertex or edge, so its face
     count is E - V + 2 of this graph: a caller can refuse on the face count
-    before the faces are traced.
+    before the faces are traced, or before this graph where
+    ``curve.face_count()`` knows it.  The arcs' meetings come from
+    ``curve.meetings``, computed once per curve.
     """
     segs = curve.segments
     tagged = list(zip(special.points, special.labels())) + [(unit(m), None) for m in markers]
@@ -692,33 +733,28 @@ def build_curve_graph(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
     for i, s in enumerate(segs):
         seg_pts[i][0.0] = register(s.a)
         seg_pts[i][1.0] = register(s.b)
-    # Where the curve's distinct vertices lie pairwise more than 1e-6 apart,
-    # each is stored as itself (up to rounding) under an id that comes before
-    # every crossing's, and no other stored point lies within 2 EPS_SEP of it.
-    # So the point that segment_intersection returns for two arcs meeting only
-    # at a shared end, within 3e-12 of it, registers nothing and gets that
-    # end's id, and any parameter key it adds next to 0 or 1 carries the same
-    # id: the edges between distinct consecutive ids do not change.
-    ends = list(dict.fromkeys(s.a for s in segs))
-    separated = all((_fangle(ends[i], ends[j]) or 0.0) > 1e-6
-                    for i in range(len(ends)) for j in range(i + 1, len(ends)))
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if separated and meet_only_at_shared_end(segs[i], segs[j]):
+    # Where the curve's distinct vertices lie pairwise more than 1e-6 apart
+    # (``ends_apart``), each is stored as itself (up to rounding) under an id
+    # that comes before every crossing's, and no other stored point lies
+    # within 2 EPS_SEP of it.  So the point that segment_intersection returns
+    # for two arcs meeting only at a shared end, within 3e-12 of it, registers
+    # nothing and gets that end's id, and any parameter key it adds next to 0
+    # or 1 carries the same id: the edges between distinct consecutive ids do
+    # not change.  ``curve.meetings`` leaves those pairs out.
+    for i, j, hits in curve.meetings:
+        for h in hits:
+            if isinstance(h, GeodesicSegment):
+                same = points_coincide(segs[i].a, segs[j].a) and points_coincide(segs[i].b, segs[j].b)
+                antv = points_coincide(segs[i].a, segs[j].b) and points_coincide(segs[i].b, segs[j].a)
+                if not (same or antv):
+                    raise OverlappingInput("segments %d and %d share a subarc" % (i, j))
                 continue
-            for h in segment_intersection(segs[i], segs[j]):
-                if isinstance(h, GeodesicSegment):
-                    same = points_coincide(segs[i].a, segs[j].a) and points_coincide(segs[i].b, segs[j].b)
-                    antv = points_coincide(segs[i].a, segs[j].b) and points_coincide(segs[i].b, segs[j].a)
-                    if not (same or antv):
-                        raise OverlappingInput("segments %d and %d share a subarc" % (i, j))
-                    continue
-                pid = register(h)
-                ti, tj = segs[i].param_of(h, 1e-8), segs[j].param_of(h, 1e-8)
-                if ti is not None:
-                    seg_pts[i][round(ti, 12)] = pid
-                if tj is not None:
-                    seg_pts[j][round(tj, 12)] = pid
+            pid = register(h)
+            ti, tj = segs[i].param_of(h, 1e-8), segs[j].param_of(h, 1e-8)
+            if ti is not None:
+                seg_pts[i][round(ti, 12)] = pid
+            if tj is not None:
+                seg_pts[j][round(tj, 12)] = pid
     for p, _lab in tagged:
         for i, s in enumerate(segs):
             t = s.param_of(p)

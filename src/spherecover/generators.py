@@ -20,7 +20,16 @@ from .arrangement import (
     build_faces,
     locate_pending,
 )
-from .geometry import GeodesicSegment, GeometryError, norm, points_coincide, sphere_point, sub
+from .geometry import (
+    GeodesicSegment,
+    GeometryError,
+    _box_apart,
+    _box_limit,
+    norm,
+    points_coincide,
+    sphere_point,
+    sub,
+)
 from .surface import SurfaceComplex, SurfaceError, functionals, geometric_walk, require_valid
 from .surgery import SurfacePath, cut_to_boundary
 
@@ -95,7 +104,9 @@ def _random_curve_points(rng):
         lobe2 = [_sph(lonp + dx, -a + rng.uniform(-0.1, 0.1))
                  for dx in (0.7, -0.7)]
         return [p, lobe1[0], lobe1[1], p, lobe2[0], lobe2[1]]
-    # one transversal crossing
+    # a plain quadrilateral, whatever the style's name says: its two arcs
+    # between the bands at latitude a and -a span disjoint longitudes, so no
+    # two arcs cross and the arrangement has 2 faces
     a = rng.uniform(0.3, 0.55)
     lon = rng.uniform(0, 2 * math.pi)
     return [
@@ -104,6 +115,44 @@ def _random_curve_points(rng):
         _sph(lon + 0.9, -a + rng.uniform(-0.05, 0.05)),
         _sph(lon + 3.6, -a + rng.uniform(-0.05, 0.05)),
     ]
+
+
+def _apart(p, others, tol) -> bool:
+    """Whether p lies more than tol from each of ``others`` by
+    ``points_coincide``, which is skipped for a point that ``_box_apart``
+    already puts beyond tol (exact: see its docstring)."""
+    lim = _box_limit(p, tol)
+    return all(_box_apart(q, p, lim) or not points_coincide(p, q, tol) for q in others)
+
+
+def _draw_points(rng, curve, pts, q, with_marker):
+    """(specials, markers) of an attempt on ``curve``, whose points as drawn
+    are ``pts``: q special points and one marker if ``with_marker``, else
+    none; or None where the draw gives up.
+
+    A special lies more than 0.12 from every earlier special, 0.02 from
+    every arc and 0.1 from every curve point; a marker more than 0.05 from
+    every arc and 0.12 from every special and curve point."""
+    segs = curve.segments
+    specials = []
+    fails = 0
+    lat_side = rng.choice([1, -1])
+    while len(specials) < q and fails < 200:
+        p = _sph(rng.uniform(0, 2 * math.pi), lat_side * rng.uniform(0.95, 1.4))
+        if (_apart(p, specials, 0.12) and not any(seg.contains(p, 0.02) for seg in segs)
+                and _apart(p, pts, 0.1)):
+            specials.append(p)
+        else:
+            fails += 1
+    if len(specials) < q:
+        return None
+    if not with_marker:
+        return specials, []
+    for _try in range(80):
+        p = _sph(rng.uniform(0, 2 * math.pi), rng.uniform(-0.3, 0.3))
+        if not any(seg.contains(p, 0.05) for seg in segs) and _apart(p, specials + pts, 0.12):
+            return specials, [p]
+    return None
 
 
 def random_base(rng, q=3, with_marker=False, min_clean_faces=0, fan=None):
@@ -115,13 +164,17 @@ def random_base(rng, q=3, with_marker=False, min_clean_faces=0, fan=None):
     the base must have a marker whose face allows ``fan_m`` copies, else
     GenerationStuck is raised for the first base that passes the rest.
 
-    Building a base draws nothing from ``rng``, so each refusal is made at
-    the earliest point where it is exact, and the attempts are those of
-    building and scaffolding every base in full:
+    Each attempt draws a curve, then its points (``_draw_points``, whose
+    distance tests skip the angle of a pair ``_box_apart`` puts beyond the
+    tolerance).  Building a base draws nothing from ``rng``, so each refusal
+    is made at the earliest point where it is exact, and the attempts are
+    those of building and scaffolding every base in full:
 
-    - the face count, after the curve graph: an arrangement that completes
-      has E - V + 2 faces (``build_curve_graph``), and one that does not is
-      refused too;
+    - the face count, before the curve graph where ``curve.face_count()``
+      knows it (the drawn points lie on no arc: the draw keeps them 0.02
+      from the arcs, and ``contains`` is monotone in its tolerance), else
+      after the graph: an arrangement that completes has E - V + 2 faces
+      (``build_curve_graph``), and one that does not is refused too;
     - the clean faces and the fan host, after ``locate_pending``: bridges
       keep every face and give each special or marker point a tip in its
       located face, so both are known before any bridge is built;
@@ -133,34 +186,17 @@ def random_base(rng, q=3, with_marker=False, min_clean_faces=0, fan=None):
         pts = _random_curve_points(rng)
         try:
             curve = CurveInput(tuple(pts))
-            segs = curve.segments
+            curve.segments  # a degenerate arc refuses the curve
         except (ArrangementError, GeometryError):
             continue
-        specials = []
-        fails = 0
-        lat_side = rng.choice([1, -1])
-        while len(specials) < q and fails < 200:
-            p = _sph(rng.uniform(0, 2 * math.pi), lat_side * rng.uniform(0.95, 1.4))
-            ok = all(not points_coincide(p, q2, 0.12) for q2 in specials)
-            ok = ok and all(seg.param_of(p, tol=0.02) is None for seg in segs)
-            ok = ok and all(not points_coincide(p, c, 0.1) for c in pts)
-            if ok:
-                specials.append(p)
-            else:
-                fails += 1
-        if len(specials) < q:
+        drawn = _draw_points(rng, curve, pts, q, with_marker)
+        if drawn is None:
             continue
-        markers = []
-        if with_marker:
-            for _try in range(80):
-                p = _sph(rng.uniform(0, 2 * math.pi), rng.uniform(-0.3, 0.3))
-                if all(seg.param_of(p, tol=0.05) is None for seg in segs) and \
-                        all(not points_coincide(p, q2, 0.12) for q2 in specials + pts):
-                    markers.append(p)
-                    break
-            if not markers:
-                continue
+        specials, markers = drawn
         try:
+            n_faces = curve.face_count()
+            if n_faces is not None and n_faces - 1 < min_clean_faces:
+                continue
             bc = build_curve_graph(curve, SpecialSet(tuple(specials)), markers=markers)
             if len(bc.live_edges()) - len(bc.live_vertices()) + 1 < min_clean_faces:
                 continue

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from spherecover import generators, io
-from spherecover.arrangement import CURVE, ArrangementError, CurveInput
+from spherecover.arrangement import CURVE, ArrangementError, CurveInput, SpecialSet
 from spherecover.generators import (
     GenerationStuck,
     _close_scaffold_sides,
@@ -228,43 +228,87 @@ def test_generate_disk_covering_matches_scaffold_first_reference(fan_m, special_
 
 def test_face_count_bound_is_sound(monkeypatch):
     """Every arrangement that completes has E - V + 2 faces, counted on its
-    curve graph, so random_base's refusal before build_faces is exact; and
-    that refusal happens.  The refused graphs are traced here to check them
-    as well."""
-    graphs, faced, completed = [], set(), set()
-    build_graph, build = generators.build_curve_graph, generators.build_faces
+    curve graph, so random_base's refusal on that count, before build_faces
+    and mostly before the graph (``CurveInput.face_count``), is exact; and
+    that refusal happens.  The graphs of the refused draws are built and
+    traced here to check them as well."""
+    draws, graphed, faced, completed = [], set(), set(), set()
+    draw, build_graph, build = (generators._draw_points, generators.build_curve_graph,
+                                generators.build_faces)
+    curve_of = {}  # id of a graph -> id of its curve
 
-    def recording_graph(*args, **kwargs):
-        bc = build_graph(*args, **kwargs)
-        graphs.append((bc, len(bc.live_edges()) - len(bc.live_vertices()) + 2))
+    def recording_draw(rng, curve, pts, q, with_marker):
+        out = draw(rng, curve, pts, q, with_marker)
+        if out is not None:
+            draws.append((curve, out))
+        return out
+
+    def recording_graph(curve, special, markers=()):
+        graphed.add(id(curve))
+        bc = build_graph(curve, special, markers=markers)
+        curve_of[id(bc)] = id(curve)
         return bc
 
     def recording_faces(bc):
-        faced.add(id(bc))
+        faced.add(curve_of[id(bc)])
         out = build(bc)
-        completed.add(id(bc))
+        completed.add(curve_of[id(bc)])
         return out
 
+    monkeypatch.setattr(generators, "_draw_points", recording_draw)
     monkeypatch.setattr(generators, "build_curve_graph", recording_graph)
     monkeypatch.setattr(generators, "build_faces", recording_faces)
     for seed in SEEDS:
         random_base(random.Random(seed), q=3 + seed % 3,
                     with_marker=seed % 2 == 1, min_clean_faces=2)
-    refused = [bc for bc, n in graphs if n - 1 < 2]
-    assert refused and len(faced) == len(graphs) - len(refused)
-    assert not faced & {id(bc) for bc in refused}
-    checked = 0
-    for bc, n in graphs:
-        if id(bc) not in faced:
-            try:
-                build(bc)
-            except (ArrangementError, GeometryError):
-                continue
-        elif id(bc) not in completed:
+    refused = before_graph = checked = 0
+    for curve, (specials, markers) in draws:
+        try:
+            bc = build_graph(curve, SpecialSet(tuple(specials)), markers=markers)
+        except (ArrangementError, GeometryError):
+            assert id(curve) not in faced
+            continue
+        n = len(bc.live_edges()) - len(bc.live_vertices()) + 2
+        if n - 1 < 2:
+            refused += 1
+            before_graph += id(curve) not in graphed
+            assert id(curve) not in faced
+        else:
+            assert id(curve) in faced
+        try:
+            build(bc)
+        except (ArrangementError, GeometryError):
+            assert id(curve) not in completed
             continue
         assert len(bc.live_faces()) == n
         checked += 1
-    assert checked > len(refused)
+    assert before_graph and checked > refused
+
+
+def test_face_count_refuses_before_any_arrangement(monkeypatch):
+    """In one pass of the 12 ``generate`` benchmark items, random_base wants
+    172 graphs and refuses 94 of them on ``CurveInput.face_count``, before
+    any arrangement is built; each refused count leaves fewer than 2 clean
+    faces (min_clean_faces is 2 where special_face_cap is 0)."""
+    counted, graphed = [], set()
+    count, build_graph = CurveInput.face_count, generators.build_curve_graph
+
+    def recording_count(curve):
+        n = count(curve)
+        counted.append((curve, n))
+        return n
+
+    def recording_graph(curve, special, markers=()):
+        graphed.add(id(curve))
+        return build_graph(curve, special, markers=markers)
+
+    monkeypatch.setattr(CurveInput, "face_count", recording_count)
+    monkeypatch.setattr(generators, "build_curve_graph", recording_graph)
+    for n in range(1, 13):
+        generators.generate_disk_covering_filtered(("c5", n), max_sum=6, max_degree=4)
+    refused = [n for curve, n in counted if id(curve) not in graphed]
+    assert len(counted) == 172 and len(refused) == 94
+    assert all(n is not None and n - 1 < 2 for n in refused)
 
 
 def test_random_base_propagates_unexpected_errors(monkeypatch):

@@ -849,6 +849,54 @@ def test_box_rule_skips_only_beyond_tol_plus_1e_11(tol, monkeypatch):
         assert bool(calls) == scanned
 
 
+# the generator draw's tolerances (``generators._draw_points``)
+_DRAW_TOLS = (0.02, 0.05, 0.1, 0.12)
+# unit, |v|**2 within 1e-12 of 1, just beyond that, and far from unit
+_SCALES = (1.0, 1 + 4e-13, 1 - 4e-13, 1 + 6e-13, 1 - 6e-13, 1 + 1e-6, 3.0, 0.5)
+
+
+def _gap_point(p, target, turn):
+    """A unit point in the tangent direction turn from the unit point p whose
+    largest coordinate gap from p is within a few ulps of target (bisection
+    on the angle)."""
+    def gap(ang):
+        q = _turned_from(p, ang, turn)
+        return max(abs(x - y) for x, y in zip(q, p)), q
+
+    lo, hi = 0.0, 4 * target  # the gap is at least the chord over sqrt(3)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if gap(mid)[0] < target:
+            lo = mid
+        else:
+            hi = mid
+    return min((gap(lo), gap(hi)), key=lambda gq: abs(gq[0] - target))[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_DRAW_TOLS), VEC3, VEC3, st.floats(0, 2 * math.pi),
+       st.sampled_from(("random", "gap_under", "gap_over", "near_tol")),
+       st.sampled_from(_SCALES), st.sampled_from(_SCALES))
+def test_box_rule_is_exact_at_the_draw_tolerances(tol, v, w, turn, kind, sp, sq):
+    # _box_apart(q, p, _box_limit(p, tol)) implies not points_coincide(p, q,
+    # tol) at the draw's tolerances: over random pairs, pairs whose largest
+    # coordinate gap lies 1e-13 under or over tol + 1e-11, and pairs an angle
+    # of about tol apart, each point unit, near unit or not unit
+    p = unit(v) if 1e-3 < norm(v) < 1e300 else _AXES[0]
+    if kind == "random":
+        q = unit(w) if 1e-3 < norm(w) < 1e300 else _AXES[1]
+    elif kind == "near_tol":
+        q = _turned_from(p, tol * (1 + 1e-4 * math.tanh(w[0])), turn)
+    else:
+        over = kind == "gap_over"
+        q = _gap_point(p, tol + 1e-11 + (1e-13 if over else -1e-13), turn)
+        lim = geometry._box_limit(p, tol)
+        assert geometry._box_apart(q, p, lim) == over
+    p, q = geometry.scale(sp, p), geometry.scale(sq, q)
+    if geometry._box_apart(q, p, geometry._box_limit(p, tol)):
+        assert not points_coincide(p, q, tol)
+
+
 # -- the filtered searches against their full scans ------------------------------
 #
 # nearest_feature and segment_intersection's broad phase skip exact work on
