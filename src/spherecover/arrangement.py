@@ -21,22 +21,16 @@ from .geometry import (
     GeodesicSegment,
     PointRegistry,
     Rotation,
-    _FILTER,
-    _PRUNE,
-    _box_apart,
-    _box_limit,
-    _fangle,
-    _fdot,
-    _fnearest,
-    _fnearest_end,
     add,
     angle_between,
     antipodal,
+    clear_of_circles,
     cross,
     dot,
+    first_within,
     float_sum,
+    locate_on_arcs,
     meet_only_at_shared_end,
-    nearest_feature,
     neg,
     points_coincide,
     scale,
@@ -45,19 +39,13 @@ from .geometry import (
     tangent_frame,
     turning_angle,
     unit,
+    wedge_index,
 )
 
 CURVE = "curve"
 SCAFFOLD = "scaffold"
 
 FULL_SPHERE = 4 * math.pi
-# ``locate_point`` runs ``param_of`` only on an arc whose nearest twin is
-# untrusted or at most this (rad); a point ``contains`` takes is nearer.
-_ON_ARC = 1e-8
-# ``_face_of_wedge_twin`` decides only where the plain-float azimuths of the
-# direction and of every curve dart lie this far (rad) apart on the circle;
-# each errs by < 1e-14 against ``_face_of_wedge``'s.
-_AZIMUTH = 1e-9
 
 
 class ArrangementError(ValueError):
@@ -131,11 +119,9 @@ class CurveInput:
 
     @cached_property
     def ends_apart(self) -> bool:
-        """Whether the arcs' distinct ends lie pairwise more than 1e-6 apart
-        (by plain-float angles, an untrusted one counting as 0)."""
+        """Whether the arcs' distinct ends lie pairwise more than 1e-6 apart."""
         ends = list(dict.fromkeys(s.a for s in self.segments))
-        return all((_fangle(ends[i], ends[j]) or 0.0) > 1e-6
-                   for i in range(len(ends)) for j in range(i + 1, len(ends)))
+        return all(first_within(x, ends[:i], 1e-6) is None for i, x in enumerate(ends))
 
     @cached_property
     def meetings(self) -> tuple:
@@ -351,14 +337,8 @@ class BaseComplex:
     # -- geometry-backed queries -------------------------------------------
 
     def vertex_at(self, p, tol=EPS_SEP):
-        """The first live vertex within tol of p (``points_coincide``), or None.
-        A vertex that ``geometry._box_apart`` puts beyond tol is skipped
-        without its angle."""
-        lim = _box_limit(p, tol)
-        for v, q in enumerate(self.vertices):
-            if q is not None and not _box_apart(q, p, lim) and points_coincide(q, p, tol):
-                return v
-        return None
+        """The first live vertex within tol of p (``first_within``), or None."""
+        return first_within(p, self.vertices, tol)
 
     def dart_tangent(self, d: int) -> tuple:
         return self._per_dart(self._tangents, d, _tangent_at_tail)
@@ -376,135 +356,29 @@ class BaseComplex:
         Snapping priority vertex > edge > face at EPS_SEP.  Only CURVE edges
         give edge hits and decide the side; SCAFFOLD edges are always
         skipped, whether their embedding is honest or nominal, so a point on
-        a bridge is located in the face the bridge hangs in.
-
-        The nearest curve feature decides the face.  Each arc's plain-float
-        nearest twin (``_fnearest``) is computed first, and the exact kernel
-        runs only where the twins leave the answer open; every answer is
-        the one of the full exact scan:
-
-        1. ``param_of`` runs only on the arcs whose twin is untrusted or at
-           most ``_ON_ARC`` (1e-8): a point that ``contains`` takes (tol =
-           EPS_SEP) lies within 1.5e-9 of the arc, where a trusted twin
-           errs by < 2e-9 (see ``nearest_feature``).
-        2. Where every twin is trusted, ``nearest_feature`` would run
-           ``nearest_point`` only on the candidates, the arcs whose twin is
-           within ``_PRUNE`` of the least.  If there is one and
-           ``_fnearest_end`` puts p's foot on it, the answer is that arc's
-           left or right face by the sign of p . pole, taken from ``_fdot``
-           where it is more than ``_FILTER`` from 0.
-        3. If ``_fnearest_end`` puts every candidate's nearest point at an
-           end that is one shared vertex v, the answer is v's wedge face,
-           from ``_face_of_wedge_twin`` where that decides.
-        4. Anywhere else ``nearest_feature`` and ``_face_of_wedge`` decide.
+        a bridge is located in the face the bridge hangs in.  The nearest
+        curve feature decides the face (``locate_on_arcs``): a side of an
+        arc, or the wedge at an end vertex that the direction toward p
+        enters between its curve darts (``wedge_index``; scaffold edges
+        never separate faces at a vertex).
         """
         p = unit(p)
         v = self.vertex_at(p)
         if v is not None:
             return ("vertex", v)
-        edges, segs, twins = [], [], []
-        for e in self.live_edges():
-            if self.edges[e].kind != CURVE:
-                continue
-            seg = self.dart_segment(2 * e)
-            w = _fnearest(seg, p)
-            if w is None or w <= _ON_ARC:
-                t = seg.param_of(p)
-                if t is not None:
-                    return ("edge", e, t)
-            edges.append(e)
-            segs.append(seg)
-            twins.append(w)
-        if not segs:
+        edges = [e for e in self.live_edges() if self.edges[e].kind == CURVE]
+        if not edges:
             raise ArrangementError("complex has no curve edges")
-        f = self._face_from_twins(edges, segs, twins, p)
-        if f is not None:
-            return ("face", f)
-        i, _, x = nearest_feature(segs, p, twins)
-        e, seg = edges[i], segs[i]
-        vtx = self.edges[e].a if x is seg.a else self.edges[e].b if x is seg.b else None
-        if vtx is None:
-            side = dot(p, seg.pole)
-            d = 2 * e if side > 0 else 2 * e + 1
-            return ("face", self.left_face(d))
-        return ("face", self._face_of_wedge(vtx, p))
-
-    def _face_from_twins(self, edges, segs, twins, p):
-        """The face of p by ``locate_point``'s decisions 2 and 3, or None."""
-        if None in twins:
-            return None
-        cut = min(twins) + _PRUNE
-        near = [i for i, w in enumerate(twins) if w <= cut]
-        ends = set()
-        for i in near:
-            seg, e = segs[i], edges[i]
-            end = _fnearest_end(seg, p)
-            if end is None:
-                return None
-            if end == "foot":
-                if len(near) > 1:
-                    return None
-                side = _fdot(p, seg.pole)
-                if abs(side) <= _FILTER:
-                    side = dot(p, seg.pole)
-                return self.left_face(2 * e if side > 0 else 2 * e + 1)
-            ends.add(self.edges[e].a if end == "a" else self.edges[e].b)
-        if len(ends) != 1:
-            return None
-        return self._face_of_wedge_twin(ends.pop(), p)
-
-    def _face_of_wedge_twin(self, v: int, p):
-        """``_face_of_wedge(v, p)`` from plain-float azimuths, or None where it
-        is not decided: where the direction toward p and the curve darts'
-        tangents are not pairwise more than ``_AZIMUTH`` apart on the
-        circle, or the direction's plain-float vector has |t| <= 1e-12.
-
-        The frame and the direction are ``_face_of_wedge``'s vectors before
-        ``unit``, which does not turn them, and ``_fdot`` errs by < 1e-15
-        times their norms, so each azimuth lies within 1e-14 of the exact
-        one.  Points that far apart keep their cyclic order, so the
-        dart that precedes the direction is the same.  The exact path's
-        ``unit`` of the direction does not fail there (|t| > 1e-12)."""
-        pv = self.vertices[v]
+        kind, i, x = locate_on_arcs([self.dart_segment(2 * e) for e in edges], p)
+        e = edges[i]
+        if kind == "on":
+            return ("edge", e, x)
+        if kind == "side":
+            return ("face", self.left_face(2 * e if x else 2 * e + 1))
+        v = self.edges[e].a if x == "a" else self.edges[e].b
         fan = [d for d in self.fans[v] if self.kind(d) == CURVE]
-        t = cross(cross(pv, p), pv)
-        if not fan or _fdot(t, t) <= 1e-24:
-            return None
-        e1 = self.dart_tangent(fan[0])
-        e2 = cross(pv, e1)
-        tau = 2 * math.pi
-        angs = [math.atan2(_fdot(x, e2), _fdot(x, e1)) % tau
-                for x in [t] + [self.dart_tangent(d) for d in fan]]
-        ring = sorted(angs)
-        if min(b - a for a, b in zip(ring, ring[1:] + [ring[0] + tau])) <= _AZIMUTH:
-            return None
-        target = angs[0]
-        i = min(range(len(fan)), key=lambda i: (target - angs[i + 1]) % tau)
-        return self.left_face(fan[i])
-
-    def _face_of_wedge(self, v: int, p) -> int:
-        """Face of the fan wedge at v containing the direction toward p.
-
-        Only CURVE darts are used: scaffold edges never separate faces at a
-        vertex and their geometry may be nominal after surgeries.
-        """
-        pv = self.vertices[v]
-        t = unit(cross(cross(pv, p), pv))
-        fan = [d for d in self.fans[v] if self.kind(d) == CURVE]
-        if not fan:
-            raise ArrangementError("vertex %d has no curve darts" % v)
-        e1 = unit(self.dart_tangent(fan[0]))
-        e2 = unit(cross(pv, e1))
-        def az(vec):
-            return math.atan2(dot(vec, e2), dot(vec, e1)) % (2 * math.pi)
-        target = az(t)
-        angs = [az(self.dart_tangent(d)) for d in fan]
-        best_i, best_gap = 0, None
-        for i, a in enumerate(angs):
-            gap = (target - a) % (2 * math.pi)
-            if best_gap is None or gap < best_gap:
-                best_i, best_gap = i, gap
-        return self.left_face(fan[best_i])
+        i = wedge_index(self.vertices[v], p, [self.dart_tangent(d) for d in fan])
+        return ("face", self.left_face(fan[i]))
 
     def face_interior_point(self, f: int) -> tuple:
         """A point strictly inside face f (offset from a curve boundary dart)."""
@@ -933,14 +807,12 @@ def bridges_cannot_fail(bc: BaseComplex, faces) -> bool:
     """True if ``attach_bridges(bc, faces)`` cannot raise; False if undecided.
 
     With ``faces`` from ``locate_pending``, only geometry near a degeneracy
-    is left to raise, and margins far above rounding exclude it:
-
-    - each point is more than 2 EPS_SEP from every attachable vertex of its
-      face and from its antipode, so no probe or bridge segment is
-      degenerate and no tangent at a bridge reaches ``unit``'s 1e-15 floor;
-    - no point is within 1e-8 of the great circle of an edge, or of a bridge
-      another point might get.  A probe runs on a circle through its point,
-      so ``segment_intersection`` never takes it for collinear with an edge.
+    is left to raise.  ``clear_of_circles`` excludes it, with each point's
+    targets the attachable vertices of its face and the poles those of the
+    edges: its margins lie far above rounding, so no probe or bridge
+    segment is degenerate, no tangent at a bridge reaches ``unit``'s 1e-15
+    floor, and since a probe runs on a circle through its point,
+    ``segment_intersection`` never takes it for collinear with an edge.
 
     Curve segments and tangents were built by ``build_faces`` and
     ``locate_pending``.  ``add_bridge`` gets a corner at the picked vertex.
@@ -949,17 +821,10 @@ def bridges_cannot_fail(bc: BaseComplex, faces) -> bool:
     + F stays 2; its length is an angle; faces and areas do not change.
     """
     pending = bc.meta.get("pending_interior_points", [])
-    circles = [(-1, bc.dart_segment(2 * e).pole) for e in bc.live_edges()]
-    for k, ((p, _lab), f) in enumerate(zip(pending, faces)):
-        for v in _attachable(bc, bc.faces[f].cycle):
-            c = cross(p, bc.vertices[v])
-            s = math.sqrt(_fdot(c, c))
-            if s <= 2 * EPS_SEP:
-                return False
-            circles.append((k, scale(1 / s, c)))
-    return all(abs(_fdot(p, n)) > 1e-8
-               for k, (p, _lab) in enumerate(pending)
-               for j, n in circles if j != k)
+    return clear_of_circles([p for p, _lab in pending],
+                            [[bc.vertices[v] for v in _attachable(bc, bc.faces[f].cycle)]
+                             for f in faces],
+                            [bc.dart_segment(2 * e).pole for e in bc.live_edges()])
 
 
 def _segment_clear(bc: BaseComplex, p, v) -> bool:

@@ -68,11 +68,20 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def cmd_inspect(args):
-    s = io.load_surface(args.file)
+def _load_valid(path):
+    """The surface in the file at path, or None, with one ``invalid
+    surface:`` line on stderr, where ``validate`` refuses it."""
+    s = io.load_surface(path)
     bad = validate(s)
     if bad:
         print("invalid surface: %s" % "; ".join(bad), file=sys.stderr)
+        return None
+    return s
+
+
+def cmd_inspect(args):
+    s = _load_valid(args.file)
+    if s is None:
         return EXIT_FAIL
     rep = functionals(s)
     if args.format == "json":
@@ -160,10 +169,8 @@ def cmd_normalize(args):
 
 
 def cmd_verify(args):
-    s = io.load_surface(args.file)
-    bad = validate(s)
-    if bad:
-        print("invalid surface: %s" % "; ".join(bad), file=sys.stderr)
+    s = _load_valid(args.file)
+    if s is None:
         return EXIT_FAIL
     mismatches = oracle.oracle_verify(s)
     for m in mismatches:
@@ -187,7 +194,7 @@ def cmd_verify(args):
                       file=sys.stderr)
                 return EXIT_FAIL
         try:
-            ok, report = is_better_than(s, original, rot, h_tol=args.tol)
+            ok, report = is_better_than(s, original, rot)
         except SurfaceError as err:
             print("better-than certificate failed: %s" % err, file=sys.stderr)
             return EXIT_FAIL
@@ -202,7 +209,9 @@ def cmd_verify(args):
 
 
 def cmd_net(args):
-    s = io.load_surface(args.file)
+    s = _load_valid(args.file)
+    if s is None:
+        return EXIT_FAIL
     lines = ["graph gluing {"]
     for c in s.live_copy_ids():
         lines.append('  c%d [label="copy %d / face %d"];' % (c, c, s.copies[c]))
@@ -292,8 +301,6 @@ def build_parser():
     v.add_argument("--against", help="earlier surface file to certify against")
     v.add_argument("--trace", help="trace file holding the composed rotation; its"
                    " iterations must not exceed its iteration_bound")
-    v.add_argument("--tol", type=float, default=1e-9,
-                   help="absolute tolerance for the ratio comparison")
     v.set_defaults(func=cmd_verify)
 
     net = sub.add_parser("net", help="emit the face-copy gluing graph (DOT)")

@@ -23,10 +23,8 @@ from .arrangement import (
 from .geometry import (
     GeodesicSegment,
     GeometryError,
-    _box_apart,
-    _box_limit,
+    first_within,
     norm,
-    points_coincide,
     sphere_point,
     sub,
 )
@@ -118,11 +116,8 @@ def _random_curve_points(rng):
 
 
 def _apart(p, others, tol) -> bool:
-    """Whether p lies more than tol from each of ``others`` by
-    ``points_coincide``, which is skipped for a point that ``_box_apart``
-    already puts beyond tol (exact: see its docstring)."""
-    lim = _box_limit(p, tol)
-    return all(_box_apart(q, p, lim) or not points_coincide(p, q, tol) for q in others)
+    """Whether p lies more than tol from each of ``others`` (``first_within``)."""
+    return first_within(p, others, tol) is None
 
 
 def _draw_points(rng, curve, pts, q, with_marker):
@@ -164,11 +159,10 @@ def random_base(rng, q=3, with_marker=False, min_clean_faces=0, fan=None):
     the base must have a marker whose face allows ``fan_m`` copies, else
     GenerationStuck is raised for the first base that passes the rest.
 
-    Each attempt draws a curve, then its points (``_draw_points``, whose
-    distance tests skip the angle of a pair ``_box_apart`` puts beyond the
-    tolerance).  Building a base draws nothing from ``rng``, so each refusal
-    is made at the earliest point where it is exact, and the attempts are
-    those of building and scaffolding every base in full:
+    Each attempt draws a curve, then its points (``_draw_points``).
+    Building a base draws nothing from ``rng``, so each refusal is made at
+    the earliest point where it is exact, and the attempts are those of
+    building and scaffolding every base in full:
 
     - the face count, before the curve graph where ``curve.face_count()``
       knows it (the drawn points lie on no arc: the draw keeps them 0.02

@@ -14,52 +14,22 @@ dots where they would give back the point's own coordinates), and
 * ``EPS_UNIT`` (1e-12) for algebraic identities (unit norm, orthogonality),
 * ``EPS_SEP`` (1e-9 rad) for deciding whether two points coincide.
 
-The threshold tests (``points_coincide``, ``antipodal``, ``param_of`` and
-``segment_intersection``'s same-circle test) are filtered: a test may take
-its decision from the plain-float twin (``_fangle``, ``_fdot``) only when
-the twin is more than ``_FILTER`` from the threshold, far more than the
-twin can be off; otherwise it evaluates its exact-kernel formula.  So every
+This module owns every decision taken from plain floats.  A test may take
+its decision from a plain-float twin (``_fangle``, ``_fdot``) only where a
+sound bound, stated next to the code, puts the twin clear of the
+threshold; otherwise it evaluates its exact-kernel formula.  So every
 decision is the exact kernel's, and every value that is returned or stored
-(lengths, parameters, points, areas) comes from the exact kernel.
-``GeodesicSegment.contains`` runs ``param_of``'s two tests and computes no
-parameter.
+(lengths, parameters, points, areas) comes from the exact kernel.  Other
+modules ask public questions and never see a twin:
 
-Two searches run the exact kernel only on candidates that can win; each
-skips a candidate only where a sound plain-float bound puts it more than
-``_PRUNE`` (1e-7 rad) behind.  An arc is well conditioned when its length
-lies in [1e-5, pi - 1e-5].
-
-* ``nearest_feature`` runs ``nearest_point`` on the arcs whose twin angle
-  is within ``_PRUNE`` of the least; the twin is within 1e-9 of it on a
-  well-conditioned arc, and any other arc always runs.  ``_fnearest_end``
-  tells from plain floats, with margins (``_LUNE``, ``_FILTER``), which
-  point ``nearest_point`` returns: the foot or one end.
-* ``segment_intersection`` returns [] where two well-conditioned arcs'
-  midpoints lie more than (L1 + L2)/2 + 3*tol + ``_PRUNE`` apart (tol <=
-  1e-6): a point it returns lies within (L1 + L2)/2 + 3*tol + 5e-10 of the
-  two together.
-
-``meet_only_at_shared_end`` tells a caller where ``segment_intersection``
-would return only the one endpoint two arcs share (up to 3e-12): the arcs
-share exactly one endpoint by value, both lengths lie in [0.1, pi - 0.1],
-and their poles' plain-float cross product has norm at least 0.01.
-
-A rotation's first contact with a curve (``contact_angles``) is the least
-closed-form root of the target's circle against an arc's great circle that
-lies on the arc, so the contact lies on that great circle up to rounding.
-One search takes every target about one axis: the axis terms and each
-arc's pole . axis are computed once, and each target's roots over all arcs
-are tried in (t, arc index) order, with a preimage built only up to the
-first root that lies on its arc.
-
-The point scans (``PointRegistry`` and ``BaseComplex.vertex_at``) skip a
-stored point whose coordinates differ from a unit query's by more than
-tol + ``_BOX`` (1e-11) without computing its angle (``_box_apart``).  Both
-points must be unit within 1e-12; the chord then bounds the angle.
-
-A contact search skips a root whose plain-float preimage lies clearly
-beyond its arc: the preimage's twin angles to the arc's two ends sum to
-more than length + 10 * EPS_SEP + 1e-9.
+* ``points_coincide``, ``antipodal``, ``GeodesicSegment.contains`` and
+  ``param_of``;
+* ``first_within`` (the point scans), ``nearest_feature`` and
+  ``nearest_to_arcs`` (the nearest arc), ``locate_on_arcs`` (on, beside or
+  nearest an end of which arc) and ``wedge_index`` (the wedge a direction
+  enters at a vertex);
+* ``segment_intersection``, ``meet_only_at_shared_end``,
+  ``clear_of_circles`` and ``contact_angles``.
 
 Face areas are not computed here: ``arrangement.build_faces`` takes each
 from its cycle's ``turning_angle`` sum by Gauss-Bonnet.
@@ -313,7 +283,8 @@ def tangent_frame(p):
 
 
 def points_coincide(a, b, tol=EPS_SEP) -> bool:
-    """angle_between(a, b) <= tol (filtered, see the module docstring)."""
+    """angle_between(a, b) <= tol, from the twin where it is more than
+    ``_FILTER`` from tol."""
     w = _fangle(a, b)
     if w is None or abs(w - tol) <= _FILTER:
         w = angle_between(a, b)
@@ -327,6 +298,17 @@ def antipodal(a, b, tol=EPS_SEP) -> bool:
     if w is None or abs(w - t) <= _FILTER:
         w = angle_between(a, b)
     return w >= t
+
+
+def first_within(p, points, tol):
+    """The index of the first of ``points`` within tol of p
+    (``points_coincide``), or None; a None entry is skipped, and so is a
+    point that ``_box_apart`` puts beyond tol, without its angle."""
+    lim = _box_limit(p, tol)
+    for i, q in enumerate(points):
+        if q is not None and not _box_apart(q, p, lim) and points_coincide(p, q, tol):
+            return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -511,6 +493,156 @@ def nearest_feature(segs, p, twins=None):
     return best
 
 
+def nearest_to_arcs(points, segs):
+    """(k, angle, point) for the first of ``points`` whose ``nearest_feature``
+    angle to the arcs ``segs`` is least: its index, that angle and the arc
+    point ``nearest_point`` gives.
+
+    Each point's ``_fnearest`` twins are computed once.  When every twin is
+    trusted, a point's least twin lies within 1e-9 of its exact distance
+    (see ``nearest_feature``), so a point whose least twin is more than
+    2 * ``_PRUNE`` beyond the least over all points is farther than that
+    one, and its exact scan is skipped."""
+    twins = [[_fnearest(seg, p) for seg in segs] for p in points]
+    cut = None
+    if all(None not in tw for tw in twins):
+        cut = min(min(tw) for tw in twins) + 2 * _PRUNE
+    best = None
+    for k, (p, tw) in enumerate(zip(points, twins)):
+        if cut is not None and min(tw) > cut:
+            continue
+        _, d, x = nearest_feature(segs, p, tw)
+        if best is None or d < best[1]:
+            best = (k, d, x)
+    return best
+
+
+# ``locate_on_arcs`` runs ``param_of`` only on an arc whose nearest twin is
+# untrusted or at most this (rad); a point ``contains`` takes is nearer.
+_ON_ARC = 1e-8
+
+
+def locate_on_arcs(segs, p):
+    """Where the unit point p lies against the arcs ``segs``, as the full
+    exact scan decides it: ("on", i, t) for the first arc i that contains p
+    (``param_of`` gives t); else, for the first arc i whose
+    ``nearest_point`` is nearest (``nearest_feature``), ("side", i, left)
+    where that point is the foot of the perpendicular, left whether
+    p . pole > 0, or ("end", i, "a") or ("end", i, "b") where it is that
+    end of the arc.
+
+    Each arc's nearest twin (``_fnearest``) is computed first, and the exact
+    kernel runs only where the twins leave the answer open:
+
+    1. ``param_of`` runs only on the arcs whose twin is untrusted or at
+       most ``_ON_ARC`` (1e-8): a point that ``contains`` takes (tol =
+       EPS_SEP) lies within 1.5e-9 of the arc, where a trusted twin errs by
+       < 2e-9 (see ``nearest_feature``).
+    2. Where every twin is trusted, ``nearest_feature`` would run
+       ``nearest_point`` only on the candidates, the arcs whose twin is
+       within ``_PRUNE`` of the least.  ``_fnearest_end`` tells what each
+       returns.  A foot on the one candidate is the answer; so is one end
+       point, equal by value, of every candidate: its exact angles from p
+       tie, so the scan keeps the first candidate.
+    3. Anywhere else ``nearest_feature`` decides.
+
+    The side is the sign of p . pole from ``_fdot`` where that is more than
+    ``_FILTER`` from 0 (both are unit vectors), else from ``dot``."""
+    twins = []
+    for i, seg in enumerate(segs):
+        w = _fnearest(seg, p)
+        if w is None or w <= _ON_ARC:
+            t = seg.param_of(p)
+            if t is not None:
+                return ("on", i, t)
+        twins.append(w)
+    pick = None if None in twins else _twin_pick(segs, p, twins)
+    if pick is None:
+        i, _, x = nearest_feature(segs, p, twins)
+        pick = (i, "a" if x is segs[i].a else "b" if x is segs[i].b else "foot")
+    i, end = pick
+    if end != "foot":
+        return ("end", i, end)
+    pole = segs[i].pole
+    side = _fdot(p, pole)
+    if abs(side) <= _FILTER:
+        side = dot(p, pole)
+    return ("side", i, side > 0)
+
+
+def _twin_pick(segs, p, twins):
+    """(i, "foot" | "a" | "b") by ``locate_on_arcs``'s decision 2, or None."""
+    cut = min(twins) + _PRUNE
+    near = [i for i, w in enumerate(twins) if w <= cut]
+    first = None
+    for i in near:
+        end = _fnearest_end(segs[i], p)
+        if end is None or (end == "foot" and len(near) > 1):
+            return None
+        if end == "foot":
+            return (i, end)
+        x = segs[i].a if end == "a" else segs[i].b
+        if first is None:
+            first = (i, end, x)
+        elif x != first[2]:
+            return None
+    return first[:2]
+
+
+def wedge_index(at, p, tangents):
+    """The index of the tangent, of the unit ``tangents`` at the point
+    ``at``, whose counterclockwise wedge holds the direction toward p: the
+    first whose azimuth least precedes it.  The twin (``_wedge_twin``)
+    decides where it can, else the exact rule (``_wedge_exact``)."""
+    i = _wedge_twin(at, p, tangents)
+    return _wedge_exact(at, p, tangents) if i is None else i
+
+
+def _wedge_exact(at, p, tangents) -> int:
+    """``wedge_index`` by exact azimuths in the frame of tangents[0]."""
+    t = unit(cross(cross(at, p), at))
+    e1 = unit(tangents[0])
+    e2 = unit(cross(at, e1))
+    tau = 2 * math.pi
+
+    def az(vec):
+        return math.atan2(dot(vec, e2), dot(vec, e1)) % tau
+    target = az(t)
+    return min(range(len(tangents)), key=lambda i: (target - az(tangents[i])) % tau)
+
+
+# ``_wedge_twin`` decides only where the plain-float azimuths of the
+# direction and of every tangent lie this far (rad) apart on the circle;
+# each errs by < 1e-14 against ``_wedge_exact``'s.
+_AZIMUTH = 1e-9
+
+
+def _wedge_twin(at, p, tangents):
+    """``_wedge_exact(at, p, tangents)`` from plain-float azimuths, or None
+    where it is not decided: where the direction toward p and the tangents
+    are not pairwise more than ``_AZIMUTH`` apart on the circle, or the
+    direction's plain-float vector has |t| <= 1e-12.
+
+    The frame and the direction are ``_wedge_exact``'s vectors before
+    ``unit``, which does not turn them, and ``_fdot`` errs by < 1e-15
+    times their norms, so each azimuth lies within 1e-14 of the exact
+    one.  Points that far apart keep their cyclic order, so the
+    tangent that precedes the direction is the same.  The exact rule's
+    ``unit`` of the direction does not fail there (|t| > 1e-12)."""
+    t = cross(cross(at, p), at)
+    if not tangents or _fdot(t, t) <= 1e-24:
+        return None
+    e1 = tangents[0]
+    e2 = cross(at, e1)
+    tau = 2 * math.pi
+    angs = [math.atan2(_fdot(x, e2), _fdot(x, e1)) % tau for x in [t] + tangents]
+    ring = sorted(angs)
+    if min(b - a for a, b in zip(ring, ring[1:] + [ring[0] + tau])) <= _AZIMUTH:
+        return None
+    target = angs[0]
+    return min(range(len(tangents)), key=lambda i: (target - angs[i + 1]) % tau)
+
+
 class PointRegistry:
     """Distinct points by linear scan: a point within ``tol`` of a registered
     one gets that point's id, any other point is stored (as a unit vector)
@@ -521,7 +653,7 @@ class PointRegistry:
     registry only appends: the scan tests the same earlier points as before,
     none of which coincided with the point, and then stops at its stored
     unit vector (it is recorded only if it coincides with that).  The scan
-    skips a point that ``_box_apart`` puts beyond tol.  A point is
+    is ``first_within``.  A point is
     stored only if its norm is at least 1e-15 (``unit`` accepts it), so its
     cross product and dot with a unit vector are never both zero, and its
     coordinates of 0.0 and -0.0, equal by value, decide alike.  A point
@@ -537,10 +669,9 @@ class PointRegistry:
         i = self._ids.get(p)
         if i is not None:
             return i
-        lim = _box_limit(p, self.tol)
-        for i, q in enumerate(self.points):
-            if not _box_apart(q, p, lim) and points_coincide(p, q, self.tol):
-                return i
+        i = first_within(p, self.points, self.tol)
+        if i is not None:
+            return i
         q = unit(p)
         i = len(self.points)
         self.points.append(q)
@@ -619,6 +750,25 @@ def meet_only_at_shared_end(s1: GeodesicSegment, s2: GeodesicSegment) -> bool:
         return False
     c = cross(s1.pole, s2.pole)
     return math.sqrt(_fdot(c, c)) >= 0.01
+
+
+def clear_of_circles(points, targets, poles) -> bool:
+    """True only where, by plain floats, each of ``points`` lies more than
+    2 EPS_SEP (the chord's sine) from each of its ``targets`` (a list of
+    unit points per point) and from their antipodes, and more than 1e-8
+    (|p . n|, n a unit normal) from the great circle of each of ``poles``
+    and of each chord from another point to one of its targets.  The
+    margins lie far above the twins' errors (< 1e-15)."""
+    circles = [(-1, n) for n in poles]
+    for k, (p, ts) in enumerate(zip(points, targets)):
+        for v in ts:
+            c = cross(p, v)
+            s = math.sqrt(_fdot(c, c))
+            if s <= 2 * EPS_SEP:
+                return False
+            circles.append((k, scale(1 / s, c)))
+    return all(abs(_fdot(p, n)) > 1e-8
+               for k, p in enumerate(points) for j, n in circles if j != k)
 
 
 def _collinear_overlap(s1, s2, tol):

@@ -24,15 +24,13 @@ from dataclasses import dataclass, field
 
 from .arrangement import CURVE, SCAFFOLD, ArrangementError
 from .geometry import (
-    _PRUNE,
     GeometryError,
     NoContact,
     Rotation,
-    _fnearest,
     angle_between,
     contact_angles,
     cross,
-    nearest_feature,
+    nearest_to_arcs,
     neg,
     points_coincide,
     unit,
@@ -421,7 +419,8 @@ def rotate_to_touch_special(s: SurfaceComplex):
     (surface, specials' rotation)."""
     segs, edge_ids = _walk_segments(s)
     specials = [(v, s.base.vertices[v]) for v in s.base.specials]
-    _, _, p1, x0 = _nearest_special(segs, specials)
+    k, _, x0 = nearest_to_arcs([p for _, p in specials], segs)
+    p1 = specials[k][1]
     jitters = [0.0, 1e-6, -1e-6, 2e-6, -2e-6, 5e-6]
     # a GeometryError (a degenerate axis, NoContact under every jitter) is
     # a failed search: it leaves as a PipelineError
@@ -452,29 +451,6 @@ def rotate_to_touch_special(s: SurfaceComplex):
     except GeometryError as err:
         raise PipelineError("rotation search failed: %s" % err) from err
     return _apply_rotation_contact(s, rho, v_c, edge_ids[seg_idx]), rho
-
-
-def _nearest_special(segs, specials):
-    """(distance, special, point, nearest walk point) of the first of
-    ``specials`` whose exact distance to the arcs ``segs`` is least.
-
-    Each special's ``_fnearest`` twins are computed once.  When every twin
-    is trusted, a special's least twin lies within 1e-9 of its exact
-    distance (see ``nearest_feature``), so a special whose least twin is
-    more than 2 * ``_PRUNE`` beyond the least over all specials is farther
-    than that one, and its exact scan is skipped."""
-    twins = [[_fnearest(seg, p) for seg in segs] for _, p in specials]
-    cut = None
-    if all(None not in tw for tw in twins):
-        cut = min(min(tw) for tw in twins) + 2 * _PRUNE
-    best = None
-    for (v, p), tw in zip(specials, twins):
-        if cut is not None and min(tw) > cut:
-            continue
-        _, dmin, x0 = nearest_feature(segs, p, tw)
-        if best is None or dmin < best[0]:
-            best = (dmin, v, p, x0)
-    return best
 
 
 def _ordered_contacts(segs, specials, axis):

@@ -722,25 +722,28 @@ def is_closed_subarc_geometric(steps2, steps1):
     return (witness is not None), witness
 
 
-def better_than_clauses(new: FunctionalReport, old: FunctionalReport, h_tol=1e-9):
+# H may fall by this much (rounding) in a better-than step
+_H_TOL = 1e-9
+
+
+def better_than_clauses(new: FunctionalReport, old: FunctionalReport):
     """The value clauses of the better-than order, each as (holds, new, old):
-    H does not fall (by more than ``h_tol``), and neither the covering sum
+    H does not fall (by more than ``_H_TOL``), and neither the covering sum
     nor any n-bar grows."""
     return {
-        "H": (new.ratio >= old.ratio - h_tol, new.ratio, old.ratio),
+        "H": (new.ratio >= old.ratio - _H_TOL, new.ratio, old.ratio),
         "sum": (new.covering_sum <= old.covering_sum, new.covering_sum, old.covering_sum),
         "n_bar": (all(new.n_bar.get(lab, 0) <= old.n_bar[lab] for lab in old.n_bar),
                   new.n_bar, old.n_bar),
     }
 
 
-def is_better_than(s2: SurfaceComplex, s1: SurfaceComplex, rot: Rotation = None,
-                   h_tol=1e-9):
+def is_better_than(s2: SurfaceComplex, s1: SurfaceComplex, rot: Rotation = None):
     """The partial order of the improvement pipeline, with a per-clause report."""
     r1, r2 = functionals(s1), functionals(s2)
     if r1.ratio is None or r2.ratio is None:
         raise SurfaceError("better-than needs two surfaces with boundary")
-    report = better_than_clauses(r2, r1, h_tol)
+    report = better_than_clauses(r2, r1)
     ok, witness = is_closed_subarc_geometric(
         geometric_walk(s2), geometric_walk(s1, rot))
     report["boundary"] = (ok, witness)

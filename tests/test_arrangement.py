@@ -5,7 +5,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from spherecover import arrangement, generators
+from spherecover import arrangement, generators, geometry
 from spherecover.arrangement import (
     CURVE,
     SCAFFOLD,
@@ -293,7 +293,10 @@ def ref_locate_point(bc, p):
         side = dot(p, bc.dart_segment(2 * e).pole)
         d = 2 * e if side > 0 else 2 * e + 1
         return ("face", bc.left_face(d))
-    return ("face", bc._face_of_wedge(vtx, p))
+    # the exact wedge rule, not wedge_index, which tries the twin first
+    fan = [d for d in bc.fans[vtx] if bc.kind(d) == CURVE]
+    i = geometry._wedge_exact(bc.vertices[vtx], p, [bc.dart_tangent(d) for d in fan])
+    return ("face", bc.left_face(fan[i]))
 
 
 def _turned(v, t, ang):
@@ -422,9 +425,9 @@ def test_locate_point_twins_decide_as_the_exact_scan(monkeypatch):
     # themselves) with bridged specials; each answer and each path is
     # counted, and every one occurs
     log = []
-    ends, nearest = arrangement._fnearest_end, arrangement.nearest_feature
-    monkeypatch.setattr(arrangement, "_fnearest_end", lambda seg, p: log.append(ends(seg, p)) or log[-1])
-    monkeypatch.setattr(arrangement, "nearest_feature", lambda *a: log.append("exact") or nearest(*a))
+    ends, nearest = geometry._fnearest_end, geometry.nearest_feature
+    monkeypatch.setattr(geometry, "_fnearest_end", lambda seg, p: log.append(ends(seg, p)) or log[-1])
+    monkeypatch.setattr(geometry, "nearest_feature", lambda *a: log.append("exact") or nearest(*a))
     kinds, paths = {}, {}
     for seed in range(24):
         bc = _star_base(seed)
@@ -447,7 +450,7 @@ def test_locate_point_twins_decide_as_the_exact_scan(monkeypatch):
 def test_wedge_twin_decides_only_clear_of_every_dart():
     # directions at 0, 1e-12 and 1e-10 rad (below _AZIMUTH) and at 1e-6 rad
     # from each curve dart at each vertex: the plain-float wedge answers only
-    # where clear, and then as _face_of_wedge
+    # where clear, and then as the exact rule
     decided = 0
     for seed in range(6):
         bc = _star_base(seed)
@@ -455,20 +458,18 @@ def test_wedge_twin_decides_only_clear_of_every_dart():
             continue
         for v in bc.live_vertices():
             pv = bc.vertices[v]
-            for d in bc.fans[v]:
-                if bc.kind(d) != CURVE:
-                    continue
-                t = unit(bc.dart_tangent(d))
+            tangents = [bc.dart_tangent(d) for d in bc.fans[v] if bc.kind(d) == CURVE]
+            for t in map(unit, tangents):
                 side = cross(pv, t)
                 for turn in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-6, -1e-6):
                     u = unit(add(tuple(math.cos(turn) * x for x in t),
                                  tuple(math.sin(turn) * x for x in side)))
                     p = _turned(pv, u, 1e-4)
-                    got = bc._face_of_wedge_twin(v, p)
-                    if abs(turn) < arrangement._AZIMUTH:
+                    got = geometry._wedge_twin(pv, p, tangents)
+                    if abs(turn) < geometry._AZIMUTH:
                         assert got is None
                     elif got is not None:
-                        assert got == bc._face_of_wedge(v, p)
+                        assert got == geometry._wedge_exact(pv, p, tangents)
                         decided += 1
     assert decided > 50
 

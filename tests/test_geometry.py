@@ -776,8 +776,11 @@ def test_point_registry_matches_linear_scan(tol, ops):
     # streams of repeated values, points just inside and just outside tol of
     # earlier ones, coordinate gaps just under and just over the box rule's
     # tol + 1e-11 (unit or scaled), and coordinates of 0.0 and -0.0 (equal
-    # by value)
+    # by value); vertex_at over the points registered so far, each after a
+    # deleted vertex, against its scan as written before first_within, which
+    # skips None and calls points_coincide(stored, query)
     reg, points, seen = geometry.PointRegistry(tol), [], []
+    bc = arrangement.BaseComplex()
     for op, k, v, turn in ops:
         prev = seen[k % len(seen)] if seen else _AXES[k % 6]
         if op == "new":
@@ -799,6 +802,9 @@ def test_point_registry_matches_linear_scan(tol, ops):
         else:
             ang = tol * {"inside": 1 - 1e-4, "outside": 1 + 1e-4, "at_tol": 1.0}[op]
             p = _turned_from(prev, ang, turn)
+        bc.vertices = [x for q in points for x in (None, q)]
+        assert bc.vertex_at(p, tol) == next(
+            (v for v, q in enumerate(bc.vertices) if q is not None and points_coincide(q, p, tol)), None)
         got = _outcome(lambda: reg.key(p))
         want = _outcome(lambda: scan_key(points, p, tol))
         assert got == want, (op, p)
@@ -844,8 +850,10 @@ def test_box_rule_skips_only_beyond_tol_plus_1e_11(tol, monkeypatch):
         assert any(reg.points[0] in (a, b) for a, b in calls) == scanned
         bc = arrangement.BaseComplex()
         bc.new_vertex(q)
+        bc.vertices[0] = None  # deleted: skipped without a test
+        bc.new_vertex(q)
         calls.clear()
-        assert bc.vertex_at(p, tol) == (0 if hit else None)
+        assert bc.vertex_at(p, tol) == (1 if hit else None)
         assert bool(calls) == scanned
 
 

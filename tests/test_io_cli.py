@@ -342,6 +342,31 @@ def test_cli_net(tmp_path):
     assert text.startswith("graph gluing {") and "boundary" in text
 
 
+@pytest.mark.parametrize("side, field", [(0, 1), (1, 0)])
+def test_cli_refuses_a_pairing_side_off_the_surface(tmp_path, capsys, side, field):
+    # a side past its face cycle (net raised an IndexError before) and a
+    # side on copy 99, which does not exist (net wrote its edge, exit 0)
+    doc = io.surface_to_dict(f4_double_cover())
+    doc["pairing"][0][side][field] = 99
+    surf = tmp_path / "bad.json"
+    surf.write_text(json.dumps(doc))
+    for argv in (["net", str(surf)], ["inspect", str(surf)], ["verify", str(surf)]):
+        capsys.readouterr()
+        assert cli_main(argv) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("invalid surface: ") and len(err.splitlines()) == 1, argv
+
+
+def test_cli_verify_has_no_tol_option(tmp_path, capsys):
+    # H is compared within the one tolerance the pipeline uses
+    src = tmp_path / "f4.json"
+    io.save_surface(f4_double_cover(), src)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", str(src), "--against", str(src), "--tol", "inf"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol inf" in capsys.readouterr().err
+
+
 def test_generator_deterministic_bytes(tmp_path):
     from spherecover.generators import generate_disk_covering
     s1 = generate_disk_covering(("det", 5), special_face_cap=1, with_marker=True)

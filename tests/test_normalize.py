@@ -1030,8 +1030,8 @@ def test_nearest_special_is_the_full_scans_pick(monkeypatch):
     tie = next(lon for lon in (1.3 + k * 1e-3 for k in range(50)) if ties(lon))
     cases = {"tie": [(0.7, 0.5), (tie, 0.5)], "near": [(0.7, 0.5), (1.3, 0.5 + 3e-8)]}
     scanned = []
-    exact = nm.nearest_feature
-    monkeypatch.setattr(nm, "nearest_feature", lambda segs, p, tw: scanned.append(p) or exact(segs, p, tw))
+    exact = geometry.nearest_feature
+    monkeypatch.setattr(geometry, "nearest_feature", lambda segs, p, tw: scanned.append(p) or exact(segs, p, tw))
     for name, pair in cases.items():
         for pos in (pair + [far], [far] + pair[::-1]):
             s = _north_specials(pos)
@@ -1042,7 +1042,8 @@ def test_nearest_special_is_the_full_scans_pick(monkeypatch):
                 assert 0 < dist[pair[1]] - dist[pair[0]] < geometry._PRUNE
             segs, specials = nm._walk_segments(s)[0], _specials(s)
             scanned.clear()
-            got, want = nm._nearest_special(segs, specials), ref_nearest_special(segs, specials)
+            k, dmin, x0 = geometry.nearest_to_arcs([p for _, p in specials], segs)
+            got, want = (dmin,) + specials[k] + (x0,), ref_nearest_special(segs, specials)
             assert got[1] == want[1]
             assert _hex(got[:1] + got[2:]) == _hex(want[:1] + want[2:])
             # the nearer of the pair, or on the tie the first in order
