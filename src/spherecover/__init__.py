@@ -43,10 +43,8 @@ from .surgery import (
     Lift,
     LiftResult,
     SurfacePath,
-    canonical_form,
     cut_interior,
     cut_to_boundary,
-    isomorphic,
     lift_path,
     sew,
     sew_annulus,

@@ -21,7 +21,6 @@ from .geometry import (
     GeodesicSegment,
     PointRegistry,
     Rotation,
-    add,
     angle_between,
     antipodal,
     clear_of_circles,
@@ -33,9 +32,7 @@ from .geometry import (
     meet_only_at_shared_end,
     neg,
     points_coincide,
-    scale,
     segment_intersection,
-    sub,
     tangent_frame,
     turning_angle,
     unit,
@@ -379,26 +376,6 @@ class BaseComplex:
         fan = [d for d in self.fans[v] if self.kind(d) == CURVE]
         i = wedge_index(self.vertices[v], p, [self.dart_tangent(d) for d in fan])
         return ("face", self.left_face(fan[i]))
-
-    def face_interior_point(self, f: int) -> tuple:
-        """A point strictly inside face f (offset from a curve boundary dart)."""
-        for d in self.faces[f].cycle:
-            if self.kind(d) != CURVE:
-                continue
-            seg = self.dart_segment(d)
-            mid = seg.point_at(0.5)
-            for eps in (1e-3, 1e-5, 1e-7):
-                along, off = scale(math.cos(eps), mid), scale(math.sin(eps), seg.pole)
-                cand = unit(add(along, off))
-                # pole side = left side of the dart
-                loc = self.locate_point(cand)
-                if loc == ("face", f):
-                    return cand
-                cand2 = unit(sub(along, off))
-                loc2 = self.locate_point(cand2)
-                if loc2 == ("face", f):
-                    return cand2
-        raise ArrangementError("could not sample interior of face %d" % f)
 
     # -- combinatorial edits (used by surgery) ------------------------------
 

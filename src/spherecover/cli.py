@@ -68,11 +68,11 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _load_valid(path):
+def _load_valid(path, strict_scaffold=True):
     """The surface in the file at path, or None, with one ``invalid
     surface:`` line on stderr, where ``validate`` refuses it."""
     s = io.load_surface(path)
-    bad = validate(s)
+    bad = validate(s, strict_scaffold=strict_scaffold)
     if bad:
         print("invalid surface: %s" % "; ".join(bad), file=sys.stderr)
         return None
@@ -127,7 +127,9 @@ def _surgery_sides(s, op, text):
 
 
 def cmd_surgery(args):
-    s = io.load_surface(args.file)
+    s = _load_valid(args.file, strict_scaffold=False)
+    if s is None:
+        return EXIT_FAIL
     try:
         sides = _surgery_sides(s, args.op, args.params)
     except ValueError as err:  # json.JSONDecodeError included
@@ -177,7 +179,9 @@ def cmd_verify(args):
         print("oracle mismatch: %s" % m, file=sys.stderr)
     status = EXIT_FAIL if mismatches else EXIT_OK
     if args.against:
-        original = io.load_surface(args.against)
+        original = _load_valid(args.against, strict_scaffold=False)
+        if original is None:
+            return EXIT_FAIL
         rot = Rotation.identity()
         if args.trace:
             try:
@@ -282,7 +286,9 @@ def build_parser():
     i.add_argument("--format", choices=["text", "json"], default="text")
     i.set_defaults(func=cmd_inspect)
 
-    srg = sub.add_parser("surgery", help="apply one named surgery")
+    srg = sub.add_parser("surgery", help="apply one named surgery",
+                         description="Apply one named surgery to a valid surface file; free"
+                                     " scaffold sides are allowed, as in normalize's input.")
     srg.add_argument("file")
     srg.add_argument("--op", required=True,
                      choices=list(SURGERY_PARAMS))
@@ -298,9 +304,10 @@ def build_parser():
 
     v = sub.add_parser("verify", help="oracle checks, optional better-than certificate")
     v.add_argument("file")
-    v.add_argument("--against", help="earlier surface file to certify against")
+    v.add_argument("--against", help="earlier surface file to certify against; free"
+                   " scaffold sides are allowed, as in normalize's input")
     v.add_argument("--trace", help="trace file holding the composed rotation; its"
-                   " iterations must not exceed its iteration_bound")
+                   " iterations must not exceed its iteration_bound; needs --against")
     v.set_defaults(func=cmd_verify)
 
     net = sub.add_parser("net", help="emit the face-copy gluing graph (DOT)")
@@ -313,6 +320,8 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "verify" and args.trace and not args.against:
+        ap.error("verify: --trace needs --against")
     try:
         return args.func(args)
     except FileNotFoundError as err:

@@ -20,15 +20,8 @@ from .arrangement import (
     build_faces,
     locate_pending,
 )
-from .geometry import (
-    GeodesicSegment,
-    GeometryError,
-    first_within,
-    norm,
-    sphere_point,
-    sub,
-)
-from .surface import SurfaceComplex, SurfaceError, functionals, geometric_walk, require_valid
+from .geometry import GeometryError, first_within, sphere_point
+from .surface import SurfaceComplex, SurfaceError, functionals, require_valid
 from .surgery import SurfacePath, cut_to_boundary
 
 
@@ -325,27 +318,6 @@ def generate_disk_covering(seed, max_sheets=8, max_faces=32, q=3,
     for _ in range(slits):
         s = _random_slit(s, rng) or s
     return s
-
-
-def polygonal_family_membership(s: SurfaceComplex, length_cap, nbar_cap, segment_cap):
-    """Membership report for the polygonal family with caps (L, M, N)."""
-    rep = functionals(s)
-    steps = geometric_walk(s)
-    poles = [GeodesicSegment(a, b).pole for a, b in steps]
-    breaks = sum(
-        1 for i in range(len(poles))
-        if norm(sub(poles[i], poles[(i + 1) % len(poles)])) > 1e-7)
-    segments = max(breaks, 1)
-    report = {
-        "boundary_length": rep.boundary_length,
-        "max_n_bar": max(rep.n_bar.values()) if rep.n_bar else 0,
-        "segments": segments,
-        "length_ok": rep.boundary_length <= length_cap + 1e-9,
-        "n_bar_ok": all(v <= nbar_cap for v in rep.n_bar.values()),
-        "segments_ok": segments <= segment_cap,
-    }
-    report["member"] = report["length_ok"] and report["n_bar_ok"] and report["segments_ok"]
-    return report
 
 
 def _random_slit(s: SurfaceComplex, rng):

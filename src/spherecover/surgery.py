@@ -648,42 +648,3 @@ def absorb_tip_into_vertex(s: SurfaceComplex, tip: int, target: int) -> SurfaceC
     bc.absorb_tip(tip, target, cyc[swept[-1]] if reach else None)
     _remap_pairing(out, dict.fromkeys(affected, cyc))
     return out
-
-
-# -- canonical form / isomorphism ---------------------------------------------
-
-
-def canonical_form(s: SurfaceComplex):
-    """Canonical signature of the labeled combinatorial map (projection kept)."""
-    live = s.live_copy_ids()
-    best = None
-    min_face = min(s.copies[c] for c in live)
-    for root in [c for c in live if s.copies[c] == min_face]:
-        order = {root: 0}
-        queue = [root]
-        sig = []
-        while queue:
-            c = queue.pop(0)
-            row = [s.copies[c]]
-            for p in range(len(s.cycle_of(c))):
-                t = s.pairing.get((c, p))
-                if t is None:
-                    row.append((-1, -1))
-                else:
-                    if t[0] not in order:
-                        order[t[0]] = len(order)
-                        queue.append(t[0])
-                    row.append((order[t[0]], t[1]))
-            sig.append(tuple(row))
-        cand = tuple(sig)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def isomorphic(s1: SurfaceComplex, s2: SurfaceComplex) -> bool:
-    """Combinatorial isomorphism over the same base (projection-preserving)."""
-    if sorted(s1.copies[c] for c in s1.live_copy_ids()) != sorted(
-            s2.copies[c] for c in s2.live_copy_ids()):
-        return False
-    return canonical_form(s1) == canonical_form(s2)

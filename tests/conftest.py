@@ -8,26 +8,106 @@ import numpy as np
 import pytest
 
 from spherecover.arrangement import (
+    CURVE,
+    ArrangementError,
     CurveInput,
     SpecialSet,
     attach_scaffold,
     build_arrangement,
 )
 from spherecover.generators import _close_scaffold_sides, _sph
-from spherecover.surface import SurfaceComplex
+from spherecover.geometry import GeodesicSegment, add, norm, scale, sub, unit
+from spherecover.surface import SurfaceComplex, functionals, geometric_walk
 
 
-def hunt_module():
-    """``tools/hunt.py``, loaded as a module."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "hunt.py"
-    spec = importlib.util.spec_from_file_location("hunt", path)
+def tool_module(name):
+    """``tools/<name>.py``, loaded as a module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / (name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
+def hunt_module():
+    return tool_module("hunt")
+
+
 def sph(lon, lat):
     return _sph(lon, lat)
+
+
+def face_interior_point(bc, f):
+    """A point strictly inside face f (offset from a curve boundary dart)."""
+    for d in bc.faces[f].cycle:
+        if bc.kind(d) != CURVE:
+            continue
+        seg = bc.dart_segment(d)
+        mid = seg.point_at(0.5)
+        for eps in (1e-3, 1e-5, 1e-7):
+            along, off = scale(math.cos(eps), mid), scale(math.sin(eps), seg.pole)
+            # pole side = left side of the dart
+            for cand in (unit(add(along, off)), unit(sub(along, off))):
+                if bc.locate_point(cand) == ("face", f):
+                    return cand
+    raise ArrangementError("could not sample interior of face %d" % f)
+
+
+def canonical_form(s):
+    """Canonical signature of the labeled combinatorial map (projection kept)."""
+    live = s.live_copy_ids()
+    best = None
+    min_face = min(s.copies[c] for c in live)
+    for root in [c for c in live if s.copies[c] == min_face]:
+        order = {root: 0}
+        queue = [root]
+        sig = []
+        while queue:
+            c = queue.pop(0)
+            row = [s.copies[c]]
+            for p in range(len(s.cycle_of(c))):
+                t = s.pairing.get((c, p))
+                if t is None:
+                    row.append((-1, -1))
+                else:
+                    if t[0] not in order:
+                        order[t[0]] = len(order)
+                        queue.append(t[0])
+                    row.append((order[t[0]], t[1]))
+            sig.append(tuple(row))
+        cand = tuple(sig)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def isomorphic(s1, s2):
+    """Combinatorial isomorphism over the same base (projection-preserving)."""
+    if sorted(s1.copies[c] for c in s1.live_copy_ids()) != sorted(
+            s2.copies[c] for c in s2.live_copy_ids()):
+        return False
+    return canonical_form(s1) == canonical_form(s2)
+
+
+def polygonal_family_membership(s, length_cap, nbar_cap, segment_cap):
+    """Membership report for the polygonal family with caps (L, M, N)."""
+    rep = functionals(s)
+    steps = geometric_walk(s)
+    poles = [GeodesicSegment(a, b).pole for a, b in steps]
+    breaks = sum(
+        1 for i in range(len(poles))
+        if norm(sub(poles[i], poles[(i + 1) % len(poles)])) > 1e-7)
+    segments = max(breaks, 1)
+    report = {
+        "boundary_length": rep.boundary_length,
+        "max_n_bar": max(rep.n_bar.values()) if rep.n_bar else 0,
+        "segments": segments,
+        "length_ok": rep.boundary_length <= length_cap + 1e-9,
+        "n_bar_ok": all(v <= nbar_cap for v in rep.n_bar.values()),
+        "segments_ok": segments <= segment_cap,
+    }
+    report["member"] = report["length_ok"] and report["n_bar_ok"] and report["segments_ok"]
+    return report
 
 
 def equator_triangle_base(special_positions, marker_positions=()):
@@ -42,7 +122,7 @@ def south_face(bc):
     """The face whose interior point has the most negative z coordinate."""
     best = None
     for f in bc.live_faces():
-        p = bc.face_interior_point(f)
+        p = face_interior_point(bc, f)
         if best is None or p[2] < best[1]:
             best = (f, p[2])
     return best[0]

@@ -35,10 +35,11 @@ from spherecover.surgery import (
     SurfacePath,
     cut_interior,
     cut_to_boundary,
-    isomorphic,
     sew,
     sew_annulus,
 )
+
+from conftest import isomorphic
 
 FOUR_PI = 4 * math.pi
 TOL_AREA = 1e-9

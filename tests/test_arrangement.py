@@ -39,7 +39,7 @@ from spherecover.geometry import (
     unit,
 )
 
-from conftest import hunt_module, sph
+from conftest import face_interior_point, hunt_module, sph
 
 NORTH_SPECIALS = (sph(2.4, 1.25), sph(3.3, 1.25), sph(4.2, 1.25))
 
@@ -191,7 +191,7 @@ def test_left_of_eastward_equator_arc_is_north():
         seg = bc.dart_segment(2 * e)
         # dart direction eastward iff pole points north
         north_face = bc.left_face(2 * e) if seg.pole[2] > 0 else bc.left_face(2 * e + 1)
-        p = bc.face_interior_point(north_face)
+        p = face_interior_point(bc, north_face)
         assert p[2] > 0
 
 

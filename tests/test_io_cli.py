@@ -10,9 +10,8 @@ from spherecover.cli import EXIT_FAIL, MAX_Q, main as cli_main
 from spherecover.generators import generate_disk_covering, GenerationStuck
 from spherecover.normalize import normalize
 from spherecover.surface import functionals, geometric_walk, validate
-from spherecover.surgery import isomorphic
 
-from conftest import f4_double_cover
+from conftest import f4_double_cover, isomorphic, polygonal_family_membership
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
 
@@ -345,12 +344,18 @@ def test_cli_net(tmp_path):
 @pytest.mark.parametrize("side, field", [(0, 1), (1, 0)])
 def test_cli_refuses_a_pairing_side_off_the_surface(tmp_path, capsys, side, field):
     # a side past its face cycle (net raised an IndexError before) and a
-    # side on copy 99, which does not exist (net wrote its edge, exit 0)
+    # side on copy 99, which does not exist (net wrote its edge, exit 0);
+    # surgery and verify --against read such a file unchecked before, and
+    # ended in an IndexError or a surgery error about the broken gluing
+    good, surf = tmp_path / "good.json", tmp_path / "bad.json"
+    io.save_surface(f4_double_cover(), good)
     doc = io.surface_to_dict(f4_double_cover())
     doc["pairing"][0][side][field] = 99
-    surf = tmp_path / "bad.json"
     surf.write_text(json.dumps(doc))
-    for argv in (["net", str(surf)], ["inspect", str(surf)], ["verify", str(surf)]):
+    surgery = ["surgery", str(surf), "--op", "cut_to_boundary", "--params",
+               json.dumps({"sides": [[0, 0]]}), "--out", str(tmp_path / "out.json")]
+    for argv in (["net", str(surf)], ["inspect", str(surf)], ["verify", str(surf)], surgery,
+                 ["verify", str(good), "--against", str(surf)]):
         capsys.readouterr()
         assert cli_main(argv) == EXIT_FAIL
         err = capsys.readouterr().err
@@ -367,6 +372,18 @@ def test_cli_verify_has_no_tol_option(tmp_path, capsys):
     assert "unrecognized arguments: --tol inf" in capsys.readouterr().err
 
 
+def test_cli_verify_refuses_a_trace_without_against(tmp_path, capsys):
+    # the trace holds the rotation of a better-than certificate, which only
+    # --against asks for; alone it was ignored, even when malformed
+    src, trace = tmp_path / "f4.json", tmp_path / "trace.json"
+    io.save_surface(f4_double_cover(), src)
+    trace.write_text("{oops")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", str(src), "--trace", str(trace)])
+    assert exc.value.code == 2
+    assert "--trace needs --against" in capsys.readouterr().err
+
+
 def test_generator_deterministic_bytes(tmp_path):
     from spherecover.generators import generate_disk_covering
     s1 = generate_disk_covering(("det", 5), special_face_cap=1, with_marker=True)
@@ -378,7 +395,6 @@ def test_generator_deterministic_bytes(tmp_path):
 
 
 def test_polygonal_membership_report():
-    from spherecover.generators import polygonal_family_membership
     s = f4_double_cover()
     rep = polygonal_family_membership(s, length_cap=4 * math.pi + 1e-6,
                                       nbar_cap=0, segment_cap=6)

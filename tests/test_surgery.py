@@ -31,12 +31,10 @@ from spherecover.surgery import (
     PreconditionViolated,
     SurfacePath,
     absorb_tip_into_vertex,
-    canonical_form,
     cut_interior,
     cut_to_boundary,
     delete_edge_surface,
     insert_chord_surface,
-    isomorphic,
     lift_path,
     sew,
     sew_annulus,
@@ -45,10 +43,12 @@ from spherecover.surgery import (
 )
 
 from conftest import (
+    canonical_form,
     equator_triangle_base,
     f4_double_cover,
     f4_with_north,
     identity_hemisphere,
+    isomorphic,
     south_face,
     sph,
 )
