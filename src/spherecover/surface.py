@@ -544,71 +544,46 @@ def closed_subarc_match(word1, junctions1, word2):
     word2 must be obtainable from a cyclic rotation of word1 by deleting
     disjoint contiguous subwords each of which starts and ends at the same
     junction key.  Returns the witness (rotation, kept index runs) or None.
-    Words of equal length leave nothing to delete, so there the match is
-    cyclic equality and needs no search.
+
+    word1 must be a closed walk: ``junctions1[i]`` is the tail of
+    ``word1[i]``, and its head, the next tail, is a function of the symbol;
+    else SurfaceError.  A symbol of word2 fits a position that holds it with
+    the head of word2's symbol before it (cyclically) as tail.  A kept symbol
+    fixes the junction after it, so each earlier fitting position is one
+    closed deletion away, and one backward scan decides a rotation: each
+    symbol of word2, last first, is kept at its latest fitting position
+    before the one kept after it.  The first rotation at which word2[0] fits
+    and the scan keeps all of word2 wins.
     """
     word1, junctions1, word2 = list(word1), list(junctions1), list(word2)
-    n, m = len(word1), len(word2)
-    if m == 0 or n == 0:
+    n = len(word1)
+    head = {}
+    for sym, nxt in zip(word1, junctions1[1:] + junctions1[:1]):
+        if head.setdefault(sym, nxt) != nxt:
+            raise SurfaceError("closed-subarc match: word1 is not a closed walk")
+    if not word2 or any(sym not in head for sym in word2):
         return None
-    if n == m:
-        for rot in range(n):
-            if word1[rot:] + word1[:rot] == word2:
-                return {"rotation": rot, "kept_runs": [(0, n)]}
-        return None
-
-    def attempt(rot):
-        w = word1[rot:] + word1[:rot]
-        jv = junctions1[rot:] + junctions1[:rot]
-
-        def junction(i):
-            return jv[i % n]
-
-        by_key = {}
-        for i in range(n + 1):
-            by_key.setdefault(junction(i), []).append(i)
-        # BFS over (i, j) junction states
-        start = (0, 0)
-        parents = {start: None}
-        stack = [start]
-        while stack:
-            i, j = stack.pop()
-            if (i, j) == (n, m):
-                continue
-            if i < n and j < m and w[i] == word2[j]:
-                nxt = (i + 1, j + 1)
-                if nxt not in parents:
-                    parents[nxt] = (i, j)
-                    stack.append(nxt)
-            for i2 in by_key.get(junction(i), []):
-                if i2 > i:
-                    nxt = (i2, j)
-                    if nxt not in parents:
-                        parents[nxt] = (i, j)
-                        stack.append(nxt)
-        if (n, m) not in parents:
-            return None
-        # reconstruct kept runs
-        path = []
-        cur = (n, m)
-        while cur is not None:
-            path.append(cur)
-            cur = parents[cur]
-        path.reverse()
-        runs = []
-        for (i1, j1), (i2, j2) in zip(path, path[1:]):
-            if j2 == j1 + 1:
-                if runs and runs[-1][1] == i1:
-                    runs[-1] = (runs[-1][0], i2)
-                else:
-                    runs.append((i1, i2))
-        return {"rotation": rot, "kept_runs": runs}
-
+    needs = [head[sym] for sym in word2[-1:] + word2[:-1]]  # the tail each symbol fits
+    ww, jj = word1 + word1, junctions1 + junctions1
     for rot in range(n):
-        if word1[rot] == word2[0]:
-            res = attempt(rot)
-            if res is not None:
-                return res
+        if jj[rot] != needs[0] or ww[rot] != word2[0]:
+            continue
+        kept, p = [], rot + n
+        for sym, need in zip(reversed(word2), reversed(needs)):
+            p -= 1
+            while p >= rot and not (jj[p] == need and ww[p] == sym):
+                p -= 1
+            if p < rot:
+                break
+            kept.append(p - rot)
+        else:
+            runs = []
+            for i in reversed(kept):
+                if runs and runs[-1][1] == i:
+                    runs[-1] = (runs[-1][0], i + 1)
+                else:
+                    runs.append((i, i + 1))
+            return {"rotation": rot, "kept_runs": runs}
     return None
 
 

@@ -54,6 +54,8 @@ SEEDS = [
     ("normalize", "from .geometry import _fdot\n", "private", "_fdot"),
     ("surface", "def _seeded(a, b):\n    return geometry._fdot(a, b)\n", "private", "_fdot"),
     ("oracle", "def _never_read():\n    return 1\n", "def", "_never_read"),
+    ("surface", "def _seeded(w1, j1, w2):\n    return closed_subarc_match(w1, j1, w2)\n",
+     "ref", "closed_subarc_match"),
 ]
 
 

@@ -15,6 +15,7 @@ from spherecover.surface import (
     DISK,
     InvalidSurface,
     SurfaceComplex,
+    SurfaceError,
     closed_subarc_match,
     functionals,
     is_better_than,
@@ -233,20 +234,116 @@ def _brute_closed_subarc(word1, junctions1, word2):
     return False
 
 
+def ref_closed_subarc_match(word1, junctions1, word2):
+    """closed_subarc_match as a depth-first search over (i, j) states: i
+    symbols of the rotation passed, j of word2 kept.  A kept symbol moves to
+    (i + 1, j + 1) and a deletion to any later position with junction i's key;
+    the witness is the path that first reaches (n, m)."""
+    word1, junctions1, word2 = list(word1), list(junctions1), list(word2)
+    n, m = len(word1), len(word2)
+    if m == 0 or n == 0:
+        return None
+    if n == m:
+        for rot in range(n):
+            if word1[rot:] + word1[:rot] == word2:
+                return {"rotation": rot, "kept_runs": [(0, n)]}
+        return None
+
+    def attempt(rot):
+        w = word1[rot:] + word1[:rot]
+        jv = junctions1[rot:] + junctions1[:rot]
+
+        def junction(i):
+            return jv[i % n]
+
+        by_key = {}
+        for i in range(n + 1):
+            by_key.setdefault(junction(i), []).append(i)
+        start = (0, 0)
+        parents = {start: None}
+        stack = [start]
+        while stack:
+            i, j = stack.pop()
+            if (i, j) == (n, m):
+                continue
+            if i < n and j < m and w[i] == word2[j]:
+                nxt = (i + 1, j + 1)
+                if nxt not in parents:
+                    parents[nxt] = (i, j)
+                    stack.append(nxt)
+            for i2 in by_key.get(junction(i), []):
+                if i2 > i:
+                    nxt = (i2, j)
+                    if nxt not in parents:
+                        parents[nxt] = (i, j)
+                        stack.append(nxt)
+        if (n, m) not in parents:
+            return None
+        path = []
+        cur = (n, m)
+        while cur is not None:
+            path.append(cur)
+            cur = parents[cur]
+        path.reverse()
+        runs = []
+        for (i1, j1), (i2, j2) in zip(path, path[1:]):
+            if j2 == j1 + 1:
+                if runs and runs[-1][1] == i1:
+                    runs[-1] = (runs[-1][0], i2)
+                else:
+                    runs.append((i1, i2))
+        return {"rotation": rot, "kept_runs": runs}
+
+    for rot in range(n):
+        if word1[rot] == word2[0]:
+            res = attempt(rot)
+            if res is not None:
+                return res
+    return None
+
+
+def _closed_walk(data, max_n):
+    """A closed walk over the junctions "xyz": symbols (tail, label, head),
+    each head the next symbol's tail, and its tails."""
+    n = data.draw(st.integers(1, max_n))
+    tails = data.draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n))
+    labels = data.draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+    word1 = [(tails[i], labels[i], tails[(i + 1) % n]) for i in range(n)]
+    return word1, tails
+
+
+def _sub_word(data, word1, tails):
+    """word1 rotated, then loops deleted, symbols dropped or one mutated; or
+    a word drawn from word1's symbols and strangers."""
+    n = len(word1)
+    rot = data.draw(st.integers(0, n - 1))
+    w = word1[rot:] + word1[:rot]
+    jv = tails[rot:] + tails[:rot] + [tails[rot]]
+    how = data.draw(st.sampled_from(["loops", "drop", "mutate", "equal", "any"]))
+    if how == "loops":
+        keep = [True] * n
+        for a in data.draw(st.lists(st.integers(0, n), max_size=3)):
+            b = data.draw(st.sampled_from([b for b in range(a, n + 1) if jv[b] == jv[a]]))
+            keep[a:b] = [False] * (b - a)
+        return [c for c, k in zip(w, keep) if k]
+    if how == "drop":
+        mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return [c for c, k in zip(w, mask) if k]
+    symbols = st.sampled_from(word1) | st.tuples(*[st.sampled_from(s) for s in ("xyz", "ab", "xyz")])
+    if how == "mutate":
+        i = data.draw(st.integers(0, n - 1))
+        return w[:i] + [data.draw(symbols)] + w[i + 1:]
+    if how == "equal":
+        return w
+    return data.draw(st.lists(symbols, min_size=1, max_size=n + 1))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_closed_subarc_match_agrees_with_brute_force(data):
-    n = data.draw(st.integers(1, 7))
-    word1 = data.draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
-    junctions1 = data.draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n))
-    if data.draw(st.booleans()):
-        # a kept subset of a rotation: often a closed subarc, sometimes not
-        rot = data.draw(st.integers(0, n - 1))
-        mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        w = word1[rot:] + word1[:rot]
-        word2 = [c for c, keep in zip(w, mask) if keep] or w[:1]
-    else:
-        word2 = data.draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=n + 1))
+    word1, junctions1 = _closed_walk(data, 7)
+    word2 = _sub_word(data, word1, junctions1) or word1[:1]
+    n = len(word1)
     witness = closed_subarc_match(word1, junctions1, word2)
     assert (witness is not None) == _brute_closed_subarc(word1, junctions1, word2)
     if witness is None:
@@ -260,6 +357,55 @@ def test_closed_subarc_match_agrees_with_brute_force(data):
     assert bounds == sorted(bounds)
     gaps = list(zip(bounds[0::2], bounds[1::2]))
     assert all(jv[a] == jv[b] for a, b in gaps if a < b)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_closed_subarc_match_gives_the_search_witness(data):
+    word1, junctions1 = _closed_walk(data, 12)
+    word2 = _sub_word(data, word1, junctions1)
+    assert closed_subarc_match(word1, junctions1, word2) == ref_closed_subarc_match(word1, junctions1, word2)
+
+
+def test_closed_subarc_match_refuses_a_walk_that_is_not_closed():
+    # "a" ends at y before "b" and at z before "c": its head is not its own
+    word1, junctions1 = ["a", "b", "a", "c"], ["x", "y", "x", "z"]
+    with pytest.raises(SurfaceError, match="not a closed walk"):
+        closed_subarc_match(word1, junctions1, ["a"])
+
+
+class _Counted:
+    """A symbol that counts the equality tests made on symbols."""
+
+    eqs = 0
+
+    def __init__(self, key):
+        self.key = key
+
+    def __eq__(self, other):
+        _Counted.eqs += 1
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+def test_closed_subarc_match_work_is_linear():
+    rng = random.Random(32)
+    n = 800
+    tails = [rng.choice("wxyz") for _ in range(n)]
+    interned = {}
+    word1 = [interned.setdefault(key, _Counted(key))
+             for key in ((tails[i], rng.choice("ab"), tails[(i + 1) % n]) for i in range(n))]
+    # delete the loop from position 100 to the next one at the same junction (103)
+    a = 100
+    b = next(b for b in range(a + 1, n) if tails[b] == tails[a])
+    word2 = word1[:a] + word1[b:]
+    _Counted.eqs = 0
+    witness = closed_subarc_match(word1, tails, word2)
+    assert witness == {"rotation": 0, "kept_runs": [(0, a), (b, n)]}
+    # the scan makes 798 equality tests here; ref_closed_subarc_match makes 80,235
+    assert _Counted.eqs <= 3 * (n + len(word2))
 
 
 def test_closed_subarc_absent_arc_false():

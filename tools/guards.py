@@ -30,6 +30,8 @@ RULES = [
     ("ref", "require_valid", NORMALIZE_ONLY_EDITS, set(), "_drive checks the output, not each edit"),
     ("ref", "contact_angles", {"normalize"}, {"normalize._ordered_contacts"},
      "one contact search per rotation axis, over every special"),
+    ("ref", "closed_subarc_match", None, {"surface.is_closed_subarc", "surface.is_closed_subarc_geometric"},
+     "one closed-subarc matcher, behind the dart and the geometric walk checks"),
     ("private", None, None, set(), "private to its module: plain-float decisions stay in geometry.py"),
     ("def", None, None, set(), "dead code: no module reads or imports this def"),
 ]
