@@ -264,72 +264,113 @@ class BaseComplex:
                 tips.setdefault(self.face_of_dart(fan[0]), []).append(v)
         return tips
 
-    def sigma_prev(self, d: int) -> int:
-        fan = self.fans[self.tail(d)]
-        return fan[(fan.index(d) - 1) % len(fan)]
-
-    def phi_next(self, d: int) -> int:
-        """Next dart of the left-face cycle: sigma^-1 after reversal."""
-        return self.sigma_prev(d ^ 1)
+    def _face_successors(self, vertices) -> dict:
+        """The rotation system's successor map over the fans of ``vertices``:
+        {d: the next dart of d's left face}, the dart before d ^ 1 in its fan."""
+        nxt = {}
+        for v in vertices:
+            fan = self.fans[v]
+            if fan:
+                before = fan[-1]
+                for d in fan:
+                    nxt[d ^ 1] = before
+                    before = d
+        return nxt
 
     def trace_faces(self):
-        """Recompute face cycles from the rotation system (areas not assigned)."""
+        """Recompute face cycles from the rotation system (areas not assigned):
+        one per dart not yet traced, in fan order of the live vertices.
+
+        A walk takes at most as many steps as the successor map has darts;
+        one that has not closed by then (a fan that lists a dart twice) is
+        refused."""
+        vertices = self.live_vertices()
+        nxt = self._face_successors(vertices)
         seen = set()
         cycles = []
-        for v in self.live_vertices():
+        for v in vertices:
             for d in self.fans[v]:
                 if d in seen:
                     continue
-                cyc = []
-                cur = d
-                while True:
+                cyc, cur = [], d
+                for _ in range(len(nxt)):
                     cyc.append(cur)
-                    seen.add(cur)
-                    cur = self.phi_next(cur)
+                    cur = nxt.get(cur)
                     if cur == d:
                         break
+                else:
+                    raise ArrangementError("the face walk from dart %d does not close" % d)
+                seen.update(cyc)
                 cycles.append(cyc)
         return cycles
 
-    def euler_check(self):
-        v = len(self.live_vertices())
-        e = len(self.live_edges())
-        f = len(self.live_faces())
+    def euler_check(self, v=None, e=None, f=None):
+        """V - E + F == 2, from the given counts of live ids, else from the live ids."""
+        if v is None:
+            v, e, f = len(self.live_vertices()), len(self.live_edges()), len(self.live_faces())
         if v - e + f != 2:
             raise ArrangementError("Euler formula violated: V-E+F = %d" % (v - e + f))
 
     def check(self):
-        """Structural consistency: fans vs edges, stored cycles vs traced, Euler,
-        finite non-negative edge lengths, finite positive face areas summing to 4pi."""
-        for v in self.live_vertices():
-            for d in self.fans[v]:
-                if self.edges[d >> 1] is None:
+        """Structural consistency: fans vs edges, stored cycles vs the rotation
+        system, Euler, finite non-negative edge lengths, finite positive face
+        areas summing to 4pi.
+
+        The stored cycles are compared with the successor map in one pass:
+        each stored successor is the map's, no cycle lists a dart twice, and
+        the stored darts cover the map.  A cycle stored by two faces is
+        refused after the Euler test, which already refuses it when the
+        rotation system is a sphere's."""
+        vertices, edges, faces = self.live_vertices(), self.live_edges(), self.live_faces()
+        listed = 0
+        for v in vertices:
+            fan = self.fans[v]
+            listed += len(fan)
+            for d in fan:
+                # a negative dart would index an edge from the end of the list
+                if d < 0:
+                    raise ArrangementError("fan of %d holds negative dart %d" % (v, d))
+                ed = self.edges[d >> 1]
+                if ed is None:
                     raise ArrangementError("fan of %d holds dead dart %d" % (v, d))
-                if self.tail(d) != v:
-                    raise ArrangementError("dart %d in fan of %d has tail %d" % (d, v, self.tail(d)))
-        for e in self.live_edges():
-            for d in (2 * e, 2 * e + 1):
-                if d not in self.fans[self.tail(d)]:
-                    raise ArrangementError("dart %d missing from fan" % d)
-        traced = {self._cyc_key(c) for c in self.trace_faces()}
-        stored = {self._cyc_key(self.faces[f].cycle) for f in self.live_faces()}
-        if traced != stored:
+                tail = ed.b if d & 1 else ed.a
+                if tail != v:
+                    raise ArrangementError("dart %d in fan of %d has tail %d" % (d, v, tail))
+        # every dart listed is a live dart (one past the last edge raised IndexError)
+        # and leaves its own fan, so each gives the map one key
+        nxt = self._face_successors(vertices)
+        if len(nxt) < listed:
+            v, d = next((v, d) for v in vertices for i, d in enumerate(self.fans[v])
+                        if d in self.fans[v][:i])
+            raise ArrangementError("fan of %d lists dart %d twice" % (v, d))
+        if len(nxt) < 2 * len(edges):
+            d = next(d for e in edges for d in (2 * e, 2 * e + 1) if d ^ 1 not in nxt)
+            raise ArrangementError("dart %d missing from fan" % d)
+        # now the map is a permutation of the live darts: a cycle whose first dart
+        # is a key and whose successors are the map's holds keys only, and if it
+        # lists a dart twice, it lists its first dart twice
+        seen, stored = set(), 0
+        for f in faces:
+            cyc = self.faces[f].cycle
+            if (not cyc or cyc[0] not in nxt or cyc.count(cyc[0]) > 1
+                    or list(map(nxt.get, cyc)) != cyc[1:] + cyc[:1]):
+                raise ArrangementError("stored face cycles disagree with rotation system")
+            seen.update(cyc)
+            stored += len(cyc)
+        if len(seen) < len(nxt):
             raise ArrangementError("stored face cycles disagree with rotation system")
-        self.euler_check()
-        if not all(math.isfinite(self.edges[e].length) and self.edges[e].length >= 0
-                   for e in self.live_edges()):
+        self.euler_check(len(vertices), len(edges), len(faces))
+        if len(seen) < stored:
+            raise ArrangementError("two faces store one face cycle")
+        lengths = [self.edges[e].length for e in edges]
+        if not (all(map(math.isfinite, lengths)) and min(lengths, default=0.0) >= 0):
             raise ArrangementError("edge length is not finite and non-negative")
-        if not all(math.isfinite(self.faces[f].area) and self.faces[f].area > 0
-                   for f in self.live_faces()):
+        areas = [self.faces[f].area for f in faces]
+        if not (all(map(math.isfinite, areas)) and min(areas, default=1.0) > 0):
             raise ArrangementError("face area is not finite and positive")
-        total = float_sum(self.faces[f].area for f in self.live_faces())
+        total = float_sum(areas)
         if abs(total - FULL_SPHERE) > 1e-9:
             raise ArrangementError("face areas sum to %r, not 4pi" % total)
-
-    @staticmethod
-    def _cyc_key(cyc):
-        k = min(range(len(cyc)), key=lambda i: cyc[i])
-        return tuple(cyc[k:] + cyc[:k])
 
     # -- geometry-backed queries -------------------------------------------
 

@@ -16,19 +16,17 @@ class SurfaceFileError(ValueError):
     pass
 
 
-def _coord(x: float) -> str:
-    return repr(float(x))
-
-
 def base_to_dict(bc: BaseComplex) -> dict:
+    """The base's tables; each number is written as ``repr(float(x))``."""
     return {
-        "vertices": [None if v is None else [_coord(x) for x in v] for v in bc.vertices],
+        "vertices": [None if v is None else
+                     [repr(float(v[0])), repr(float(v[1])), repr(float(v[2]))] for v in bc.vertices],
         "fans": [list(f) for f in bc.fans],
         "edges": [None if e is None else
-                  {"a": e.a, "b": e.b, "kind": e.kind, "length": _coord(e.length)}
+                  {"a": e.a, "b": e.b, "kind": e.kind, "length": repr(float(e.length))}
                   for e in bc.edges],
         "faces": [None if f is None else
-                  {"cycle": list(f.cycle), "area": _coord(f.area)} for f in bc.faces],
+                  {"cycle": list(f.cycle), "area": repr(float(f.area))} for f in bc.faces],
         "specials": {str(v): lab for v, lab in bc.specials.items()},
         "markers": sorted(bc.markers),
         "traversal": list(bc.traversal),
@@ -37,19 +35,21 @@ def base_to_dict(bc: BaseComplex) -> dict:
 
 def _vertex_from_list(v) -> tuple:
     try:
-        xyz = [float(x) for x in v]
+        x, y, z = map(float, v)
     except (TypeError, ValueError):
-        xyz = None
-    if xyz is None or len(xyz) != 3 or not all(map(math.isfinite, xyz)):
+        x = y = z = math.nan
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise SurfaceFileError("vertex %r is not exactly 3 finite numbers" % (v,))
-    if not abs(norm(xyz) - 1.0) <= EPS_UNIT:
+    if not abs(norm((x, y, z)) - 1.0) <= EPS_UNIT:
         raise SurfaceFileError("vertex %r is not on the unit sphere" % (v,))
-    return tuple(xyz)
+    return x, y, z
 
 
 def _edge_from_dict(e) -> Edge:
     if e["kind"] not in (CURVE, SCAFFOLD):
         raise SurfaceFileError("edge kind %r is not %r or %r" % (e["kind"], CURVE, SCAFFOLD))
+    if not (type(e["a"]) is int and type(e["b"]) is int):
+        raise SurfaceFileError("edge ends %r and %r are not both ints" % (e["a"], e["b"]))
     return Edge(e["a"], e["b"], e["kind"], float(e["length"]))
 
 
@@ -67,9 +67,8 @@ def base_from_dict(d: dict) -> BaseComplex:
 
 
 def surface_to_dict(s: SurfaceComplex, metadata=None) -> dict:
-    pairing = sorted(
-        ([list(a), list(b)] for a, b in s.pairing.items() if a <= b),
-        key=lambda x: x[0])
+    # the first sides are distinct, so the pairs sort by them alone
+    pairing = sorted([list(a), list(b)] for a, b in s.pairing.items() if a <= b)
     return {
         "format": "spherecover-surface",
         "version": SCHEMA_VERSION,
@@ -153,7 +152,7 @@ def trace_to_dict(trace, ok) -> dict:
 
 
 def rotation_to_dict(rot) -> list:
-    return [[_coord(x) for x in row] for row in rot.matrix]
+    return [list(map(repr, map(float, row))) for row in rot.matrix]
 
 
 def rotation_from_dict(rows):

@@ -9,6 +9,7 @@ import pytest
 
 from spherecover.arrangement import (
     CURVE,
+    FULL_SPHERE,
     ArrangementError,
     CurveInput,
     SpecialSet,
@@ -16,7 +17,7 @@ from spherecover.arrangement import (
     build_arrangement,
 )
 from spherecover.generators import _close_scaffold_sides, _sph
-from spherecover.geometry import GeodesicSegment, add, norm, scale, sub, unit
+from spherecover.geometry import GeodesicSegment, add, float_sum, norm, scale, sub, unit
 from spherecover.surface import SurfaceComplex, functionals, geometric_walk
 
 
@@ -31,6 +32,68 @@ def tool_module(name):
 
 def hunt_module():
     return tool_module("hunt")
+
+
+def reference_trace_faces(bc, max_steps=None):
+    """``BaseComplex.trace_faces`` as it was before the successor map: each
+    step finds the dart before d ^ 1 in its fan by ``fan.index``.  With
+    ``max_steps``, ArrangementError once that many steps are taken in all
+    (without it a fan that lists a dart twice can loop forever)."""
+    def phi_next(d):
+        fan = bc.fans[bc.tail(d ^ 1)]
+        return fan[(fan.index(d ^ 1) - 1) % len(fan)]
+
+    seen, cycles, steps = set(), [], 0
+    for v in bc.live_vertices():
+        for d in bc.fans[v]:
+            if d in seen:
+                continue
+            cyc, cur = [], d
+            while True:
+                cyc.append(cur)
+                seen.add(cur)
+                cur = phi_next(cur)
+                steps += 1
+                if max_steps is not None and steps > max_steps:
+                    raise ArrangementError("reference trace passed %d steps" % max_steps)
+                if cur == d:
+                    break
+            cycles.append(cyc)
+    return cycles
+
+
+def reference_check(bc, max_steps=None):
+    """``BaseComplex.check`` as it was before the successor map: the faces
+    traced again (``reference_trace_faces``) and compared with the stored
+    cycles as sets of rotation-canonical tuples."""
+    def cyc_key(cyc):
+        k = min(range(len(cyc)), key=lambda i: cyc[i])
+        return tuple(cyc[k:] + cyc[:k])
+
+    for v in bc.live_vertices():
+        for d in bc.fans[v]:
+            if bc.edges[d >> 1] is None:
+                raise ArrangementError("fan of %d holds dead dart %d" % (v, d))
+            if bc.tail(d) != v:
+                raise ArrangementError("dart %d in fan of %d has tail %d" % (d, v, bc.tail(d)))
+    for e in bc.live_edges():
+        for d in (2 * e, 2 * e + 1):
+            if d not in bc.fans[bc.tail(d)]:
+                raise ArrangementError("dart %d missing from fan" % d)
+    traced = {cyc_key(c) for c in reference_trace_faces(bc, max_steps)}
+    stored = {cyc_key(bc.faces[f].cycle) for f in bc.live_faces()}
+    if traced != stored:
+        raise ArrangementError("stored face cycles disagree with rotation system")
+    bc.euler_check()
+    if not all(math.isfinite(bc.edges[e].length) and bc.edges[e].length >= 0
+               for e in bc.live_edges()):
+        raise ArrangementError("edge length is not finite and non-negative")
+    if not all(math.isfinite(bc.faces[f].area) and bc.faces[f].area > 0
+               for f in bc.live_faces()):
+        raise ArrangementError("face area is not finite and positive")
+    total = float_sum(bc.faces[f].area for f in bc.live_faces())
+    if abs(total - FULL_SPHERE) > 1e-9:
+        raise ArrangementError("face areas sum to %r, not 4pi" % total)
 
 
 def sph(lon, lat):

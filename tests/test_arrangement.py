@@ -1,15 +1,18 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from spherecover import arrangement, generators, geometry
+from spherecover import arrangement, generators, geometry, io
 from spherecover.arrangement import (
     CURVE,
     SCAFFOLD,
     ArrangementError,
+    BaseComplex,
     CurveInput,
     OverlappingInput,
     ScaffoldBlocked,
@@ -39,7 +42,17 @@ from spherecover.geometry import (
     unit,
 )
 
-from conftest import face_interior_point, hunt_module, sph
+from conftest import (
+    double_cover_cut,
+    f4_double_cover,
+    f4_with_north,
+    face_interior_point,
+    hunt_module,
+    identity_hemisphere,
+    reference_check,
+    reference_trace_faces,
+    sph,
+)
 
 NORTH_SPECIALS = (sph(2.4, 1.25), sph(3.3, 1.25), sph(4.2, 1.25))
 
@@ -899,3 +912,175 @@ def test_face_count_reads_the_cached_meetings(monkeypatch):
     n_calls = len(calls)
     build_curve_graph(crossing, SpecialSet(NORTH_SPECIALS))
     assert len(calls) == n_calls
+
+
+def _committed_bases():
+    """The base of every committed surface: both corpora and the fixtures
+    (``tests/data`` holds sweep records, not surfaces)."""
+    corpus = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "seed1"
+    bases = [io.base_from_dict(json.loads(line)["base"])
+             for name in ("batch", "stress")
+             for line in (corpus / (name + ".jsonl")).read_text().splitlines()]
+    fixtures = [identity_hemisphere(), f4_double_cover(), f4_with_north(),
+                f4_with_north(marker_at=2, a1_south=False),
+                double_cover_cut([("marker", (0.7, -0.5))], {"marker"})]
+    return bases + [s.base for s in fixtures]
+
+
+def _first(items, pred):
+    return next(x for x in items if pred(x))
+
+
+def _face(bc, n=3):
+    return bc.faces[_first(bc.live_faces(), lambda f: len(bc.faces[f].cycle) >= n)]
+
+
+def _rotated(bc):
+    cyc = _face(bc).cycle
+    cyc[:] = cyc[1:] + cyc[:1]
+
+
+def _reversed(bc):
+    _face(bc).cycle.reverse()
+
+
+def _split(bc):
+    face = _face(bc, 2)
+    k = len(face.cycle) // 2
+    bc._new_face(face.cycle[k:], face.area / 2)
+    face.cycle, face.area = face.cycle[:k], face.area / 2
+
+
+def _merged(bc):
+    f, g = bc.live_faces()[:2]
+    bc.faces[f].cycle += bc.faces[g].cycle
+    bc.faces[f].area += bc.faces[g].area
+    bc.faces[g] = None
+
+
+def _duplicated(bc):
+    face = _face(bc, 1)
+    bc._new_face(face.cycle, face.area)
+
+
+def _doubled(bc):
+    face = _face(bc, 1)
+    face.cycle = face.cycle * 2
+
+
+def _emptied(bc):
+    _face(bc, 1).cycle = []
+
+
+def _missing(bc):
+    bc.fans[_first(bc.live_vertices(), lambda v: len(bc.fans[v]) >= 2)].pop(0)
+
+
+def _dead(bc):
+    v = _first(bc.live_vertices(), lambda v: bc.fans[v])
+    bc.edges[bc.fans[v][0] >> 1] = None
+
+
+def _wrong_tail(bc):
+    ed = bc.edges[bc.live_edges()[0]]
+    ed.a, ed.b = ed.b, ed.a
+
+
+def _swapped(bc):
+    fan = bc.fans[_first(bc.live_vertices(), lambda v: len(bc.fans[v]) >= 3)]
+    fan[0], fan[1] = fan[1], fan[0]
+
+
+def _negative(bc):
+    """Relabel the darts of the first live edge e as 2e - 2E and 2e + 1 - 2E
+    (E edges), in the fans and in the face cycles: as list indices both wrap
+    onto e, with its tails."""
+    e, shift = bc.live_edges()[0], 2 * len(bc.edges)
+    relabel = {2 * e: 2 * e - shift, 2 * e + 1: 2 * e + 1 - shift}
+    for v in bc.live_vertices():
+        bc.fans[v] = [relabel.get(d, d) for d in bc.fans[v]]
+    for f in bc.live_faces():
+        bc.faces[f].cycle = [relabel.get(d, d) for d in bc.faces[f].cycle]
+
+
+MUTATIONS = [_rotated, _reversed, _split, _merged, _duplicated, _doubled, _emptied,
+             _missing, _dead, _wrong_tail, _swapped, _negative]
+
+
+def _verdict(check, bc):
+    try:
+        check(bc)
+    except ValueError as err:  # ArrangementError, or min() of an empty cycle
+        return str(err)
+    return None
+
+
+def test_check_matches_the_trace_and_compare_reference():
+    """On every committed base, and on each mutation of each, ``check`` gives
+    the verdict and the message of ``reference_check``, which traces every
+    face and compares cycle sets; an emptied cycle fails the reference inside
+    min() of its canonical key, and a negative dart is refused by check before
+    the reference finds its edge's dart missing, so only their verdicts are
+    compared."""
+    bases = _committed_bases()
+    assert len(bases) == 185
+    verdicts = set()
+    for base in bases:
+        assert _verdict(reference_check, base) is None and _verdict(BaseComplex.check, base) is None
+        for mutate in MUTATIONS:
+            bc = base.copy()
+            mutate(bc)
+            got, want = _verdict(BaseComplex.check, bc), _verdict(reference_check, bc)
+            if mutate is _emptied:
+                assert want == "min() arg is an empty sequence"
+                assert got == "stored face cycles disagree with rotation system"
+            elif mutate is _negative:
+                e = base.live_edges()[0]
+                assert want == "dart %d missing from fan" % (2 * e)
+                assert got.startswith("fan of ") and got.endswith(
+                    " holds negative dart %d" % (2 * e - 2 * len(bc.edges))), got
+            else:
+                assert got == want, (mutate.__name__, got, want)
+            verdicts.add((mutate.__name__, got))
+    # every mutation but a rotation is refused, each for its own reason
+    assert {m for m, v in verdicts if v is None} == {"_rotated"}
+    assert {v.split()[0] for m, v in verdicts if v} >= {"stored", "Euler", "dart", "fan"}
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_a_fan_that_lists_a_dart_twice_is_refused(k):
+    """The reference check loops on a fan that repeats its first dart (here
+    its trace hits a step bound) and passes one that repeats its last dart;
+    check refuses both.  trace_faces ends on both: its map keeps the last
+    wedge of a repeated dart, which for the first dart is the one it had,
+    and for the last dart leaves a walk that does not close."""
+    for base in _committed_bases()[:100]:
+        bc = base.copy()
+        v = bc.live_vertices()[0]
+        d = bc.fans[v][k]
+        bc.fans[v].append(d)
+        assert _verdict(BaseComplex.check, bc) == "fan of %d lists dart %d twice" % (v, d)
+        want = _verdict(lambda b: reference_check(b, max_steps=4 * len(b.edges)), bc)
+        assert want == ("reference trace passed %d steps" % (4 * len(bc.edges)) if k == 0 else None)
+        if k == 0:
+            assert bc.trace_faces() == base.trace_faces()
+        else:
+            with pytest.raises(ArrangementError, match="does not close"):
+                bc.trace_faces()
+
+
+def test_trace_faces_matches_the_reference_tracer(monkeypatch):
+    """On every base that random_base builds for the 40 criterion-5 seeds,
+    ``trace_faces`` gives the reference tracer's cycles in the same order."""
+    built, real = [], generators.build_faces
+
+    def record(bc):
+        built.append(real(bc))
+        return built[-1]
+
+    monkeypatch.setattr(generators, "build_faces", record)
+    for n in range(1, 41):
+        generators.generate_disk_covering_filtered(("c5", n), max_sum=6, max_degree=4)
+    assert len(built) > 40
+    for bc in built:
+        assert bc.trace_faces() == reference_trace_faces(bc)

@@ -56,6 +56,8 @@ SEEDS = [
     ("oracle", "def _never_read():\n    return 1\n", "def", "_never_read"),
     ("surface", "def _seeded(w1, j1, w2):\n    return closed_subarc_match(w1, j1, w2)\n",
      "ref", "closed_subarc_match"),
+    ("surgery", "def _seeded(bc):\n    return bc._face_successors(bc.live_vertices())\n",
+     "ref", "_face_successors"),
 ]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import signal
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ def test_cli_surgery_reports_typed_errors_only(tmp_path, capsys, monkeypatch):
     ("vertex", ["1.3e154", "1.3e154", "0"]),
     ("vertex", ["1e-200", "0", "0"]),
     ("vertex", ["0.6", "0.6", "0.6"]),
+    # a fan that lists its first dart twice loops a re-tracing loader, and one
+    # that lists its last dart twice passes its trace
+    ("repeat", 0),
+    ("repeat", -1),
+    # the darts of the last edge written as -2 and -1, in the fans and the
+    # face cycles: as list indices both wrap onto that edge
+    ("negative", None),
+    # an edge end equal to its vertex id but not an int
+    ("end", float),
+    ("end", bool),
 ])
 def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
     doc = io.surface_to_dict(f4_double_cover())
@@ -145,6 +156,18 @@ def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
         doc["pairing"][0] = value
     elif field == "fan":
         doc["base"]["fans"][0] = value
+    elif field == "repeat":
+        fan = doc["base"]["fans"][0]
+        fan.append(fan[value])
+    elif field == "negative":
+        base = doc["base"]
+        last = 2 * len(base["edges"]) - 2
+        assert base["edges"][-1] is not None
+        relabel = {last: -2, last + 1: -1}
+        base["fans"] = [[relabel.get(d, d) for d in fan] for fan in base["fans"]]
+        for f in base["faces"]:
+            if f:
+                f["cycle"] = [relabel.get(d, d) for d in f["cycle"]]
     elif field == "special":
         doc["base"]["specials"][value] = "a9"
     elif field == "label":
@@ -157,6 +180,9 @@ def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
         next(f for f in doc["base"]["faces"] if f)["area"] = value
     elif field == "length":
         next(e for e in doc["base"]["edges"] if e)["length"] = value
+    elif field == "end":
+        edge = next(e for e in doc["base"]["edges"] if e and e["a"] == 1)
+        edge["a"] = value(edge["a"])
     elif field == "kind":
         next(e for e in doc["base"]["edges"] if e and e["kind"] == "curve")["kind"] = value
     else:
@@ -164,10 +190,22 @@ def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
     surf = tmp_path / "bad.json"
     surf.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
-    for argv in (["normalize", str(surf), "--out", str(out)],
-                 ["inspect", str(surf)], ["verify", str(surf)]):
-        assert cli_main(argv) == EXIT_FAIL
-        assert "parse error:" in capsys.readouterr().err
+
+    def hung(*_):
+        raise TimeoutError("the load did not end")
+
+    # a hang fails the test instead of stalling the suite
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        for argv in (["normalize", str(surf), "--out", str(out)],
+                     ["inspect", str(surf)], ["verify", str(surf)]):
+            assert cli_main(argv) == EXIT_FAIL
+            err = capsys.readouterr().err
+            assert err.startswith("parse error:") and err.count("\n") == 1, err
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert not out.exists()
 
 

@@ -12,7 +12,8 @@ NORMALIZE_ONLY_EDITS = {"surgery." + f for f in (
     "cleanup_unused_curve_edges", "star_rewire", "absorb_tip_into_vertex")}
 
 # (kind, name or None for any, places covered or None for all, places allowed, reason).  A place is a
-# module or its top-level def or class (normalize._drive); it holds every use inside, comments none.
+# module, its top-level def or class (normalize._drive), or a method of that class
+# (arrangement.BaseComplex.check); it holds every use inside, comments none.
 # touch: any attribute .name; write: an assigned or deleted .name or item of it; ref: a read of name
 # or .name, aliases too; private: <module>._name or an imported _name; def: a def never read or imported.
 RULES = [
@@ -32,6 +33,8 @@ RULES = [
      "one contact search per rotation axis, over every special"),
     ("ref", "closed_subarc_match", None, {"surface.is_closed_subarc", "surface.is_closed_subarc_geometric"},
      "one closed-subarc matcher, behind the dart and the geometric walk checks"),
+    ("ref", "_face_successors", None, {"arrangement.BaseComplex.trace_faces", "arrangement.BaseComplex.check"},
+     "one face-cycle tracer: only trace_faces and check read the successor map"),
     ("private", None, None, set(), "private to its module: plain-float decisions stay in geometry.py"),
     ("def", None, None, set(), "dead code: no module reads or imports this def"),
 ]
@@ -63,15 +66,28 @@ def _uses(node, modules):
 
 
 def _inside(places, module, owner):
-    return places is None or module in places or "%s.%s" % (module, owner) in places
+    return (places is None or module in places or "%s.%s" % (module, owner) in places
+            or "%s.%s" % (module, owner.split(".")[0]) in places)
+
+
+def _owned(tree):
+    """(owner, node) for every node under the module's top level: its def or class, or
+    Class.method inside a method."""
+    for top in tree.body:
+        name = str(getattr(top, "name", None))
+        methods = {id(node): name + "." + item.name for item in top.body
+                   if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(item)} if isinstance(top, ast.ClassDef) else {}
+        for node in ast.walk(top):
+            yield methods.get(id(node), name), node
 
 
 def check(package=PACKAGE):
     """Every offence in the package directory, as sorted (path, line, message)."""
     trees = {p.stem: (p, ast.parse(p.read_text(), str(p))) for p in sorted(package.glob("*.py"))}
-    uses = [(p, node.lineno, kind, name, module, getattr(top, "name", None))
-            for module, (p, tree) in trees.items() for top in tree.body
-            for node in ast.walk(top) for kind, name in _uses(node, trees)]
+    uses = [(p, node.lineno, kind, name, module, owner)
+            for module, (p, tree) in trees.items() for owner, node in _owned(tree)
+            for kind, name in _uses(node, trees)]
     read = {u[3] for u in uses if u[2] in ("ref", "import")}
     return sorted((path, line, "%s (%s)" % (reason, name))
                   for path, line, kind, name, module, owner in uses if kind != "def" or name not in read
