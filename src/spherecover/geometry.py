@@ -17,7 +17,8 @@ dots where they would give back the point's own coordinates), and
 This module owns every decision taken from plain floats.  A test may take
 its decision from a plain-float twin (``_fangle``, ``_fdot``) only where a
 sound bound, stated next to the code, puts the twin clear of the
-threshold; otherwise it evaluates its exact-kernel formula.  So every
+threshold; otherwise it evaluates its exact-kernel formula (``wedge_index``
+has no twin, and ``contact_angles`` none beyond ``contains``'s).  So every
 decision is the exact kernel's, and every value that is returned or stored
 (lengths, parameters, points, areas) comes from the exact kernel.  Other
 modules ask public questions and never see a twin:
@@ -496,22 +497,10 @@ def nearest_feature(segs, p, twins=None):
 def nearest_to_arcs(points, segs):
     """(k, angle, point) for the first of ``points`` whose ``nearest_feature``
     angle to the arcs ``segs`` is least: its index, that angle and the arc
-    point ``nearest_point`` gives.
-
-    Each point's ``_fnearest`` twins are computed once.  When every twin is
-    trusted, a point's least twin lies within 1e-9 of its exact distance
-    (see ``nearest_feature``), so a point whose least twin is more than
-    2 * ``_PRUNE`` beyond the least over all points is farther than that
-    one, and its exact scan is skipped."""
-    twins = [[_fnearest(seg, p) for seg in segs] for p in points]
-    cut = None
-    if all(None not in tw for tw in twins):
-        cut = min(min(tw) for tw in twins) + 2 * _PRUNE
+    point ``nearest_point`` gives."""
     best = None
-    for k, (p, tw) in enumerate(zip(points, twins)):
-        if cut is not None and min(tw) > cut:
-            continue
-        _, d, x = nearest_feature(segs, p, tw)
+    for k, p in enumerate(points):
+        _, d, x = nearest_feature(segs, p)
         if best is None or d < best[1]:
             best = (k, d, x)
     return best
@@ -589,17 +578,10 @@ def _twin_pick(segs, p, twins):
     return first[:2]
 
 
-def wedge_index(at, p, tangents):
-    """The index of the tangent, of the unit ``tangents`` at the point
-    ``at``, whose counterclockwise wedge holds the direction toward p: the
-    first whose azimuth least precedes it.  The twin (``_wedge_twin``)
-    decides where it can, else the exact rule (``_wedge_exact``)."""
-    i = _wedge_twin(at, p, tangents)
-    return _wedge_exact(at, p, tangents) if i is None else i
-
-
-def _wedge_exact(at, p, tangents) -> int:
-    """``wedge_index`` by exact azimuths in the frame of tangents[0]."""
+def wedge_index(at, p, tangents) -> int:
+    """The index of the tangent, of the unit ``tangents`` at ``at``, whose
+    counterclockwise wedge holds the direction toward p: the first whose
+    exact azimuth, in the frame of tangents[0], least precedes it."""
     t = unit(cross(cross(at, p), at))
     e1 = unit(tangents[0])
     e2 = unit(cross(at, e1))
@@ -609,38 +591,6 @@ def _wedge_exact(at, p, tangents) -> int:
         return math.atan2(dot(vec, e2), dot(vec, e1)) % tau
     target = az(t)
     return min(range(len(tangents)), key=lambda i: (target - az(tangents[i])) % tau)
-
-
-# ``_wedge_twin`` decides only where the plain-float azimuths of the
-# direction and of every tangent lie this far (rad) apart on the circle;
-# each errs by < 1e-14 against ``_wedge_exact``'s.
-_AZIMUTH = 1e-9
-
-
-def _wedge_twin(at, p, tangents):
-    """``_wedge_exact(at, p, tangents)`` from plain-float azimuths, or None
-    where it is not decided: where the direction toward p and the tangents
-    are not pairwise more than ``_AZIMUTH`` apart on the circle, or the
-    direction's plain-float vector has |t| <= 1e-12.
-
-    The frame and the direction are ``_wedge_exact``'s vectors before
-    ``unit``, which does not turn them, and ``_fdot`` errs by < 1e-15
-    times their norms, so each azimuth lies within 1e-14 of the exact
-    one.  Points that far apart keep their cyclic order, so the
-    tangent that precedes the direction is the same.  The exact rule's
-    ``unit`` of the direction does not fail there (|t| > 1e-12)."""
-    t = cross(cross(at, p), at)
-    if not tangents or _fdot(t, t) <= 1e-24:
-        return None
-    e1 = tangents[0]
-    e2 = cross(at, e1)
-    tau = 2 * math.pi
-    angs = [math.atan2(_fdot(x, e2), _fdot(x, e1)) % tau for x in [t] + tangents]
-    ring = sorted(angs)
-    if min(b - a for a, b in zip(ring, ring[1:] + [ring[0] + tau])) <= _AZIMUTH:
-        return None
-    target = angs[0]
-    return min(range(len(tangents)), key=lambda i: (target - angs[i + 1]) % tau)
 
 
 class PointRegistry:
@@ -905,11 +855,6 @@ def contact_angles(curve, targets, axis):
     its contact; the preimage's coordinates are the rotation matrix's
     columns, each taken by ``dot`` with p0, as
     ``Rotation.from_axis_angle(axis, t).inverse().apply`` takes them.
-    A root is skipped without that preimage where its plain-float twin
-    (the columns taken by ``_fdot``, within 2e-15 rad of the preimage's
-    direction) has twin angles to the arc's ends summing to more than
-    length + 10 * EPS_SEP + 1e-9: the exact sum then exceeds length +
-    10 * EPS_SEP, so ``contains`` refuses the preimage.
 
     Raises GeometryError if a target lies on the curve (the first such
     target in order)."""
@@ -939,13 +884,8 @@ def contact_angles(curve, targets, axis):
         roots.sort()
         for t, idx in roots:
             cols = tuple(zip(*_axis_angle_matrix(kx, kk, t)))
-            seg = curve[idx]
-            twin = tuple(_fdot(col, p0) for col in cols)
-            wa, wb = _fangle(seg.a, twin), _fangle(seg.b, twin)
-            if wa is not None and wb is not None and wa + wb > seg.length + 10 * EPS_SEP + 1e-9:
-                continue  # clearly beyond the arc's ends
             pre = unit(tuple(dot(col, p0) for col in cols))
-            if seg.contains(pre, tol=10 * EPS_SEP):
+            if curve[idx].contains(pre, tol=10 * EPS_SEP):
                 out.append((t, idx))
                 break
         else:

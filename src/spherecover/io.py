@@ -35,6 +35,8 @@ def base_to_dict(bc: BaseComplex) -> dict:
 
 def _vertex_from_list(v) -> tuple:
     try:
+        if type(v) is not list or bool in map(type, v):
+            raise TypeError  # float() would take a string's characters or a bool
         x, y, z = map(float, v)
     except (TypeError, ValueError):
         x = y = z = math.nan
@@ -60,6 +62,8 @@ def base_from_dict(d: dict) -> BaseComplex:
     bc.edges = [None if e is None else _edge_from_dict(e) for e in d["edges"]]
     bc.faces = [None if f is None else Face(list(f["cycle"]), float(f["area"]))
                 for f in d["faces"]]
+    if {type(x) for darts in (*bc.fans, *(f.cycle for f in bc.faces if f)) for x in darts} - {int}:
+        raise SurfaceFileError("a fan or face cycle holds a dart that is not an int")
     bc.specials = {int(v): lab for v, lab in d["specials"].items()}
     bc.markers = set(d.get("markers", []))
     bc.traversal = list(d.get("traversal", []))

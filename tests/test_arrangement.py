@@ -306,10 +306,22 @@ def ref_locate_point(bc, p):
         side = dot(p, bc.dart_segment(2 * e).pole)
         d = 2 * e if side > 0 else 2 * e + 1
         return ("face", bc.left_face(d))
-    # the exact wedge rule, not wedge_index, which tries the twin first
     fan = [d for d in bc.fans[vtx] if bc.kind(d) == CURVE]
-    i = geometry._wedge_exact(bc.vertices[vtx], p, [bc.dart_tangent(d) for d in fan])
+    i = ref_wedge(bc.vertices[vtx], p, [bc.dart_tangent(d) for d in fan])
     return ("face", bc.left_face(fan[i]))
+
+
+def ref_wedge(at, p, tangents):
+    """The exact wedge rule, written out here: the first tangent at ``at``
+    whose azimuth, in the frame of tangents[0], least precedes the
+    direction toward p."""
+    e1 = unit(tangents[0])
+    e2 = unit(cross(at, e1))
+
+    def az(vec):
+        return math.atan2(dot(vec, e2), dot(vec, e1)) % (2 * math.pi)
+    target = az(unit(cross(cross(at, p), at)))
+    return min(range(len(tangents)), key=lambda i: (target - az(tangents[i])) % (2 * math.pi))
 
 
 def _turned(v, t, ang):
@@ -458,33 +470,6 @@ def test_locate_point_twins_decide_as_the_exact_scan(monkeypatch):
                 paths[path] = paths.get(path, 0) + 1
     assert set(kinds) == {"vertex", "edge", "face"}, kinds
     assert set(paths) == {"exact", "side", "wedge"}, paths
-
-
-def test_wedge_twin_decides_only_clear_of_every_dart():
-    # directions at 0, 1e-12 and 1e-10 rad (below _AZIMUTH) and at 1e-6 rad
-    # from each curve dart at each vertex: the plain-float wedge answers only
-    # where clear, and then as the exact rule
-    decided = 0
-    for seed in range(6):
-        bc = _star_base(seed)
-        if bc is None:
-            continue
-        for v in bc.live_vertices():
-            pv = bc.vertices[v]
-            tangents = [bc.dart_tangent(d) for d in bc.fans[v] if bc.kind(d) == CURVE]
-            for t in map(unit, tangents):
-                side = cross(pv, t)
-                for turn in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-6, -1e-6):
-                    u = unit(add(tuple(math.cos(turn) * x for x in t),
-                                 tuple(math.sin(turn) * x for x in side)))
-                    p = _turned(pv, u, 1e-4)
-                    got = geometry._wedge_twin(pv, p, tangents)
-                    if abs(turn) < geometry._AZIMUTH:
-                        assert got is None
-                    elif got is not None:
-                        assert got == geometry._wedge_exact(pv, p, tangents)
-                        decided += 1
-    assert decided > 50
 
 
 def test_every_locate_of_the_generator_and_the_pipeline_matches_the_reference(monkeypatch):

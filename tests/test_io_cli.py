@@ -143,6 +143,13 @@ def test_cli_surgery_reports_typed_errors_only(tmp_path, capsys, monkeypatch):
     # an edge end equal to its vertex id but not an int
     ("end", float),
     ("end", bool),
+    # a dart written as a float: in a face cycle it equals its int as a key
+    # and passed the check, then every command failed on an xor
+    ("dart", "cycle"),
+    ("dart", "fan"),
+    # float() of a string vertex walks its characters; float(True) is 1.0
+    ("vertex", "100"),
+    ("vertex", [True, 0, 0]),
 ])
 def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
     doc = io.surface_to_dict(f4_double_cover())
@@ -183,6 +190,10 @@ def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
     elif field == "end":
         edge = next(e for e in doc["base"]["edges"] if e and e["a"] == 1)
         edge["a"] = value(edge["a"])
+    elif field == "dart":
+        cycle = next(f for f in doc["base"]["faces"] if f)["cycle"]
+        darts = cycle if value == "cycle" else doc["base"]["fans"][0]
+        darts[0] = float(darts[0])
     elif field == "kind":
         next(e for e in doc["base"]["edges"] if e and e["kind"] == "curve")["kind"] = value
     else:
