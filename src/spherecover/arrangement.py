@@ -44,6 +44,8 @@ SCAFFOLD = "scaffold"
 
 FULL_SPHERE = 4 * math.pi
 
+MAX_SEGMENTS = 64  # the most arcs a CurveInput takes
+
 
 class ArrangementError(ValueError):
     pass
@@ -90,7 +92,6 @@ class CurveInput:
     """Closed polygonal curve given by its cyclic vertex list."""
 
     points: tuple
-    max_segments: int = 64
 
     def __post_init__(self):
         pts = tuple(unit(p) for p in self.points)
@@ -98,8 +99,8 @@ class CurveInput:
         k = len(pts)
         if k < 2:
             raise ArrangementError("curve needs at least 2 points")
-        if k > self.max_segments:
-            raise TooManySegments("curve has %d segments > %d" % (k, self.max_segments))
+        if k > MAX_SEGMENTS:
+            raise TooManySegments("curve has %d segments > %d" % (k, MAX_SEGMENTS))
         for i in range(k):
             a, b = pts[i], pts[(i + 1) % k]
             if points_coincide(a, b):
@@ -389,7 +390,12 @@ class BaseComplex:
         return sorted(darts, key=az)
 
     def locate_point(self, p):
-        """Classify p against the complex: ('vertex', v) | ('edge', e, t) | ('face', f).
+        """The answer of ``locate_points`` for the one point p."""
+        return next(self.locate_points((p,)))
+
+    def locate_points(self, points):
+        """Classify each point against the complex, lazily and in order:
+        ('vertex', v) | ('edge', e, t) | ('face', f).
 
         Snapping priority vertex > edge > face at EPS_SEP.  Only CURVE edges
         give edge hits and decide the side; SCAFFOLD edges are always
@@ -399,24 +405,38 @@ class BaseComplex:
         arc, or the wedge at an end vertex that the direction toward p
         enters between its curve darts (``wedge_index``; scaffold edges
         never separate faces at a vertex).
+
+        The live curve edges and their dart segments are read once, at the
+        first point that is not at a vertex, and serve every later point:
+        the curve must not change while the answers are drawn.  Each point
+        is made unit and scanned for a vertex before that read, so the
+        answers, and the first error, are those of one ``locate_point``
+        call per point.
         """
-        p = unit(p)
-        v = self.vertex_at(p)
-        if v is not None:
-            return ("vertex", v)
-        edges = [e for e in self.live_edges() if self.edges[e].kind == CURVE]
-        if not edges:
-            raise ArrangementError("complex has no curve edges")
-        kind, i, x = locate_on_arcs([self.dart_segment(2 * e) for e in edges], p)
-        e = edges[i]
-        if kind == "on":
-            return ("edge", e, x)
-        if kind == "side":
-            return ("face", self.left_face(2 * e if x else 2 * e + 1))
-        v = self.edges[e].a if x == "a" else self.edges[e].b
-        fan = [d for d in self.fans[v] if self.kind(d) == CURVE]
-        i = wedge_index(self.vertices[v], p, [self.dart_tangent(d) for d in fan])
-        return ("face", self.left_face(fan[i]))
+        arcs = None
+        for p in points:
+            p = unit(p)
+            v = self.vertex_at(p)
+            if v is not None:
+                yield ("vertex", v)
+                continue
+            if arcs is None:
+                edges = [e for e in self.live_edges() if self.edges[e].kind == CURVE]
+                if not edges:
+                    raise ArrangementError("complex has no curve edges")
+                arcs = edges, [self.dart_segment(2 * e) for e in edges]
+            edges, segs = arcs
+            kind, i, x = locate_on_arcs(segs, p)
+            e = edges[i]
+            if kind == "on":
+                yield ("edge", e, x)
+            elif kind == "side":
+                yield ("face", self.left_face(2 * e if x else 2 * e + 1))
+            else:
+                v = self.edges[e].a if x == "a" else self.edges[e].b
+                fan = [d for d in self.fans[v] if self.kind(d) == CURVE]
+                i = wedge_index(self.vertices[v], p, [self.dart_tangent(d) for d in fan])
+                yield ("face", self.left_face(fan[i]))
 
     # -- combinatorial edits (used by surgery) ------------------------------
 
@@ -781,33 +801,41 @@ def locate_pending(bc: BaseComplex) -> list:
     """The face of each pending interior point, in order, before any bridge.
 
     Refuses (ScaffoldBlocked) a point that is not strictly inside a face and a
-    face with no attachable vertex, as attach_scaffold always has.  A bridge
-    is a SCAFFOLD edge, which ``locate_point`` skips, and keeps every face id
-    and every attachable vertex, so locating against the bridgeless complex
-    gives each point the answer it got after the earlier bridges.  The one
-    thing a bridge adds that ``locate_point`` sees is its tip, a vertex at
-    the earlier point: a point within EPS_SEP of an earlier one is refused
-    here, as ``vertex_at`` refused it there.
+    face with no attachable vertex, as attach_scaffold always has, each before
+    the next point is located.  A bridge is a SCAFFOLD edge, which
+    ``locate_points`` skips, and keeps every face id and every attachable
+    vertex, so locating against the bridgeless complex gives each point the
+    answer it got after the earlier bridges.  The one thing a bridge adds
+    that the locator sees is its tip, a vertex at the earlier point: a point
+    within EPS_SEP of an earlier one is refused here, as ``vertex_at``
+    refused it there.
     """
-    faces, earlier = [], []  # the unit vectors of the points located so far
-    for p, _lab in bc.meta.get("pending_interior_points", []):
-        loc = bc.locate_point(p)
+    pending = bc.meta.get("pending_interior_points", [])
+    faces, earlier, attachable = [], [], {}  # earlier: the points located so far, unit
+    for (p, _lab), loc in zip(pending, bc.locate_points(p for p, _lab in pending)):
         u = unit(p)
         if loc[0] != "face" or any(points_coincide(q, u) for q in earlier):
             raise ScaffoldBlocked("interior point is not strictly inside a face")
-        if not _attachable(bc, bc.faces[loc[1]].cycle):
+        f = loc[1]
+        if f not in attachable:
+            attachable[f] = _attachable(bc, bc.faces[f].cycle)
+        if not attachable[f]:
             raise ScaffoldBlocked("face has no attachable vertex")
-        faces.append(loc[1])
+        faces.append(f)
         earlier.append(u)
     return faces
 
 
 def attach_bridges(bc: BaseComplex, faces) -> None:
-    """Bridge each pending point into its face from ``locate_pending``, in place."""
+    """Bridge each pending point into its face from ``locate_pending``, in place.
+
+    Each face's attachable vertices are found once, before the first bridge:
+    a bridge leaves every face's set as it was, since its tip becomes a
+    special or a marker and its attachment vertex is on the cycle already."""
+    attachable = {f: _attachable(bc, bc.faces[f].cycle) for f in dict.fromkeys(faces)}
     for (p, lab), f in zip(bc.meta.pop("pending_interior_points", []), faces):
         cyc = bc.faces[f].cycle
-        cands = sorted(_attachable(bc, cyc),
-                       key=lambda v: (angle_between(bc.vertices[v], p), v))
+        cands = sorted(attachable[f], key=lambda v: (angle_between(bc.vertices[v], p), v))
         v_pick = next((v for v in cands if _segment_clear(bc, p, v)), cands[0])
         try:
             corner = _corner_pos_toward(bc, f, v_pick, p)
@@ -839,9 +867,9 @@ def bridges_cannot_fail(bc: BaseComplex, faces) -> bool:
     + F stays 2; its length is an angle; faces and areas do not change.
     """
     pending = bc.meta.get("pending_interior_points", [])
+    attachable = {f: _attachable(bc, bc.faces[f].cycle) for f in dict.fromkeys(faces)}
     return clear_of_circles([p for p, _lab in pending],
-                            [[bc.vertices[v] for v in _attachable(bc, bc.faces[f].cycle)]
-                             for f in faces],
+                            [[bc.vertices[v] for v in attachable[f]] for f in faces],
                             [bc.dart_segment(2 * e).pole for e in bc.live_edges()])
 
 
@@ -871,20 +899,29 @@ def _segment_clear(bc: BaseComplex, p, v) -> bool:
 
 
 def _corner_pos_toward(bc: BaseComplex, f: int, v: int, p) -> int:
-    """Position in face f's cycle of the corner at v whose wedge contains p's direction."""
+    """Position in face f's cycle of the corner at v whose wedge contains p's direction.
+
+    Where v has one corner in the face, that corner is returned without
+    azimuths: it is the one ``attach_bridges`` falls back to where its wedge
+    does not hold p's direction."""
     pv = bc.vertices[v]
     t = unit(cross(cross(pv, p), pv))
     cyc = bc.faces[f].cycle
+    corners = [pos for pos, d in enumerate(cyc) if bc.tail(d) == v]
+    if len(corners) == 1:
+        pos = corners[0]
+        # a degenerate dart raises here as in the wedge test below
+        bc.dart_tangent(cyc[pos])
+        bc.dart_tangent(cyc[pos - 1] ^ 1)
+        return pos
     e1, e2 = tangent_frame(pv)
 
     def az(vec):
         return math.atan2(dot(vec, e2), dot(vec, e1)) % (2 * math.pi)
 
     best = None
-    for pos, d in enumerate(cyc):
-        if bc.tail(d) != v:
-            continue
-        out_t = bc.dart_tangent(d)
+    for pos in corners:
+        out_t = bc.dart_tangent(cyc[pos])
         in_t = bc.dart_tangent(cyc[pos - 1] ^ 1)
         # wedge spans ccw from the outgoing dart to the reversed incoming dart
         span = (az(in_t) - az(out_t)) % (2 * math.pi)

@@ -66,7 +66,10 @@ def base_from_dict(d: dict) -> BaseComplex:
         raise SurfaceFileError("a fan or face cycle holds a dart that is not an int")
     bc.specials = {int(v): lab for v, lab in d["specials"].items()}
     bc.markers = set(d.get("markers", []))
-    bc.traversal = list(d.get("traversal", []))
+    traversal = d.get("traversal", [])
+    if type(traversal) is not list or {type(x) for x in traversal} - {int}:
+        raise SurfaceFileError("traversal %r is not a list of ints" % (traversal,))
+    bc.traversal = list(traversal)
     return bc
 
 

@@ -473,26 +473,39 @@ def test_locate_point_twins_decide_as_the_exact_scan(monkeypatch):
 
 
 def test_every_locate_of_the_generator_and_the_pipeline_matches_the_reference(monkeypatch):
-    # every locate_point call made while generating 40 criterion-5 coverings
-    # and normalizing both stored corpora, against the exact reference
+    # every point that locate_points answers (locate_point is its one-point
+    # case) while generating 40 criterion-5 coverings and normalizing both
+    # stored corpora, against the exact reference on the raw point
     import importlib
-    import json
-    import pathlib
 
-    from spherecover import io
     from spherecover.surface import SurfaceError
 
     normalize = importlib.import_module("spherecover.normalize").normalize
 
-    locate, calls = arrangement.BaseComplex.locate_point, []
+    locate, calls = arrangement.BaseComplex.locate_points, []
 
-    def checked(self, p):
-        want = _outcome(lambda: ref_locate_point(self, p))
-        got = _outcome(lambda: locate(self, p))
-        assert got == want
-        calls.append(got)
-        return locate(self, p)
-    monkeypatch.setattr(arrangement.BaseComplex, "locate_point", checked)
+    def checked(self, points):
+        asked = []
+
+        def tapped():
+            for p in points:
+                asked.append(p)
+                yield p
+        answers = locate(self, tapped())
+        while True:
+            try:
+                got = next(answers)
+            except StopIteration:
+                return
+            except (ArrangementError, GeometryError) as err:
+                want = _outcome(lambda: ref_locate_point(self, asked[-1]))
+                assert want == "%s: %s" % (type(err).__name__, err)
+                calls.append(err)
+                raise
+            assert got == ref_locate_point(self, asked[-1])
+            calls.append(got)
+            yield got
+    monkeypatch.setattr(arrangement.BaseComplex, "locate_points", checked)
     for n in range(1, 41):
         generators.generate_disk_covering_filtered(("c5", n), max_sum=6, max_degree=4)
     generated = len(calls)
@@ -505,6 +518,59 @@ def test_every_locate_of_the_generator_and_the_pipeline_matches_the_reference(mo
                 pass
     # 798 and 236 calls when this test was written, every one a face
     assert generated > 700 and len(calls) - generated > 200
+
+
+def ref_corner_pos_toward(bc, f, v, p):
+    """The wedge test at every corner of v in face f, one corner too: the
+    position of the narrowest corner whose ccw wedge, by azimuths in v's
+    tangent frame, holds the direction toward p; ScaffoldBlocked if none."""
+    pv = bc.vertices[v]
+    t = unit(cross(cross(pv, p), pv))
+    cyc = bc.faces[f].cycle
+    e1, e2 = geometry.tangent_frame(pv)
+
+    def az(vec):
+        return math.atan2(dot(vec, e2), dot(vec, e1)) % (2 * math.pi)
+
+    best = None
+    for pos, d in enumerate(cyc):
+        if bc.tail(d) != v:
+            continue
+        out_t = bc.dart_tangent(d)
+        in_t = bc.dart_tangent(cyc[pos - 1] ^ 1)
+        span = (az(in_t) - az(out_t)) % (2 * math.pi)
+        if span == 0.0:
+            span = 2 * math.pi
+        off = (az(t) - az(out_t)) % (2 * math.pi)
+        if off <= span and (best is None or span < best[0]):
+            best = (span, pos)
+    if best is None:
+        raise ScaffoldBlocked("no corner of the face at the attachment vertex sees the point")
+    return best[1]
+
+
+def test_every_bridge_corner_of_the_generator_matches_the_wedge_test(monkeypatch):
+    # every corner picked while generating 40 criterion-5 coverings, against
+    # the wedge test at every corner; where v has one corner and its wedge
+    # misses p, attach_bridges falls back to that corner
+    corner, counts = arrangement._corner_pos_toward, {"one": 0, "many": 0}
+
+    def checked(bc, f, v, p):
+        cyc = bc.faces[f].cycle
+        corners = [pos for pos, d in enumerate(cyc) if bc.tail(d) == v]
+        want = _outcome(lambda: ref_corner_pos_toward(bc, f, v, p))
+        if len(corners) == 1 and str(want).startswith("ScaffoldBlocked"):
+            want = corners[0]
+        assert _outcome(lambda: corner(bc, f, v, p)) == want
+        # a point at the attachment vertex has no direction
+        with pytest.raises(GeometryError):
+            corner(bc, f, v, bc.vertices[v])
+        counts["one" if len(corners) == 1 else "many"] += 1
+        return corner(bc, f, v, p)
+    monkeypatch.setattr(arrangement, "_corner_pos_toward", checked)
+    for n in range(1, 41):
+        generators.generate_disk_covering_filtered(("c5", n), max_sum=6, max_degree=4)
+    assert counts["one"] > 0 and counts["many"] > 0, counts
 
 
 def test_rebuild_idempotent():

@@ -58,6 +58,10 @@ SEEDS = [
      "ref", "closed_subarc_match"),
     ("surgery", "def _seeded(bc):\n    return bc._face_successors(bc.live_vertices())\n",
      "ref", "_face_successors"),
+    ("normalize", "def _seeded(segs, p):\n    return geometry.locate_on_arcs(segs, p)\n",
+     "ref", "locate_on_arcs"),
+    ("arrangement", "def _seeded(bc, v, p, tangents):\n    return wedge_index(bc.vertices[v], p, tangents)\n",
+     "ref", "wedge_index"),
 ]
 
 

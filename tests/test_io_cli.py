@@ -150,6 +150,9 @@ def test_cli_surgery_reports_typed_errors_only(tmp_path, capsys, monkeypatch):
     # float() of a string vertex walks its characters; float(True) is 1.0
     ("vertex", "100"),
     ("vertex", [True, 0, 0]),
+    # a traversal string loaded and was written back as a list of its characters
+    ("traversal", "xyz"),
+    ("traversal", [0, 1.0]),
 ])
 def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
     doc = io.surface_to_dict(f4_double_cover())
@@ -196,6 +199,8 @@ def test_cli_malformed_surface_is_parse_error(tmp_path, capsys, field, value):
         darts[0] = float(darts[0])
     elif field == "kind":
         next(e for e in doc["base"]["edges"] if e and e["kind"] == "curve")["kind"] = value
+    elif field == "traversal":
+        doc["base"]["traversal"] = value
     else:
         doc["base"]["vertices"][0] = value
     surf = tmp_path / "bad.json"

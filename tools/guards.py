@@ -35,6 +35,10 @@ RULES = [
      "one closed-subarc matcher, behind the dart and the geometric walk checks"),
     ("ref", "_face_successors", None, {"arrangement.BaseComplex.trace_faces", "arrangement.BaseComplex.check"},
      "one face-cycle tracer: only trace_faces and check read the successor map"),
+    ("ref", "locate_on_arcs", None, {"arrangement.BaseComplex.locate_points"},
+     "one point locator: only BaseComplex.locate_points reads locate_on_arcs"),
+    ("ref", "wedge_index", None, {"arrangement.BaseComplex.locate_points"},
+     "one point locator: only BaseComplex.locate_points reads wedge_index"),
     ("private", None, None, set(), "private to its module: plain-float decisions stay in geometry.py"),
     ("def", None, None, set(), "dead code: no module reads or imports this def"),
 ]
