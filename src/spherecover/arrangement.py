@@ -792,9 +792,14 @@ def attach_scaffold(bc: BaseComplex) -> BaseComplex:
     return out
 
 
-def _attachable(bc: BaseComplex, cycle) -> set:
-    """Vertices of a face cycle a bridge may attach to: not special, not a marker."""
-    return {bc.tail(d) for d in cycle} - bc.specials.keys() - bc.markers
+def _attachable_by_face(bc: BaseComplex, faces) -> dict:
+    """Each of ``faces``' vertices a bridge may attach to: not special, not a marker.
+
+    A set holds while the pending points are located and bridged: a bridge
+    leaves every face's set as it was, since its tip becomes a special or a
+    marker and its attachment vertex is on the cycle already."""
+    return {f: {bc.tail(d) for d in bc.faces[f].cycle} - bc.specials.keys() - bc.markers
+            for f in dict.fromkeys(faces)}
 
 
 def locate_pending(bc: BaseComplex) -> list:
@@ -818,7 +823,7 @@ def locate_pending(bc: BaseComplex) -> list:
             raise ScaffoldBlocked("interior point is not strictly inside a face")
         f = loc[1]
         if f not in attachable:
-            attachable[f] = _attachable(bc, bc.faces[f].cycle)
+            attachable.update(_attachable_by_face(bc, (f,)))
         if not attachable[f]:
             raise ScaffoldBlocked("face has no attachable vertex")
         faces.append(f)
@@ -827,21 +832,12 @@ def locate_pending(bc: BaseComplex) -> list:
 
 
 def attach_bridges(bc: BaseComplex, faces) -> None:
-    """Bridge each pending point into its face from ``locate_pending``, in place.
-
-    Each face's attachable vertices are found once, before the first bridge:
-    a bridge leaves every face's set as it was, since its tip becomes a
-    special or a marker and its attachment vertex is on the cycle already."""
-    attachable = {f: _attachable(bc, bc.faces[f].cycle) for f in dict.fromkeys(faces)}
+    """Bridge each pending point into its face from ``locate_pending``, in place."""
+    attachable = _attachable_by_face(bc, faces)
     for (p, lab), f in zip(bc.meta.pop("pending_interior_points", []), faces):
-        cyc = bc.faces[f].cycle
         cands = sorted(attachable[f], key=lambda v: (angle_between(bc.vertices[v], p), v))
         v_pick = next((v for v in cands if _segment_clear(bc, p, v)), cands[0])
-        try:
-            corner = _corner_pos_toward(bc, f, v_pick, p)
-        except ScaffoldBlocked:
-            corner = next(pos for pos, d in enumerate(cyc) if bc.tail(d) == v_pick)
-        t, _e = bc.add_bridge(f, v_pick, corner, p)
+        t, _e = bc.add_bridge(f, v_pick, _corner_pos_toward(bc, f, v_pick, p), p)
         if lab is None:
             bc.markers.add(t)
         else:
@@ -867,7 +863,7 @@ def bridges_cannot_fail(bc: BaseComplex, faces) -> bool:
     + F stays 2; its length is an angle; faces and areas do not change.
     """
     pending = bc.meta.get("pending_interior_points", [])
-    attachable = {f: _attachable(bc, bc.faces[f].cycle) for f in dict.fromkeys(faces)}
+    attachable = _attachable_by_face(bc, faces)
     return clear_of_circles([p for p, _lab in pending],
                             [[bc.vertices[v] for v in attachable[f]] for f in faces],
                             [bc.dart_segment(2 * e).pole for e in bc.live_edges()])
@@ -901,9 +897,9 @@ def _segment_clear(bc: BaseComplex, p, v) -> bool:
 def _corner_pos_toward(bc: BaseComplex, f: int, v: int, p) -> int:
     """Position in face f's cycle of the corner at v whose wedge contains p's direction.
 
-    Where v has one corner in the face, that corner is returned without
-    azimuths: it is the one ``attach_bridges`` falls back to where its wedge
-    does not hold p's direction."""
+    The narrowest such corner; the first corner of v in the cycle where no
+    wedge holds p's direction.  Where v has one corner in the face, that
+    corner is returned without azimuths, since either way it is the answer."""
     pv = bc.vertices[v]
     t = unit(cross(cross(pv, p), pv))
     cyc = bc.faces[f].cycle
@@ -930,6 +926,4 @@ def _corner_pos_toward(bc: BaseComplex, f: int, v: int, p) -> int:
         off = (az(t) - az(out_t)) % (2 * math.pi)
         if off <= span and (best is None or span < best[0]):
             best = (span, pos)
-    if best is None:
-        raise ScaffoldBlocked("no corner of the face at the attachment vertex sees the point")
-    return best[1]
+    return best[1] if best else corners[0]
