@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .geometry import (
     EPS_SEP,
@@ -30,6 +29,7 @@ from .geometry import (
     float_sum,
     locate_on_arcs,
     meet_only_at_shared_end,
+    memo,
     neg,
     points_coincide,
     segment_intersection,
@@ -74,10 +74,10 @@ class SpecialSet:
         object.__setattr__(self, "points", pts)
         if len(pts) < 3:
             raise ArrangementError("special set needs q >= 3 points")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if points_coincide(pts[i], pts[j]):
-                    raise ArrangementError("special points %d and %d coincide" % (i, j))
+        for i, p in enumerate(pts):
+            j = first_within(p, pts[i + 1:], EPS_SEP)
+            if j is not None:
+                raise ArrangementError("special points %d and %d coincide" % (i, i + 1 + j))
 
     @property
     def q(self) -> int:
@@ -108,20 +108,19 @@ class CurveInput:
             if antipodal(a, b):
                 raise ArrangementError("consecutive curve points %d, %d are antipodal" % (i, (i + 1) % k))
 
-    # Cached in the instance __dict__ (which a frozen dataclass still has);
-    # the points are immutable tuples, so it never goes stale.
-    @cached_property
+    # the points are immutable tuples, so the memo never goes stale
+    @memo
     def segments(self) -> tuple:
         k = len(self.points)
         return tuple(GeodesicSegment(self.points[i], self.points[(i + 1) % k]) for i in range(k))
 
-    @cached_property
+    @memo
     def ends_apart(self) -> bool:
         """Whether the arcs' distinct ends lie pairwise more than 1e-6 apart."""
         ends = list(dict.fromkeys(s.a for s in self.segments))
         return all(first_within(x, ends[:i], 1e-6) is None for i, x in enumerate(ends))
 
-    @cached_property
+    @memo
     def meetings(self) -> tuple:
         """(i, j, segment_intersection(arc i, arc j)) for each pair of arcs
         i < j where that list is not empty, leaving out, where ``ends_apart``,
@@ -819,7 +818,7 @@ def locate_pending(bc: BaseComplex) -> list:
     faces, earlier, attachable = [], [], {}  # earlier: the points located so far, unit
     for (p, _lab), loc in zip(pending, bc.locate_points(p for p, _lab in pending)):
         u = unit(p)
-        if loc[0] != "face" or any(points_coincide(q, u) for q in earlier):
+        if loc[0] != "face" or first_within(u, earlier, EPS_SEP) is not None:
             raise ScaffoldBlocked("interior point is not strictly inside a face")
         f = loc[1]
         if f not in attachable:

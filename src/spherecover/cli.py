@@ -158,7 +158,7 @@ def cmd_normalize(args):
     try:
         out, trace = run_pipeline(s)
         ok, _ = pipeline_certify(out, s, trace)
-    except SurfaceError as err:
+    except (SurfaceError, GeometryError) as err:
         print("normalize failed: %s" % err, file=sys.stderr)
         return EXIT_FAIL
     io.save_surface(out, args.out, metadata={"normalized": True})
@@ -199,7 +199,7 @@ def cmd_verify(args):
                 return EXIT_FAIL
         try:
             ok, report = is_better_than(s, original, rot)
-        except SurfaceError as err:
+        except (SurfaceError, GeometryError) as err:
             print("better-than certificate failed: %s" % err, file=sys.stderr)
             return EXIT_FAIL
         print("better-than certificate: %s" % ("ok" if ok else "FAILED"))

@@ -20,8 +20,13 @@ sound bound, stated next to the code, puts the twin clear of the
 threshold; otherwise it evaluates its exact-kernel formula (``wedge_index``
 has no twin, and ``contact_angles`` none beyond ``contains``'s).  So every
 decision is the exact kernel's, and every value that is returned or stored
-(lengths, parameters, points, areas) comes from the exact kernel.  Other
-modules ask public questions and never see a twin:
+(lengths, parameters, points, areas) comes from the exact kernel.
+``_fdot`` and ``cross`` stay the reference twins; ``_fangle``,
+``angle_between``, ``unit``, ``GeodesicSegment.contains``, ``_fnearest``
+and ``first_within``'s box rule write them (and ``norm``) out in place, as
+the same expression with its operations in the same order, so bit for bit
+(a comment names each call).  Other modules ask public questions and never
+see a twin:
 
 * ``points_coincide``, ``antipodal``, ``GeodesicSegment.contains`` and
   ``param_of``;
@@ -42,7 +47,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import fsum
 
 EPS_UNIT = 1e-12
@@ -68,8 +72,8 @@ _PRUNE = 1e-7
 # ``_fnearest_end`` decides only where p's plain-float lune values clear 0 by
 # this; the lune values err by < 1e-15.
 _LUNE = 1e-8
-# ``_box_apart``: a coordinate gap beyond tol + _BOX puts two unit points
-# more than tol apart.
+# ``first_within``'s box rule: a coordinate gap beyond tol + _BOX puts two
+# unit points more than tol apart.
 _BOX = 1e-11
 # An arc is well conditioned when its length lies in [_WELL, pi - _WELL]:
 # then sin(length) > 0.99e-5, and since its pole comes from a cross product
@@ -87,6 +91,22 @@ class DegenerateSegment(GeometryError):
 
 class NoContact(GeometryError):
     """Rotation family never brings the target onto the curve."""
+
+
+class memo:
+    """``functools.cached_property`` without the lock that Python 3.11's takes
+    on every first read: the first read stores the method's value in the
+    instance ``__dict__`` (which a frozen dataclass still has), where every
+    later read finds it ahead of this non-data descriptor."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def _fma(x, y, s, r) -> float:
@@ -194,7 +214,7 @@ def norm(v) -> float:
 
 
 def unit(v) -> tuple:
-    n = norm(v)
+    n = math.sqrt(_dot_self(v))  # norm(v)
     if not 1e-15 <= n <= _MAX:
         raise GeometryError("cannot normalize a (near-)zero or non-finite vector")
     x, y, z = v
@@ -223,7 +243,11 @@ def sphere_point(x, y, z) -> tuple:
 
 def angle_between(a, b) -> float:
     """Angular distance in [0, pi], stable near 0 and pi."""
-    return math.atan2(norm(cross(a, b)), dot(a, b))
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    # norm(cross(a, b))
+    n = math.sqrt(_dot_self((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)))
+    return math.atan2(n, dot(a, b))
 
 
 def _fdot(a, b) -> float:
@@ -249,30 +273,15 @@ def _fangle(a, b):
     and an underflowed one, off by at most 2**-1075, is negligible beside
     |a||b|: so the twin answers only for |a|**2 |b|**2 (taken from its own
     arguments) in [2**-800, 2**800], and is None outside, or on inf or nan."""
-    c = cross(a, b)
-    x, yy = _fdot(a, b), _fdot(c, c)
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    # c = cross(a, b), then x, yy = _fdot(a, b), _fdot(c, c)
+    c0, c1, c2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    x = a0 * b0 + a1 * b1 + a2 * b2
+    yy = c0 * c0 + c1 * c1 + c2 * c2
     if _FILTER_LO <= yy + x * x <= _FILTER_HI:
         return math.atan2(math.sqrt(yy), x)
     return None
-
-
-def _box_limit(p, tol) -> float:
-    """The gap limit of ``_box_apart`` for the query p: tol + ``_BOX`` where p
-    is a unit vector within 1e-12 (|p|**2 in plain floats within 1e-12 of
-    1), and inf (nothing is apart) for any other p."""
-    return tol + _BOX if abs(_fdot(p, p) - 1.0) <= 1e-12 else math.inf
-
-
-def _box_apart(q, p, lim) -> bool:
-    """True only where ``points_coincide(p, q, tol)`` is False, for lim =
-    ``_box_limit(p, tol)``: some coordinate of q and p differs by more than
-    lim, and q too is a unit vector within 1e-12.
-
-    Then p and q lie within 5.1e-13 of their units, whose chord exceeds
-    tol + 1e-11 - 1.1e-12; the angle is at least the chord, and the exact
-    angle and its twin err by < 1e-14, so both decide it is above tol."""
-    return ((abs(q[0] - p[0]) > lim or abs(q[1] - p[1]) > lim or abs(q[2] - p[2]) > lim)
-            and abs(_fdot(q, q) - 1.0) <= 1e-12)
 
 
 def tangent_frame(p):
@@ -304,10 +313,24 @@ def antipodal(a, b, tol=EPS_SEP) -> bool:
 def first_within(p, points, tol):
     """The index of the first of ``points`` within tol of p
     (``points_coincide``), or None; a None entry is skipped, and so is a
-    point that ``_box_apart`` puts beyond tol, without its angle."""
-    lim = _box_limit(p, tol)
+    point that the box rule puts beyond tol, without its angle.
+
+    The box rule: some coordinate of q and p differs by more than lim = tol
+    + ``_BOX``, and both are unit vectors within 1e-12 (|p|**2 and |q|**2
+    by ``_fdot``; lim is inf for any other p).  Then p and q lie within
+    5.1e-13 of their units, whose chord exceeds tol + 1e-11 - 1.1e-12; the
+    angle is at least the chord, and the exact angle and its twin err by
+    < 1e-14, so both decide it is above tol."""
+    lim = tol + _BOX if abs(_fdot(p, p) - 1.0) <= 1e-12 else math.inf
+    p0, p1, p2 = p
     for i, q in enumerate(points):
-        if q is not None and not _box_apart(q, p, lim) and points_coincide(p, q, tol):
+        if q is None:
+            continue
+        q0, q1, q2 = q
+        if ((abs(q0 - p0) > lim or abs(q1 - p1) > lim or abs(q2 - p2) > lim)
+                and abs(q0 * q0 + q1 * q1 + q2 * q2 - 1.0) <= 1e-12):  # _fdot(q, q)
+            continue
+        if points_coincide(p, q, tol):
             return i
     return None
 
@@ -335,9 +358,8 @@ class GeodesicSegment:
             raise DegenerateSegment("segment endpoints are antipodal")
         object.__setattr__(self, "length", ang)
 
-    # Cached in the instance __dict__ (which a frozen dataclass still has);
-    # the endpoints are immutable tuples, so it never goes stale.
-    @cached_property
+    # the endpoints are immutable tuples, so the memo never goes stale
+    @memo
     def pole(self) -> tuple:
         """Unit normal of the supporting great circle (right-hand rule a->b)."""
         return unit(cross(self.a, self.b))
@@ -362,10 +384,12 @@ class GeodesicSegment:
         length + tol (ta, tb the angles from a and b).  No parameter is
         computed."""
         pole = self.pole
+        n0, n1, n2 = pole
+        p0, p1, p2 = p
         lim = math.sin(tol) + EPS_UNIT * 10
         # the pole is a unit vector: m bounds sum |p_i*pole_i| (see _fdot)
-        m = abs(p[0]) + abs(p[1]) + abs(p[2])
-        w = _fdot(p, pole)
+        m = abs(p0) + abs(p1) + abs(p2)
+        w = p0 * n0 + p1 * n1 + p2 * n2  # _fdot(p, pole)
         if not (_FILTER_LO <= m * m <= _FILTER_HI and abs(abs(w) - lim) > _FILTER * m):
             w = dot(p, pole)
         if abs(w) > lim:
@@ -392,7 +416,7 @@ class GeodesicSegment:
     def reversed(self) -> "GeodesicSegment":
         return GeodesicSegment(self.b, self.a)
 
-    @cached_property
+    @memo
     def _lune(self):
         """(n x a, b x n) for the pole n, in plain floats: p lies in the lune
         of the circle's normals through the two ends where both its dots
@@ -400,7 +424,7 @@ class GeodesicSegment:
         n = self.pole
         return cross(n, self.a), cross(self.b, n)
 
-    @cached_property
+    @memo
     def _reach(self):
         """(midpoint in plain floats, length / 2) of a well-conditioned arc,
         None for any other (see ``segment_intersection`` and ``_fnearest``)."""
@@ -422,13 +446,17 @@ def _fnearest(seg, p):
     elsewhere."""
     if seg._reach is None:
         return None
-    n = seg.pole
-    q = cross(n, p)
-    qq, s = _fdot(q, q), _fdot(p, n)
+    n0, n1, n2 = seg.pole
+    p0, p1, p2 = p
+    # q = cross(n, p), then qq, s = _fdot(q, q), _fdot(p, n)
+    q0, q1, q2 = n1 * p2 - n2 * p1, n2 * p0 - n0 * p2, n0 * p1 - n1 * p0
+    qq = q0 * q0 + q1 * q1 + q2 * q2
+    s = p0 * n0 + p1 * n1 + p2 * n2
     if not (qq >= 1e-8 and abs(qq + s * s - 1.0) <= 1e-9):
         return None
-    na, nb = seg._lune
-    if _fdot(p, na) >= 0 and _fdot(p, nb) >= 0:
+    (a0, a1, a2), (b0, b1, b2) = seg._lune
+    # _fdot(p, na) and _fdot(p, nb)
+    if p0 * a0 + p1 * a1 + p2 * a2 >= 0 and p0 * b0 + p1 * b1 + p2 * b2 >= 0:
         return math.atan2(abs(s), math.sqrt(qq))
     return min(_fangle(p, seg.a), _fangle(p, seg.b))
 

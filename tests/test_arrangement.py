@@ -170,6 +170,33 @@ def test_scaffold_refuses_a_point_on_an_earlier_tip():
             attach_scaffold(bc)
 
 
+def test_scaffold_refusal_of_an_earlier_point_stays_at_eps_sep():
+    """A marker 5e-10 rad from an earlier one is refused, and one 2e-9 rad
+    away is located and bridged."""
+    m = sph(1.0, -0.6)
+    for gap, refused in ((5e-10, True), (2e-9, False)):
+        markers = [m, sph(1.0, -0.6 + gap)]
+        assert points_coincide(*markers) is refused
+        bc = build_arrangement(CurveInput(equator_points()),
+                               SpecialSet(NORTH_SPECIALS), markers=markers)
+        if refused:
+            with pytest.raises(ScaffoldBlocked, match="strictly inside"):
+                locate_pending(bc)
+        else:
+            faces = locate_pending(bc)  # the specials', then the markers'
+            assert faces[-1] == faces[-2]
+            assert len(attach_scaffold(bc).markers) == 2
+
+
+def test_special_set_names_the_first_coinciding_pair():
+    """With coinciding pairs (0, 5) and (1, 2), the refusal names (0, 5): the
+    pairs are scanned by their first index, then their second."""
+    pts = [sph(0.3 * k, 0.2 * k - 0.5) for k in range(6)]
+    pts[5], pts[2] = pts[0], pts[1]
+    with pytest.raises(ArrangementError, match="special points 0 and 5 coincide"):
+        SpecialSet(tuple(pts))
+
+
 def test_bridges_cannot_fail_only_clear_of_degeneracy():
     """bridges_cannot_fail is False for a point on an edge's great circle,
     such as the antipode of a vertex, where it cannot vouch for the bridges;

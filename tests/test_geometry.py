@@ -881,15 +881,29 @@ def _gap_point(p, target, turn):
     return min((gap(lo), gap(hi)), key=lambda gq: abs(gq[0] - target))[1]
 
 
+def ref_box_limit(p, tol):
+    """``first_within``'s box limit as its own helper (before it was written
+    out in place)."""
+    return tol + geometry._BOX if abs(geometry._fdot(p, p) - 1.0) <= 1e-12 else math.inf
+
+
+def ref_box_apart(q, p, lim):
+    """``first_within``'s box rule as its own helper (before it was written
+    out in place): True only where points_coincide(p, q, tol) is False."""
+    return ((abs(q[0] - p[0]) > lim or abs(q[1] - p[1]) > lim or abs(q[2] - p[2]) > lim)
+            and abs(geometry._fdot(q, q) - 1.0) <= 1e-12)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(_DRAW_TOLS), VEC3, VEC3, st.floats(0, 2 * math.pi),
        st.sampled_from(("random", "gap_under", "gap_over", "near_tol")),
        st.sampled_from(_SCALES), st.sampled_from(_SCALES))
 def test_box_rule_is_exact_at_the_draw_tolerances(tol, v, w, turn, kind, sp, sq):
-    # _box_apart(q, p, _box_limit(p, tol)) implies not points_coincide(p, q,
-    # tol) at the draw's tolerances: over random pairs, pairs whose largest
-    # coordinate gap lies 1e-13 under or over tol + 1e-11, and pairs an angle
-    # of about tol apart, each point unit, near unit or not unit
+    # ref_box_apart(q, p, ref_box_limit(p, tol)) implies not
+    # points_coincide(p, q, tol) at the draw's tolerances: over random pairs,
+    # pairs whose largest coordinate gap lies 1e-13 under or over tol +
+    # 1e-11, and pairs an angle of about tol apart, each point unit, near
+    # unit or not unit
     p = unit(v) if 1e-3 < norm(v) < 1e300 else _AXES[0]
     if kind == "random":
         q = unit(w) if 1e-3 < norm(w) < 1e300 else _AXES[1]
@@ -898,10 +912,10 @@ def test_box_rule_is_exact_at_the_draw_tolerances(tol, v, w, turn, kind, sp, sq)
     else:
         over = kind == "gap_over"
         q = _gap_point(p, tol + 1e-11 + (1e-13 if over else -1e-13), turn)
-        lim = geometry._box_limit(p, tol)
-        assert geometry._box_apart(q, p, lim) == over
+        lim = ref_box_limit(p, tol)
+        assert ref_box_apart(q, p, lim) == over
     p, q = geometry.scale(sp, p), geometry.scale(sq, q)
-    if geometry._box_apart(q, p, geometry._box_limit(p, tol)):
+    if ref_box_apart(q, p, ref_box_limit(p, tol)):
         assert not points_coincide(p, q, tol)
 
 
@@ -1084,3 +1098,149 @@ def test_far_pair_and_far_arc_skip_the_exact_kernel(monkeypatch):
     assert len(segment_intersection(s1, near)) == 1 and dots
     assert geometry.nearest_feature([far, s1, near], p)[0] == 1
     assert far not in nearest and s1 in nearest
+
+
+# -- the written-out twins against the calls they stand for --------------------
+#
+# _fangle, angle_between, unit, the plane value of GeodesicSegment.contains,
+# _fnearest and first_within's box rule write _fdot, cross and norm out in
+# place; each must round bit for bit as the composition of calls did, which
+# is written out here as the reference.
+
+
+def ref_fangle(a, b):
+    c = cross(a, b)
+    x, yy = geometry._fdot(a, b), geometry._fdot(c, c)
+    if geometry._FILTER_LO <= yy + x * x <= geometry._FILTER_HI:
+        return math.atan2(math.sqrt(yy), x)
+    return None
+
+
+def ref_angle_between(a, b):
+    return math.atan2(norm(cross(a, b)), dot(a, b))
+
+
+def ref_unit(v):
+    n = norm(v)
+    if not 1e-15 <= n <= geometry._MAX:
+        raise GeometryError("cannot normalize a (near-)zero or non-finite vector")
+    x, y, z = v
+    return (x / n, y / n, z / n)
+
+
+def ref_contains(seg, p, tol):
+    pole = seg.pole
+    lim = math.sin(tol) + geometry.EPS_UNIT * 10
+    m = abs(p[0]) + abs(p[1]) + abs(p[2])
+    w = geometry._fdot(p, pole)
+    if not (geometry._FILTER_LO <= m * m <= geometry._FILTER_HI
+            and abs(abs(w) - lim) > geometry._FILTER * m):
+        w = geometry.dot(p, pole)
+    if abs(w) > lim:
+        return False
+    wa, wb = ref_fangle(seg.a, p), ref_fangle(seg.b, p)
+    if wa is None or wb is None or abs(wa + wb - (seg.length + tol)) <= geometry._FILTER:
+        wa, wb = geometry.angle_between(seg.a, p), geometry.angle_between(seg.b, p)
+    return not wa + wb > seg.length + tol
+
+
+def ref_fnearest(seg, p):
+    if seg._reach is None:
+        return None
+    n = seg.pole
+    q = cross(n, p)
+    qq, s = geometry._fdot(q, q), geometry._fdot(p, n)
+    if not (qq >= 1e-8 and abs(qq + s * s - 1.0) <= 1e-9):
+        return None
+    na, nb = seg._lune
+    if geometry._fdot(p, na) >= 0 and geometry._fdot(p, nb) >= 0:
+        return math.atan2(abs(s), math.sqrt(qq))
+    return min(ref_fangle(p, seg.a), ref_fangle(p, seg.b))
+
+
+def ref_first_within(p, points, tol):
+    lim = ref_box_limit(p, tol)
+    for i, q in enumerate(points):
+        if q is not None and not ref_box_apart(q, p, lim) and geometry.points_coincide(p, q, tol):
+            return i
+    return None
+
+
+def _bits(fn):
+    """fn()'s value with each float as its exact bits (signed zeros and nan
+    payloads told apart), or the name of the error it raised."""
+    try:
+        return _float_bits(fn())
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__
+
+
+def _float_bits(x):
+    if isinstance(x, float):
+        return struct.pack("<d", x).hex()
+    return tuple(_float_bits(c) for c in x) if isinstance(x, tuple) else x
+
+
+def _with_calls(name, fn):
+    """(fn()'s bits, the arguments of each call of geometry.<name> it made)."""
+    calls, exact = [], getattr(geometry, name)
+    setattr(geometry, name, lambda *args: calls.append(_float_bits(args[:2])) or exact(*args))
+    try:
+        return _bits(fn), calls
+    finally:
+        setattr(geometry, name, exact)
+
+
+def _same_twins(a, b, p, tol):
+    assert _bits(lambda: geometry._fangle(a, b)) == _bits(lambda: ref_fangle(a, b))
+    assert _bits(lambda: angle_between(a, b)) == _bits(lambda: ref_angle_between(a, b))
+    assert _bits(lambda: unit(a)) == _bits(lambda: ref_unit(a))
+    try:
+        seg = GeodesicSegment(a, b)
+    except GeometryError:
+        return
+    seg.pole, seg._lune, seg._reach  # memoized first, so neither side computes them
+    assert (_with_calls("dot", lambda: seg.contains(p, tol))
+            == _with_calls("dot", lambda: ref_contains(seg, p, tol)))
+    assert _bits(lambda: geometry._fnearest(seg, p)) == _bits(lambda: ref_fnearest(seg, p))
+
+
+# every finite float, signed zeros, subnormals, and magnitudes at the
+# twins' trust range (|a|**2 |b|**2 of 2**-800 and 2**800)
+TWIN_FLOAT = st.one_of(FLOAT, st.floats(-2.0, 2.0), st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -200, -(2.0 ** 200), 1e-160, 1e160]))
+TWIN_VEC = st.tuples(TWIN_FLOAT, TWIN_FLOAT, TWIN_FLOAT)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(TWIN_VEC, TWIN_VEC, TWIN_VEC, st.sampled_from(TOLS))
+@example((0.0, -0.0, 1.0), (-0.0, 1.0, 0.0), (1.0, 0.0, -0.0), EPS_SEP)
+def test_written_out_twins_round_as_their_calls(a, b, p, tol):
+    _same_twins(a, b, p, tol)
+    points = [None, b, p, a]
+    assert (_with_calls("points_coincide", lambda: geometry.first_within(a, points, tol))
+            == _with_calls("points_coincide", lambda: ref_first_within(a, points, tol)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(TOLS), SCALE, SCALE, st.floats(0, 2 * math.pi),
+       st.sampled_from(_SCALES))
+def test_written_out_twins_round_as_their_calls_near_thresholds(seed, tol, sa, sb, turn, sq):
+    # the angle at tol and pi - tol, the plane value at contains' limit,
+    # magnitudes at the trust range, and box gaps just under and over
+    # tol + 1e-11, with unit, near-unit and scaled points
+    rng = np.random.default_rng(seed)
+    a, u = _frame(rng)
+    lim = math.asin(math.sin(tol) + 1e-11)
+    for t in [rng.uniform(0, math.pi)] + [tol * (1 + x) for x in NUDGES[::4]] + \
+            [math.pi - tol * (1 + x) for x in NUDGES[::4]]:
+        b = _at_angle(a, u, t)
+        seg_end = _at_angle(a, u, 1.0)
+        off = _at_angle(_at_angle(a, u, 0.5), unit(cross(a, seg_end)), lim * (1 + t * 1e-3))
+        _same_twins(_scaled(sa, a), _scaled(sb, b), _scaled(sb, off), tol)
+        _same_twins(a, seg_end, _scaled(sa, off), tol)
+    if tol <= 0.12:
+        points = [geometry.scale(sq, _gap_point(a, tol + 1e-11 + d, turn)) for d in (-1e-13, 1e-13)]
+        for p in (a, geometry.scale(sq, a)):
+            assert (_with_calls("points_coincide", lambda: geometry.first_within(p, points, tol))
+                    == _with_calls("points_coincide", lambda: ref_first_within(p, points, tol)))

@@ -62,6 +62,10 @@ SEEDS = [
      "ref", "locate_on_arcs"),
     ("arrangement", "def _seeded(bc, v, p, tangents):\n    return wedge_index(bc.vertices[v], p, tangents)\n",
      "ref", "wedge_index"),
+    ("arrangement", "from functools import cached_property\n_seeded = cached_property(len)\n",
+     "ref", "cached_property"),
+    ("surface", "import functools\n_seeded = functools.cached_property(len)\n",
+     "ref", "cached_property"),
 ]
 
 

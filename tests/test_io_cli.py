@@ -254,6 +254,23 @@ def test_cli_verify_against_closed_surface_fails_in_one_line(tmp_path, capsys):
         assert len(err.splitlines()) == 1 and "surfaces with boundary" in err
 
 
+@pytest.mark.parametrize("command", ["normalize", "verify-against"])
+def test_cli_coincident_vertices_fail_in_one_line(tmp_path, capsys, command):
+    # batch line 1 with every live vertex at vertex 0's point: certify's
+    # closed-subarc check meets an arc whose endpoints coincide
+    doc = json.loads((CORPUS / "batch.jsonl").read_text().splitlines()[1])
+    vs = doc["base"]["vertices"]
+    doc["base"]["vertices"] = [vs[0] if v is not None else None for v in vs]
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(doc))
+    argv = {"normalize": ["normalize", str(path), "--out", str(tmp_path / "out.json")],
+            "verify-against": ["verify", str(path), "--against", str(path)]}[command]
+    assert cli_main(argv) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "segment endpoints coincide" in err, err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--q", "2"], ["--q", "three"], ["--closed-degree", "-1"], ["--max-sheets", "0"],
     ["--branch-budget", "-1"],

@@ -39,6 +39,8 @@ RULES = [
      "one point locator: only BaseComplex.locate_points reads locate_on_arcs"),
     ("ref", "wedge_index", None, {"arrangement.BaseComplex.locate_points"},
      "one point locator: only BaseComplex.locate_points reads wedge_index"),
+    ("ref", "cached_property", None, set(),
+     "the 3.11 stdlib one locks on every first read; geometry.py owns the one memo"),
     ("private", None, None, set(), "private to its module: plain-float decisions stay in geometry.py"),
     ("def", None, None, set(), "dead code: no module reads or imports this def"),
 ]
