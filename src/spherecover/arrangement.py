@@ -22,9 +22,8 @@ from .geometry import (
     Rotation,
     angle_between,
     antipodal,
+    azimuth_order,
     clear_of_circles,
-    cross,
-    dot,
     first_within,
     float_sum,
     locate_on_arcs,
@@ -33,7 +32,7 @@ from .geometry import (
     neg,
     points_coincide,
     segment_intersection,
-    tangent_frame,
+    tangent_toward,
     turning_angle,
     unit,
     wedge_index,
@@ -188,7 +187,7 @@ class BaseComplex:
         self.specials = {}  # vertex id -> label
         self.markers = set()  # fixture branch anchors (scaffolded like specials)
         self.traversal = []  # input curve as a dart word (may be empty)
-        self.meta = {}
+        self.pending = []  # points waiting for a bridge: (point, label or None for a marker)
         self._dart_face = None
         self._segments = {}  # dart -> (tail, head, GeodesicSegment)
         self._tangents = {}  # dart -> (tail, head, tangent at tail)
@@ -251,9 +250,6 @@ class BaseComplex:
         if self._dart_face is None:
             self._index_darts()
         return self._dart_face[d]
-
-    def left_face(self, d: int) -> int:
-        return self.face_of_dart(d)
 
     def special_tips_by_face(self):
         """{face: [special scaffold tips hanging inside it]}."""
@@ -379,14 +375,17 @@ class BaseComplex:
         return first_within(p, self.vertices, tol)
 
     def dart_tangent(self, d: int) -> tuple:
-        return self._per_dart(self._tangents, d, _tangent_at_tail)
+        return self._per_dart(self._tangents, d, tangent_toward)
 
-    def azimuth_order(self, v: int, darts):
-        e1, e2 = tangent_frame(self.vertices[v])
-        def az(d):
-            t = self.dart_tangent(d)
-            return math.atan2(dot(t, e2), dot(t, e1))
-        return sorted(darts, key=az)
+    def azimuth_order(self, v: int, darts) -> list:
+        """``darts``, leaving v, in counterclockwise order (``azimuth_order``)."""
+        order = azimuth_order(self.vertices[v], [self.dart_tangent(d) for d in darts])
+        return [darts[i] for i in order]
+
+    def wedge_dart(self, v: int, p, darts):
+        """The dart of ``darts``, leaving v in counterclockwise order, whose
+        wedge up to the next holds the direction toward p (``wedge_index``)."""
+        return darts[wedge_index(self.vertices[v], p, [self.dart_tangent(d) for d in darts])]
 
     def locate_point(self, p):
         """The answer of ``locate_points`` for the one point p."""
@@ -402,7 +401,7 @@ class BaseComplex:
         a bridge is located in the face the bridge hangs in.  The nearest
         curve feature decides the face (``locate_on_arcs``): a side of an
         arc, or the wedge at an end vertex that the direction toward p
-        enters between its curve darts (``wedge_index``; scaffold edges
+        enters between its curve darts (``wedge_dart``; scaffold edges
         never separate faces at a vertex).
 
         The live curve edges and their dart segments are read once, at the
@@ -430,12 +429,11 @@ class BaseComplex:
             if kind == "on":
                 yield ("edge", e, x)
             elif kind == "side":
-                yield ("face", self.left_face(2 * e if x else 2 * e + 1))
+                yield ("face", self.face_of_dart(2 * e if x else 2 * e + 1))
             else:
                 v = self.edges[e].a if x == "a" else self.edges[e].b
                 fan = [d for d in self.fans[v] if self.kind(d) == CURVE]
-                i = wedge_index(self.vertices[v], p, [self.dart_tangent(d) for d in fan])
-                yield ("face", self.left_face(fan[i]))
+                yield ("face", self.face_of_dart(self.wedge_dart(v, p, fan)))
 
     # -- combinatorial edits (used by surgery) ------------------------------
 
@@ -596,13 +594,8 @@ class BaseComplex:
         out.specials = dict(self.specials)
         out.markers = set(self.markers)
         out.traversal = list(self.traversal)
-        out.meta = dict(self.meta)
+        out.pending = list(self.pending)
         return out
-
-
-def _tangent_at_tail(v, w) -> tuple:
-    """Unit tangent at v of the great-circle arc from v toward w."""
-    return unit(cross(cross(v, w), v))
 
 
 def _same_bits(p, q) -> bool:
@@ -626,13 +619,12 @@ def build_curve_graph(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
     """First phase of ``build_arrangement``: the registry, the intersections
     and the edges, with no fans or faces yet.
 
-    Every special and marker point waits in ``meta["pending_interior_points"]``
-    for ``build_faces``.  An arrangement that completes passes
-    ``euler_check``, and ``build_faces`` adds no vertex or edge, so its face
-    count is E - V + 2 of this graph: a caller can refuse on the face count
-    before the faces are traced, or before this graph where
-    ``curve.face_count()`` knows it.  The arcs' meetings come from
-    ``curve.meetings``, computed once per curve.
+    Every special and marker point waits in ``pending`` for
+    ``build_faces``.  An arrangement that completes passes ``euler_check``,
+    and ``build_faces`` adds no vertex or edge, so its face count is E - V +
+    2 of this graph: a caller can refuse on the face count before the faces
+    are traced, or before this graph where ``curve.face_count()`` knows it.
+    The arcs' meetings come from ``curve.meetings``, computed once per curve.
     """
     segs = curve.segments
     tagged = list(zip(special.points, special.labels())) + [(unit(m), None) for m in markers]
@@ -708,7 +700,7 @@ def build_curve_graph(curve: CurveInput, special: SpecialSet, markers=()) -> Bas
             edge_lookup[key] = e
             traversal.append(2 * e)
     bc.traversal = traversal
-    bc.meta["pending_interior_points"] = tagged
+    bc.pending = tagged
     return bc
 
 
@@ -743,7 +735,7 @@ def build_faces(bc: BaseComplex) -> BaseComplex:
         raise ArrangementError("areas sum to %r instead of 4pi" % total)
 
     pending = []
-    for p, lab in bc.meta["pending_interior_points"]:
+    for p, lab in bc.pending:
         v = bc.vertex_at(p)
         if v is not None:
             if lab is None:
@@ -752,7 +744,7 @@ def build_faces(bc: BaseComplex) -> BaseComplex:
                 bc.specials[v] = lab
         else:
             pending.append((p, lab))
-    bc.meta["pending_interior_points"] = pending
+    bc.pending = pending
     bc.euler_check()
     return bc
 
@@ -814,9 +806,8 @@ def locate_pending(bc: BaseComplex) -> list:
     within EPS_SEP of an earlier one is refused here, as ``vertex_at``
     refused it there.
     """
-    pending = bc.meta.get("pending_interior_points", [])
     faces, earlier, attachable = [], [], {}  # earlier: the points located so far, unit
-    for (p, _lab), loc in zip(pending, bc.locate_points(p for p, _lab in pending)):
+    for (p, _lab), loc in zip(bc.pending, bc.locate_points(p for p, _lab in bc.pending)):
         u = unit(p)
         if loc[0] != "face" or first_within(u, earlier, EPS_SEP) is not None:
             raise ScaffoldBlocked("interior point is not strictly inside a face")
@@ -833,7 +824,8 @@ def locate_pending(bc: BaseComplex) -> list:
 def attach_bridges(bc: BaseComplex, faces) -> None:
     """Bridge each pending point into its face from ``locate_pending``, in place."""
     attachable = _attachable_by_face(bc, faces)
-    for (p, lab), f in zip(bc.meta.pop("pending_interior_points", []), faces):
+    pending, bc.pending = bc.pending, []
+    for (p, lab), f in zip(pending, faces):
         cands = sorted(attachable[f], key=lambda v: (angle_between(bc.vertices[v], p), v))
         v_pick = next((v for v in cands if _segment_clear(bc, p, v)), cands[0])
         t, _e = bc.add_bridge(f, v_pick, _corner_pos_toward(bc, f, v_pick, p), p)
@@ -861,9 +853,8 @@ def bridges_cannot_fail(bc: BaseComplex, faces) -> bool:
     matching fan wedge, so the fans still trace the stored cycles and V - E
     + F stays 2; its length is an angle; faces and areas do not change.
     """
-    pending = bc.meta.get("pending_interior_points", [])
     attachable = _attachable_by_face(bc, faces)
-    return clear_of_circles([p for p, _lab in pending],
+    return clear_of_circles([p for p, _lab in bc.pending],
                             [[bc.vertices[v] for v in attachable[f]] for f in faces],
                             [bc.dart_segment(2 * e).pole for e in bc.live_edges()])
 
@@ -894,35 +885,22 @@ def _segment_clear(bc: BaseComplex, p, v) -> bool:
 
 
 def _corner_pos_toward(bc: BaseComplex, f: int, v: int, p) -> int:
-    """Position in face f's cycle of the corner at v whose wedge contains p's direction.
+    """Position in face f's cycle of the corner at v whose wedge holds the
+    direction toward p; v's first corner in the cycle where none does.
 
-    The narrowest such corner; the first corner of v in the cycle where no
-    wedge holds p's direction.  Where v has one corner in the face, that
-    corner is returned without azimuths, since either way it is the answer."""
-    pv = bc.vertices[v]
-    t = unit(cross(cross(pv, p), pv))
+    A corner of f at v is the counterclockwise wedge from its outgoing dart
+    to the next dart of v's fan (``_face_successors``), so it is the corner
+    whose outgoing dart is the fan's ``wedge_dart`` toward p.  Where v has one
+    corner in the face, that corner is returned without the wedge test,
+    since either way it is the answer."""
     cyc = bc.faces[f].cycle
     corners = [pos for pos, d in enumerate(cyc) if bc.tail(d) == v]
     if len(corners) == 1:
         pos = corners[0]
-        # a degenerate dart raises here as in the wedge test below
+        # a point at v or a degenerate dart raises here as in the wedge test
+        tangent_toward(bc.vertices[v], p)
         bc.dart_tangent(cyc[pos])
         bc.dart_tangent(cyc[pos - 1] ^ 1)
         return pos
-    e1, e2 = tangent_frame(pv)
-
-    def az(vec):
-        return math.atan2(dot(vec, e2), dot(vec, e1)) % (2 * math.pi)
-
-    best = None
-    for pos in corners:
-        out_t = bc.dart_tangent(cyc[pos])
-        in_t = bc.dart_tangent(cyc[pos - 1] ^ 1)
-        # wedge spans ccw from the outgoing dart to the reversed incoming dart
-        span = (az(in_t) - az(out_t)) % (2 * math.pi)
-        if span == 0.0:
-            span = 2 * math.pi
-        off = (az(t) - az(out_t)) % (2 * math.pi)
-        if off <= span and (best is None or span < best[0]):
-            best = (span, pos)
-    return best[1] if best else corners[0]
+    d = bc.wedge_dart(v, p, bc.fans[v])
+    return next((pos for pos in corners if cyc[pos] == d), corners[0])

@@ -10,7 +10,7 @@ from . import generators, io, oracle
 from .normalize import certify as pipeline_certify
 from .normalize import normalize as run_pipeline
 from .arrangement import ArrangementError
-from .geometry import GeometryError, Rotation
+from .geometry import EPS_SEP, EPS_UNIT, GeometryError, Rotation
 from .surface import SurfaceError, functionals, is_better_than, validate
 from .surgery import (
     SurfacePath,
@@ -47,7 +47,7 @@ def _report_dict(rep):
 
 def cmd_gen(args):
     meta = {"seed": args.seed, "jitter": 1e-6,
-            "tolerances": {"eps_unit": 1e-12, "eps_sep": 1e-9}}
+            "tolerances": {"eps_unit": EPS_UNIT, "eps_sep": EPS_SEP}}
     try:
         if args.closed_degree:
             s = generators.generate_closed_cyclic_cover(
@@ -103,7 +103,8 @@ SURGERY_PARAMS = {"cut_to_boundary": ("sides",), "cut_interior": ("sides",),
 
 def _surgery_sides(s, op, text):
     """The side lists of ``op`` from its --params JSON text, each side a
-    ``(copy, position)`` tuple of the surface; ValueError names what is wrong."""
+    ``(copy, position)`` tuple of the surface; ValueError names what is wrong,
+    and JSON nested too deep raises RecursionError."""
     params = json.loads(text) if text else {}
     if not isinstance(params, dict):
         raise ValueError("expected a JSON object, got %s" % type(params).__name__)
@@ -132,7 +133,7 @@ def cmd_surgery(args):
         return EXIT_FAIL
     try:
         sides = _surgery_sides(s, args.op, args.params)
-    except ValueError as err:  # json.JSONDecodeError included
+    except (ValueError, RecursionError) as err:  # json.JSONDecodeError included
         print("parse error: --params: %s" % err, file=sys.stderr)
         return EXIT_FAIL
     try:
@@ -190,7 +191,7 @@ def cmd_verify(args):
                 rot = io.rotation_from_dict(doc["rotation"])
                 iterations, bound = doc["iterations"], doc["iteration_bound"]
                 past = iterations > bound
-            except (ValueError, KeyError, TypeError) as err:
+            except (ValueError, KeyError, TypeError, RecursionError) as err:
                 print("parse error: trace %s: %r" % (args.trace, err), file=sys.stderr)
                 return EXIT_FAIL
             if past:
@@ -326,6 +327,9 @@ def main(argv=None):
         return args.func(args)
     except FileNotFoundError as err:
         print("file not found: %s" % err, file=sys.stderr)
+        return EXIT_FAIL
+    except OSError as err:
+        print("file error: %s" % err, file=sys.stderr)
         return EXIT_FAIL
     except io.SurfaceFileError as err:
         print("parse error: %s" % err, file=sys.stderr)

@@ -190,7 +190,7 @@ def random_base(rng, q=3, with_marker=False, min_clean_faces=0, fan=None):
             faces = locate_pending(build_faces(bc))
         except (ArrangementError, GeometryError):
             continue
-        pending = bc.meta["pending_interior_points"]
+        pending = bc.pending
         special_faces = {f for (_p, lab), f in zip(pending, faces) if lab is not None}
         if len(bc.live_faces()) - len(special_faces) < min_clean_faces:
             continue

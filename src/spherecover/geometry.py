@@ -34,6 +34,9 @@ see a twin:
   ``nearest_to_arcs`` (the nearest arc), ``locate_on_arcs`` (on, beside or
   nearest an end of which arc) and ``wedge_index`` (the wedge a direction
   enters at a vertex);
+* ``tangent_toward`` (the tangent at a point toward another) and
+  ``azimuth_order`` (tangents at a point in counterclockwise order): with
+  ``wedge_index`` and ``turning_angle``, every angle taken at a vertex;
 * ``segment_intersection``, ``meet_only_at_shared_end``,
   ``clear_of_circles`` and ``contact_angles``.
 
@@ -290,6 +293,19 @@ def tangent_frame(p):
     e1 is perpendicular to the z axis, or to a fixed skew vector near the poles."""
     e1 = unit(cross(p, (0.412, -0.777, 0.318)) if abs(p[2]) > 0.9 else cross(p, (0.0, 0.0, 1.0)))
     return e1, unit(cross(p, e1))
+
+
+def tangent_toward(v, w) -> tuple:
+    """Unit tangent at v of the great-circle arc from v toward w."""
+    return unit(cross(cross(v, w), v))
+
+
+def azimuth_order(at, tangents) -> list:
+    """The indices of ``tangents`` at ``at`` in counterclockwise order: a
+    stable sort by exact azimuth in ``tangent_frame(at)``, from -pi on."""
+    e1, e2 = tangent_frame(at)
+    az = [math.atan2(dot(t, e2), dot(t, e1)) for t in tangents]
+    return sorted(range(len(tangents)), key=az.__getitem__)
 
 
 def points_coincide(a, b, tol=EPS_SEP) -> bool:
@@ -610,7 +626,7 @@ def wedge_index(at, p, tangents) -> int:
     """The index of the tangent, of the unit ``tangents`` at ``at``, whose
     counterclockwise wedge holds the direction toward p: the first whose
     exact azimuth, in the frame of tangents[0], least precedes it."""
-    t = unit(cross(cross(at, p), at))
+    t = tangent_toward(at, p)
     e1 = unit(tangents[0])
     e2 = unit(cross(at, e1))
     tau = 2 * math.pi

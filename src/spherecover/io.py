@@ -138,7 +138,8 @@ def load_surface(path) -> SurfaceComplex:
     with open(path) as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as err:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; deep nesting is a RecursionError
+        except (ValueError, RecursionError) as err:
             raise SurfaceFileError("malformed JSON: %s" % err)
     return surface_from_dict(d)
 

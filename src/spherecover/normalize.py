@@ -363,7 +363,7 @@ def sink_branch_to_special(s: SurfaceComplex, sheet_index: int, tip: int):
     Returns (surface, case label, discarded piece or None)."""
     sheets, _ = s.sheets()
     sigma = sheets[sheet_index]
-    face = s.base.left_face(s.dart_of(sigma.in_side))
+    face = s.base.face_of_dart(s.dart_of(sigma.in_side))
     lab = s.base.specials[tip]
     d_sink = sigma.multiplicity
 
@@ -589,11 +589,11 @@ def _drive(s: SurfaceComplex, trace: PipelineTrace) -> SurfaceComplex:
             op = "slide_boundary_branch"
             out, case, other = slide_boundary_branch(cur, boundary[0].index)
         elif (tips := cur.base.special_tips_by_face()) and any(
-                cur.base.left_face(d) in tips for d in cur.boundary_walk().darts):
+                cur.base.face_of_dart(d) in tips for d in cur.boundary_walk().darts):
             B = boundary[0]
             if B.folded:
                 raise PipelineError("boundary branch is folded after fold removal")
-            f_left = cur.base.left_face(cur.dart_of(B.in_side))
+            f_left = cur.base.face_of_dart(cur.dart_of(B.in_side))
             if f_left in tips:
                 op = "sink_branch_to_special"
                 out, case, other = sink_branch_to_special(cur, B.index, tips[f_left][0])

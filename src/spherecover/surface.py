@@ -46,7 +46,6 @@ class VertexSheet:
     corners: tuple
     interior: bool
     ell: int          # corners in the orbit
-    fan: int          # corners in one full turn of the base fan
     degree: int       # exponent of the local normal form
     multiplicity: int # v_f
     folded: bool
@@ -272,7 +271,7 @@ class SurfaceComplex:
         out_side = self.corner_out_side(corners[-1]) if not interior else None
         return VertexSheet(
             index=idx, vertex=v, corners=tuple(corners), interior=interior,
-            ell=ell, fan=m, degree=deg, multiplicity=mult, folded=folded,
+            ell=ell, degree=deg, multiplicity=mult, folded=folded,
             special=v in self.base.specials, in_side=in_side, out_side=out_side,
         )
 

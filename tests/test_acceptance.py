@@ -354,7 +354,7 @@ def test_criterion_7_geometry_kernel():
 
     def left_area(pts):
         bc = build_arrangement(CurveInput(tuple(pts)), specials)
-        return bc.faces[bc.left_face(bc.traversal[0])].area
+        return bc.faces[bc.face_of_dart(bc.traversal[0])].area
 
     n = sphere_point(0, 0, 1)
     e1, e2 = sphere_point(1, 0, 0), sphere_point(0, 1, 0)

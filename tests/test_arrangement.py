@@ -220,8 +220,8 @@ def test_left_right_faces_antisymmetric():
         if bc.edges[e].kind != CURVE:
             continue
         # (left, right) face of each dart; the right face is the twin's left
-        l, r = bc.left_face(2 * e), bc.left_face((2 * e) ^ 1)
-        l2, r2 = bc.left_face(2 * e + 1), bc.left_face((2 * e + 1) ^ 1)
+        l, r = bc.face_of_dart(2 * e), bc.face_of_dart((2 * e) ^ 1)
+        l2, r2 = bc.face_of_dart(2 * e + 1), bc.face_of_dart((2 * e + 1) ^ 1)
         assert (l, r) == (r2, l2)
 
 
@@ -230,7 +230,7 @@ def test_left_of_eastward_equator_arc_is_north():
     for e in bc.live_edges():
         seg = bc.dart_segment(2 * e)
         # dart direction eastward iff pole points north
-        north_face = bc.left_face(2 * e) if seg.pole[2] > 0 else bc.left_face(2 * e + 1)
+        north_face = bc.face_of_dart(2 * e) if seg.pole[2] > 0 else bc.face_of_dart(2 * e + 1)
         p = face_interior_point(bc, north_face)
         assert p[2] > 0
 
@@ -271,7 +271,7 @@ def _ray_cross_oracle(bc, p):
         side = float(np.dot(p, seg.pole))
         if abs(side) < 1e-9:
             continue
-        return bc.left_face(2 * e) if side > 0 else bc.left_face(2 * e + 1)
+        return bc.face_of_dart(2 * e) if side > 0 else bc.face_of_dart(2 * e + 1)
     return None
 
 
@@ -332,10 +332,10 @@ def ref_locate_point(bc, p):
     if vtx is None:
         side = dot(p, bc.dart_segment(2 * e).pole)
         d = 2 * e if side > 0 else 2 * e + 1
-        return ("face", bc.left_face(d))
+        return ("face", bc.face_of_dart(d))
     fan = [d for d in bc.fans[vtx] if bc.kind(d) == CURVE]
     i = ref_wedge(bc.vertices[vtx], p, [bc.dart_tangent(d) for d in fan])
-    return ("face", bc.left_face(fan[i]))
+    return ("face", bc.face_of_dart(fan[i]))
 
 
 def ref_wedge(at, p, tangents):
@@ -615,7 +615,7 @@ def test_doubled_arc_slit_same_face_both_sides():
     bc = build_arrangement(CurveInput(pts), SpecialSet(NORTH_SPECIALS))
     bc.check()
     slits = [e for e in bc.live_edges()
-             if bc.left_face(2 * e) == bc.left_face(2 * e + 1)]
+             if bc.face_of_dart(2 * e) == bc.face_of_dart(2 * e + 1)]
     assert len(slits) == 1
     assert abs(sum(bc.faces[f].area for f in bc.live_faces()) - 4 * math.pi) < 1e-9
 
@@ -680,7 +680,7 @@ def test_dart_segment_and_tangent_cache():
 
 def _graph_record(bc):
     return (bc.vertices, [(e.a, e.b, e.kind, e.length) for e in bc.edges],
-            bc.traversal, bc.meta["pending_interior_points"])
+            bc.traversal, bc.pending)
 
 
 def _bridged_record(bc):

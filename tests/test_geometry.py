@@ -47,7 +47,7 @@ def left_area(pts):
     """Area of the face on the left of the closed polygon through ``pts``,
     as ``build_arrangement`` computes it (Gauss-Bonnet on the face cycle)."""
     bc = build_arrangement(CurveInput(tuple(pts)), AREA_SPECIALS)
-    return bc.faces[bc.left_face(bc.traversal[0])].area
+    return bc.faces[bc.face_of_dart(bc.traversal[0])].area
 
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -1244,3 +1244,34 @@ def test_written_out_twins_round_as_their_calls_near_thresholds(seed, tol, sa, s
         for p in (a, geometry.scale(sq, a)):
             assert (_with_calls("points_coincide", lambda: geometry.first_within(p, points, tol))
                     == _with_calls("points_coincide", lambda: ref_first_within(p, points, tol)))
+
+
+def ref_fan_sort(at, darts, tangent_of):
+    """The fan sort as arrangement.py took it before geometry.azimuth_order:
+    ``darts`` sorted by exact azimuth in ``tangent_frame(at)``."""
+    e1, e2 = geometry.tangent_frame(at)
+
+    def az(d):
+        t = tangent_of[d]
+        return math.atan2(dot(t, e2), dot(t, e1))
+    return sorted(darts, key=az)
+
+
+def test_azimuth_order_is_the_fan_sort():
+    # random fans at random vertices, near the poles too (the frame's skew
+    # branch), with repeated and bit-equal tangents, whose order must stay
+    rng = np.random.default_rng(37)
+    ties = 0
+    for k in range(400):
+        at = unit(rng.standard_normal(3) * (1.0, 1.0, 1.0 if k % 2 else 40.0))
+        tangents = [geometry.tangent_toward(at, unit(rng.standard_normal(3)))
+                    for _ in range(rng.integers(1, 8))]
+        for _ in range(rng.integers(0, 4)):
+            t = tangents[rng.integers(len(tangents))]
+            tangents.insert(rng.integers(len(tangents) + 1), tuple(list(t)) if k % 3 else t)
+        ties += len(set(tangents)) < len(tangents)
+        darts = [int(d) for d in rng.choice(200, len(tangents), replace=False)]
+        order = geometry.azimuth_order(at, tangents)
+        assert [darts[i] for i in order] == ref_fan_sort(at, darts, dict(zip(darts, tangents)))
+    assert ties > 100
+

@@ -1,5 +1,6 @@
 """tools/guards.py: the package is clean, and each rule reports a seeded offence."""
 
+import pathlib
 import re
 import shutil
 
@@ -66,6 +67,10 @@ SEEDS = [
      "ref", "cached_property"),
     ("surface", "import functools\n_seeded = functools.cached_property(len)\n",
      "ref", "cached_property"),
+    ("normalize", "def _seeded(at, p, tangents):\n    return geometry.wedge_index(at, p, tangents)\n",
+     "ref", "wedge_index"),
+    ("arrangement", "def _seeded(x, y):\n    return math.atan2(y, x)\n", "ref", "atan2"),
+    ("surgery", "from math import atan2\n_seeded = atan2(1.0, 0.0)\n", "ref", "atan2"),
 ]
 
 
@@ -97,3 +102,25 @@ def test_comments_and_docstrings_are_not_uses(tmp_path):
     assert head in text
     path.write_text(text.replace(head, head + "Checked by require_valid(out) in _drive.\n\n    "))
     assert guards.check(pkg) == []
+
+
+@pytest.mark.parametrize("row", [
+    ("ref", "contact_angles", {"normalize"}, {"normalize._ordered_contact"}, "misspelt allowed place"),
+    ("ref", "contact_angles", {"normalise"}, set(), "misspelt module"),
+    ("ref", "dot", {"geometry.Rotation.aply"}, set(), "misspelt method"),
+])
+def test_a_place_the_package_does_not_hold_is_reported(monkeypatch, row):
+    monkeypatch.setattr(guards, "RULES", guards.RULES + [row])
+    tool = pathlib.Path(guards.__file__)
+    assert [o for o in guards.check() if o[0] == tool] == [
+        (tool, 0, "no such place in the package (%s)" % place) for place in sorted(row[2] | row[3])
+        if place != "normalize"]
+
+
+def test_a_renamed_def_does_not_drop_out_of_its_rule(tmp_path):
+    # the one caller of contact_angles renamed: its row names a place that is gone
+    pkg, path, _ = _seeded_copy(tmp_path, "normalize", "")
+    path.write_text(path.read_text().replace("def _ordered_contacts(", "def _contacts_in_order("))
+    offences = guards.check(pkg)
+    assert (pathlib.Path(guards.__file__), 0, "no such place in the package (normalize._ordered_contacts)") \
+        in offences

@@ -61,6 +61,42 @@ def test_malformed_file_rejected(tmp_path):
         io.load_surface(wrong)
 
 
+def test_undecodable_or_deep_json_is_malformed(tmp_path):
+    for name, data in [("bom.json", b"\xff\xfe{}"), ("deep.json", b"[" * 5000 + b"]" * 5000)]:
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(io.SurfaceFileError, match="^malformed JSON: "):
+            io.load_surface(path)
+
+
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("argv, head", [
+    (["inspect", "dir"], "file error: "),
+    (["verify", "f4.json", "--against", "f4.json", "--trace", "dir"], "file error: "),
+    (["normalize", "f4.json", "--out", "dir"], "file error: "),
+    (["net", "f4.json", "--out", "dir"], "file error: "),
+    (["gen", "--seed", "1", "--out", "dir"], "file error: "),
+    (["inspect", "bom.json"], "parse error: malformed JSON: "),
+    (["normalize", "bom.json", "--out", "out.json"], "parse error: malformed JSON: "),
+    (["inspect", "deep.json"], "parse error: malformed JSON: "),
+    (["verify", "f4.json", "--against", "f4.json", "--trace", "deep.json"], "parse error: trace deep.json: "),
+    (["surgery", "f4.json", "--op", "sew", "--params", DEEP, "--out", "out.json"], "parse error: --params: "),
+], ids=["inspect-dir", "verify-trace-dir", "normalize-out-dir", "net-out-dir", "gen-out-dir", "inspect-bom",
+        "normalize-bom", "inspect-deep", "verify-trace-deep", "surgery-params-deep"])
+def test_cli_io_and_decode_errors_are_one_line(tmp_path, capsys, monkeypatch, argv, head):
+    monkeypatch.chdir(tmp_path)
+    io.save_surface(f4_double_cover(), "f4.json")
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "bom.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "deep.json").write_text(DEEP)
+    assert cli_main(argv) == EXIT_FAIL
+    got = capsys.readouterr()
+    assert got.err.startswith(head) and len(got.err.splitlines()) == 1, got.err
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("command, payload", [
     ("verify", "{not json"),
     ("verify", '{"steps": []}'),

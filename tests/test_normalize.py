@@ -340,8 +340,8 @@ def test_sink_star_rewire_route():
     # special tip in its left face
     tips = s.base.special_tips_by_face()
     assert not any(s.base.tail(d) in s.base.specials for d in s.boundary_walk().darts)
-    assert any(s.base.left_face(d) in tips for d in s.boundary_walk().darts)
-    face = s.base.left_face(s.dart_of(b.in_side))
+    assert any(s.base.face_of_dart(d) in tips for d in s.boundary_walk().darts)
+    face = s.base.face_of_dart(s.dart_of(b.in_side))
     pre = functionals(s)
     out, case, other = sink_branch_to_special(s, b.index, tips[face][0])
     post = functionals(out)
@@ -398,7 +398,7 @@ def test_rotation_rejected_when_special_on_left():
     # never calls rotation here, and sink is the applicable move
     tips = s.base.special_tips_by_face()
     assert not any(s.base.tail(d) in s.base.specials for d in s.boundary_walk().darts)
-    assert any(s.base.left_face(d) in tips for d in s.boundary_walk().darts)
+    assert any(s.base.face_of_dart(d) in tips for d in s.boundary_walk().darts)
 
 
 # -- the full pipeline ---------------------------------------------------------------

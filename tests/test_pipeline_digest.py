@@ -81,7 +81,7 @@ def test_sink_digest():
         h.update(io.dumps(io.trace_to_dict(trace, ok)).encode())
     s = f4_with_north(a1_south=True)
     [b] = nm._boundary_nonspecial_branches(s)
-    tip = s.base.special_tips_by_face()[s.base.left_face(s.dart_of(b.in_side))][0]
+    tip = s.base.special_tips_by_face()[s.base.face_of_dart(s.dart_of(b.in_side))][0]
     out, case, other = sink_branch_to_special(s, b.index, tip)
     assert (case, other) == ("2", None)
     h.update(io.dumps(io.surface_to_dict(out)).encode())

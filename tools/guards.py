@@ -13,7 +13,8 @@ NORMALIZE_ONLY_EDITS = {"surgery." + f for f in (
 
 # (kind, name or None for any, places covered or None for all, places allowed, reason).  A place is a
 # module, its top-level def or class (normalize._drive), or a method of that class
-# (arrangement.BaseComplex.check); it holds every use inside, comments none.
+# (arrangement.BaseComplex.check); it holds every use inside, comments none.  A place that the
+# package does not hold is an offence, so a renamed def cannot drop out of its rule.
 # touch: any attribute .name; write: an assigned or deleted .name or item of it; ref: a read of name
 # or .name, aliases too; private: <module>._name or an imported _name; def: a def never read or imported.
 RULES = [
@@ -37,8 +38,9 @@ RULES = [
      "one face-cycle tracer: only trace_faces and check read the successor map"),
     ("ref", "locate_on_arcs", None, {"arrangement.BaseComplex.locate_points"},
      "one point locator: only BaseComplex.locate_points reads locate_on_arcs"),
-    ("ref", "wedge_index", None, {"arrangement.BaseComplex.locate_points"},
-     "one point locator: only BaseComplex.locate_points reads wedge_index"),
+    ("ref", "wedge_index", None, {"arrangement.BaseComplex.wedge_dart"},
+     "one wedge rule: only BaseComplex.wedge_dart reads wedge_index"),
+    ("ref", "atan2", None, {"geometry"}, "geometry.py owns every angle"),
     ("ref", "cached_property", None, set(),
      "the 3.11 stdlib one locks on every first read; geometry.py owns the one memo"),
     ("private", None, None, set(), "private to its module: plain-float decisions stay in geometry.py"),
@@ -88,18 +90,35 @@ def _owned(tree):
             yield methods.get(id(node), name), node
 
 
+def _places(trees):
+    """Every place the package holds: each module, its top-level defs and classes, their methods."""
+    for module, (_p, tree) in trees.items():
+        yield module
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield "%s.%s" % (module, top.name)
+                if isinstance(top, ast.ClassDef):
+                    yield from ("%s.%s.%s" % (module, top.name, item.name) for item in top.body
+                                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
 def check(package=PACKAGE):
-    """Every offence in the package directory, as sorted (path, line, message)."""
+    """Every offence in the package directory, as sorted (path, line, message); a place that
+    RULES names and the package does not hold is reported at line 0 of this file."""
     trees = {p.stem: (p, ast.parse(p.read_text(), str(p))) for p in sorted(package.glob("*.py"))}
     uses = [(p, node.lineno, kind, name, module, owner)
             for module, (p, tree) in trees.items() for owner, node in _owned(tree)
             for kind, name in _uses(node, trees)]
     read = {u[3] for u in uses if u[2] in ("ref", "import")}
-    return sorted((path, line, "%s (%s)" % (reason, name))
-                  for path, line, kind, name, module, owner in uses if kind != "def" or name not in read
-                  for rkind, rname, scope, allowed, reason in RULES
-                  if rkind == kind and rname in (None, name)
-                  and _inside(scope, module, owner) and not _inside(allowed, module, owner))
+    places = set(_places(trees))
+    named = {place for _kind, _name, scope, allowed, _reason in RULES for place in (scope or set()) | allowed}
+    return sorted([(pathlib.Path(__file__), 0, "no such place in the package (%s)" % place)
+                   for place in named - places] +
+                  [(path, line, "%s (%s)" % (reason, name))
+                   for path, line, kind, name, module, owner in uses if kind != "def" or name not in read
+                   for rkind, rname, scope, allowed, reason in RULES
+                   if rkind == kind and rname in (None, name)
+                   and _inside(scope, module, owner) and not _inside(allowed, module, owner)])
 
 
 def main(package=PACKAGE):
