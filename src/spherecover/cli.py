@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import generators, io, oracle
@@ -154,6 +155,22 @@ def cmd_surgery(args):
     return EXIT_OK
 
 
+def _write_all(outputs):
+    """Write each (path, text) in order.  When an open or a write fails, the
+    files this call opened are removed and the error propagates, so a failed
+    run leaves no output file behind."""
+    opened = []
+    try:
+        for path, text in outputs:
+            with open(path, "w") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            os.remove(path)
+        raise
+
+
 def cmd_normalize(args):
     s = io.load_surface(args.file)
     try:
@@ -162,10 +179,10 @@ def cmd_normalize(args):
     except (SurfaceError, GeometryError) as err:
         print("normalize failed: %s" % err, file=sys.stderr)
         return EXIT_FAIL
-    io.save_surface(out, args.out, metadata={"normalized": True})
+    outputs = [(args.out, io.dumps(io.surface_to_dict(out, {"normalized": True})))]
     if args.trace_out:
-        with open(args.trace_out, "w") as fh:
-            fh.write(io.dumps(io.trace_to_dict(trace, ok)))
+        outputs.append((args.trace_out, io.dumps(io.trace_to_dict(trace, ok))))
+    _write_all(outputs)
     print("wrote %s (%d steps, certificate %s)"
           % (args.out, len(trace.steps), "ok" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_FAIL

@@ -50,16 +50,12 @@ from .surface import (
     require_valid,
 )
 from .surgery import (
-    ALONG_BOUNDARY,
-    FROM_BOUNDARY_LEFT,
-    FROM_INTERIOR,
     PreconditionViolated,
     absorb_tip_into_vertex,
     cleanup_unused_curve_edges,
     delete_edge_surface,
     insert_chord_surface,
     lift_path,
-    reroute_boundary_split,
     sew,
     split_edge_surface,
     split_on_lifts,
@@ -288,7 +284,7 @@ def push_interior_branch(s: SurfaceComplex, sheet_index: int):
             surface = delete_edge_surface(surface, e)
         return surface
 
-    lifts, coincident, on_boundary = lift_path(work, darts, idx, FROM_INTERIOR)
+    lifts, coincident, on_boundary = lift_path(work, darts, idx)
     if coincident is not None:
         i, j = coincident
         pieces = split_on_lifts(work, lifts[i], lifts[j])
@@ -321,33 +317,22 @@ def slide_boundary_branch(s: SurfaceComplex, sheet_index: int):
     """Slide one boundary branch point along its next boundary arc.
 
     Returns (surface, case label, discarded piece or None)."""
-    sheets, _ = s.sheets()
-    X = sheets[sheet_index]
-    if X.folded:
-        raise PreconditionViolated("cannot slide a folded point")
-    run = [X.out_side]
+    X = s.sheets()[0][sheet_index]
     # lift 0 runs along the boundary to p1, a boundary sheet; a first
     # coincident pair (0, j) lands interior lift j on p1
-    lifts, coincident, on_boundary = lift_path(
-        s, [s.dart_of(X.out_side)], sheet_index, ALONG_BOUNDARY)
-    if coincident is not None and coincident[0] == 0:
-        pieces = reroute_boundary_split(s, run, lifts[coincident[1]])
-        keep, other = _keep_best_disk(
-            pieces, CLOSED, "lift landing on p1 must split off a closed surface")
-        return keep, "1", other
+    lifts, coincident, on_boundary = lift_path(s, [s.dart_of(X.out_side)], sheet_index)
     if coincident is not None:
         i, j = coincident
         pieces = split_on_lifts(s, lifts[i], lifts[j])
         keep, other = _keep_best_disk(
-            pieces, CLOSED, "coincident interior lifts must split off a closed surface")
-        return keep, "2", other
-    on_bd = [i for i in on_boundary if i]
-    if on_bd:
-        pieces = reroute_boundary_split(s, run, lifts[on_bd[0]])
+            pieces, CLOSED, "coincident lift endpoints must split off a closed surface")
+        return keep, "1" if i == 0 else "2", other
+    if len(on_boundary) >= 2:
+        pieces = split_on_lifts(s, lifts[0], lifts[on_boundary[1]])
         keep, other = _keep_best_disk(
             pieces, DISK, "lift landing elsewhere on the boundary must split two disks")
         return keep, "3", other
-    out = star_rewire(s, lifts[1:], sheet_index, boundary_run=run)
+    out = star_rewire(s, lifts, sheet_index)
     if not _walk_word_unchanged(out, s):
         raise PipelineError("boundary slide changed the boundary word")
     return out, "4", None
@@ -372,7 +357,7 @@ def sink_branch_to_special(s: SurfaceComplex, sheet_index: int, tip: int):
     sigma2 = work.sheets()[0][idx]
     if not sigma2.is_branch or sigma2.vertex != sigma.vertex:
         raise PipelineError("parked branch lost after the chord refinement")
-    lifts, coincident, on_boundary = lift_path(work, darts, sigma2.index, FROM_BOUNDARY_LEFT)
+    lifts, coincident, on_boundary = lift_path(work, darts, sigma2.index)
     if on_boundary:
         raise PipelineError("lift into the left component touched the boundary")
     if coincident is not None:

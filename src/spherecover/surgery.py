@@ -9,8 +9,7 @@ across by one rule: a side follows its dart into the face that now holds
 it, and ``_remap_pairing`` is the one place that applies it.  Those edits
 and ``star_rewire`` serve ``normalize`` alone and do not validate their
 output: its driver checks each lemma step's output once.  The cuts, the
-sews and the lift splits (``split_on_lifts``, ``reroute_boundary_split``)
-validate theirs.
+sews and the lift split (``split_on_lifts``) validate theirs.
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ from .surface import (
     SurfaceError,
     require_valid,
 )
-
-FROM_INTERIOR = "from_interior"
-FROM_BOUNDARY_LEFT = "from_boundary_left"
-ALONG_BOUNDARY = "along_boundary"
-
 
 class PreconditionViolated(SurfaceError):
     pass
@@ -94,22 +88,19 @@ class SurfacePath:
 
 
 def _germ_crossings(s: SurfaceComplex, sheet, dart0):
-    """Out-sides over dart0 met while walking the sheet's corners in cw order."""
-    out = []
-    for corner in sheet.corners:
-        side = corner
-        if s.dart_of(side) == dart0 and side in s.pairing:
-            out.append(side)
-    return out
+    """Paired out-sides over dart0 met while walking the sheet's corners in cw order."""
+    return [side for side in sheet.corners if s.dart_of(side) == dart0 and side in s.pairing]
 
 
-def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResult:
-    """All lifts of a base edge path from one vertex sheet (the lifting lemmas).
+def lift_path(s: SurfaceComplex, darts, start_sheet: int) -> LiftResult:
+    """All lifts of a base edge path from one vertex sheet X (the lifting lemmas).
 
-    The path is extended step by step on all lifts simultaneously and
-    truncated as soon as any lift (other than the boundary lift in
-    ALONG_BOUNDARY mode, which ``on_boundary`` lists too) reaches a boundary
-    sheet.
+    X decides the lifts: lift 0 is a boundary lift when X is a boundary
+    sheet whose free out-side lies over the first dart, and each paired
+    out-side over that dart among X's corners adds one interior lift; they
+    number X's multiplicity.  A folded X is refused, and a boundary lift
+    runs over one dart.  The path is extended step by step on all lifts
+    simultaneously and truncated as soon as a lift reaches a boundary sheet.
     """
     sheets, corner_sheet = s.sheets()
     X = sheets[start_sheet]
@@ -121,40 +112,20 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
     for t, d in enumerate(darts[:-1]):
         if s.base.head(d) != s.base.tail(darts[t + 1]):
             raise PreconditionViolated("base path is not an edge path")
+    if X.folded:
+        raise PreconditionViolated("cannot lift from a folded point")
 
     d0 = darts[0]
-    crossings = _germ_crossings(s, X, d0)
     lifts = []
-    if mode == FROM_INTERIOR:
-        if not X.interior:
-            raise PreconditionViolated("FROM_INTERIOR needs an interior start sheet")
-        expected = X.multiplicity
-    elif mode == FROM_BOUNDARY_LEFT:
-        if X.interior or X.folded:
-            raise PreconditionViolated("FROM_BOUNDARY_LEFT needs a non-folded boundary sheet")
-        expected = X.multiplicity
-        if len(crossings) != expected:
-            raise PreconditionViolated(
-                "first dart is not strictly inside the left sector (%d germs, v_f=%d)"
-                % (len(crossings), expected))
-    elif mode == ALONG_BOUNDARY:
-        if X.interior or X.folded:
-            raise PreconditionViolated("ALONG_BOUNDARY needs a non-folded boundary sheet")
-        out_side = X.out_side
-        if s.dart_of(out_side) != d0:
-            raise PreconditionViolated("boundary does not continue along the path")
-        expected = X.multiplicity
-        lifts.append(Lift(steps=[("boundary", out_side)]))
-    else:
-        raise SurfaceError("unknown mode %r" % mode)
-    if mode != ALONG_BOUNDARY and len(crossings) != expected:
-        raise PreconditionViolated(
-            "expected %d germs of the first dart, found %d" % (expected, len(crossings)))
-
-    for side in crossings:
+    if not X.interior and s.dart_of(X.out_side) == d0:
+        if len(darts) != 1:
+            raise PreconditionViolated("a boundary lift runs over one dart")
+        lifts.append(Lift(steps=[("boundary", X.out_side)]))
+    for side in _germ_crossings(s, X, d0):
         lifts.append(Lift(steps=[("interior", side, s.pairing[side])]))
-    if len(lifts) != expected:
-        raise PreconditionViolated("lift count %d != multiplicity %d" % (len(lifts), expected))
+    if len(lifts) != X.multiplicity:
+        raise PreconditionViolated(
+            "lift count %d != multiplicity %d" % (len(lifts), X.multiplicity))
 
     def end_sheet_of(lift):
         kind, *rest = lift.steps[-1]
@@ -172,20 +143,15 @@ def lift_path(s: SurfaceComplex, darts, start_sheet: int, mode: str) -> LiftResu
             lift.end_sheet = end_sheet_of(lift)
         t += 1
         on_boundary = [j for j, lift in enumerate(lifts) if not sheets[lift.end_sheet].interior]
-        if t == len(darts) or any(j or mode != ALONG_BOUNDARY for j in on_boundary):
+        # a boundary lift ends on the boundary after its one dart
+        if t == len(darts) or on_boundary:
             ends = [lift.end_sheet for lift in lifts]
             coincident = next(((i, j) for i in range(len(ends)) for j in range(i + 1, len(ends))
                                if ends[i] == ends[j]), None)
             return LiftResult(lifts, coincident, on_boundary)
         dn = darts[t]
-        for j, lift in enumerate(lifts):
+        for lift in lifts:
             sh = sheets[lift.end_sheet]
-            if mode == ALONG_BOUNDARY and j == 0:
-                nxt = s.walk_successor(lift.steps[-1][1])
-                if s.dart_of(nxt) != dn:
-                    raise PreconditionViolated("boundary deviates from the base path")
-                lift.steps.append(("boundary", nxt))
-                continue
             if sh.multiplicity != 1:
                 raise PreconditionViolated(
                     "lift passes through a branch sheet over vertex %d" % sh.vertex)
@@ -336,54 +302,37 @@ def sew_annulus(s: SurfaceComplex, run_a, run_b) -> SurfaceComplex:
 # -- star rewiring (branch transport) ---------------------------------------
 
 
-def star_rewire(s: SurfaceComplex, lifts, start_sheet: int,
-                boundary_run=None) -> SurfaceComplex:
+def star_rewire(s: SurfaceComplex, lifts, start_sheet: int) -> SurfaceComplex:
     """Re-pair the lift side runs sector-by-sector around the start sheet.
 
-    Cyclic form (no ``boundary_run``): all d lifts are interior; each sector
-    between rotationally consecutive lifts is zipped shut, which transports
-    the start branching to the far end of the lifts.  Chain form: the free
-    run ``boundary_run`` plays the role of the first lift; the outermost
-    lift's forward run replaces it on the boundary (same image word).
+    Taken in the order of the sheet's corners, each lift's reverse run is
+    paired with the next lift's forward run, cyclically: each sector between
+    rotationally consecutive lifts is zipped shut, which transports the
+    start branching to the far end of the lifts.  A boundary lift has no
+    reverse run and comes last (its side is the sheet's last corner), so the
+    pair it would start is skipped: the first lift's forward run stays free
+    and replaces it on the boundary (same image word).
     """
     out = s.copy()
-    sheets, _ = out.sheets()
-    X = sheets[start_sheet]
+    X = out.sheets()[0][start_sheet]
     T = len(lifts[0].steps)
-    for lf in lifts:
-        if len(lf.steps) != T or lf.is_boundary_run:
-            raise PreconditionViolated("star_rewire needs equal-length interior lifts")
-
-    p0_sides = {lf.steps[0][1]: lf for lf in lifts}
-    order = []
-    for corner in X.corners:
-        if corner in p0_sides:
-            order.append(p0_sides[corner])
+    if any(len(lf.steps) != T for lf in lifts):
+        raise PreconditionViolated("star_rewire needs equal-length lifts")
+    first_sides = {lf.steps[0][1]: lf for lf in lifts}
+    order = [first_sides[corner] for corner in X.corners if corner in first_sides]
     if len(order) != len(lifts):
         raise PreconditionViolated("lifts do not all start at the given sheet")
 
     for lf in lifts:
+        for step in lf.steps:
+            if step[1] in out.pairing:
+                out.unpair(step[1])
+    for k, A in enumerate(order):
+        if A.is_boundary_run:
+            continue
+        B = order[(k + 1) % len(order)]
         for t in range(T):
-            side = lf.steps[t][1]
-            if side in out.pairing:
-                out.unpair(side)
-    if boundary_run is None:
-        ring = order
-        for k, A in enumerate(ring):
-            B = ring[(k + 1) % len(ring)]
-            for t in range(T):
-                out.pair(A.steps[t][2], B.steps[t][1])
-    else:
-        if len(boundary_run) != T:
-            raise PreconditionViolated("boundary run length mismatch")
-        for k in range(len(order) - 1):
-            A, B = order[k], order[k + 1]
-            for t in range(T):
-                out.pair(A.steps[t][2], B.steps[t][1])
-        last = order[-1]
-        for t in range(T):
-            out.pair(last.steps[t][2], boundary_run[t])
-        # order[0]'s forward run stays free: the new boundary run.
+            out.pair(A.steps[t][2], B.steps[t][1])
     return out
 
 
@@ -407,7 +356,10 @@ def split_on_lifts(s: SurfaceComplex, lift_a: Lift, lift_b: Lift):
     """Cut along two lifts with coincident or boundary endpoints and cross-sew.
 
     The surface falls apart into two pieces (closed + disk, or disk + disk);
-    within each piece the freed runs are re-paired dart against reversed dart.
+    within each piece the freed runs are re-paired dart against reversed
+    dart.  A boundary lift's run is free already and has no reverse run: its
+    piece sews it to the other lift's reverse run, and the other piece keeps
+    that lift's forward run free, the new boundary (same image word).
     """
     out = s.copy()
     T = len(lift_a.steps)
@@ -415,18 +367,19 @@ def split_on_lifts(s: SurfaceComplex, lift_a: Lift, lift_b: Lift):
         raise PreconditionViolated("lift lengths differ")
     freed = []
     for lf in (lift_a, lift_b):
-        for t in range(T):
-            side = lf.steps[t][1]
-            out.unpair(side)
-            freed.append((t, side, lf.steps[t][2]))
+        for t, (kind, *sides) in enumerate(lf.steps):
+            if kind == "interior":
+                out.unpair(sides[0])
+            freed += [(t, side) for side in sides]
     # components of the cut-open surface
     groups = out.copy_components()
     if len(groups) != 2:
         raise InvalidSurface("cut along the two lifts made %d pieces" % len(groups))
     for piece_copies in map(set, groups):
         for t in range(T):
-            here = [side for (tt, sidep, sideq) in freed for side in (sidep, sideq)
-                    if tt == t and side[0] in piece_copies and side not in out.pairing]
+            here = [side for tt, side in freed if tt == t and side[0] in piece_copies]
+            if len(here) == 1:
+                continue  # the forward run opposite a boundary lift stays free
             if len(here) != 2:
                 raise InvalidSurface("piece holds %d freed sides at step %d" % (len(here), t))
             a, b = here
@@ -438,31 +391,6 @@ def split_on_lifts(s: SurfaceComplex, lift_a: Lift, lift_b: Lift):
         raise InvalidSurface("cross-sew did not split the surface")
     for piece in pieces:
         require_valid(piece, "split_on_lifts piece")
-    return pieces
-
-
-def reroute_boundary_split(s: SurfaceComplex, boundary_run, lift: Lift):
-    """Sew a boundary run onto an interior lift with the same image word.
-
-    The lift's reverse run takes the pairing, the forward run becomes the new
-    boundary (same dart word); the surface splits into two pieces.
-    """
-    out = s.copy()
-    T = len(boundary_run)
-    if len(lift.steps) != T:
-        raise PreconditionViolated("run and lift lengths differ")
-    for t in range(T):
-        out.unpair(lift.steps[t][1])
-    for t in range(T):
-        side = boundary_run[t]
-        q = lift.steps[t][2]
-        out.pair(side, q)
-    pieces = _split_components(out)
-    if len(pieces) != 2:
-        raise InvalidSurface("boundary reroute did not split the surface (%d pieces)"
-                             % len(pieces))
-    for piece in pieces:
-        require_valid(piece, "reroute piece")
     return pieces
 
 

@@ -71,6 +71,7 @@ SEEDS = [
      "ref", "wedge_index"),
     ("arrangement", "def _seeded(x, y):\n    return math.atan2(y, x)\n", "ref", "atan2"),
     ("surgery", "from math import atan2\n_seeded = atan2(1.0, 0.0)\n", "ref", "atan2"),
+    ("normalize", "def _seeded(lifts):\n    return lifts[0].is_boundary_run\n", "ref", "is_boundary_run"),
 ]
 
 

@@ -83,8 +83,11 @@ DEEP = "[" * 5000 + "]" * 5000
     (["inspect", "deep.json"], "parse error: malformed JSON: "),
     (["verify", "f4.json", "--against", "f4.json", "--trace", "deep.json"], "parse error: trace deep.json: "),
     (["surgery", "f4.json", "--op", "sew", "--params", DEEP, "--out", "out.json"], "parse error: --params: "),
+    (["normalize", "f4.json", "--out", "out.json", "--trace-out", "dir"], "file error: "),
+    (["normalize", "f4.json", "--out", "dir", "--trace-out", "out.json"], "file error: "),
 ], ids=["inspect-dir", "verify-trace-dir", "normalize-out-dir", "net-out-dir", "gen-out-dir", "inspect-bom",
-        "normalize-bom", "inspect-deep", "verify-trace-deep", "surgery-params-deep"])
+        "normalize-bom", "inspect-deep", "verify-trace-deep", "surgery-params-deep", "normalize-trace-out-dir",
+        "normalize-out-dir-with-trace"])
 def test_cli_io_and_decode_errors_are_one_line(tmp_path, capsys, monkeypatch, argv, head):
     monkeypatch.chdir(tmp_path)
     io.save_surface(f4_double_cover(), "f4.json")

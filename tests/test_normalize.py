@@ -535,9 +535,9 @@ def test_the_driver_refuses_an_invalid_step(bad, monkeypatch):
     # a bad one before it records the slide
     orig = nm.star_rewire
 
-    def broken(s, lifts, start_sheet, boundary_run=None):
-        out = orig(s, lifts, start_sheet, boundary_run=boundary_run)
-        side = boundary_run[0]  # the run the rewire just paired
+    def broken(s, lifts, start_sheet):
+        out = orig(s, lifts, start_sheet)
+        side = lifts[0].steps[0][1]  # the run the rewire just paired
         if bad == "one side unpaired":
             del out.pairing[side]  # its partner still names it
         else:
@@ -562,9 +562,9 @@ def test_a_rewire_with_a_dropped_partner_stops_the_slides_walk_check(monkeypatch
     # raises once walk_successor passes its step bound, where it looped
     orig = nm.star_rewire
 
-    def broken(s, lifts, start_sheet, boundary_run=None):
-        out = orig(s, lifts, start_sheet, boundary_run=boundary_run)
-        out.pairing.pop(out.pairing[boundary_run[0]])
+    def broken(s, lifts, start_sheet):
+        out = orig(s, lifts, start_sheet)
+        out.pairing.pop(out.pairing[lifts[0].steps[0][1]])
         out.invalidate()
         return out
     monkeypatch.setattr(nm, "star_rewire", broken)

@@ -16,16 +16,15 @@ from spherecover.surface import (
     ANNULUS,
     CLOSED,
     DISK,
+    InvalidSurface,
     SurfaceComplex,
     functionals,
     geometric_walk,
     is_closed_subarc_geometric,
+    require_valid,
     validate,
 )
 from spherecover.surgery import (
-    ALONG_BOUNDARY,
-    FROM_BOUNDARY_LEFT,
-    FROM_INTERIOR,
     ImagesMismatch,
     NotSimple,
     PreconditionViolated,
@@ -94,7 +93,7 @@ def test_lift_path_unbranched(hemisphere):
     sheets, _ = s.sheets()
     start = next(sh for sh in sheets if sh.interior and sh.multiplicity == 1)
     d0 = next(d for d in s.base.fans[start.vertex])
-    res = lift_path(s, [d0], start.index, FROM_INTERIOR)
+    res = lift_path(s, [d0], start.index)
     assert len(res.lifts) == 1
 
 
@@ -102,7 +101,7 @@ def test_lift_path_branch_has_d_lifts(f4):
     sheets, _ = f4.sheets()
     branch = next(sh for sh in sheets if sh.is_branch)
     d0 = f4.base.fans[branch.vertex][0]
-    res = lift_path(f4, [d0], branch.index, FROM_INTERIOR)
+    res = lift_path(f4, [d0], branch.index)
     assert len(res.lifts) == branch.multiplicity == 2
     # both lifts stop on the boundary at the far end of the bridge
     assert (res.coincident, res.on_boundary) == (None, [0, 1])
@@ -111,6 +110,14 @@ def test_lift_path_branch_has_d_lifts(f4):
     # lifts have pairwise disjoint interiors (edge sets disjoint)
     edges = [frozenset(lf.steps[t][1] for t in range(len(lf.steps))) for lf in res.lifts]
     assert edges[0].isdisjoint(edges[1])
+
+
+def _start_kind(s, start_sheet, result):
+    """The lift kinds the start sheet gave: an interior sheet, a boundary
+    sheet with a boundary lift, or a boundary sheet without one."""
+    if s.sheets()[0][start_sheet].interior:
+        return "interior sheet"
+    return "boundary lift" if result.lifts[0].is_boundary_run else "boundary sheet, no boundary lift"
 
 
 def ref_classify_lift_ends(s, result):
@@ -129,10 +136,10 @@ def test_lift_ends_match_reference_on_corpus(monkeypatch):
     # slides) and on the two sink fixtures reports its ends as the reference
     seen = Counter()
 
-    def checked(s, darts, start_sheet, mode):
-        res = lift_path(s, darts, start_sheet, mode)
+    def checked(s, darts, start_sheet):
+        res = lift_path(s, darts, start_sheet)
         assert (res.coincident, res.on_boundary) == ref_classify_lift_ends(s, res)
-        seen[mode] += 1
+        seen[_start_kind(s, start_sheet, res)] += 1
         seen["coincident"] += res.coincident is not None
         seen["two on boundary"] += len(res.on_boundary) >= 2
         return res
@@ -143,7 +150,7 @@ def test_lift_ends_match_reference_on_corpus(monkeypatch):
     for marker_at in (0, 1):  # H < 0: the pipeline's loop without normalize's gate
         s = f4_with_north(marker_at=marker_at, a1_south=True)
         nm._drive(s, nm.PipelineTrace(iteration_bound=nm.declared_iteration_bound(s)))
-    assert all(seen[k] for k in (FROM_INTERIOR, FROM_BOUNDARY_LEFT, ALONG_BOUNDARY,
+    assert all(seen[k] for k in ("interior sheet", "boundary lift", "boundary sheet, no boundary lift",
                                  "coincident", "two on boundary")), seen
 
 
@@ -175,11 +182,195 @@ def test_lift_along_boundary_runs():
     sheets, _ = s.sheets()
     branch = next(sh for sh in sheets if sh.is_branch and not sh.interior)
     d0 = s.dart_of(branch.out_side)
-    res = lift_path(s, [d0], branch.index, ALONG_BOUNDARY)
+    res = lift_path(s, [d0], branch.index)
     assert len(res.lifts) == branch.multiplicity
     assert res.lifts[0].is_boundary_run
     for lf in res.lifts[1:]:
         assert not lf.is_boundary_run
+
+
+def _boundary_branch(s):
+    return next(sh for sh in s.sheet_list() if sh.is_branch and not sh.interior)
+
+
+def test_lift_kinds_follow_the_first_dart():
+    # from one boundary sheet: the out-side's dart gives a boundary lift 0,
+    # and a first dart inside its left sector (one paired out-side over it
+    # per sheet of the branch) gives interior lifts only
+    s = f4_with_north()
+    branch = _boundary_branch(s)
+    out_dart = s.dart_of(branch.out_side)
+    along = lift_path(s, [out_dart], branch.index)
+    assert [lf.steps[0][0] for lf in along.lifts] == ["boundary", "interior"]
+    assert along.lifts[0].steps == [("boundary", branch.out_side)]
+    left = [d for d in s.base.fans[branch.vertex] if d != out_dart and branch.multiplicity ==
+            sum(s.dart_of(c) == d and c in s.pairing for c in branch.corners)]
+    assert left
+    inside = lift_path(s, [left[0]], branch.index)
+    assert len(inside.lifts) == branch.multiplicity
+    assert not any(lf.is_boundary_run for lf in inside.lifts)
+
+
+def test_lift_refuses_a_folded_start_sheet():
+    s = f4_with_north()
+    side, _tail, _head = _cut_candidates(s, want_special_end=False)[0]
+    cut = cut_to_boundary(s, SurfacePath([side]))
+    folded = next(sh for sh in cut.sheet_list() if not sh.interior and sh.folded)
+    with pytest.raises(PreconditionViolated, match="folded"):
+        lift_path(cut, [cut.dart_of(folded.out_side)], folded.index)
+
+
+def test_a_boundary_lift_runs_over_one_dart():
+    s = f4_with_north()
+    branch = _boundary_branch(s)
+    d0 = s.dart_of(branch.out_side)
+    d1 = next(d for d in s.base.fans[s.base.head(d0)] if d != d0 ^ 1)
+    with pytest.raises(PreconditionViolated, match="one dart"):
+        lift_path(s, [d0, d1], branch.index)
+
+
+# Copies of the lift surgeries as they were when the slide carried its
+# boundary run apart from the lifts: the two-lift split, the boundary-run
+# reroute and the rewire with its chain form.
+
+def ref_split_on_lifts(s, lift_a, lift_b):
+    out = s.copy()
+    T = len(lift_a.steps)
+    if len(lift_b.steps) != T:
+        raise PreconditionViolated("lift lengths differ")
+    freed = []
+    for lf in (lift_a, lift_b):
+        for t in range(T):
+            side = lf.steps[t][1]
+            out.unpair(side)
+            freed.append((t, side, lf.steps[t][2]))
+    # components of the cut-open surface
+    groups = out.copy_components()
+    if len(groups) != 2:
+        raise InvalidSurface("cut along the two lifts made %d pieces" % len(groups))
+    for piece_copies in map(set, groups):
+        for t in range(T):
+            here = [side for (tt, sidep, sideq) in freed for side in (sidep, sideq)
+                    if tt == t and side[0] in piece_copies and side not in out.pairing]
+            if len(here) != 2:
+                raise InvalidSurface("piece holds %d freed sides at step %d" % (len(here), t))
+            a, b = here
+            if out.dart_of(a) == out.dart_of(b):
+                raise InvalidSurface("freed sides in one piece have equal darts")
+            out.pair(a, b)
+    pieces = _split_components(out)
+    if len(pieces) != 2:
+        raise InvalidSurface("cross-sew did not split the surface")
+    for piece in pieces:
+        require_valid(piece, "split_on_lifts piece")
+    return pieces
+
+
+def ref_reroute_boundary_split(s, boundary_run, lift):
+    out = s.copy()
+    T = len(boundary_run)
+    if len(lift.steps) != T:
+        raise PreconditionViolated("run and lift lengths differ")
+    for t in range(T):
+        out.unpair(lift.steps[t][1])
+    for t in range(T):
+        side = boundary_run[t]
+        q = lift.steps[t][2]
+        out.pair(side, q)
+    pieces = _split_components(out)
+    if len(pieces) != 2:
+        raise InvalidSurface("boundary reroute did not split the surface (%d pieces)"
+                             % len(pieces))
+    for piece in pieces:
+        require_valid(piece, "reroute piece")
+    return pieces
+
+
+def ref_star_rewire(s, lifts, start_sheet, boundary_run=None):
+    out = s.copy()
+    sheets, _ = out.sheets()
+    X = sheets[start_sheet]
+    T = len(lifts[0].steps)
+    for lf in lifts:
+        if len(lf.steps) != T or lf.is_boundary_run:
+            raise PreconditionViolated("star_rewire needs equal-length interior lifts")
+
+    p0_sides = {lf.steps[0][1]: lf for lf in lifts}
+    order = []
+    for corner in X.corners:
+        if corner in p0_sides:
+            order.append(p0_sides[corner])
+    if len(order) != len(lifts):
+        raise PreconditionViolated("lifts do not all start at the given sheet")
+
+    for lf in lifts:
+        for t in range(T):
+            side = lf.steps[t][1]
+            if side in out.pairing:
+                out.unpair(side)
+    if boundary_run is None:
+        ring = order
+        for k, A in enumerate(ring):
+            B = ring[(k + 1) % len(ring)]
+            for t in range(T):
+                out.pair(A.steps[t][2], B.steps[t][1])
+    else:
+        if len(boundary_run) != T:
+            raise PreconditionViolated("boundary run length mismatch")
+        for k in range(len(order) - 1):
+            A, B = order[k], order[k + 1]
+            for t in range(T):
+                out.pair(A.steps[t][2], B.steps[t][1])
+        last = order[-1]
+        for t in range(T):
+            out.pair(last.steps[t][2], boundary_run[t])
+        # order[0]'s forward run stays free: the new boundary run.
+    return out
+
+
+def _files(surfaces):
+    return [io.surface_to_dict(x) for x in surfaces]
+
+
+def test_lift_surgeries_match_the_reference_copies(monkeypatch):
+    # every split and rewire the pipeline makes on the stored corpora and on
+    # the two sink fixtures gives the surface files of the reference copies:
+    # a boundary lift 0 against the boundary run it replaced
+    seen = Counter()
+    orig_split, orig_rewire = nm.split_on_lifts, nm.star_rewire
+
+    def split(s, lift_a, lift_b):
+        got = orig_split(s, lift_a, lift_b)
+        if lift_a.is_boundary_run:
+            seen["boundary split"] += 1
+            want = ref_reroute_boundary_split(s, [side for _, side in lift_a.steps], lift_b)
+        else:
+            seen["interior split"] += 1
+            want = ref_split_on_lifts(s, lift_a, lift_b)
+        assert _files(got) == _files(want)
+        return got
+
+    def rewire(s, lifts, start_sheet):
+        got = orig_rewire(s, lifts, start_sheet)
+        if lifts[0].is_boundary_run:
+            seen["chain rewire"] += 1
+            want = ref_star_rewire(s, lifts[1:], start_sheet,
+                                   boundary_run=[side for _, side in lifts[0].steps])
+        else:
+            seen["ring rewire"] += 1
+            want = ref_star_rewire(s, lifts, start_sheet)
+        assert _files([got]) == _files([want])
+        return got
+    monkeypatch.setattr(nm, "split_on_lifts", split)
+    monkeypatch.setattr(nm, "star_rewire", rewire)
+    for name in ("batch", "stress"):
+        for line in (CORPUS / (name + ".jsonl")).read_text().splitlines():
+            normalize(io.surface_from_dict(json.loads(line)))
+    for marker_at in (0, 1):  # H < 0: the pipeline's loop without normalize's gate
+        s = f4_with_north(marker_at=marker_at, a1_south=True)
+        nm._drive(s, nm.PipelineTrace(iteration_bound=nm.declared_iteration_bound(s)))
+    floors = {"boundary split": 66, "interior split": 33, "chain rewire": 65, "ring rewire": 12}
+    assert all(seen[k] >= n for k, n in floors.items()), seen
 
 
 def test_cut_to_boundary_deltas():

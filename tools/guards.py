@@ -41,6 +41,7 @@ RULES = [
     ("ref", "wedge_index", None, {"arrangement.BaseComplex.wedge_dart"},
      "one wedge rule: only BaseComplex.wedge_dart reads wedge_index"),
     ("ref", "atan2", None, {"geometry"}, "geometry.py owns every angle"),
+    ("ref", "is_boundary_run", None, {"surgery"}, "only surgery.py tells a boundary lift from an interior one"),
     ("ref", "cached_property", None, set(),
      "the 3.11 stdlib one locks on every first read; geometry.py owns the one memo"),
     ("private", None, None, set(), "private to its module: plain-float decisions stay in geometry.py"),
